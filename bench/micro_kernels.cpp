@@ -1,7 +1,9 @@
 // Micro-benchmarks of the substrate kernels that dominate CasCN training:
 // dense matmul, sparse-dense matmul, the CasLaplacian construction
 // (Algorithm 1), the Chebyshev basis recursion, one graph-conv LSTM step
-// (forward and forward+backward), and snapshot encoding.
+// (forward and forward+backward), and snapshot encoding. Paired rows time
+// a whole cached-encoding forward served (PredictValue, the fused kernel)
+// and recorded (PredictLogCalibrated) on the same samples.
 //
 // Besides the usual console output, every run writes a machine-readable
 // BENCH_micro_kernels.json (see obs/bench_report.h) that the CI bench-guard
@@ -21,6 +23,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/cascn_model.h"
 #include "core/encoder.h"
 #include "data/cascade_generator.h"
 #include "graph/chebyshev.h"
@@ -142,6 +145,35 @@ void BM_EncodeCascade(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodeCascade)->Arg(16)->Arg(32)->Arg(64);
+
+/// A BenchCascade with `active` nodes observed for 60 minutes, and a
+/// default-config CasCN (padded 32) that has already encoded it.
+struct PredictFixture {
+  explicit PredictFixture(int active) : model(CascnConfig{}) {
+    sample.observed = BenchCascade(active);
+    sample.observation_window = 60.0;
+    model.PredictValue(sample);
+  }
+  CascadeSample sample;
+  CascnModel model;
+};
+
+void BM_CascnPredictValue(benchmark::State& state) {
+  PredictFixture fixture(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture.model.PredictValue(fixture.sample));
+  }
+}
+BENCHMARK(BM_CascnPredictValue)->Arg(4)->Arg(16)->Arg(32);
+
+void BM_CascnPredictRecorded(benchmark::State& state) {
+  PredictFixture fixture(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        fixture.model.PredictLogCalibrated(fixture.sample).value().At(0, 0));
+  }
+}
+BENCHMARK(BM_CascnPredictRecorded)->Arg(4)->Arg(16)->Arg(32);
 
 /// One captured measurement, as fed into the BENCH_*.json results array.
 struct CapturedRun {

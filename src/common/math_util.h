@@ -16,8 +16,10 @@ inline double Log2p1(double x) { return std::log2(1.0 + x); }
 /// Inverse of Log2p1.
 inline double Exp2m1(double y) { return std::exp2(y) - 1.0; }
 
-/// Numerically-stable sigmoid.
-inline double Sigmoid(double x) {
+/// Numerically-stable sigmoid: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x)
+/// otherwise, with one exp call on either branch. The single definition
+/// behind ag::Sigmoid, Softplus's gradient and the fused graph-RNN kernels.
+inline double StableSigmoid(double x) {
   if (x >= 0) {
     const double z = std::exp(-x);
     return 1.0 / (1.0 + z);

@@ -139,18 +139,30 @@ ag::Variable CascnModel::ForwardPooled(const CascadeSample& sample) {
     return pooled_sum;
   }
 
-  // Convolutional recurrence (default, GRU, undirected, no-decay).
-  nn::RnnState state = config_.variant == CascnVariant::kGru
-                           ? conv_gru_->InitialState()
-                           : conv_lstm_->InitialState();
+  // Convolutional recurrence (default, GRU, undirected, no-decay): h_t per
+  // snapshot. With grad mode off the cell runs the whole sequence through
+  // its fused values-only kernel; training records it step by step.
+  const bool gru = config_.variant == CascnVariant::kGru;
+  std::vector<ag::Variable> states;
+  if (ag::GradEnabled()) {
+    nn::RnnState state =
+        gru ? conv_gru_->InitialState() : conv_lstm_->InitialState();
+    for (const Tensor& signal : enc.snapshot_signals) {
+      const ag::Variable x = ag::Variable::Leaf(signal);
+      state = gru ? conv_gru_->Step(enc.cheb_basis, x, state)
+                  : conv_lstm_->Step(enc.cheb_basis, x, state);
+      states.push_back(state.h);
+    }
+  } else {
+    for (Tensor& h : gru ? conv_gru_->Run(enc.cheb_basis, enc.snapshot_signals)
+                         : conv_lstm_->Run(enc.cheb_basis,
+                                           enc.snapshot_signals))
+      states.push_back(ag::Variable::Leaf(std::move(h)));
+  }
   ag::Variable sum;  // n x d_h accumulated over time (Eq. 17)
   std::vector<ag::Variable> per_step;  // attention-pooling extension
-  for (size_t t = 0; t < enc.snapshot_signals.size(); ++t) {
-    const ag::Variable x = ag::Variable::Leaf(enc.snapshot_signals[t]);
-    state = config_.variant == CascnVariant::kGru
-                ? conv_gru_->Step(enc.cheb_basis, x, state)
-                : conv_lstm_->Step(enc.cheb_basis, x, state);
-    ag::Variable h = state.h;
+  for (size_t t = 0; t < states.size(); ++t) {
+    ag::Variable h = states[t];
     if (use_decay)
       h = ag::ScaleByScalar(h, DecayFactor(enc.decay_intervals[t]));
     if (config_.attention_pooling) {

@@ -47,6 +47,8 @@ class ChebConv : public Module {
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }
   int order() const { return static_cast<int>(weights_.size()); }
+  /// The k-th filter W_k (in x out).
+  const Tensor& filter(int k) const { return weights_[k].value(); }
 
  private:
   int in_features_;

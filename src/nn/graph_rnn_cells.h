@@ -21,15 +21,26 @@
 // Every gate filters the same T_k(L~) X_t and T_k(L~) h_{t-1}. A step
 // computes each of these propagations once and shares it across the gates
 // whenever no gradient flows through the signal: always for the constant
-// snapshot X_t, and for h_{t-1} at the first step or under NoGradGuard.
+// snapshot X_t, and for h_{t-1} at the first step.
 // When h_{t-1} does record a gradient, each gate propagates it itself, so
 // backward sums h's gradient gate by gate exactly as before and trained
 // weights stay bit-identical.
+//
+// With grad mode off (ag::NoGradGuard), Step and Run use one fused
+// values-only kernel instead of ag ops: the gate filters are packed side by
+// side so a step makes one product per (signal, Chebyshev order), and the
+// gates are evaluated in one pointwise pass in the recorded graph's
+// operation order, so values are bit-identical. Run also skips the rows no
+// T_k reaches (the padding past the cascade): their filtered terms are
+// exactly zero, so their h_t depends only on t and the row-local
+// parameters (peepholes and biases). It is copied from a table the cell
+// builds once per parameter values (see internal::PaddingTableCache).
 
 #ifndef CASCN_NN_GRAPH_RNN_CELLS_H_
 #define CASCN_NN_GRAPH_RNN_CELLS_H_
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
@@ -38,6 +49,40 @@
 #include "nn/rnn_cells.h"
 
 namespace cascn::nn {
+
+namespace internal {
+
+class FusedLstm;
+class FusedGru;
+
+/// h_t of every row of a graph-convolutional cell run from the zero state
+/// on zero graph input, for steps 0..depth-1. It is the trajectory of every
+/// row that no T_k reaches, whatever the cascade.
+struct PaddingTable {
+  std::vector<double> key;  // row-local parameter bytes it was built from
+  std::vector<Tensor> h;    // per step, num_nodes x hidden
+};
+
+/// A cell's PaddingTable, rebuilt whenever the row-local parameters it was
+/// built from change (an optimizer step, a checkpoint load, a direct edit)
+/// or a forward runs deeper than it. Thread-safe: the table is immutable
+/// and shared, and the mutex guards only the pointer and the comparison.
+class PaddingTableCache {
+ public:
+  /// A table at least `depth` steps deep for the current values of
+  /// `params`. `build(depth)` returns the per-step h tensors; it runs
+  /// when the bytes of `params` differ from the stored key or the stored
+  /// table is shallower, and keeps the deepest depth seen.
+  template <typename Build>
+  std::shared_ptr<const PaddingTable> Get(
+      const std::vector<const Tensor*>& params, int depth, Build&& build);
+
+ private:
+  std::mutex mutex_;
+  std::shared_ptr<const PaddingTable> table_;
+};
+
+}  // namespace internal
 
 /// LSTM cell whose gates are Chebyshev graph convolutions (CasCN Eq. 12-14).
 class GraphConvLstmCell : public Module {
@@ -50,15 +95,24 @@ class GraphConvLstmCell : public Module {
 
   /// One step over snapshot signal `x` (n x n) with the cascade's Chebyshev
   /// basis (shared across steps; the Laplacian is per-cascade, not
-  /// per-snapshot).
+  /// per-snapshot). Records the graph when grad mode is on; under
+  /// ag::NoGradGuard it runs the fused kernel and returns leaf states.
   RnnState Step(const std::vector<CsrMatrix>& cheb_basis,
                 const ag::Variable& x, const RnnState& prev) const;
+
+  /// Values-only run over a whole snapshot sequence from InitialState():
+  /// h_t for every step, bit-identical to a Step loop. Rows no T_k reaches
+  /// come from the padding table.
+  std::vector<Tensor> Run(const std::vector<CsrMatrix>& cheb_basis,
+                          const std::vector<Tensor>& signals) const;
 
   int num_nodes() const { return num_nodes_; }
   int hidden_dim() const { return hidden_dim_; }
   int cheb_order() const { return conv_x_i_->order(); }
 
  private:
+  friend class internal::FusedLstm;
+
   int num_nodes_;
   int hidden_dim_;
   // Graph-convolution filter banks per gate, for input X and hidden h.
@@ -67,6 +121,7 @@ class GraphConvLstmCell : public Module {
   // Peephole weights (n x hidden) and biases (1 x hidden).
   ag::Variable v_i_, v_f_, v_o_;
   ag::Variable b_i_, b_f_, b_o_, b_c_;
+  mutable internal::PaddingTableCache padding_;
 };
 
 /// GRU counterpart used by the CasCN-GRU variant (Table IV).
@@ -75,19 +130,26 @@ class GraphConvGruCell : public Module {
   GraphConvGruCell(int num_nodes, int hidden_dim, int cheb_order, Rng& rng);
 
   RnnState InitialState() const;
+  /// As GraphConvLstmCell::Step.
   RnnState Step(const std::vector<CsrMatrix>& cheb_basis,
                 const ag::Variable& x, const RnnState& prev) const;
+  /// As GraphConvLstmCell::Run.
+  std::vector<Tensor> Run(const std::vector<CsrMatrix>& cheb_basis,
+                          const std::vector<Tensor>& signals) const;
 
   int num_nodes() const { return num_nodes_; }
   int hidden_dim() const { return hidden_dim_; }
   int cheb_order() const { return conv_x_r_->order(); }
 
  private:
+  friend class internal::FusedGru;
+
   int num_nodes_;
   int hidden_dim_;
   std::unique_ptr<ChebConv> conv_x_r_, conv_x_z_, conv_x_n_;
   std::unique_ptr<ChebConv> conv_h_r_, conv_h_z_, conv_h_n_;
   ag::Variable b_r_, b_z_, b_n_;
+  mutable internal::PaddingTableCache padding_;
 };
 
 }  // namespace cascn::nn

@@ -1,5 +1,6 @@
 #include "tensor/linalg.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -59,24 +60,39 @@ double PowerIterationLargestEigenvalue(const CsrMatrix& a, int iterations) {
   CASCN_CHECK(a.rows() == a.cols());
   const int n = a.rows();
   if (n == 0) return 0.0;
-  // Symmetrise: S = (A + A^T)/2, applied without materialising S densely.
-  const CsrMatrix at = a.Transposed();
-  Tensor x(n, 1, 1.0 / std::sqrt(static_cast<double>(n)));
+  // Symmetrise: S = (A + A^T)/2, applied without materialising S or A^T.
+  // A x gathers along A's rows; A^T x scatters them, reaching each
+  // element in ascending source-row order, exactly as a product with the
+  // transposed CSR would. Three buffers serve every iteration.
+  const auto& offsets = a.row_offsets();
+  const auto& cols = a.col_indices();
+  const auto& vals = a.values();
+  std::vector<double> x(n, 1.0 / std::sqrt(static_cast<double>(n)));
+  std::vector<double> ax(n), atx(n);
   double lambda = 0.0;
   for (int it = 0; it < iterations; ++it) {
-    Tensor ax = a.MatMulDense(x);
-    ax.AddInPlace(at.MatMulDense(x));
-    ax.Scale(0.5);
-    double num = 0, den = 0;
+    std::fill(atx.begin(), atx.end(), 0.0);
+    for (int r = 0; r < n; ++r) {
+      double sum = 0.0;
+      for (int k = offsets[r]; k < offsets[r + 1]; ++k) {
+        sum += vals[k] * x[cols[k]];
+        atx[cols[k]] += vals[k] * x[r];
+      }
+      ax[r] = sum;
+    }
+    double num = 0, den = 0, sq = 0;
     for (int i = 0; i < n; ++i) {
-      num += x.At(i, 0) * ax.At(i, 0);
-      den += x.At(i, 0) * x.At(i, 0);
+      ax[i] = (ax[i] + atx[i]) * 0.5;
+      num += x[i] * ax[i];
+      den += x[i] * x[i];
+      sq += ax[i] * ax[i];
     }
     lambda = den > 0 ? num / den : 0.0;
-    const double norm = ax.Norm();
+    const double norm = std::sqrt(sq);
     if (norm < 1e-30) return 0.0;
-    ax.Scale(1.0 / norm);
-    x = std::move(ax);
+    const double inv_norm = 1.0 / norm;
+    for (double& v : ax) v *= inv_norm;
+    x.swap(ax);
   }
   return std::fabs(lambda);
 }

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "common/math_util.h"
 
 namespace cascn::ag {
 
@@ -451,10 +452,7 @@ Variable Sigmoid(const Variable& a) {
   const auto& an = CheckedNode(a);
   OpProfile prof(obs::OpKind::kSigmoid);
   const uint64_t n = Elems(an);
-  Tensor out = an->value.Map([](double x) {
-    return x >= 0 ? 1.0 / (1.0 + std::exp(-x))
-                  : std::exp(x) / (1.0 + std::exp(x));
-  });
+  Tensor out = an->value.Map([](double x) { return StableSigmoid(x); });
   return prof.Done(
       MakeOpNode(std::move(out), {an},
                  [](Node& self) {
@@ -539,11 +537,8 @@ Variable Softplus(const Variable& a) {
                    const Tensor& x = self.parents[0]->value;
                    for (int i = 0; i < g.rows(); ++i)
                      for (int j = 0; j < g.cols(); ++j) {
-                       const double xv = x.At(i, j);
-                       const double sig =
-                           xv >= 0 ? 1.0 / (1.0 + std::exp(-xv))
-                                   : std::exp(xv) / (1.0 + std::exp(xv));
-                       g.At(i, j) = self.grad.At(i, j) * sig;
+                       g.At(i, j) =
+                           self.grad.At(i, j) * StableSigmoid(x.At(i, j));
                      }
                    self.parents[0]->AccumGrad(g);
                  }),

@@ -21,13 +21,13 @@ TEST(Log2p1Test, InverseRoundTrips) {
 }
 
 TEST(SigmoidTest, SymmetryAndLimits) {
-  EXPECT_DOUBLE_EQ(Sigmoid(0), 0.5);
-  EXPECT_NEAR(Sigmoid(10) + Sigmoid(-10), 1.0, 1e-12);
-  EXPECT_NEAR(Sigmoid(100), 1.0, 1e-12);
-  EXPECT_NEAR(Sigmoid(-100), 0.0, 1e-12);
+  EXPECT_DOUBLE_EQ(StableSigmoid(0), 0.5);
+  EXPECT_NEAR(StableSigmoid(10) + StableSigmoid(-10), 1.0, 1e-12);
+  EXPECT_NEAR(StableSigmoid(100), 1.0, 1e-12);
+  EXPECT_NEAR(StableSigmoid(-100), 0.0, 1e-12);
   // No overflow for extreme inputs.
-  EXPECT_TRUE(std::isfinite(Sigmoid(1e6)));
-  EXPECT_TRUE(std::isfinite(Sigmoid(-1e6)));
+  EXPECT_TRUE(std::isfinite(StableSigmoid(1e6)));
+  EXPECT_TRUE(std::isfinite(StableSigmoid(-1e6)));
 }
 
 TEST(MeanTest, BasicAndEmpty) {

@@ -5,11 +5,15 @@
 #include <cstring>
 #include <new>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "../testing/test_data.h"
 #include "core/cascn_path_model.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
+#include "serve/checkpoint.h"
 
 namespace cascn {
 namespace {
@@ -100,11 +104,172 @@ TEST_P(VariantSweep, PredictValueIsTheRecordedForwardBitForBit) {
   }
 }
 
+/// A cascade of `size` nodes, each adopting from an earlier one, spread
+/// over a 60-minute window.
+CascadeSample GrowingSample(int size, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<AdoptionEvent> events = {{0, 0, {}, 0.0}};
+  for (int i = 1; i < size; ++i) {
+    AdoptionEvent e;
+    e.node = i;
+    e.user = i;
+    e.parents.push_back(static_cast<int>(rng.UniformInt(i)));
+    e.time = 55.0 * i / size;
+    events.push_back(e);
+  }
+  CascadeSample sample;
+  sample.observed =
+      std::move(Cascade::Create("growing", std::move(events))).value();
+  sample.observation_window = 60.0;
+  return sample;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// PredictValue (the fused kernel under the guard) against the recorded
+/// forward, bit for bit.
+void ExpectServedIsRecorded(CascnModel& model, const CascadeSample& sample,
+                            const std::string& where) {
+  const ag::Variable recorded = model.PredictLogCalibrated(sample);
+  ASSERT_TRUE(recorded.needs_grad()) << where;
+  const double expected = recorded.value().At(0, 0);
+  const double served = model.PredictValue(sample);
+  EXPECT_TRUE(SameBits(expected, served))
+      << where << ": " << expected << " vs " << served;
+}
+
+TEST_P(VariantSweep, PredictValueIsRecordedForEveryPrefixSize) {
+  // Every prefix from one node (one reached row) to past padded_size (no
+  // padding row, truncated), with cascades longer than
+  // max_sequence_length in between.
+  const CascadeSample full = GrowingSample(16, 5);
+  for (const bool attention : {false, true}) {
+    CascnConfig config = TinyCascnConfig();
+    config.variant = GetParam();
+    config.attention_pooling = attention;
+    ASSERT_LT(config.padded_size, full.observed.size());
+    ASSERT_LT(config.max_sequence_length, config.padded_size);
+    CascnModel model(config);
+    model.set_output_offset(0.3);
+    for (int size = 1; size <= full.observed.size(); ++size) {
+      CascadeSample prefix = full;
+      prefix.observed = full.observed.PrefixBySize(size);
+      ExpectServedIsRecorded(model, prefix,
+                             "attention=" + std::to_string(attention) +
+                                 " size=" + std::to_string(size));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Variants, VariantSweep,
     ::testing::Values(CascnVariant::kDefault, CascnVariant::kGru,
                       CascnVariant::kGcnLstm, CascnVariant::kUndirected,
                       CascnVariant::kNoTimeDecay));
+
+/// The parameter of `model` called `name`.
+ag::Variable NamedParameter(const CascnModel& model, const std::string& name) {
+  for (const auto& [param_name, p] : model.NamedParameters())
+    if (param_name == name) return p;
+  return ag::Variable();
+}
+
+/// Moves a graph LSTM's padding rows off the zero state: with b_c = 0 (its
+/// initial value) their memory cell never leaves zero, whatever the other
+/// row-local parameters are.
+void SetCandidateBias(const CascnModel& model, double value) {
+  ag::Variable b_c = NamedParameter(model, "conv_lstm.b_c");
+  ASSERT_TRUE(b_c.defined());
+  b_c.mutable_value().Fill(value);
+}
+
+/// The padding table of the fused forward must follow every change to the
+/// row-local parameters: a direct edit of one peephole (GRU: one bias) on
+/// a row the sample's basis never reaches, an Adam step, and a checkpoint
+/// loaded into the live model.
+TEST(CascnModelTest, FusedForwardFollowsWeightChanges) {
+  for (const CascnVariant variant :
+       {CascnVariant::kDefault, CascnVariant::kGru}) {
+    const bool gru = variant == CascnVariant::kGru;
+    CascnConfig config = TinyCascnConfig();
+    config.variant = variant;
+    CascnModel model(config);
+    if (!gru) SetCandidateBias(model, 0.5);
+    const CascadeSample sample = GrowingSample(4, 9);
+    ExpectServedIsRecorded(model, sample, VariantName(variant) + " initial");
+
+    const double before = model.PredictValue(sample);
+    ag::Variable edited =
+        NamedParameter(model, gru ? "conv_gru.b_n" : "conv_lstm.v_i");
+    ASSERT_TRUE(edited.defined());
+    edited.mutable_value().At(edited.rows() - 1, 0) += 0.25;
+    ExpectServedIsRecorded(model, sample, VariantName(variant) + " edit");
+    EXPECT_NE(model.PredictValue(sample), before) << "the edit changed nothing";
+
+    nn::Adam adam(model.Parameters(), nn::Adam::Options{});
+    nn::SquaredError(model.PredictLogCalibrated(sample), 1.0).Backward();
+    adam.Step();
+    ExpectServedIsRecorded(model, sample, VariantName(variant) + " Adam");
+
+    CascnConfig other_config = config;
+    other_config.seed = 4242;
+    CascnModel other(other_config);
+    if (!gru) SetCandidateBias(other, -0.5);
+    const std::string path = ::testing::TempDir() + "cascn_fused_" +
+                             std::to_string(static_cast<int>(variant)) +
+                             ".ckpt";
+    ASSERT_TRUE(serve::SaveCascnCheckpoint(path, other).ok());
+    ASSERT_TRUE(
+        serve::LoadCheckpointIntoFile(path, serve::kCascnModelType, model)
+            .ok());
+    ExpectServedIsRecorded(model, sample, VariantName(variant) + " load");
+    auto loaded = serve::LoadCascnCheckpoint(path);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_TRUE(SameBits((*loaded)->PredictValue(sample),
+                         model.PredictValue(sample)));
+  }
+}
+
+/// Four threads serving one model share its padding table, including the
+/// rebuild after the weights change between two rounds.
+TEST(CascnModelTest, ConcurrentPredictValueAcrossAWeightChange) {
+  CascnModel model(TinyCascnConfig());
+  SetCandidateBias(model, 0.5);
+  std::vector<CascadeSample> samples;
+  for (int size = 1; size <= 14; ++size)
+    samples.push_back(GrowingSample(size, 100 + size));
+  auto serve_round = [&](const std::string& round) {
+    std::vector<double> expected;
+    for (const CascadeSample& sample : samples)
+      expected.push_back(model.PredictLogCalibrated(sample).value().At(0, 0));
+    std::vector<int> mismatches(4, 0);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 4; ++w) {
+      threads.emplace_back([&, w] {
+        for (int rep = 0; rep < 3; ++rep)
+          for (size_t i = 0; i < samples.size(); ++i) {
+            const size_t k = (i + w * 3) % samples.size();
+            if (!SameBits(model.PredictValue(samples[k]), expected[k]))
+              ++mismatches[w];
+          }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int w = 0; w < 4; ++w)
+      EXPECT_EQ(mismatches[w], 0) << round << " thread " << w;
+  };
+  serve_round("before");
+  const double before = model.PredictValue(samples[0]);
+  for (const char* name : {"conv_lstm.b_o", "conv_lstm.v_f"}) {
+    ag::Variable p = NamedParameter(model, name);
+    ASSERT_TRUE(p.defined()) << name;
+    p.mutable_value().At(p.rows() - 1, p.cols() - 1) -= 0.5;
+  }
+  serve_round("after");
+  EXPECT_NE(model.PredictValue(samples[0]), before);
+}
 
 TEST(CascnModelTest, RepresentationHasHiddenWidth) {
   const CascadeDataset dataset = TinyDataset();

@@ -3,12 +3,14 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "nn/cheb_conv.h"
+#include "nn/optimizer.h"
 #include "tensor/grad_check.h"
 
 namespace cascn::nn {
@@ -326,6 +328,170 @@ TEST(ChebConvTest, ApplyOfPropagateIsForward) {
   EXPECT_EQ(std::memcmp(direct.data(), split.data(),
                         direct.size() * sizeof(double)),
             0);
+}
+
+/// A basis shaped like an encoded cascade's: T_0 is the identity on the
+/// first `active` rows, T_1 a random operator on the active block (with
+/// some explicit zeros), and T_k the Chebyshev recursion, so every row from
+/// `active` on is empty in every T_k.
+std::vector<CsrMatrix> ActiveBasis(int n, int active, int order, Rng& rng) {
+  std::vector<Triplet> eye, op;
+  for (int i = 0; i < active; ++i) {
+    eye.push_back({i, i, 1.0});
+    for (int j = 0; j < active; ++j) {
+      const double u = rng.Uniform(0.0, 1.0);
+      if (u < 0.1) {
+        op.push_back({i, j, 0.0});
+      } else if (i == j || u < 0.6) {
+        op.push_back({i, j, rng.Uniform(-1.0, 1.0)});
+      }
+    }
+  }
+  std::vector<CsrMatrix> basis;
+  basis.push_back(CsrMatrix::FromTriplets(n, n, eye));
+  if (order >= 2) basis.push_back(CsrMatrix::FromTriplets(n, n, op));
+  for (int k = 2; k < order; ++k) {
+    basis.push_back(basis[1]
+                        .MatMulSparse(basis[k - 1])
+                        .Scaled(2.0)
+                        .Add(basis[k - 2], 1.0, -1.0));
+  }
+  return basis;
+}
+
+/// Snapshot-like n x n signals: values on the rows the active block reads,
+/// about half of them exact zeros.
+std::vector<Tensor> ActiveSignals(int n, int active, int steps, Rng& rng) {
+  std::vector<Tensor> signals;
+  for (int t = 0; t < steps; ++t) {
+    Tensor x(n, n);
+    for (int i = 0; i < active; ++i)
+      for (int j = 0; j < n; ++j)
+        if (rng.Uniform(0.0, 1.0) < 0.5) x.At(i, j) = rng.Normal(0.0, 1.0);
+    signals.push_back(std::move(x));
+  }
+  return signals;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Random values for the parameters that are not filters (peepholes and
+/// biases), so rows no T_k reaches leave the zero state.
+void RandomizeRowLocal(Module& cell, Rng& rng) {
+  for (auto& [name, p] : cell.NamedParameters()) {
+    if (name.find('.') != std::string::npos) continue;
+    p.mutable_value() =
+        Tensor::RandomNormal(p.rows(), p.cols(), 0.7, rng);
+  }
+}
+
+/// Run, and Step under NoGradGuard, against the recording Step loop on
+/// `signals`: every h_t (and c_t) bit for bit.
+template <typename Cell>
+void ExpectFusedIsRecorded(const Cell& cell,
+                           const std::vector<CsrMatrix>& basis,
+                           const std::vector<Tensor>& signals,
+                           const std::string& where) {
+  const std::vector<Tensor> run = cell.Run(basis, signals);
+  ASSERT_EQ(run.size(), signals.size()) << where;
+  RnnState recorded = cell.InitialState();
+  RnnState stepped = cell.InitialState();
+  for (size_t t = 0; t < signals.size(); ++t) {
+    recorded = cell.Step(basis, ag::Variable::Leaf(signals[t]), recorded);
+    ASSERT_TRUE(recorded.h.needs_grad()) << where;
+    {
+      ag::NoGradGuard no_grad;
+      stepped = cell.Step(basis, ag::Variable::Leaf(signals[t]), stepped);
+    }
+    ASSERT_FALSE(stepped.h.needs_grad()) << where;
+    EXPECT_TRUE(SameBits(run[t], recorded.h.value()))
+        << where << " step " << t;
+    EXPECT_TRUE(SameBits(stepped.h.value(), recorded.h.value()))
+        << where << " step " << t;
+    if (recorded.c.defined()) {
+      EXPECT_TRUE(SameBits(stepped.c.value(), recorded.c.value()))
+          << where << " step " << t;
+    }
+  }
+}
+
+/// Every order K in 1..3 and every number of reached rows from 1 to n
+/// (n itself leaves no padding row), with sequence lengths that grow and
+/// shrink so the padding table deepens and is reused.
+template <typename Cell>
+void ExpectFusedIsRecordedOverShapes(uint64_t seed) {
+  const int n = 7, hidden = 3;
+  for (int order = 1; order <= 3; ++order) {
+    Rng rng(seed + order);
+    Cell cell(n, hidden, order, rng);
+    RandomizeRowLocal(cell, rng);
+    for (int active = 1; active <= n; ++active) {
+      const int steps = 1 + (active * 3) % 7;
+      ExpectFusedIsRecorded(cell, ActiveBasis(n, active, order, rng),
+                            ActiveSignals(n, active, steps, rng),
+                            "K=" + std::to_string(order) +
+                                " active=" + std::to_string(active));
+    }
+  }
+}
+
+TEST(GraphConvLstmCellTest, FusedKernelIsTheRecordedStepBitForBit) {
+  ExpectFusedIsRecordedOverShapes<GraphConvLstmCell>(40);
+}
+
+TEST(GraphConvGruCellTest, FusedKernelIsTheRecordedStepBitForBit) {
+  ExpectFusedIsRecordedOverShapes<GraphConvGruCell>(50);
+}
+
+/// The padding table must follow every way the row-local parameters change:
+/// a direct edit that touches only an unreached row, an optimizer step, and
+/// loading other weights into the live cell.
+template <typename Cell>
+void ExpectPaddingTableFollowsParameters(const std::string& edited,
+                                         uint64_t seed) {
+  const int n = 6, hidden = 3, order = 2, active = 2;
+  Rng rng(seed);
+  Cell cell(n, hidden, order, rng);
+  RandomizeRowLocal(cell, rng);
+  const auto basis = ActiveBasis(n, active, order, rng);
+  const auto signals = ActiveSignals(n, active, 4, rng);
+  ExpectFusedIsRecorded(cell, basis, signals, "initial");
+
+  ag::Variable param;
+  for (auto& [name, p] : cell.NamedParameters())
+    if (name == edited) param = p;
+  ASSERT_TRUE(param.defined()) << edited;
+  param.mutable_value().At(param.rows() - 1, 0) += 0.5;
+  ExpectFusedIsRecorded(cell, basis, signals, "after editing " + edited);
+
+  RnnState state = cell.InitialState();
+  for (const Tensor& x : signals)
+    state = cell.Step(basis, ag::Variable::Leaf(x), state);
+  ag::Sum(ag::Square(state.h)).Backward();
+  Adam::Options options;
+  options.learning_rate = 0.1;
+  Adam adam(cell.Parameters(), options);
+  adam.Step();
+  ExpectFusedIsRecorded(cell, basis, signals, "after an Adam step");
+
+  Rng other_rng(seed + 1);
+  Cell other(n, hidden, order, other_rng);
+  RandomizeRowLocal(other, other_rng);
+  std::stringstream weights;
+  ASSERT_TRUE(other.Save(weights).ok());
+  ASSERT_TRUE(cell.Load(weights).ok());
+  ExpectFusedIsRecorded(cell, basis, signals, "after Load");
+}
+
+TEST(GraphConvLstmCellTest, PaddingTableFollowsParameterChanges) {
+  ExpectPaddingTableFollowsParameters<GraphConvLstmCell>("v_i", 60);
+}
+
+TEST(GraphConvGruCellTest, PaddingTableFollowsParameterChanges) {
+  ExpectPaddingTableFollowsParameters<GraphConvGruCell>("b_n", 70);
 }
 
 TEST(GraphConvCellsTest, WrongSignalShapeDies) {

@@ -1,10 +1,16 @@
 #include "tensor/linalg.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "data/cascade_generator.h"
+#include "graph/laplacian.h"
 
 namespace cascn {
 namespace {
@@ -65,6 +71,71 @@ TEST(PowerIterationTest, SymmetricKnownSpectrum) {
 TEST(PowerIterationTest, ZeroMatrixGivesZero) {
   CsrMatrix zero = CsrMatrix::FromTriplets(3, 3, {});
   EXPECT_NEAR(PowerIterationLargestEigenvalue(zero), 0.0, 1e-12);
+}
+
+/// PowerIterationLargestEigenvalue as it was before it reused buffers:
+/// a transposed copy and fresh tensors every iteration.
+double PowerIterationReference(const CsrMatrix& a, int iterations = 64) {
+  const int n = a.rows();
+  if (n == 0) return 0.0;
+  const CsrMatrix at = a.Transposed();
+  Tensor x(n, 1, 1.0 / std::sqrt(static_cast<double>(n)));
+  double lambda = 0.0;
+  for (int it = 0; it < iterations; ++it) {
+    Tensor ax = a.MatMulDense(x);
+    ax.AddInPlace(at.MatMulDense(x));
+    ax.Scale(0.5);
+    double num = 0, den = 0;
+    for (int i = 0; i < n; ++i) {
+      num += x.At(i, 0) * ax.At(i, 0);
+      den += x.At(i, 0) * x.At(i, 0);
+    }
+    lambda = den > 0 ? num / den : 0.0;
+    const double norm = ax.Norm();
+    if (norm < 1e-30) return 0.0;
+    ax.Scale(1.0 / norm);
+    x = std::move(ax);
+  }
+  return std::fabs(lambda);
+}
+
+void ExpectSameBitsAsReference(const CsrMatrix& a, const std::string& what) {
+  for (const int iterations : {1, 7, 64}) {
+    const double want = PowerIterationReference(a, iterations);
+    const double got = PowerIterationLargestEigenvalue(a, iterations);
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+        << what << " iterations=" << iterations << ": " << want << " vs "
+        << got;
+  }
+}
+
+TEST(PowerIterationTest, SameBitsAsTheAllocatingVersion) {
+  Rng rng(17);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = 1 + static_cast<int>(rng.UniformInt(40));
+    std::vector<Triplet> trips;
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j)
+        if (rng.Uniform(0.0, 1.0) < 0.3)
+          trips.push_back({i, j, rng.Normal(0.0, 1.0)});
+    ExpectSameBitsAsReference(CsrMatrix::FromTriplets(n, n, trips),
+                              "random n=" + std::to_string(n));
+  }
+  GeneratorConfig gen = WeiboLikeConfig();
+  gen.num_cascades = 40;
+  Rng cascade_rng(18);
+  for (const Cascade& cascade : GenerateCascades(gen, cascade_rng)) {
+    const int n = std::min(cascade.size(), 32);
+    auto lap = CascadeLaplacian(cascade, 32);
+    ASSERT_TRUE(lap.ok());
+    ExpectSameBitsAsReference(*lap, "CasLaplacian n=" + std::to_string(n));
+    ExpectSameBitsAsReference(UndirectedNormalizedLaplacian(cascade, 32),
+                              "undirected n=" + std::to_string(n));
+  }
+  ExpectSameBitsAsReference(CsrMatrix::FromTriplets(1, 1, {{0, 0, -3.5}}),
+                            "n=1");
+  ExpectSameBitsAsReference(CsrMatrix::FromTriplets(1, 1, {}), "empty n=1");
+  ExpectSameBitsAsReference(CsrMatrix::FromTriplets(5, 5, {}), "zero");
 }
 
 TEST(StationaryDistributionTest, TwoStateChain) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/math_util.h"
 #include "common/rng.h"
 #include "obs/profiler.h"
 #include "tensor/grad_check.h"
@@ -337,6 +338,37 @@ TEST(NoGradGuardTest, EveryOpComputesTheSameBitsWithoutAGraph) {
     EXPECT_FALSE(value.node()->backward) << name;
     EXPECT_EQ(a.node().use_count(), uses) << name;
     EXPECT_TRUE(BitEqual(recorded.value(), value.value())) << name;
+  }
+}
+
+/// The sigmoid ag::Sigmoid used before StableSigmoid: three exp calls.
+double ThreeExpSigmoid(double x) {
+  return x >= 0 ? 1.0 / (1.0 + std::exp(-x))
+                : std::exp(x) / (1.0 + std::exp(x));
+}
+
+TEST(StableSigmoidTest, SameBitsAsTheThreeExpFormula) {
+  std::vector<double> inputs = {0.0,     -0.0,    1e-300, -1e-300,
+                                745.0,   -745.0,  1.0,    -1.0,
+                                INFINITY, -INFINITY, NAN};
+  Rng rng(77);
+  for (int i = 0; i < 10000; ++i)
+    inputs.push_back(i % 2 == 0 ? rng.Normal(0.0, 20.0)
+                                : rng.Uniform(-800.0, 800.0));
+  Tensor t(1, static_cast<int>(inputs.size()));
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const double want = ThreeExpSigmoid(inputs[i]);
+    const double got = StableSigmoid(inputs[i]);
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+        << "x=" << inputs[i] << ": " << want << " vs " << got;
+    t.At(0, static_cast<int>(i)) = inputs[i];
+  }
+  const Tensor op = Sigmoid(Variable::Leaf(t)).value();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const double want = ThreeExpSigmoid(inputs[i]);
+    const double got = op.At(0, static_cast<int>(i));
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+        << "ag::Sigmoid at x=" << inputs[i];
   }
 }
 
