@@ -42,7 +42,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -814,123 +813,6 @@ int Main(int argc, char** argv) {
     record_cluster_run("cluster/overload", "cluster/overload_p99", overload,
                        /*per_shard_rows=*/false);
     overload_router->reset();
-
-    // Hedged-read scenario: the resilience control plane absorbs one
-    // always-slow shard. Latency here is CLIENT-observed wall time per
-    // predict — the shard-side histograms measure execution time, and a
-    // hedge rescue is invisible there: the win happens at the caller, when
-    // the next ring candidate's replayed predict answers first.
-    {
-      cluster::ShardRouterOptions hedge_opts;
-      hedge_opts.num_shards = shards;
-      hedge_opts.shard = make_options(/*workers=*/2);
-      hedge_opts.resilience.enabled = true;
-      hedge_opts.flight_dir = flight_dir;
-      auto hedge_router =
-          cluster::ShardRouter::CreateFromCheckpoint(hedge_opts, ckpt);
-      CASCN_CHECK(hedge_router.ok()) << hedge_router.status();
-      cluster::ResilienceControl* rc = (*hedge_router)->resilience();
-      CASCN_CHECK(rc != nullptr);
-      // Seeding predict per session: warms each shard's rolling latency
-      // histogram (the hedge trigger's p95 feed) and the replay mirror the
-      // hedge dispatch replays from.
-      for (size_t i = 0; i < replays.size(); ++i) {
-        const std::string id = "s" + std::to_string(i);
-        CASCN_CHECK((*hedge_router)
-                        ->CallCreate("", id, replays[i][0].user)
-                        .status.ok());
-        for (size_t step = 1; step < replays[i].size(); ++step) {
-          const AdoptionEvent& event = replays[i][step];
-          CASCN_CHECK((*hedge_router)
-                          ->CallAppend("", id, event.user, event.parents[0],
-                                       event.time)
-                          .status.ok());
-        }
-        CASCN_CHECK((*hedge_router)->CallPredict("", id).status.ok());
-      }
-      const auto sweep = [&](std::vector<double>& out_us) {
-        out_us.clear();
-        out_us.reserve(replays.size());
-        for (size_t i = 0; i < replays.size(); ++i) {
-          const auto t0 = std::chrono::steady_clock::now();
-          const ServeResponse r =
-              (*hedge_router)->CallPredict("", "s" + std::to_string(i));
-          CASCN_CHECK(r.status.ok()) << r.status;
-          out_us.push_back(std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
-        }
-      };
-      const auto percentile = [](std::vector<double> v, int pct) {
-        CASCN_CHECK(!v.empty());
-        std::sort(v.begin(), v.end());
-        return v[std::min(v.size() - 1, v.size() * pct / 100)];
-      };
-      std::vector<double> healthy_us, hedged_us;
-      sweep(healthy_us);
-      const double healthy_p99_us = percentile(healthy_us, 99);
-      // One shard turns always-slow at 5x the healthy client p99: slow
-      // enough that an unhedged read through it would blow any latency
-      // budget, so a bounded hedged p99 below can only mean the hedges won.
-      const double slow_ms =
-          std::max(5.0, 5.0 * healthy_p99_us / 1000.0);
-      CASCN_CHECK(fault::FaultRegistry::Get()
-                      .Configure(cluster::SlowShardFaultPoint(0) +
-                                 StrFormat("=always@%.0f", slow_ms))
-                      .ok());
-      sweep(hedged_us);
-      fault::FaultRegistry::Get().Clear();
-      const double hedged_p99_us = percentile(hedged_us, 99);
-      CASCN_CHECK(rc->hedges_launched() >= 1 && rc->hedges_won() >= 1)
-          << "slow-shard sweep launched " << rc->hedges_launched()
-          << " hedges, won " << rc->hedges_won();
-      // The floor keeps the 1.5x bound meaningful when the healthy client
-      // p99 sits in scheduling-noise territory on oversubscribed hosts.
-      const double hedge_budget_us = 1.5 * std::max(healthy_p99_us, 4000.0);
-      CASCN_CHECK(hedged_p99_us <= hedge_budget_us)
-          << "hedged client p99 " << hedged_p99_us
-          << "us exceeds 1.5x healthy client baseline (" << healthy_p99_us
-          << "us) with shard 0 slowed to " << slow_ms << "ms";
-      std::fprintf(
-          stderr,
-          "[serve_throughput] cluster/hedging slow_shard=%.0fms "
-          "client_p99_healthy=%.0fus client_p99_hedged=%.0fus "
-          "hedges_launched=%llu hedges_won=%llu\n",
-          slow_ms, healthy_p99_us, hedged_p99_us,
-          static_cast<unsigned long long>(rc->hedges_launched()),
-          static_cast<unsigned long long>(rc->hedges_won()));
-      const double mean_ns =
-          hedged_us.empty()
-              ? 0.0
-              : std::accumulate(hedged_us.begin(), hedged_us.end(), 0.0) *
-                    1000.0 / static_cast<double>(hedged_us.size());
-      report.AddResult(obs::JsonObjectBuilder()
-                           .Add("benchmark", "cluster/hedging")
-                           .Add("real_ns_per_iter", mean_ns)
-                           .Add("shards", shards)
-                           .Add("slow_shard_ms", slow_ms)
-                           .Add("client_p99_healthy_us", healthy_p99_us)
-                           .Add("client_p99_hedged_us", hedged_p99_us)
-                           .Add("hedges_launched", rc->hedges_launched())
-                           .Add("hedges_won", rc->hedges_won())
-                           .Build());
-      report.AddResult(obs::JsonObjectBuilder()
-                           .Add("benchmark", "cluster/hedging_p99")
-                           .Add("real_ns_per_iter", hedged_p99_us * 1000.0)
-                           .Build());
-      char entry[256];
-      std::snprintf(
-          entry, sizeof(entry),
-          "%s\n    {\"run\": \"cluster/hedging\", \"slow_shard_ms\": %.0f, "
-          "\"client_p99_healthy_us\": %.1f, \"client_p99_hedged_us\": %.1f, "
-          "\"hedges_launched\": %llu, \"hedges_won\": %llu}",
-          results_json.empty() ? "" : ",", slow_ms, healthy_p99_us,
-          hedged_p99_us,
-          static_cast<unsigned long long>(rc->hedges_launched()),
-          static_cast<unsigned long long>(rc->hedges_won()));
-      results_json += entry;
-      hedge_router->reset();
-    }
   }
 
   std::printf(

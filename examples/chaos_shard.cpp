@@ -236,7 +236,6 @@ int Main(int argc, char** argv) {
   // and the lost sessions re-create bit-identical — zero session loss.
   cluster::ShardRouterOptions drill_options = options;
   drill_options.resilience.enabled = true;
-  drill_options.resilience.hedging = false;  // isolate the supervisor story
   drill_options.allow_stale = true;
   auto drill_made =
       cluster::ShardRouter::CreateFromCheckpoint(drill_options, ckpt);

@@ -68,16 +68,6 @@ int HashRing::OwnerOf(std::string_view key) const {
   return points_[FirstPointAtOrAfter(HashKey(key))].shard;
 }
 
-int HashRing::NextDistinctOwner(std::string_view key, int excluded) const {
-  CASCN_CHECK(!points_.empty()) << "ring has no shards";
-  const size_t start = FirstPointAtOrAfter(HashKey(key));
-  for (size_t step = 0; step < points_.size(); ++step) {
-    const int shard = points_[(start + step) % points_.size()].shard;
-    if (shard != excluded) return shard;
-  }
-  return -1;
-}
-
 int HashRing::PickShard(
     std::string_view key,
     const std::function<uint64_t(int)>& load_of) const {

@@ -56,12 +56,6 @@ class HashRing {
   /// Pure ring owner of `key`. Pre: !empty().
   int OwnerOf(std::string_view key) const;
 
-  /// The next DISTINCT shard after `key`'s owner on the ring walk, skipping
-  /// `excluded` (normally the owner itself). This is the hedge candidate:
-  /// the shard a hedged read is replayed on when the primary runs long.
-  /// Returns -1 when no other shard exists. Pre: !empty().
-  int NextDistinctOwner(std::string_view key, int excluded) const;
-
   /// Bounded-load placement: the first shard at or after `key`'s hash whose
   /// current load (via `load_of(shard_id)`) is below the bound; falls back
   /// to the least-loaded shard when every shard is at the bound (possible

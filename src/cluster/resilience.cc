@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "cluster/shard_router.h"
 #include "common/logging.h"
@@ -14,26 +13,6 @@ namespace {
 
 using std::chrono::duration;
 using std::chrono::duration_cast;
-
-/// splitmix64 finalizer (same construction as the hash ring's): used to
-/// chain observed-prefix fingerprints.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-uint64_t EventHash(int user, int parent_node, double time) {
-  uint64_t time_bits = 0;
-  static_assert(sizeof(time_bits) == sizeof(time));
-  std::memcpy(&time_bits, &time, sizeof(time_bits));
-  uint64_t h = Mix64(static_cast<uint64_t>(static_cast<int64_t>(user)));
-  h ^= Mix64(static_cast<uint64_t>(static_cast<int64_t>(parent_node)) +
-             0x51a2b3c4d5e6f708ull);
-  h ^= Mix64(time_bits);
-  return h;
-}
 
 int64_t SecondOf(std::chrono::steady_clock::time_point t) {
   return duration_cast<std::chrono::seconds>(t.time_since_epoch()).count();
@@ -253,51 +232,38 @@ StaleCache::StaleCache(const StaleCacheOptions& options) : options_(options) {
   CASCN_CHECK(options_.capacity >= 1);
 }
 
-StaleCache::Entry& StaleCache::TouchLocked(const std::string& session_id) {
+void StaleCache::StorePrediction(const std::string& session_id,
+                                 double log_prediction,
+                                 double count_prediction, TimePoint now) {
+  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(session_id);
   if (it != entries_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second;
+  } else {
+    while (entries_.size() >= options_.capacity && !lru_.empty()) {
+      entries_.erase(lru_.back());
+      lru_.pop_back();
+    }
+    lru_.push_front(session_id);
+    it = entries_.emplace(session_id, Entry{}).first;
+    it->second.lru_it = lru_.begin();
   }
-  while (entries_.size() >= options_.capacity && !lru_.empty()) {
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  lru_.push_front(session_id);
-  Entry& entry = entries_[session_id];
-  entry.lru_it = lru_.begin();
-  return entry;
+  it->second.log_prediction = log_prediction;
+  it->second.count_prediction = count_prediction;
+  it->second.stored_at = now;
 }
 
-void StaleCache::OnCreate(const std::string& session_id, int root_user) {
+std::optional<StaleAnswer> StaleCache::Lookup(const std::string& session_id,
+                                              TimePoint now) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = TouchLocked(session_id);
-  entry.root_user = root_user;
-  entry.events.clear();
-  entry.replayable = true;
-  // A re-created session is a new cascade: restart the fingerprint chain
-  // from the root, but keep any stored last-good prediction (it stays
-  // age-stamped; staleness is the point of this cache).
-  entry.fingerprint = Mix64(EventHash(root_user, -1, 0.0));
-}
-
-void StaleCache::OnAppend(const std::string& session_id, int user,
-                          int parent_node, double time) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = TouchLocked(session_id);
-  entry.fingerprint =
-      Mix64(entry.fingerprint ^ EventHash(user, parent_node, time));
-  if (!entry.replayable) return;
-  if (entry.events.size() >=
-      static_cast<size_t>(std::max(0, options_.max_replay_events))) {
-    // Log outgrew the replay cap: stop storing events (and hedging this
-    // session), but keep fingerprinting for staleness keying.
-    entry.events.clear();
-    entry.events.shrink_to_fit();
-    entry.replayable = false;
-    return;
-  }
-  entry.events.push_back(MirroredEvent{user, parent_node, time});
+  auto it = entries_.find(session_id);
+  if (it == entries_.end()) return std::nullopt;
+  const double age_ms = std::max(0.0, MsBetween(it->second.stored_at, now));
+  if (options_.max_age_ms > 0.0 && age_ms > options_.max_age_ms)
+    return std::nullopt;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  return StaleAnswer{it->second.log_prediction, it->second.count_prediction,
+                     age_ms};
 }
 
 void StaleCache::OnClose(const std::string& session_id) {
@@ -306,49 +272,6 @@ void StaleCache::OnClose(const std::string& session_id) {
   if (it == entries_.end()) return;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
-}
-
-uint64_t StaleCache::FingerprintOf(const std::string& session_id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(session_id);
-  return it == entries_.end() ? 0 : it->second.fingerprint;
-}
-
-std::optional<ReplayLog> StaleCache::ReplayLogOf(
-    const std::string& session_id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(session_id);
-  if (it == entries_.end() || !it->second.replayable) return std::nullopt;
-  ReplayLog log;
-  log.root_user = it->second.root_user;
-  log.events = it->second.events;
-  log.fingerprint = it->second.fingerprint;
-  return log;
-}
-
-void StaleCache::StorePrediction(const std::string& session_id,
-                                 uint64_t fingerprint, double log_prediction,
-                                 double count_prediction, TimePoint now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = TouchLocked(session_id);
-  entry.has_prediction = true;
-  entry.log_prediction = log_prediction;
-  entry.count_prediction = count_prediction;
-  entry.prediction_fingerprint = fingerprint;
-  entry.stored_at = now;
-}
-
-std::optional<StaleAnswer> StaleCache::Lookup(const std::string& session_id,
-                                              TimePoint now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(session_id);
-  if (it == entries_.end() || !it->second.has_prediction) return std::nullopt;
-  const double age_ms = std::max(0.0, MsBetween(it->second.stored_at, now));
-  if (options_.max_age_ms > 0.0 && age_ms > options_.max_age_ms)
-    return std::nullopt;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return StaleAnswer{it->second.log_prediction, it->second.count_prediction,
-                     age_ms, it->second.prediction_fingerprint};
 }
 
 size_t StaleCache::size() const {
@@ -367,7 +290,7 @@ ResilienceControl::ResilienceControl(const ResilienceOptions& options,
       stale_(options.stale),
       // Offset so the jitter stream differs from other consumers of the
       // fault seed while remaining reproducible from it.
-      rng_(Mix64(seed ^ 0x7265736c69656e63ull)) {}
+      rng_(seed ^ 0x7265736c69656e63ull) {}
 
 CircuitBreaker& ResilienceControl::BreakerFor(int shard_id) {
   std::lock_guard<std::mutex> lock(breaker_mutex_);
@@ -391,18 +314,12 @@ bool ResilienceControl::AllowShard(int shard_id, TimePoint now) {
 }
 
 void ResilienceControl::OnShardResult(int shard_id, bool failed,
-                                      uint64_t latency_us, TimePoint now) {
+                                      TimePoint now) {
   CircuitBreaker& breaker = BreakerFor(shard_id);
   if (failed) {
     breaker.RecordFailure(now);
   } else {
     breaker.RecordSuccess(now);
-  }
-  {
-    std::lock_guard<std::mutex> lock(latency_mutex_);
-    std::unique_ptr<obs::Histogram>& histogram = latency_[shard_id];
-    if (!histogram) histogram = std::make_unique<obs::Histogram>();
-    histogram->Record(latency_us);
   }
 }
 
@@ -442,43 +359,6 @@ double ResilienceControl::RetryBackoffMs(int attempt) {
   return base * jitter;
 }
 
-double ResilienceControl::HedgeDelayMs(TimePoint now) {
-  const int64_t second = SecondOf(now);
-  int64_t cached = hedge_cache_second_.load(std::memory_order_acquire);
-  if (cached != second &&
-      hedge_cache_second_.compare_exchange_strong(cached, second,
-                                                  std::memory_order_acq_rel)) {
-    // This thread won the once-per-second recompute.
-    std::vector<double> p95s;
-    {
-      std::lock_guard<std::mutex> lock(latency_mutex_);
-      p95s.reserve(latency_.size());
-      for (const auto& [shard, histogram] : latency_) {
-        const obs::Histogram::Snapshot snapshot = histogram->TakeSnapshot();
-        if (snapshot.count > 0) p95s.push_back(snapshot.Percentile(0.95));
-      }
-    }
-    double median_us = 0.0;
-    if (!p95s.empty()) {
-      // Lower-middle on even counts: in a 2-shard cluster the upper-middle
-      // would BE the slow shard's p95, letting it inflate its own hedge
-      // trigger until hedging stops firing — the exact failure mode the
-      // cross-shard median exists to prevent.
-      const size_t mid = (p95s.size() - 1) / 2;
-      std::nth_element(p95s.begin(), p95s.begin() + mid, p95s.end());
-      median_us = p95s[mid];
-    }
-    const double delay_ms =
-        std::max(options_.hedge_min_delay_ms,
-                 options_.hedge_p95_multiplier * median_us / 1000.0);
-    hedge_delay_us_.store(static_cast<uint64_t>(delay_ms * 1000.0),
-                          std::memory_order_release);
-  }
-  const uint64_t us = hedge_delay_us_.load(std::memory_order_acquire);
-  return us == 0 ? options_.hedge_min_delay_ms
-                 : static_cast<double>(us) / 1000.0;
-}
-
 void ResilienceControl::NoteSupervisorRestart(int shard_id, TimePoint now) {
   supervisor_restarts_.fetch_add(1, std::memory_order_relaxed);
   BeginProbation(shard_id, now);
@@ -497,9 +377,6 @@ void ResilienceControl::ExportToRegistry(obs::MetricsRegistry& registry) const {
       .Increment(retries_attempted());
   registry.GetCounter("cluster_retries_denied_total")
       .Increment(retries_denied());
-  registry.GetCounter("cluster_hedges_launched_total")
-      .Increment(hedges_launched());
-  registry.GetCounter("cluster_hedges_won_total").Increment(hedges_won());
   registry.GetCounter("cluster_stale_serves_total").Increment(stale_serves());
   registry.GetCounter("cluster_supervisor_restarts_total")
       .Increment(supervisor_restarts());
@@ -517,11 +394,6 @@ std::string ResilienceControl::StatusReport(TimePoint now) const {
       budget_.tokens(),
       static_cast<unsigned long long>(retries_attempted()),
       static_cast<unsigned long long>(retries_denied()));
-  report += StrFormat(
-      "hedging: %s (launched %llu, won %llu)\n",
-      options_.hedging ? "on" : "off",
-      static_cast<unsigned long long>(hedges_launched()),
-      static_cast<unsigned long long>(hedges_won()));
   report += StrFormat(
       "stale cache: %zu sessions, %llu stale serves\n", stale_.size(),
       static_cast<unsigned long long>(stale_serves()));

@@ -2,7 +2,7 @@
 // half of the detect->react loop whose detection half (fault points, health
 // states, watchdog latches, SLO burn, flight recorder) earlier PRs built.
 //
-// Four policies, all deterministic under an injected clock and the fault
+// Three policies, all deterministic under an injected clock and the fault
 // registry's seed so chaos tests can assert exact schedules:
 //
 //  - CircuitBreaker (per shard): closed -> open when the rolling error/
@@ -17,19 +17,11 @@
 //    REMAINING deadline (never the original) and backs off exponentially
 //    with jitter drawn from the fault-seed RNG.
 //
-//  - Hedged requests: when a predict outlives the cluster's rolling p95
-//    (cross-shard median, so one always-slow shard cannot inflate its own
-//    hedge trigger), the router replays the session's mirrored event log on
-//    the next ring candidate under a scratch session id. First response
-//    wins; the loser's dispatch is cancelled cooperatively (and counted)
-//    via the RequestContext cancel flag.
-//
-//  - StaleCache: a small LRU of last-good predictions keyed by (session,
-//    observed-prefix fingerprint). When a pinned shard is open/dead and the
-//    retry budget is spent, the router can answer with a clearly-marked
-//    stale response (ServeResponse::stale, age recorded) instead of an
-//    error — gated by ShardRouterOptions::allow_stale. The same per-session
-//    event mirror feeds hedge replays.
+//  - StaleCache: a small LRU of each session's last-good prediction. When a
+//    pinned shard is open/dead and the retry budget is spent, the router can
+//    answer with a clearly-marked stale response (ServeResponse::stale, age
+//    recorded) instead of an error — gated by
+//    ShardRouterOptions::allow_stale. Closing a session forgets its answer.
 //
 // ShardSupervisor closes the loop for hard failures: a thread that watches
 // the router's crashed-shard set and watchdog latches and auto-restarts
@@ -46,7 +38,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -173,28 +164,10 @@ class RetryBudget {
 };
 
 struct StaleCacheOptions {
-  /// Sessions tracked (event mirror + last-good prediction), LRU-evicted.
+  /// Sessions whose last-good prediction is kept, LRU-evicted.
   size_t capacity = 1024;
   /// Oldest answer the stale path may serve; <= 0 serves any age.
   double max_age_ms = 0.0;
-  /// Event-log length beyond which a session is no longer hedge-replayable
-  /// (the mirror keeps fingerprinting, but stops storing events — replaying
-  /// a very long cascade on another shard costs more than it saves).
-  int max_replay_events = 64;
-};
-
-/// One adoption event as mirrored by the router.
-struct MirroredEvent {
-  int user = 0;
-  int parent_node = 0;
-  double time = 0.0;
-};
-
-/// Copy of a session's observed prefix, for hedge replay.
-struct ReplayLog {
-  int root_user = 0;
-  std::vector<MirroredEvent> events;
-  uint64_t fingerprint = 0;
 };
 
 /// A cached last-good answer, age-stamped at lookup.
@@ -202,64 +175,36 @@ struct StaleAnswer {
   double log_prediction = 0.0;
   double count_prediction = 0.0;
   double age_ms = 0.0;
-  uint64_t fingerprint = 0;  // observed-prefix fingerprint it was computed at
 };
 
-/// Per-router mirror of session event logs plus a bounded LRU of last-good
-/// predictions keyed by (session, observed-prefix fingerprint). Thread-safe.
+/// Bounded LRU of each session's last successful prediction. Thread-safe.
 class StaleCache {
  public:
   using TimePoint = std::chrono::steady_clock::time_point;
 
   explicit StaleCache(const StaleCacheOptions& options);
 
-  /// Mirror maintenance, called by the router as requests are accepted.
-  /// OnCreate resets the event log (a re-created session is a new cascade)
-  /// but keeps any stored prediction; OnClose drops the session entirely.
-  void OnCreate(const std::string& session_id, int root_user);
-  void OnAppend(const std::string& session_id, int user, int parent_node,
-                double time);
-  void OnClose(const std::string& session_id);
-
-  /// Order-dependent fingerprint of the session's observed prefix; 0 when
-  /// the session is not mirrored.
-  uint64_t FingerprintOf(const std::string& session_id) const;
-
-  /// Copy of the session's event log for hedge replay; nullopt when the
-  /// session is unknown or its log outgrew max_replay_events.
-  std::optional<ReplayLog> ReplayLogOf(const std::string& session_id) const;
-
-  /// Records a successful prediction computed at `fingerprint`.
-  void StorePrediction(const std::string& session_id, uint64_t fingerprint,
-                       double log_prediction, double count_prediction,
-                       TimePoint now);
+  /// Records the session's latest successful prediction, stamped `now`.
+  void StorePrediction(const std::string& session_id, double log_prediction,
+                       double count_prediction, TimePoint now);
 
   /// Last-good answer for the session, age-stamped against `now`; nullopt
   /// when none is stored or it exceeds max_age_ms.
   std::optional<StaleAnswer> Lookup(const std::string& session_id,
                                     TimePoint now);
 
+  /// Forgets the session's answer (the client closed it).
+  void OnClose(const std::string& session_id);
+
   size_t size() const;
 
  private:
   struct Entry {
-    int root_user = 0;
-    std::vector<MirroredEvent> events;
-    // False until OnCreate supplies the root user (an entry materialized by
-    // OnAppend/StorePrediction after LRU eviction has an incomplete log).
-    bool replayable = false;
-    uint64_t fingerprint = 0;
-    bool has_prediction = false;
     double log_prediction = 0.0;
     double count_prediction = 0.0;
-    uint64_t prediction_fingerprint = 0;
     TimePoint stored_at{};
     std::list<std::string>::iterator lru_it;
   };
-
-  /// Returns the entry for `session_id`, creating (and LRU-evicting) as
-  /// needed, and marks it most recently used. Pre: mutex_ held.
-  Entry& TouchLocked(const std::string& session_id);
 
   const StaleCacheOptions options_;
   mutable std::mutex mutex_;
@@ -279,19 +224,12 @@ struct ResilienceOptions {
   /// [0.5, 1.0]x from the fault-seed RNG.
   double retry_base_backoff_ms = 1.0;
   double retry_max_backoff_ms = 50.0;
-  /// Hedging gate and trigger: hedge a predict that outlives
-  /// `hedge_p95_multiplier` x the cross-shard median rolling p95 (floored
-  /// at hedge_min_delay_ms so cold starts don't hedge everything).
-  bool hedging = true;
-  double hedge_min_delay_ms = 1.0;
-  double hedge_p95_multiplier = 1.5;
   StaleCacheOptions stale;
 };
 
 /// Shared state of the resilience control plane: per-shard breakers, the
-/// retry budget, the stale cache / event mirror, hedge-delay tracking, the
-/// deterministic jitter RNG, and every counter the metrics registry
-/// exports. Owned by the router in a shared_ptr so deferred response
+/// retry budget, the stale cache, the deterministic jitter RNG, and every
+/// counter the metrics registry exports. Owned by the router in a shared_ptr so deferred response
 /// wrappers can outlive it. All methods are thread-safe.
 class ResilienceControl {
  public:
@@ -303,19 +241,14 @@ class ResilienceControl {
   ResilienceControl(const ResilienceOptions& options, uint64_t seed,
                     AnomalyHook on_anomaly = nullptr);
 
-  const ResilienceOptions& options() const { return options_; }
-
   /// --- breaker surface -----------------------------------------------
   /// Routing-time gate for `shard_id` (lazily creates its breaker).
   bool AllowShard(int shard_id, TimePoint now);
   /// Terminal-outcome feed from the shard's on_complete hook. `failed`
   /// should be true for Unavailable/DeadlineExceeded/Internal/IoError —
   /// infrastructure failures — and false for application outcomes
-  /// (NotFound, InvalidArgument) and successes. Cancelled hedge losers
-  /// should not be fed at all. Also records `latency_us` into the shard's
-  /// rolling latency histogram (the hedge-delay feed).
-  void OnShardResult(int shard_id, bool failed, uint64_t latency_us,
-                     TimePoint now);
+  /// (NotFound, InvalidArgument) and successes.
+  void OnShardResult(int shard_id, bool failed, TimePoint now);
   /// State without side effects; kClosed for shards never seen.
   BreakerState ShardState(int shard_id) const;
   /// Supervisor entry: places the shard's breaker in half-open probation.
@@ -333,17 +266,6 @@ class ResilienceControl {
   /// scaled by a deterministic jitter in [0.5, 1.0].
   double RetryBackoffMs(int attempt);
 
-  /// --- hedging surface ------------------------------------------------
-  /// Delay after which an outstanding predict should hedge: the cross-shard
-  /// MEDIAN of per-shard rolling p95s (so one slow shard cannot raise its
-  /// own trigger) times hedge_p95_multiplier, floored at hedge_min_delay_ms.
-  /// Recomputed at most once per clock second.
-  double HedgeDelayMs(TimePoint now);
-  void NoteHedgeLaunched() {
-    hedges_launched_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void NoteHedgeWon() { hedges_won_.fetch_add(1, std::memory_order_relaxed); }
-
   /// --- stale / supervisor surface -------------------------------------
   StaleCache& stale() { return stale_; }
   void NoteStaleServe() {
@@ -354,8 +276,6 @@ class ResilienceControl {
   /// --- accounting ------------------------------------------------------
   uint64_t retries_attempted() const { return retries_attempted_.load(); }
   uint64_t retries_denied() const { return retries_denied_.load(); }
-  uint64_t hedges_launched() const { return hedges_launched_.load(); }
-  uint64_t hedges_won() const { return hedges_won_.load(); }
   uint64_t stale_serves() const { return stale_serves_.load(); }
   uint64_t supervisor_restarts() const {
     return supervisor_restarts_.load();
@@ -382,22 +302,11 @@ class ResilienceControl {
   RetryBudget budget_;
   StaleCache stale_;
 
-  /// Per-shard rolling latency histograms feeding the hedge trigger.
-  mutable std::mutex latency_mutex_;
-  std::map<int, std::unique_ptr<obs::Histogram>> latency_;
-  /// Clock second the cached hedge delay was computed at, and the cached
-  /// value in microseconds (atomics: the hot path reads them lock-free).
-  std::atomic<int64_t> hedge_cache_second_{
-      std::numeric_limits<int64_t>::min()};
-  std::atomic<uint64_t> hedge_delay_us_{0};
-
   std::mutex rng_mutex_;
   Rng rng_;
 
   std::atomic<uint64_t> retries_attempted_{0};
   std::atomic<uint64_t> retries_denied_{0};
-  std::atomic<uint64_t> hedges_launched_{0};
-  std::atomic<uint64_t> hedges_won_{0};
   std::atomic<uint64_t> stale_serves_{0};
   std::atomic<uint64_t> supervisor_restarts_{0};
   std::atomic<uint64_t> breaker_opens_{0};

@@ -93,18 +93,15 @@ ServiceOptions ShardRouter::ShardServiceOptions(int shard_id) const {
     if (!ctx.tenant.empty())
       slo_.RecordRequest(ctx.tenant, clock_(), status.ok(), latency_us);
     if (ResilienceControl* rc = resilience_.get()) {
-      const StatusCode code = status.code();
       // Breaker failures are INFRASTRUCTURE failures (the shard couldn't
       // serve); application outcomes like NotFound/InvalidArgument are
-      // successful service of a bad request. Cancelled hedge losers say
-      // nothing about the shard's health either way.
-      if (code != StatusCode::kCancelled) {
-        const bool failed = code == StatusCode::kUnavailable ||
-                            code == StatusCode::kDeadlineExceeded ||
-                            code == StatusCode::kInternal ||
-                            code == StatusCode::kIoError;
-        rc->OnShardResult(shard_id, failed, latency_us, clock_());
-      }
+      // successful service of a bad request.
+      const StatusCode code = status.code();
+      const bool failed = code == StatusCode::kUnavailable ||
+                          code == StatusCode::kDeadlineExceeded ||
+                          code == StatusCode::kInternal ||
+                          code == StatusCode::kIoError;
+      rc->OnShardResult(shard_id, failed, clock_());
     }
   };
   // Handoff moves *every* session a client still cares about, including
@@ -206,8 +203,7 @@ void ShardRouter::RecordRejection(const obs::RequestContext& ctx,
 }
 
 Result<std::shared_ptr<PredictionService>> ShardRouter::Route(
-    const obs::RequestContext& ctx, bool create, int* routed_shard,
-    bool is_retry) {
+    const obs::RequestContext& ctx, bool create, bool is_retry) {
   const std::string& tenant = ctx.tenant;
   const std::string& session_id = ctx.session_id;
   // Chaos hook: an armed "cluster.shard_crash" kills the shard named by its
@@ -227,7 +223,6 @@ Result<std::shared_ptr<PredictionService>> ShardRouter::Route(
     return Status::Unavailable("no active shards in the cluster");
 
   int target = -1;
-  bool pin_new = false;
   bool pinned = false;
   {
     std::lock_guard<std::mutex> pin_lock(pins_->mutex);
@@ -260,10 +255,6 @@ Result<std::shared_ptr<PredictionService>> ShardRouter::Route(
           "session '%s' is pinned to shard %d, whose circuit breaker is "
           "open; retry shortly",
           session_id.c_str(), target));
-    // Re-creating under an existing pin starts a new pin generation, so a
-    // still-unresolved close of the PREVIOUS incarnation cannot release the
-    // new session's pin when its future is finally consumed.
-    if (create) SetPin(*pins_, session_id, target);
   } else if (create) {
     if (ring_.empty())
       return Status::Unavailable("every shard is draining");
@@ -296,7 +287,6 @@ Result<std::shared_ptr<PredictionService>> ShardRouter::Route(
           "shard %d's circuit breaker is open (no healthy placement for "
           "session '%s'); retry shortly",
           target, session_id.c_str()));
-    pin_new = true;
   } else {
     if (ring_.empty())
       return Status::Unavailable("every shard is draining");
@@ -329,8 +319,11 @@ Result<std::shared_ptr<PredictionService>> ShardRouter::Route(
   // still paid the feasibility, breaker, and load-shed gates above.
   if (!is_retry)
     CASCN_RETURN_IF_ERROR(admission_.AdmitTenant(tenant, clock_()));
-  if (pin_new) SetPin(*pins_, session_id, target);
-  if (routed_shard != nullptr) *routed_shard = target;
+  // A create pins only once admitted. Re-creating under an existing pin
+  // starts a new pin generation, so a still-unresolved close of the
+  // PREVIOUS incarnation cannot release the new session's pin — and a
+  // rejected re-create keeps the old generation, so that close still can.
+  if (create) SetPin(*pins_, session_id, target);
   return service;
 }
 
@@ -341,10 +334,10 @@ obs::RequestContext ShardRouter::MintContext(const std::string& tenant,
       obs::RequestContext::New(tenant, std::move(session_id), deadline_ms);
   if (resilience_) {
     // Resolve the deadline to an ABSOLUTE point exactly once, at the
-    // router's edge: a retry or hedge dispatched later inherits only the
-    // REMAINING time, never a fresh copy of the original budget. Real
-    // steady clock, not clock_() — deadlines bound wall time spent in
-    // queues and workers, which an injected test clock does not advance.
+    // router's edge: a retry dispatched later inherits only the REMAINING
+    // time, never a fresh copy of the original budget. Real steady clock,
+    // not clock_() — deadlines bound wall time spent in queues and workers,
+    // which an injected test clock does not advance.
     const double effective =
         deadline_ms > 0.0
             ? deadline_ms
@@ -359,133 +352,92 @@ obs::RequestContext ShardRouter::MintContext(const std::string& tenant,
   return ctx;
 }
 
-Result<std::future<ServeResponse>> ShardRouter::SubmitCreate(
-    const std::string& tenant, std::string session_id, int root_user,
-    double deadline_ms) {
+ShardRouter::Routed ShardRouter::RouteRequest(const std::string& tenant,
+                                              std::string session_id,
+                                              double deadline_ms,
+                                              bool create) {
   obs::RequestContext ctx =
       MintContext(tenant, std::move(session_id), deadline_ms);
   CASCN_TRACE_SPAN_ID("cluster_route", ctx.trace_id, obs::SpanFlow::kNone);
   if (resilience_) resilience_->OnRequestObserved();
-  Result<std::shared_ptr<PredictionService>> service =
-      Route(ctx, /*create=*/true);
-  if (!service.ok()) {
-    RecordRejection(ctx, service.status());
-    return service.status();
-  }
-  const std::string sid = ctx.session_id;
+  Result<std::shared_ptr<PredictionService>> service = Route(ctx, create);
+  if (!service.ok()) RecordRejection(ctx, service.status());
+  return Routed{std::move(ctx), std::move(service)};
+}
+
+namespace {
+
+/// Submits ctx's predict to the routed shard, or passes the routing
+/// rejection through.
+Result<std::future<ServeResponse>> PredictOn(
+    const Result<std::shared_ptr<PredictionService>>& service,
+    obs::RequestContext ctx, double deadline_ms) {
+  if (!service.ok()) return service.status();
   std::string id = ctx.session_id;
-  Result<std::future<ServeResponse>> submitted =
-      service.value()->SubmitCreate(std::move(ctx), std::move(id), root_user,
-                                    deadline_ms);
-  // Mirror the accepted event so hedges can replay the session and the
-  // stale cache can fingerprint its observed prefix.
-  if (submitted.ok() && resilience_)
-    resilience_->stale().OnCreate(sid, root_user);
-  return submitted;
+  return service.value()->SubmitPredict(std::move(ctx), std::move(id),
+                                        deadline_ms);
+}
+
+}  // namespace
+
+Result<std::future<ServeResponse>> ShardRouter::SubmitCreate(
+    const std::string& tenant, std::string session_id, int root_user,
+    double deadline_ms) {
+  Routed routed =
+      RouteRequest(tenant, std::move(session_id), deadline_ms, /*create=*/true);
+  if (!routed.service.ok()) return routed.service.status();
+  std::string id = routed.ctx.session_id;
+  return routed.service.value()->SubmitCreate(
+      std::move(routed.ctx), std::move(id), root_user, deadline_ms);
 }
 
 Result<std::future<ServeResponse>> ShardRouter::SubmitAppend(
     const std::string& tenant, std::string session_id, int user,
     int parent_node, double time, double deadline_ms) {
-  obs::RequestContext ctx =
-      MintContext(tenant, std::move(session_id), deadline_ms);
-  CASCN_TRACE_SPAN_ID("cluster_route", ctx.trace_id, obs::SpanFlow::kNone);
-  if (resilience_) resilience_->OnRequestObserved();
-  Result<std::shared_ptr<PredictionService>> service =
-      Route(ctx, /*create=*/false);
-  if (!service.ok()) {
-    RecordRejection(ctx, service.status());
-    return service.status();
-  }
-  const std::string sid = ctx.session_id;
-  std::string id = ctx.session_id;
-  Result<std::future<ServeResponse>> submitted =
-      service.value()->SubmitAppend(std::move(ctx), std::move(id), user,
-                                    parent_node, time, deadline_ms);
-  if (submitted.ok() && resilience_)
-    resilience_->stale().OnAppend(sid, user, parent_node, time);
-  return submitted;
+  Routed routed = RouteRequest(tenant, std::move(session_id), deadline_ms,
+                               /*create=*/false);
+  if (!routed.service.ok()) return routed.service.status();
+  std::string id = routed.ctx.session_id;
+  return routed.service.value()->SubmitAppend(std::move(routed.ctx),
+                                              std::move(id), user,
+                                              parent_node, time, deadline_ms);
 }
 
 Result<std::future<ServeResponse>> ShardRouter::SubmitPredict(
     const std::string& tenant, std::string session_id, double deadline_ms) {
-  // The single relaxed check the disabled control plane costs: without
-  // resilience this is exactly the PR 6 predict path.
-  if (!resilience_) {
-    obs::RequestContext ctx =
-        obs::RequestContext::New(tenant, std::move(session_id), deadline_ms);
-    CASCN_TRACE_SPAN_ID("cluster_route", ctx.trace_id, obs::SpanFlow::kNone);
-    Result<std::shared_ptr<PredictionService>> service =
-        Route(ctx, /*create=*/false);
-    if (!service.ok()) {
-      RecordRejection(ctx, service.status());
-      return service.status();
-    }
-    std::string id = ctx.session_id;
-    return service.value()->SubmitPredict(std::move(ctx), std::move(id),
-                                          deadline_ms);
-  }
-
-  obs::RequestContext ctx =
-      MintContext(tenant, std::move(session_id), deadline_ms);
-  CASCN_TRACE_SPAN_ID("cluster_route", ctx.trace_id, obs::SpanFlow::kNone);
-  resilience_->OnRequestObserved();
-  // Cancellation flag shared by this request's dispatches: a winning hedge
-  // sets it so the losing dispatch fails fast in its queue instead of
-  // burning a worker.
-  ctx.cancel = std::make_shared<std::atomic<bool>>(false);
-  PredictAttempt attempt =
-      DispatchPredict(ctx, deadline_ms, /*is_retry=*/false);
-  // All resilience policy (hedge trigger, single retry under the budget
-  // with the remaining deadline, stale fallback) runs when the caller
-  // resolves the future — predicts are idempotent, so the re-dispatch is
-  // safe. The wrapper captures `this`: resolve predict futures before
-  // destroying the router (same contract as the debug endpoints).
+  Routed routed = RouteRequest(tenant, std::move(session_id), deadline_ms,
+                               /*create=*/false);
+  // Without resilience the caller gets the shard's own future.
+  if (!resilience_)
+    return PredictOn(routed.service, std::move(routed.ctx), deadline_ms);
+  // A routing rejection is not final here: the retry and stale policies
+  // below may still answer it.
+  Result<std::future<ServeResponse>> first =
+      PredictOn(routed.service, routed.ctx, deadline_ms);
+  // All resilience policy (single retry under the budget with the remaining
+  // deadline, stale fallback) runs when the caller resolves the future —
+  // predicts are idempotent, so the re-dispatch is safe. The wrapper
+  // captures `this`: resolve predict futures before destroying the router
+  // (same contract as the debug endpoints).
   return std::async(std::launch::deferred,
-                    [this, ctx = std::move(ctx), attempt = std::move(attempt),
-                     deadline_ms]() mutable {
+                    [this, ctx = std::move(routed.ctx),
+                     first = std::move(first), deadline_ms]() mutable {
                       return ResolvePredictResilient(
-                          std::move(ctx), std::move(attempt), deadline_ms);
+                          std::move(ctx), std::move(first), deadline_ms);
                     });
 }
 
-ShardRouter::PredictAttempt ShardRouter::DispatchPredict(
-    const obs::RequestContext& ctx, double deadline_ms, bool is_retry) {
-  PredictAttempt attempt;
-  // Each dispatch enqueues its own context copy; the copies share the
-  // tenant, trace id, absolute deadline, and cancellation flag.
-  obs::RequestContext dispatch_ctx = ctx;
-  Result<std::shared_ptr<PredictionService>> service =
-      Route(dispatch_ctx, /*create=*/false, &attempt.shard_id, is_retry);
-  if (!service.ok()) {
-    RecordRejection(ctx, service.status());
-    attempt.status = service.status();
-    return attempt;
-  }
-  attempt.service = std::move(service).value();
-  std::string id = dispatch_ctx.session_id;
-  Result<std::future<ServeResponse>> submitted = attempt.service->SubmitPredict(
-      std::move(dispatch_ctx), std::move(id), deadline_ms);
-  if (!submitted.ok()) {
-    attempt.status = submitted.status();
-    return attempt;
-  }
-  attempt.future = std::move(submitted).value();
-  return attempt;
-}
-
-ServeResponse ShardRouter::ResolvePredictResilient(obs::RequestContext ctx,
-                                                   PredictAttempt attempt,
-                                                   double deadline_ms) {
+ServeResponse ShardRouter::ResolvePredictResilient(
+    obs::RequestContext ctx, Result<std::future<ServeResponse>> attempt,
+    double deadline_ms) {
   const std::shared_ptr<ResilienceControl> rc = resilience_;
-  const uint64_t fingerprint = rc->stale().FingerprintOf(ctx.session_id);
   ServeResponse response;
   bool retried = false;
   for (;;) {
     if (attempt.ok()) {
-      response = AwaitWithHedge(ctx, attempt);
+      response = std::move(attempt).value().get();
     } else {
-      response = ServeResponse{attempt.status};
+      response = ServeResponse{attempt.status()};
       response.trace_id = ctx.trace_id;
     }
     // Test shim: "cluster.predict_unavailable" turns an injected fraction
@@ -495,8 +447,7 @@ ServeResponse ShardRouter::ResolvePredictResilient(obs::RequestContext ctx,
       response.status =
           Status::Unavailable("injected cluster.predict_unavailable");
     if (response.status.ok()) {
-      rc->stale().StorePrediction(ctx.session_id, fingerprint,
-                                  response.log_prediction,
+      rc->stale().StorePrediction(ctx.session_id, response.log_prediction,
                                   response.count_prediction, clock_());
       return response;
     }
@@ -525,7 +476,10 @@ ServeResponse ShardRouter::ResolvePredictResilient(obs::RequestContext ctx,
         // The context still carries the ORIGINAL absolute deadline, so the
         // re-dispatch runs under the remaining time only; the tenant quota
         // charged at first admission is not charged again.
-        attempt = DispatchPredict(ctx, deadline_ms, /*is_retry=*/true);
+        Result<std::shared_ptr<PredictionService>> service =
+            Route(ctx, /*create=*/false, /*is_retry=*/true);
+        if (!service.ok()) RecordRejection(ctx, service.status());
+        attempt = PredictOn(service, ctx, deadline_ms);
         continue;
       }
     }
@@ -535,11 +489,11 @@ ServeResponse ShardRouter::ResolvePredictResilient(obs::RequestContext ctx,
   // Degraded mode: when allowed, answer from the last-good cache instead
   // of erroring — but only for infrastructure failures. A NotFound or
   // InvalidArgument is normally the truth about the request, not an
-  // outage. The exception: while some shard is crashed, a NotFound on a
-  // session the mirror knows usually IS the outage — the bounded-load walk
-  // had pinned it to the now-dead shard and the ring fell back to a shard
-  // that never heard of it — so it may degrade to a stale answer too (the
-  // Lookup below only answers for sessions with a recorded last-good).
+  // outage. The exception: while some shard is crashed, a NotFound usually
+  // IS the outage — the bounded-load walk had pinned the session to the
+  // now-dead shard and the ring fell back to a shard that never heard of
+  // it — so it may degrade to a stale answer too (the Lookup below only
+  // answers for sessions with a recorded last-good).
   const StatusCode code = response.status.code();
   bool stale_eligible = code != StatusCode::kNotFound &&
                         code != StatusCode::kInvalidArgument;
@@ -573,164 +527,16 @@ ServeResponse ShardRouter::ResolvePredictResilient(obs::RequestContext ctx,
   return response;
 }
 
-ServeResponse ShardRouter::AwaitWithHedge(const obs::RequestContext& ctx,
-                                          PredictAttempt& attempt) {
-  const std::shared_ptr<ResilienceControl> rc = resilience_;
-  if (!rc->options().hedging) return attempt.future.get();
-  const double hedge_delay_ms = rc->HedgeDelayMs(clock_());
-  if (attempt.future.wait_for(std::chrono::duration<double, std::milli>(
-          hedge_delay_ms)) == std::future_status::ready)
-    return attempt.future.get();
-
-  // The primary outlived the hedge trigger. A session is pinned to one
-  // shard, so a naive re-dispatch would just re-queue behind the slow
-  // primary; instead, replay the session's mirrored event log on the next
-  // ring candidate under a scratch id. Same checkpoint + same events =
-  // bit-identical prediction.
-  const std::optional<ReplayLog> log = rc->stale().ReplayLogOf(ctx.session_id);
-  if (!log) return attempt.future.get();
-
-  std::shared_ptr<PredictionService> candidate;
-  int candidate_id = -1;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!ring_.empty()) {
-      candidate_id = ring_.NextDistinctOwner(ctx.session_id, attempt.shard_id);
-      if (candidate_id >= 0 && candidate_id != attempt.shard_id &&
-          draining_.count(candidate_id) == 0) {
-        const auto it = shards_.find(candidate_id);
-        if (it != shards_.end()) {
-          candidate = it->second.service;
-          // Registered under the same lock that guards the draining mark:
-          // a drain that starts after this point waits the replay out.
-          ++hedges_in_flight_[candidate_id];
-        }
-      }
-    }
-  }
-  if (!candidate) return attempt.future.get();
-  const auto release_hedge = [this, candidate_id] {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto hit = hedges_in_flight_.find(candidate_id);
-    if (hit != hedges_in_flight_.end() && --hit->second == 0)
-      hedges_in_flight_.erase(hit);
-    hedge_cv_.notify_all();
-  };
-  // Candidate breaker open, or candidate already loaded past half its
-  // queue: hedging would add load without adding speed.
-  if (rc->ShardState(candidate_id) == BreakerState::kOpen ||
-      candidate->queue_depth() * 2 >= candidate->queue_capacity()) {
-    release_hedge();
-    return attempt.future.get();
-  }
-
-  // Scratch id: unique per hedge (trace id suffix) so repeated hedges of
-  // the same session never collide on the candidate shard.
-  const std::string scratch =
-      StrFormat("hedge~%s~%llx", ctx.session_id.c_str(),
-                static_cast<unsigned long long>(ctx.trace_id));
-  auto hedge_cancel = std::make_shared<std::atomic<bool>>(false);
-  obs::RequestContext hedge_ctx =
-      obs::RequestContext::New(ctx.tenant, scratch, /*deadline_ms=*/-1.0);
-  hedge_ctx.has_deadline = ctx.has_deadline;  // remaining time, not a fresh
-  hedge_ctx.deadline = ctx.deadline;          // copy of the budget
-  hedge_ctx.cancel = hedge_cancel;
-
-  // Replay create + appends + predict + close, awaiting each replay op's
-  // response before submitting the next. The shard queue is FIFO but the
-  // workers draining it are not: two workers can pull adjacent batches and
-  // apply an append before the append that created its parent node, which
-  // fails validation and silently drops the event — the replayed cascade
-  // then predicts a different (wrong) value. Awaiting each response both
-  // serialises the replay and verifies every event actually landed; any
-  // failure abandons the hedge and falls back to the primary. The primary
-  // is polled between ops so a hedge that has become pointless stops
-  // spending the candidate's workers. The replay ops run without deadlines
-  // so a cancelled hedge still reaches its close; the unconditional
-  // trailing close cleans the scratch session up whichever side wins.
-  const auto primary_ready = [&attempt] {
-    return attempt.future.wait_for(std::chrono::seconds(0)) ==
-           std::future_status::ready;
-  };
-  const auto apply = [&](Result<std::future<ServeResponse>> submitted) {
-    if (!submitted.ok()) return false;
-    return std::move(submitted).value().get().status.ok();
-  };
-  std::future<ServeResponse> hedge_future;
-  bool hedged = false;
-  do {
-    if (!apply(candidate->SubmitCreate(
-            obs::RequestContext::New(ctx.tenant, scratch, -1.0), scratch,
-            log->root_user, /*deadline_ms=*/-1.0)))
-      break;
-    bool replayed = true;
-    for (const MirroredEvent& event : log->events) {
-      if (primary_ready() ||
-          !apply(candidate->SubmitAppend(
-              obs::RequestContext::New(ctx.tenant, scratch, -1.0), scratch,
-              event.user, event.parent_node, event.time, -1.0))) {
-        replayed = false;
-        break;
-      }
-    }
-    if (replayed) {
-      Result<std::future<ServeResponse>> predicted = candidate->SubmitPredict(
-          std::move(hedge_ctx), scratch, /*deadline_ms=*/-1.0);
-      if (predicted.ok()) {
-        hedge_future = std::move(predicted).value();
-        hedged = true;
-      }
-    }
-    candidate->SubmitClose(obs::RequestContext::New(ctx.tenant, scratch, -1.0),
-                           scratch, /*deadline_ms=*/-1.0);
-  } while (false);
-  // Every scratch op (including the close) is now in the candidate's
-  // queue; a drain's watermark wait retires them.
-  release_hedge();
-  if (!hedged) return attempt.future.get();
-  rc->NoteHedgeLaunched();
-
-  // First response wins; the loser is cancelled cooperatively (its queue
-  // fail-fast counts a Cancelled, which the breaker feed ignores).
-  for (;;) {
-    if (attempt.future.wait_for(std::chrono::microseconds(200)) ==
-        std::future_status::ready) {
-      hedge_cancel->store(true, std::memory_order_relaxed);
-      return attempt.future.get();
-    }
-    if (hedge_future.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      ServeResponse hedge_response = hedge_future.get();
-      if (!hedge_response.status.ok()) {
-        // The hedge lost on merit (shed, raced a topology change): the
-        // primary is still the only truth worth waiting for.
-        return attempt.future.get();
-      }
-      if (ctx.cancel) ctx.cancel->store(true, std::memory_order_relaxed);
-      rc->NoteHedgeWon();
-      hedge_response.trace_id = ctx.trace_id;
-      return hedge_response;
-    }
-  }
-}
-
 Result<std::future<ServeResponse>> ShardRouter::SubmitClose(
     const std::string& tenant, std::string session_id, double deadline_ms) {
-  obs::RequestContext ctx =
-      MintContext(tenant, std::move(session_id), deadline_ms);
-  CASCN_TRACE_SPAN_ID("cluster_route", ctx.trace_id, obs::SpanFlow::kNone);
-  if (resilience_) resilience_->OnRequestObserved();
-  Result<std::shared_ptr<PredictionService>> routed =
-      Route(ctx, /*create=*/false);
-  if (!routed.ok()) {
-    RecordRejection(ctx, routed.status());
-    return routed.status();
-  }
-  // A closing session has no further use for its mirror or its last-good
-  // answer; drop both now (optimistically — a failed close just loses the
-  // degraded-mode fallback for a session the client is done with anyway).
+  Routed routed = RouteRequest(tenant, std::move(session_id), deadline_ms,
+                               /*create=*/false);
+  if (!routed.service.ok()) return routed.service.status();
+  obs::RequestContext& ctx = routed.ctx;
+  // A closing session has no further use for its last-good answer; drop it
+  // now (optimistically — a failed close just loses the degraded-mode
+  // fallback for a session the client is done with anyway).
   if (resilience_) resilience_->stale().OnClose(ctx.session_id);
-  std::shared_ptr<PredictionService> service = std::move(routed).value();
   // Capture the pin's current generation before handing the close to the
   // shard: the deferred release below only fires if the pin is still that
   // incarnation when the caller resolves the future.
@@ -747,9 +553,9 @@ Result<std::future<ServeResponse>> ShardRouter::SubmitClose(
   const std::string id = ctx.session_id;
   std::string session_arg = ctx.session_id;
   CASCN_ASSIGN_OR_RETURN(std::future<ServeResponse> inner,
-                         service->SubmitClose(std::move(ctx),
-                                              std::move(session_arg),
-                                              deadline_ms));
+                         routed.service.value()->SubmitClose(
+                             std::move(ctx), std::move(session_arg),
+                             deadline_ms));
   if (!had_pin) return inner;
   // Wrap the future so that resolving a successful close releases the
   // session's pin — the primary async interface does its own bookkeeping
@@ -893,25 +699,6 @@ Status ShardRouter::RemoveShard(int shard_id) {
       std::chrono::microseconds(
           static_cast<int64_t>(options_.drain_timeout_ms * 1000.0));
 
-  // Hedge replays submit directly to their candidate service, bypassing
-  // the routing checks above. The draining mark (already set, under the
-  // same mutex hedges register under) stops new replays from picking this
-  // shard; wait out the ones already in flight so everything they will
-  // ever enqueue — including each scratch session's trailing close — is
-  // in the queue before the watermark below is taken.
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const bool quiet = hedge_cv_.wait_until(lock, deadline, [&] {
-      const auto hit = hedges_in_flight_.find(shard_id);
-      return hit == hedges_in_flight_.end() || hit->second == 0;
-    });
-    if (!quiet) {
-      draining_.erase(shard_id);
-      RebuildRingLocked();
-      return Status::Unavailable(StrFormat(
-          "shard %d still hosts in-flight hedge replays", shard_id));
-    }
-  }
   const Status drained = DrainQueue(*source_service, deadline);
 
   // Phase 3 (routing lock): hand off and destroy.
@@ -1075,13 +862,8 @@ Status ShardRouter::PullSessionsTo(int target_id, int source_id) {
       return Status::Unavailable(
           StrFormat("shard %d went down mid-join", target_id));
     source_service = source->second.service;
-    for (const std::string& sid : source_service->sessions().SessionIds()) {
-      // Scratch hedge-replay sessions stay put: their in-flight replay and
-      // trailing close target the source service directly, so migrating
-      // one would strand it (never closed) on the target.
-      if (sid.compare(0, 6, "hedge~") == 0) continue;
+    for (const std::string& sid : source_service->sessions().SessionIds())
       if (ring_.OwnerOf(sid) == target_id) moving.push_back(sid);
-    }
     if (moving.empty()) return Status::OK();
     migrating_.insert(moving.begin(), moving.end());
   }

@@ -60,7 +60,6 @@
 #include <functional>
 #include <future>
 #include <limits>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -144,8 +143,8 @@ struct ShardRouterOptions {
   /// DEADLINES always use the real steady clock (workers sleep real time),
   /// so a fake clock here never expires in-flight requests.
   std::function<std::chrono::steady_clock::time_point()> clock;
-  /// Resilience control plane (circuit breakers, retry budget, hedging,
-  /// stale cache, supervisor probation). Disabled by default: with
+  /// Resilience control plane (circuit breakers, retry budget, stale
+  /// cache, supervisor probation). Disabled by default: with
   /// `resilience.enabled == false` every request path costs one extra
   /// pointer load over the non-resilient router.
   ResilienceOptions resilience;
@@ -380,49 +379,38 @@ class ShardRouter {
   /// Admission + routing: resolves the target service for ctx.session_id,
   /// creating a pin when `create` is true. Applies the shard-crash fault,
   /// the circuit breaker (resilience on), tenant quota, and load shedding.
-  /// `routed_shard`, when non-null, receives the chosen shard id. A retry
-  /// re-dispatch (`is_retry`) skips the tenant-quota charge — the original
-  /// admission already paid for this request — but still honors the breaker
-  /// and the load-shed gate.
+  /// A retry re-dispatch (`is_retry`) skips the tenant-quota charge — the
+  /// original admission already paid for this request — but still honors
+  /// the breaker and the load-shed gate.
   Result<std::shared_ptr<serve::PredictionService>> Route(
-      const obs::RequestContext& ctx, bool create, int* routed_shard = nullptr,
-      bool is_retry = false);
+      const obs::RequestContext& ctx, bool create, bool is_retry = false);
 
   /// Mints the request context for one router entry point. With resilience
   /// enabled this also resolves the deadline to an ABSOLUTE point once
   /// (real steady clock: deadline_ms > 0 explicit, 0 the shard default,
-  /// < 0 none) so retries and hedges inherit the REMAINING time, and
-  /// attaches a cancellation flag predicts use for hedge loser cancellation.
+  /// < 0 none) so a retry inherits only the REMAINING time.
   obs::RequestContext MintContext(const std::string& tenant,
                                   std::string session_id,
                                   double deadline_ms) const;
 
-  /// One predict dispatch: Route + shard submit, with the routed shard id
-  /// kept for hedging.
-  struct PredictAttempt {
-    std::shared_ptr<serve::PredictionService> service;
-    int shard_id = -1;
-    std::future<serve::ServeResponse> future;
-    Status status = Status::OK();
-    bool ok() const { return status.ok(); }
+  /// One request's context and its routing outcome.
+  struct Routed {
+    obs::RequestContext ctx;
+    Result<std::shared_ptr<serve::PredictionService>> service;
   };
-  PredictAttempt DispatchPredict(const obs::RequestContext& ctx,
-                                 double deadline_ms, bool is_retry);
+  /// The prologue every Submit* shares: mints the context, opens the
+  /// cluster_route span, feeds the retry budget, routes, and books a
+  /// rejection.
+  Routed RouteRequest(const std::string& tenant, std::string session_id,
+                      double deadline_ms, bool create);
 
   /// Body of the deferred future SubmitPredict returns when resilience is
-  /// enabled: awaits the primary (hedging past the rolling-p95 trigger),
-  /// re-dispatches once under the retry budget with the remaining deadline,
-  /// and falls back to the stale cache when allowed. Runs on the caller's
-  /// resolving thread.
-  serve::ServeResponse ResolvePredictResilient(obs::RequestContext ctx,
-                                               PredictAttempt attempt,
-                                               double deadline_ms);
-
-  /// Awaits `attempt`'s future; once it outlives the hedge trigger, replays
-  /// the session on the next ring candidate and returns the first response,
-  /// cancelling (and counting) the loser.
-  serve::ServeResponse AwaitWithHedge(const obs::RequestContext& ctx,
-                                      PredictAttempt& attempt);
+  /// enabled: awaits the first dispatch `attempt`, re-dispatches once under
+  /// the retry budget with the remaining deadline, and falls back to the
+  /// stale cache when allowed. Runs on the caller's resolving thread.
+  serve::ServeResponse ResolvePredictResilient(
+      obs::RequestContext ctx,
+      Result<std::future<serve::ServeResponse>> attempt, double deadline_ms);
 
   /// Books a request rejected before reaching any shard: SLI error sample,
   /// router flight record (op=Route), and a "load_shed" anomaly dump when
@@ -519,16 +507,6 @@ class ShardRouter {
   std::set<int> crashed_;
   /// Shards mid-RemoveShard: out of the ring, pinned requests rejected.
   std::set<int> draining_;
-  /// In-flight hedge replays per candidate shard. A hedge submits its
-  /// scratch-session replay directly to the candidate service (bypassing
-  /// routing), so RemoveShard must wait for replays targeting the departing
-  /// shard to finish submitting — the drain's queue watermark then retires
-  /// their queued ops (including the trailing close) before extraction
-  /// demands quiescence. Candidate selection and the draining mark share
-  /// mutex_, so a shard is either registered here before it drains or never
-  /// picked once draining. hedge_cv_ signals each release.
-  std::map<int, int> hedges_in_flight_;
-  std::condition_variable hedge_cv_;
   /// Sessions mid-AddShard pull: their requests get a retryable
   /// Unavailable until the move completes.
   std::unordered_set<std::string> migrating_;

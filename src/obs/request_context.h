@@ -18,10 +18,8 @@
 #ifndef CASCN_OBS_REQUEST_CONTEXT_H_
 #define CASCN_OBS_REQUEST_CONTEXT_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 namespace cascn::obs {
@@ -48,23 +46,14 @@ struct RequestContext {
   /// (> 0 explicit ms, 0 service default, < 0 none).
   double deadline_ms = 0.0;
   /// Absolute deadline, resolved ONCE at the edge that minted the context.
-  /// Internal re-dispatch (retry, handoff retry, hedge) must carry this
-  /// forward rather than re-arming `deadline_ms` from scratch — the caller's
-  /// budget covers the whole request, not each attempt. When set, services
-  /// honor it verbatim instead of re-deriving a deadline at enqueue.
+  /// Internal re-dispatch (retry, handoff retry) must carry this forward
+  /// rather than re-arming `deadline_ms` from scratch — the caller's budget
+  /// covers the whole request, not each attempt. When set, services honor
+  /// it verbatim instead of re-deriving a deadline at enqueue.
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
-  /// Cooperative-cancel flag, shared between racing dispatches of the same
-  /// logical request (a hedge and its primary). A worker that dequeues a
-  /// request whose flag is already set fails it fast with Cancelled instead
-  /// of executing — the other racer already produced the answer. Null for
-  /// ordinary requests.
-  std::shared_ptr<std::atomic<bool>> cancel;
 
   bool valid() const { return trace_id != 0; }
-  bool cancelled() const {
-    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
-  }
 
   /// Mints a context with a fresh trace id.
   static RequestContext New(std::string tenant, std::string session_id,

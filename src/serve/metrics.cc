@@ -46,8 +46,6 @@ std::string_view CounterName(Counter c) {
       return "reload_failures";
     case Counter::kShutdownDrained:
       return "shutdown_drained";
-    case Counter::kCancelled:
-      return "cancelled";
     case Counter::kNumCounters:
       break;
   }

@@ -44,7 +44,6 @@ enum class Counter : int {
   kReloads,              // successful hot checkpoint reloads
   kReloadFailures,       // reloads rejected with the old version kept serving
   kShutdownDrained,      // queued requests failed by Shutdown() before running
-  kCancelled,            // requests failed fast: their cancel flag was set
   kNumCounters,
 };
 

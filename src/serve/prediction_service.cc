@@ -209,9 +209,9 @@ Result<std::future<ServeResponse>> PredictionService::Enqueue(
   request.enqueue_time = std::chrono::steady_clock::now();
   if (request.ctx.has_deadline) {
     // The context carries an absolute deadline resolved once at the edge
-    // that minted it. An internal re-dispatch (router retry, hedge) arrives
-    // here with only the REMAINING budget — re-deriving from deadline_ms
-    // would silently re-arm the caller's full deadline on every attempt.
+    // that minted it. A router retry arrives here with only the REMAINING
+    // budget — re-deriving from deadline_ms would silently re-arm the
+    // caller's full deadline on every attempt.
     request.has_deadline = true;
     request.deadline = request.ctx.deadline;
   } else {
@@ -252,45 +252,31 @@ Result<std::future<ServeResponse>> PredictionService::Enqueue(
   return future;
 }
 
+// The context-free overloads pass an empty context; Enqueue mints its trace
+// id.
 Result<std::future<ServeResponse>> PredictionService::SubmitCreate(
     std::string session_id, int root_user, double deadline_ms) {
-  Request r;
-  r.type = RequestType::kCreate;
-  r.session_id = std::move(session_id);
-  r.user = root_user;
-  r.deadline_ms = deadline_ms;
-  return Enqueue(std::move(r));
+  return SubmitCreate(obs::RequestContext{}, std::move(session_id), root_user,
+                      deadline_ms);
 }
 
 Result<std::future<ServeResponse>> PredictionService::SubmitAppend(
     std::string session_id, int user, int parent_node, double time,
     double deadline_ms) {
-  Request r;
-  r.type = RequestType::kAppend;
-  r.session_id = std::move(session_id);
-  r.user = user;
-  r.parent_node = parent_node;
-  r.time = time;
-  r.deadline_ms = deadline_ms;
-  return Enqueue(std::move(r));
+  return SubmitAppend(obs::RequestContext{}, std::move(session_id), user,
+                      parent_node, time, deadline_ms);
 }
 
 Result<std::future<ServeResponse>> PredictionService::SubmitPredict(
     std::string session_id, double deadline_ms) {
-  Request r;
-  r.type = RequestType::kPredict;
-  r.session_id = std::move(session_id);
-  r.deadline_ms = deadline_ms;
-  return Enqueue(std::move(r));
+  return SubmitPredict(obs::RequestContext{}, std::move(session_id),
+                       deadline_ms);
 }
 
 Result<std::future<ServeResponse>> PredictionService::SubmitClose(
     std::string session_id, double deadline_ms) {
-  Request r;
-  r.type = RequestType::kClose;
-  r.session_id = std::move(session_id);
-  r.deadline_ms = deadline_ms;
-  return Enqueue(std::move(r));
+  return SubmitClose(obs::RequestContext{}, std::move(session_id),
+                     deadline_ms);
 }
 
 Result<std::future<ServeResponse>> PredictionService::SubmitCreate(
@@ -481,17 +467,7 @@ void PredictionService::WorkerLoop(int worker_index) {
       uint16_t fault_bits = 0;
       bool deadline_exceeded = false;
       ServeResponse response;
-      if (request.ctx.cancelled()) {
-        // The racing dispatch (a hedge or its primary) already produced the
-        // answer; executing this copy would only burn a worker. Checked
-        // before the deadline so a cancelled loser is counted as cancelled,
-        // not as a deadline miss.
-        response.status = Status::Cancelled(
-            "request cancelled before execution for session " +
-            request.session_id);
-        metrics_.Increment(Counter::kCancelled);
-        metrics_.Increment(Counter::kErrors);
-      } else if (request.has_deadline && start > request.deadline) {
+      if (request.has_deadline && start > request.deadline) {
         // Fail fast: the caller has already given up; executing now would
         // only burn a worker on a dead request.
         response.status = Status::DeadlineExceeded(

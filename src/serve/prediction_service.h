@@ -110,7 +110,7 @@ struct ServeResponse {
   uint64_t trace_id = 0;
   /// Degraded-mode marker: true when the answer came from the router's
   /// last-good prediction cache instead of a live shard (the pinned shard
-  /// was down and RouterOptions::allow_stale let the router serve anyway).
+  /// was down and ShardRouterOptions::allow_stale let the router serve anyway).
   /// `stale_age_ms` is how old the cached answer was when served. A stale
   /// response always carries status OK — staleness is a quality signal, not
   /// an error.

@@ -1,5 +1,5 @@
-// Resilience control plane: circuit breakers, the retry budget, hedged
-// requests, the stale-read degraded mode, and the shard supervisor — plus
+// Resilience control plane: circuit breakers, the retry budget, the
+// stale-read degraded mode, and the shard supervisor — plus
 // the acceptance bar, a deterministic closed-loop drill (injected clock +
 // fault seed) proving crash -> breaker -> budgeted retries -> supervised
 // restart -> probation -> bit-identical predictions.
@@ -192,30 +192,12 @@ TEST(ResilienceControlTest, RetryBackoffIsSeedDeterministicAndBounded) {
 // ---------------------------------------------------------------------------
 // StaleCache unit tests.
 
-TEST(StaleCacheTest, FingerprintIsOrderDependentAndResetByRecreate) {
-  StaleCache cache{StaleCacheOptions{}};
-  cache.OnCreate("s", 7);
-  const uint64_t fp0 = cache.FingerprintOf("s");
-  ASSERT_NE(fp0, 0u);
-  cache.OnAppend("s", 1, 0, 1.0);
-  cache.OnAppend("s", 2, 1, 2.0);
-  const uint64_t fp12 = cache.FingerprintOf("s");
-
-  cache.OnCreate("s", 7);  // re-create restarts the chain
-  EXPECT_EQ(cache.FingerprintOf("s"), fp0);
-  cache.OnAppend("s", 2, 1, 2.0);  // same events, swapped order
-  cache.OnAppend("s", 1, 0, 1.0);
-  EXPECT_NE(cache.FingerprintOf("s"), fp12)
-      << "prefix fingerprint must be order-dependent";
-}
-
 TEST(StaleCacheTest, LookupAgeStampsAndMaxAgeExpires) {
   StaleCacheOptions options;
   options.max_age_ms = 100.0;
   StaleCache cache(options);
-  cache.OnCreate("s", 1);
   EXPECT_FALSE(cache.Lookup("s", At(0.0)).has_value()) << "nothing stored";
-  cache.StorePrediction("s", cache.FingerprintOf("s"), 1.5, 4.0, At(0.0));
+  cache.StorePrediction("s", 1.5, 4.0, At(0.0));
   const auto fresh = cache.Lookup("s", At(0.05));
   ASSERT_TRUE(fresh.has_value());
   EXPECT_DOUBLE_EQ(fresh->log_prediction, 1.5);
@@ -225,16 +207,17 @@ TEST(StaleCacheTest, LookupAgeStampsAndMaxAgeExpires) {
   EXPECT_FALSE(cache.Lookup("s", At(0.2)).has_value());
 }
 
-TEST(StaleCacheTest, RecreateKeepsLastGoodPredictionAndCloseDropsIt) {
+TEST(StaleCacheTest, StoreReplacesTheAnswerAndCloseDropsIt) {
   StaleCache cache{StaleCacheOptions{}};
-  cache.OnCreate("s", 1);
-  cache.StorePrediction("s", cache.FingerprintOf("s"), 2.5, 8.0, At(0.0));
-  cache.OnCreate("s", 1);  // new cascade, but the last-good answer survives
-  const auto answer = cache.Lookup("s", At(1.0));
+  cache.StorePrediction("s", 2.5, 8.0, At(0.0));
+  cache.StorePrediction("s", 3.5, 9.0, At(1.0));
+  const auto answer = cache.Lookup("s", At(1.5));
   ASSERT_TRUE(answer.has_value());
-  EXPECT_DOUBLE_EQ(answer->log_prediction, 2.5);
+  EXPECT_DOUBLE_EQ(answer->log_prediction, 3.5);
+  EXPECT_NEAR(answer->age_ms, 500.0, 1e-6) << "age restarts at each store";
+  EXPECT_EQ(cache.size(), 1u);
   cache.OnClose("s");
-  EXPECT_FALSE(cache.Lookup("s", At(1.0)).has_value());
+  EXPECT_FALSE(cache.Lookup("s", At(1.5)).has_value());
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -242,40 +225,15 @@ TEST(StaleCacheTest, LruEvictsColdSessionsAtCapacity) {
   StaleCacheOptions options;
   options.capacity = 2;
   StaleCache cache(options);
-  cache.OnCreate("a", 1);
-  cache.OnCreate("b", 2);
-  cache.OnAppend("a", 3, 0, 1.0);  // touch "a": "b" is now the LRU victim
-  cache.OnCreate("c", 3);
+  cache.StorePrediction("a", 1.0, 1.0, At(0.0));
+  cache.StorePrediction("b", 2.0, 2.0, At(0.0));
+  ASSERT_TRUE(cache.Lookup("a", At(0.0)).has_value());  // "b" is now LRU
+  cache.StorePrediction("c", 3.0, 3.0, At(0.0));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.FingerprintOf("a"), 0u);
-  EXPECT_EQ(cache.FingerprintOf("b"), 0u) << "cold session must be evicted";
-  EXPECT_NE(cache.FingerprintOf("c"), 0u);
-}
-
-TEST(StaleCacheTest, ReplayCapStopsMirroringButKeepsFingerprinting) {
-  StaleCacheOptions options;
-  options.max_replay_events = 3;
-  StaleCache cache(options);
-  cache.OnCreate("s", 1);
-  for (int e = 0; e < 3; ++e) cache.OnAppend("s", 10 + e, e, 1.0 + e);
-  ASSERT_TRUE(cache.ReplayLogOf("s").has_value());
-  EXPECT_EQ(cache.ReplayLogOf("s")->events.size(), 3u);
-  const uint64_t fp3 = cache.FingerprintOf("s");
-  cache.OnAppend("s", 99, 0, 9.0);  // outgrows the cap
-  EXPECT_FALSE(cache.ReplayLogOf("s").has_value())
-      << "an over-long cascade must not be hedge-replayed";
-  EXPECT_NE(cache.FingerprintOf("s"), fp3)
-      << "staleness keying must keep tracking the prefix";
-}
-
-TEST(StaleCacheTest, AppendWithoutCreateIsNeverReplayable) {
-  // An entry materialized by OnAppend (e.g. after its created entry was
-  // LRU-evicted) has an incomplete log: replaying it would rebuild the
-  // wrong cascade.
-  StaleCache cache{StaleCacheOptions{}};
-  cache.OnAppend("orphan", 1, 0, 1.0);
-  EXPECT_NE(cache.FingerprintOf("orphan"), 0u);
-  EXPECT_FALSE(cache.ReplayLogOf("orphan").has_value());
+  EXPECT_TRUE(cache.Lookup("a", At(0.0)).has_value());
+  EXPECT_FALSE(cache.Lookup("b", At(0.0)).has_value())
+      << "cold session must be evicted";
+  EXPECT_TRUE(cache.Lookup("c", At(0.0)).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -287,7 +245,7 @@ TEST(ResilienceControlTest, ExportsBreakerStatesAndCountersToRegistry) {
   options.breaker = TightBreaker();
   ResilienceControl control(options, /*seed=*/7);
   for (int i = 0; i < 4; ++i)
-    control.OnShardResult(1, /*failed=*/true, 500, At(0.0));
+    control.OnShardResult(1, /*failed=*/true, At(0.0));
   control.OnRequestObserved();
   ASSERT_TRUE(control.TryAcquireRetry());
   control.NoteStaleServe();
@@ -523,93 +481,35 @@ TEST_F(ResilienceRouterTest, DoomedRetriesAndStaleServesDoNotBurnQuota) {
             StatusCode::kResourceExhausted);
 }
 
-TEST_F(ResilienceRouterTest, HedgeRescuesAPredictStuckOnASlowShard) {
-  ShardRouterOptions options = Options(2);
-  options.resilience.hedge_min_delay_ms = 1.0;
-  auto router = MakeRouter(options);
+// A slow pinned shard is waited out, never worked around: the predict
+// returns the pinned shard's own answer and the other shard sees no traffic.
+TEST_F(ResilienceRouterTest, SlowPinnedShardAnswersAloneAndBitIdentically) {
+  auto router = MakeRouter(Options(2));
   ASSERT_TRUE(router->CallCreate("", "h", 3).status.ok());
   ASSERT_TRUE(router->CallAppend("", "h", 4, 0, 1.0).status.ok());
   ASSERT_TRUE(router->CallAppend("", "h", 5, 1, 2.0).status.ok());
   const ServeResponse healthy = router->CallPredict("", "h");
   ASSERT_TRUE(healthy.status.ok());
 
-  // The pinned shard goes molasses: every predict takes 150 ms. The hedge
-  // replays the session's mirrored log on the other shard (same checkpoint,
-  // same events — bit-identical answer) and wins the race.
   const int home = router->ShardOf("h");
+  const int other = home == 0 ? 1 : 0;
+  const auto other_requests = [&] {
+    return router->shard(other)->metrics().TakeSnapshot().counter(
+        serve::Counter::kRequestsTotal);
+  };
+  const uint64_t other_before = other_requests();
   ASSERT_TRUE(fault::FaultRegistry::Get()
-                  .Configure(SlowShardFaultPoint(home) + "=always@150")
+                  .Configure(SlowShardFaultPoint(home) + "=always@20")
                   .ok());
-  const ServeResponse hedged = router->CallPredict("", "h");
-  EXPECT_TRUE(hedged.status.ok()) << hedged.status;
-  EXPECT_FALSE(hedged.stale);
-  EXPECT_EQ(hedged.log_prediction, healthy.log_prediction)
-      << "a hedge replay must be bit-identical to the pinned shard";
-  EXPECT_GE(router->resilience()->hedges_launched(), 1u);
-  EXPECT_GE(router->resilience()->hedges_won(), 1u);
-
-  // The session's real home is untouched by the scratch replay: clear the
-  // fault and the pinned shard still owns (and serves) the session.
+  const ServeResponse slow = router->CallPredict("", "h");
   fault::FaultRegistry::Get().Clear();
+  EXPECT_TRUE(slow.status.ok()) << slow.status;
+  EXPECT_FALSE(slow.stale);
+  EXPECT_EQ(slow.log_prediction, healthy.log_prediction);
+  EXPECT_EQ(slow.count_prediction, healthy.count_prediction);
+  EXPECT_EQ(other_requests(), other_before)
+      << "a predict must not touch any shard but its pinned one";
   EXPECT_EQ(router->ShardOf("h"), home);
-  const ServeResponse after = router->CallPredict("", "h");
-  EXPECT_TRUE(after.status.ok());
-  EXPECT_EQ(after.log_prediction, healthy.log_prediction);
-}
-
-TEST_F(ResilienceRouterTest, HedgeReplayIsBitIdenticalOnBusyMultiWorkerShards) {
-  // The scratch replay is submitted into a queue drained by SEVERAL workers:
-  // two workers pulling adjacent batches can apply an append before the
-  // append that created its parent node, which fails validation and silently
-  // drops the event — and a cascade missing events predicts a different
-  // value. The replay must therefore await each op's response (serialising
-  // it and verifying every event landed) or abandon the hedge. This drill
-  // reproduces the original failure shape: a long parent-chain session (any
-  // dropped event truncates the cascade) hedged onto a 4-worker shard kept
-  // busy by background writers.
-  ShardRouterOptions options = Options(2);
-  options.shard.num_workers = 4;
-  options.resilience.hedge_min_delay_ms = 1.0;
-  auto router = MakeRouter(options);
-
-  ASSERT_TRUE(router->CallCreate("", "chain", 3).status.ok());
-  for (int e = 0; e < 40; ++e) {
-    ASSERT_TRUE(
-        router->CallAppend("", "chain", 100 + e, e, 1.0 + e).status.ok());
-  }
-  const ServeResponse healthy = router->CallPredict("", "chain");
-  ASSERT_TRUE(healthy.status.ok());
-
-  // Background writers keep both shards' worker pools churning so replay
-  // ops interleave with foreign batches.
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> noise;
-  for (int t = 0; t < 3; ++t) {
-    noise.emplace_back([&router, &stop, t] {
-      const std::string id = "noise-" + std::to_string(t);
-      if (!router->CallCreate("", id, t).status.ok()) return;
-      for (int e = 0; !stop.load(std::memory_order_relaxed); ++e) {
-        router->CallAppend("", id, 200 + e, 0, 50.0);
-        router->CallPredict("", id);
-      }
-    });
-  }
-
-  const int home = router->ShardOf("chain");
-  ASSERT_TRUE(fault::FaultRegistry::Get()
-                  .Configure(SlowShardFaultPoint(home) + "=always@150")
-                  .ok());
-  for (int round = 0; round < 4; ++round) {
-    const ServeResponse r = router->CallPredict("", "chain");
-    ASSERT_TRUE(r.status.ok()) << r.status;
-    EXPECT_EQ(r.log_prediction, healthy.log_prediction)
-        << "hedge round " << round
-        << " returned a non-bit-identical prediction";
-  }
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& n : noise) n.join();
-  fault::FaultRegistry::Get().Clear();
-  EXPECT_GE(router->resilience()->hedges_launched(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -773,8 +673,7 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
   }
 
   // The cluster under drill: injected clock for every policy window, single
-  // worker per shard so a deadline storm queues deterministically, hedging
-  // off so the storm reaches the breaker instead of being rescued.
+  // worker per shard so a deadline storm queues deterministically.
   std::atomic<int64_t> fake_ms{5'000'000};
   const auto clock = [&fake_ms] {
     return TimePoint{} + std::chrono::milliseconds(fake_ms.load());
@@ -783,7 +682,6 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
   options.shard.num_workers = 1;
   options.clock = clock;
   options.allow_stale = true;
-  options.resilience.hedging = false;
   options.resilience.breaker = TightBreaker();  // min 4, 50%, open 2 s, probe 3
   options.flight_dir = ::testing::TempDir() + "drill_flight";
   ASSERT_EQ(std::system(("rm -rf " + options.flight_dir + " && mkdir -p " +
@@ -944,7 +842,7 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
     if (std::find(on_victim.begin(), on_victim.end(), id) == on_victim.end())
       continue;
     // The crash already released these sessions' pins and state; the close
-    // is just mirror hygiene and reports the honest NotFound.
+    // only drops the stale-cache entry and reports the honest NotFound.
     (void)router->CallClose("", id);
     BuildSession(
         i,

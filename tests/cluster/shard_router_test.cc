@@ -386,6 +386,22 @@ TEST_F(ShardRouterTest, ResolvingAnAsyncCloseReleasesThePin) {
   EXPECT_TRUE(router->CallCreate("", "s", 2).status.ok());
 }
 
+// A re-create rejected by admission must leave the pin alone: the earlier
+// close still owns the pin's generation and releases it when resolved.
+TEST_F(ShardRouterTest, RejectedRecreateDoesNotLeakThePin) {
+  ShardRouterOptions options = Options(2);
+  options.admission.tokens_per_second = 0.001;  // effectively no refill
+  options.admission.burst = 2.0;
+  auto router = MakeRouter(options);
+  ASSERT_TRUE(router->CallCreate("t", "s", 1).status.ok());
+  auto close = router->SubmitClose("t", "s");
+  ASSERT_TRUE(close.ok()) << close.status();
+  EXPECT_EQ(router->CallCreate("t", "s", 2).status.code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_TRUE(close.value().get().status.ok());
+  EXPECT_EQ(TotalPinned(router->TakeSnapshot()), 0u);
+}
+
 TEST_F(ShardRouterTest, RemoveShardSweepsStalePinsSoTheIdStaysUsable) {
   auto router = MakeRouter(Options(2));
   ASSERT_TRUE(router->CallCreate("", "stale", 1).status.ok());
