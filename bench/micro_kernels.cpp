@@ -1,9 +1,11 @@
 // Micro-benchmarks of the substrate kernels that dominate CasCN training:
 // dense matmul, sparse-dense matmul, the CasLaplacian construction
 // (Algorithm 1), the Chebyshev basis recursion, one graph-conv LSTM step
-// (forward and forward+backward), and snapshot encoding. Paired rows time
-// a whole cached-encoding forward served (PredictValue, the fused kernel)
-// and recorded (PredictLogCalibrated) on the same samples.
+// (forward and forward+backward), a standalone ChebConv layer, and snapshot
+// encoding. Paired rows time a whole cached-encoding forward served
+// (PredictValue, the fused kernel) and recorded (PredictLogCalibrated) on
+// the same samples, and a whole training sample (recorded forward plus
+// backward).
 //
 // Besides the usual console output, every run writes a machine-readable
 // BENCH_micro_kernels.json (see obs/bench_report.h) that the CI bench-guard
@@ -28,7 +30,9 @@
 #include "data/cascade_generator.h"
 #include "graph/chebyshev.h"
 #include "graph/laplacian.h"
+#include "nn/cheb_conv.h"
 #include "nn/graph_rnn_cells.h"
+#include "nn/loss.h"
 #include "obs/bench_report.h"
 #include "obs/shutdown.h"
 #include "obs/telemetry.h"
@@ -130,6 +134,24 @@ void BM_GraphConvLstmStepTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphConvLstmStepTrain)->Arg(16)->Arg(32);
 
+/// A standalone ChebConv layer (kGcnLstm's graph convolution) forward and
+/// backward through ag ops, with the input signal taking a gradient.
+void BM_ChebConvTrain(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(6);
+  nn::ChebConv conv(n, 12, 2, rng);
+  const Cascade cascade = BenchCascade(n);
+  auto lap = CascadeLaplacian(cascade, n);
+  const auto basis = ChebyshevBasis(ScaleLaplacian(*lap, 2.0, n), 2, n);
+  const Tensor x_val = cascade.AdjacencyMatrix(n, n, true).ToDense();
+  for (auto _ : state) {
+    const ag::Variable x = ag::Variable::Leaf(x_val, true);
+    ag::Sum(ag::Square(conv.Forward(basis, x))).Backward();
+    conv.ZeroGrad();
+  }
+}
+BENCHMARK(BM_ChebConvTrain)->Arg(16)->Arg(32);
+
 void BM_EncodeCascade(benchmark::State& state) {
   GeneratorConfig gen = WeiboLikeConfig();
   gen.num_cascades = 1;
@@ -174,6 +196,19 @@ void BM_CascnPredictRecorded(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CascnPredictRecorded)->Arg(4)->Arg(16)->Arg(32);
+
+/// One training sample: the recorded forward, Backward() of its squared
+/// log error, and zeroing the gradients.
+void BM_CascnTrainSample(benchmark::State& state) {
+  PredictFixture fixture(static_cast<int>(state.range(0)));
+  std::vector<ag::Variable> params = fixture.model.TrainableParameters();
+  for (auto _ : state) {
+    nn::SquaredError(fixture.model.PredictLogCalibrated(fixture.sample), 1.0)
+        .Backward();
+    for (ag::Variable& p : params) p.ZeroGrad();
+  }
+}
+BENCHMARK(BM_CascnTrainSample)->Arg(4)->Arg(16)->Arg(32);
 
 /// One captured measurement, as fed into the BENCH_*.json results array.
 struct CapturedRun {

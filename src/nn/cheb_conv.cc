@@ -20,28 +20,15 @@ ChebConv::ChebConv(int in_features, int out_features, int k, Rng& rng,
 
 ag::Variable ChebConv::Forward(const std::vector<CsrMatrix>& cheb_basis,
                                const ag::Variable& x) const {
-  return Apply(Propagate(cheb_basis, x));
-}
-
-std::vector<ag::Variable> ChebConv::Propagate(
-    const std::vector<CsrMatrix>& cheb_basis, const ag::Variable& x) {
-  std::vector<ag::Variable> propagated;
-  propagated.reserve(cheb_basis.size());
-  for (const CsrMatrix& t_k : cheb_basis)
-    propagated.push_back(ag::SparseMatMul(t_k, x));
-  return propagated;
-}
-
-ag::Variable ChebConv::Apply(
-    const std::vector<ag::Variable>& propagated) const {
   CASCN_TRACE_SPAN("cheb_conv");
-  CASCN_CHECK(static_cast<int>(propagated.size()) == order())
-      << "Chebyshev basis order mismatch: basis has " << propagated.size()
+  CASCN_CHECK(static_cast<int>(cheb_basis.size()) == order())
+      << "Chebyshev basis order mismatch: basis has " << cheb_basis.size()
       << ", layer expects " << order();
+  CASCN_CHECK(x.cols() == in_features_);
   ag::Variable out;
   for (size_t k = 0; k < weights_.size(); ++k) {
-    CASCN_CHECK(propagated[k].cols() == in_features_);
-    ag::Variable term = ag::MatMul(propagated[k], weights_[k]);
+    ag::Variable term =
+        ag::MatMul(ag::SparseMatMul(cheb_basis[k], x), weights_[k]);
     out = out.defined() ? ag::Add(out, term) : term;
   }
   if (bias_.defined()) out = ag::AddRowBroadcast(out, bias_);

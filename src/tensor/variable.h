@@ -24,6 +24,7 @@
 #ifndef CASCN_TENSOR_VARIABLE_H_
 #define CASCN_TENSOR_VARIABLE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -174,6 +175,24 @@ class ScopedGradCapture {
  private:
   GradSink* previous_;
 };
+
+// ---- Ops computed outside this file ---------------------------------------
+
+/// Records an op whose forward the caller has already computed: `value`
+/// depends on `parents`. When grad mode is on and some parent needs a
+/// gradient, Backward() calls `backward` once with the result's accumulated
+/// gradient, and `backward` hands each parent that needs one its share
+/// through AccumulateGrad, in the order it chooses. Otherwise the result
+/// keeps only its value and `backward` is dropped. `flops` is the forward's
+/// estimated FLOPs for the profiler (backward is counted as twice that).
+Variable RecordOp(Tensor value, const std::vector<Variable>& parents,
+                  std::function<void(const Tensor& grad)> backward,
+                  uint64_t flops);
+
+/// v's gradient += g, from inside a RecordOp backward. Like every op's
+/// backward, it goes to the thread's GradSink for a parameter leaf while
+/// one is active. Pre: v.needs_grad().
+void AccumulateGrad(const Variable& v, const Tensor& g);
 
 // ---- Element-wise and broadcast arithmetic --------------------------------
 
