@@ -417,5 +417,85 @@ TEST(NoGradGuardDeathTest, BackwardOnAGuardedResultDies) {
   EXPECT_DEATH(loss.Backward(), "recorded no graph");
 }
 
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// y = 3 a (.) b as a RecordOp, handing a then b its gradient.
+Variable ScaledProduct(const Variable& a, const Variable& b, int* calls) {
+  Tensor value = cascn::Mul(a.value(), b.value());
+  value.Scale(3.0);
+  return RecordOp(
+      std::move(value), {a, b},
+      [a, b, calls](const Tensor& grad) {
+        ++*calls;
+        Tensor g = cascn::Mul(grad, b.value());
+        g.Scale(3.0);
+        if (a.needs_grad()) AccumulateGrad(a, g);
+        g = cascn::Mul(grad, a.value());
+        g.Scale(3.0);
+        if (b.needs_grad()) AccumulateGrad(b, g);
+      },
+      static_cast<uint64_t>(a.value().size()));
+}
+
+TEST(RecordOpTest, BackwardRunsOnceWithTheAccumulatedGradient) {
+  Variable a = RandomLeaf(2, 3, 60);
+  const Variable b = RandomLeaf(2, 3, 61, /*requires_grad=*/false);
+  int calls = 0;
+  const Variable y = ScaledProduct(a, b, &calls);
+  ASSERT_TRUE(y.needs_grad());
+  // y feeds the loss twice, so its gradient is 2 (2 y) before it runs.
+  Add(Sum(Square(y)), Sum(Square(y))).Backward();
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(b.grad().empty());
+  Tensor expected = cascn::Mul(y.value(), b.value());
+  expected.Scale(4.0 * 3.0);
+  EXPECT_TRUE(AllClose(a.grad(), expected, 1e-12));
+  auto r = CheckGradient(a, [&](const Variable&) {
+    int unused = 0;
+    return Sum(Square(ScaledProduct(a, b, &unused)));
+  });
+  EXPECT_TRUE(r.ok) << r.max_rel_error;
+}
+
+TEST(RecordOpTest, RecordsNothingUnderTheGuardOrOverConstants) {
+  const Variable a = RandomLeaf(2, 2, 62);
+  const Variable c = RandomLeaf(2, 2, 63, /*requires_grad=*/false);
+  int calls = 0;
+  EXPECT_FALSE(ScaledProduct(c, c, &calls).needs_grad());
+  Variable guarded;
+  {
+    NoGradGuard no_grad;
+    guarded = ScaledProduct(a, c, &calls);
+  }
+  EXPECT_FALSE(guarded.needs_grad());
+  EXPECT_EQ(a.node().use_count(), 1);  // the result holds no parents
+  const Variable recorded = ScaledProduct(a, c, &calls);
+  EXPECT_TRUE(SameBits(guarded.value(), recorded.value()));
+}
+
+TEST(RecordOpTest, ParameterGradientsGoToTheActiveSink) {
+  const Variable a = RandomLeaf(2, 2, 64);
+  const Variable c = RandomLeaf(2, 2, 65, /*requires_grad=*/false);
+  int calls = 0;
+  GradSink sink;
+  {
+    ScopedGradCapture capture(&sink);
+    Sum(ScaledProduct(a, c, &calls)).Backward();
+  }
+  EXPECT_TRUE(a.grad().empty());
+  sink.Flush();
+  Tensor expected = c.value();
+  expected.Scale(3.0);
+  EXPECT_TRUE(SameBits(a.grad(), expected));
+}
+
+TEST(RecordOpDeathTest, AccumulateGradIntoAConstantDies) {
+  const Variable c = RandomLeaf(2, 2, 66, /*requires_grad=*/false);
+  EXPECT_DEATH(AccumulateGrad(c, Tensor(2, 2)), "needs no gradient");
+}
+
 }  // namespace
 }  // namespace cascn::ag
