@@ -104,9 +104,8 @@ RunResult RunWorkload(PredictionService& service,
       for (size_t i = static_cast<size_t>(c); i < replays.size();
            i += static_cast<size_t>(clients)) {
         mine.push_back(i);
-        CASCN_CHECK(service
-                        .CallCreate("s" + std::to_string(i),
-                                    replays[i][0].user)
+        CASCN_CHECK(Wait(service.Submit(Request::Create(
+                             "s" + std::to_string(i), replays[i][0].user)))
                         .status.ok());
       }
       // Round r appends event r to every session this client owns, then
@@ -124,10 +123,11 @@ RunResult RunWorkload(PredictionService& service,
           progressed = true;
           const AdoptionEvent& event = replays[i][step];
           const std::string id = "s" + std::to_string(i);
-          CASCN_CHECK(
-              service.CallAppend(id, event.user, event.parents[0], event.time)
-                  .status.ok());
-          auto submitted = service.SubmitPredict(id, predict_deadline_ms);
+          CASCN_CHECK(Wait(service.Submit(Request::Append(
+                               id, event.user, event.parents[0], event.time)))
+                          .status.ok());
+          auto submitted =
+              service.Submit(Request::Predict(id, predict_deadline_ms));
           CASCN_CHECK(submitted.ok()) << submitted.status();
           pending.push_back(std::move(submitted).value());
         }
@@ -139,7 +139,9 @@ RunResult RunWorkload(PredictionService& service,
         }
       }
       for (size_t i : mine)
-        CASCN_CHECK(service.CallClose("s" + std::to_string(i)).status.ok());
+        CASCN_CHECK(
+            Wait(service.Submit(Request::Close("s" + std::to_string(i))))
+                .status.ok());
     });
   }
   for (auto& d : drivers) d.join();
@@ -200,8 +202,9 @@ ClusterRunResult RunClusterWorkload(
            i += static_cast<size_t>(clients)) {
         mine.push_back(i);
         must([&] {
-          return router.CallCreate(tenant_of(i), "s" + std::to_string(i),
-                                   replays[i][0].user);
+          return Wait(router.Submit(
+              tenant_of(i),
+              Request::Create("s" + std::to_string(i), replays[i][0].user)));
         });
       }
       // Submission with the same flow-control policy as `must`, but
@@ -246,11 +249,13 @@ ClusterRunResult RunClusterWorkload(
           const AdoptionEvent& event = replays[i][step];
           const std::string id = "s" + std::to_string(i);
           pending.push_back(submit([&] {
-            return router.SubmitAppend(tenant_of(i), id, event.user,
-                                       event.parents[0], event.time);
+            return router.Submit(
+                tenant_of(i),
+                Request::Append(id, event.user, event.parents[0], event.time));
           }));
           pending.push_back(submit([&] {
-            return router.SubmitPredict(tenant_of(i), id, predict_deadline_ms);
+            return router.Submit(tenant_of(i),
+                                 Request::Predict(id, predict_deadline_ms));
           }));
           // Cap this client's in-flight window so queue pressure (and the
           // contention it adds on small hosts) doesn't scale with
@@ -262,7 +267,8 @@ ClusterRunResult RunClusterWorkload(
       }
       for (size_t i : mine)
         must([&] {
-          return router.CallClose(tenant_of(i), "s" + std::to_string(i));
+          return Wait(router.Submit(tenant_of(i),
+                                    Request::Close("s" + std::to_string(i))));
         });
     });
   }
@@ -691,9 +697,11 @@ int Main(int argc, char** argv) {
       drill_opts.shard.max_batch = 1;
       auto drill = cluster::ShardRouter::CreateFromCheckpoint(drill_opts, ckpt);
       CASCN_CHECK(drill.ok()) << drill.status();
-      CASCN_CHECK((*drill)->CallCreate("drill", "wedged", 1).status.ok());
+      CASCN_CHECK(Wait((*drill)->Submit("drill", Request::Create("wedged", 1)))
+                      .status.ok());
       CASCN_CHECK(
-          (*drill)->CallAppend("drill", "wedged", 2, 0, 1.0).status.ok());
+          Wait((*drill)->Submit("drill", Request::Append("wedged", 2, 0, 1.0)))
+              .status.ok());
       const int victim = (*drill)->ShardOf("wedged");
       CASCN_CHECK(victim >= 0);
 
@@ -711,7 +719,7 @@ int Main(int argc, char** argv) {
                       .ok());
       std::vector<std::future<ServeResponse>> wedged;
       for (int i = 0; i < 3; ++i) {
-        auto submitted = (*drill)->SubmitPredict("drill", "wedged");
+        auto submitted = (*drill)->Submit("drill", Request::Predict("wedged"));
         CASCN_CHECK(submitted.ok()) << submitted.status();
         wedged.push_back(std::move(submitted).value());
       }

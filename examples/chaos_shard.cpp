@@ -48,6 +48,9 @@
 namespace cascn {
 namespace {
 
+using serve::Request;
+using serve::Wait;
+
 int Main(int argc, char** argv) {
   CliFlags flags;
   CASCN_CHECK(flags.Parse(argc, argv).ok());
@@ -93,11 +96,12 @@ int Main(int argc, char** argv) {
   const auto session_id = [](int i) { return "sess-" + std::to_string(i); };
   const auto replay_session_on = [&](cluster::ShardRouter& target, int i) {
     const std::string id = session_id(i);
-    CASCN_CHECK(target.CallCreate("", id, i % 7).status.ok()) << id;
+    CASCN_CHECK(Wait(target.Submit("", Request::Create(id, i % 7))).status.ok())
+        << id;
     for (int e = 0; e < 2 + i % 3; ++e) {
-      CASCN_CHECK(target
-                      .CallAppend("", id, 10 + e + i, e,
-                                  1.0 + e + 0.25 * (i % 4))
+      CASCN_CHECK(Wait(target.Submit(
+                           "", Request::Append(id, 10 + e + i, e,
+                                               1.0 + e + 0.25 * (i % 4))))
                       .status.ok())
           << id << " event " << e;
     }
@@ -107,7 +111,8 @@ int Main(int argc, char** argv) {
   std::vector<int> home(sessions);
   for (int i = 0; i < sessions; ++i) {
     replay_session(i);
-    const serve::ServeResponse r = router->CallPredict("", session_id(i));
+    const serve::ServeResponse r =
+        Wait(router->Submit("", Request::Predict(session_id(i))));
     CASCN_CHECK(r.status.ok() && std::isfinite(r.log_prediction)) << r.status;
     forecasts[i] = r.log_prediction;
     home[i] = router->ShardOf(session_id(i));
@@ -117,7 +122,7 @@ int Main(int argc, char** argv) {
   int quota_ok = 0, quota_rejected = 0;
   for (int i = 0; i < 32; ++i) {
     const serve::ServeResponse r =
-        router->CallPredict("greedy", session_id(0));
+        Wait(router->Submit("greedy", Request::Predict(session_id(0))));
     if (r.status.ok()) {
       ++quota_ok;
     } else {
@@ -154,7 +159,8 @@ int Main(int argc, char** argv) {
                   .ok());
   int dead_session_failures = 0;
   for (int i = 0; i < sessions; ++i) {
-    const serve::ServeResponse r = router->CallPredict("", session_id(i));
+    const serve::ServeResponse r =
+        Wait(router->Submit("", Request::Predict(session_id(i))));
     if (r.status.ok()) {
       CASCN_CHECK(r.log_prediction == forecasts[i])
           << session_id(i) << " drifted mid-crash";
@@ -192,7 +198,8 @@ int Main(int argc, char** argv) {
   for (int i = 0; i < sessions; ++i) {
     if (home[i] != victim) continue;
     replay_session(i);
-    const serve::ServeResponse r = router->CallPredict("", session_id(i));
+    const serve::ServeResponse r =
+        Wait(router->Submit("", Request::Predict(session_id(i))));
     CASCN_CHECK(r.status.ok()) << r.status;
     CASCN_CHECK(r.log_prediction == forecasts[i])
         << session_id(i) << " drifted across crash + re-create";
@@ -221,7 +228,8 @@ int Main(int argc, char** argv) {
   CASCN_CHECK(router->num_shards() == shards - 1);
   CASCN_CHECK(router->ClusterHealth() == serve::Health::kHealthy);
   for (int i = 0; i < sessions; ++i) {
-    const serve::ServeResponse r = router->CallPredict("", session_id(i));
+    const serve::ServeResponse r =
+        Wait(router->Submit("", Request::Predict(session_id(i))));
     CASCN_CHECK(r.status.ok()) << session_id(i) << ": " << r.status;
     CASCN_CHECK(r.log_prediction == forecasts[i])
         << session_id(i) << " drifted across the torn-write rebalance";
@@ -245,7 +253,8 @@ int Main(int argc, char** argv) {
     replay_session_on(*drill, i);
     // The predict both checks determinism across router instances and
     // primes the last-good cache the outage below will serve from.
-    const serve::ServeResponse r = drill->CallPredict("", session_id(i));
+    const serve::ServeResponse r =
+        Wait(drill->Submit("", Request::Predict(session_id(i))));
     CASCN_CHECK(r.status.ok() && r.log_prediction == forecasts[i])
         << session_id(i) << " drifted across router instances";
   }
@@ -270,7 +279,8 @@ int Main(int argc, char** argv) {
                 std::chrono::seconds(5))
         << "supervisor never restarted shard " << drill_victim;
     for (int i = 0; i < sessions; ++i) {
-      const serve::ServeResponse r = drill->CallPredict("", session_id(i));
+      const serve::ServeResponse r =
+          Wait(drill->Submit("", Request::Predict(session_id(i))));
       if (!r.status.ok()) {
         // While the shard is crashed, a lost session degrades to a stale
         // answer — so an honest NotFound can only mean RestartShard already
@@ -319,10 +329,11 @@ int Main(int argc, char** argv) {
   // else never noticed.
   int relearned = 0;
   for (int i = 0; i < sessions; ++i) {
-    serve::ServeResponse r = drill->CallPredict("", session_id(i));
+    serve::ServeResponse r =
+        Wait(drill->Submit("", Request::Predict(session_id(i))));
     if (!r.status.ok() || r.stale) {
       replay_session_on(*drill, i);
-      r = drill->CallPredict("", session_id(i));
+      r = Wait(drill->Submit("", Request::Predict(session_id(i))));
       ++relearned;
     }
     CASCN_CHECK(r.status.ok() && !r.stale) << session_id(i) << ": "

@@ -93,6 +93,8 @@
 
 int main(int argc, char** argv) {
   using namespace cascn;
+  using serve::Request;
+  using serve::Wait;
   CliFlags flags;
   CASCN_CHECK(flags.Parse(argc, argv).ok());
   const double window = 60.0;  // observe 1 hour of each cascade
@@ -210,13 +212,14 @@ int main(int argc, char** argv) {
     auto drill =
         serve::PredictionService::CreateFromCheckpoint(drill_opts, ckpt);
     CASCN_CHECK(drill.ok()) << drill.status();
-    CASCN_CHECK(drill.value()->CallCreate("drill", 1).status.ok());
+    CASCN_CHECK(
+        Wait(drill.value()->Submit(Request::Create("drill", 1))).status.ok());
     CASCN_CHECK(fault::FaultRegistry::Get()
                     .Configure("serve.slow_predict=always@80")
                     .ok());
-    auto blocker = drill.value()->SubmitPredict("drill", -1.0);
+    auto blocker = drill.value()->Submit(Request::Predict("drill", -1.0));
     CASCN_CHECK(blocker.ok()) << blocker.status();
-    auto doomed = drill.value()->SubmitPredict("drill", 5.0);
+    auto doomed = drill.value()->Submit(Request::Predict("drill", 5.0));
     CASCN_CHECK(doomed.ok()) << doomed.status();
     const serve::ServeResponse r = doomed.value().get();
     CASCN_CHECK(r.status.code() == StatusCode::kDeadlineExceeded) << r.status;
@@ -243,7 +246,9 @@ int main(int argc, char** argv) {
     drill_opts.flight_dir = flight_dir;
     auto drill = cluster::ShardRouter::CreateFromCheckpoint(drill_opts, ckpt);
     CASCN_CHECK(drill.ok()) << drill.status();
-    CASCN_CHECK(drill.value()->CallCreate("drill", "wedged", 1).status.ok());
+    CASCN_CHECK(
+        Wait(drill.value()->Submit("drill", Request::Create("wedged", 1)))
+            .status.ok());
     const int victim = drill.value()->ShardOf("wedged");
     CASCN_CHECK(victim >= 0);
 
@@ -262,7 +267,8 @@ int main(int argc, char** argv) {
             .ok());
     std::vector<std::future<serve::ServeResponse>> wedged;
     for (int i = 0; i < 3; ++i) {
-      auto submitted = drill.value()->SubmitPredict("drill", "wedged");
+      auto submitted =
+          drill.value()->Submit("drill", Request::Predict("wedged"));
       CASCN_CHECK(submitted.ok()) << submitted.status();
       wedged.push_back(std::move(submitted).value());
     }
@@ -349,16 +355,19 @@ int main(int argc, char** argv) {
         for (size_t i = static_cast<size_t>(c); i < replays.size();
              i += static_cast<size_t>(clients)) {
           const std::string id = "live-" + std::to_string(i);
-          CASCN_CHECK(router.value()
-                          ->CallCreate(tenant_of(i), id, replays[i][0].user)
+          CASCN_CHECK(Wait(router.value()->Submit(
+                               tenant_of(i),
+                               Request::Create(id, replays[i][0].user)))
                           .status.ok());
           for (size_t step = 1; step < replays[i].size(); ++step) {
             const AdoptionEvent& e = replays[i][step];
-            const auto append = router.value()->CallAppend(
-                tenant_of(i), id, e.user, e.parents[0], e.time);
+            const auto append = Wait(router.value()->Submit(
+                tenant_of(i),
+                Request::Append(id, e.user, e.parents[0], e.time)));
             CASCN_CHECK(append.status.ok()) << append.status;
           }
-          const auto p = router.value()->CallPredict(tenant_of(i), id);
+          const auto p =
+              Wait(router.value()->Submit(tenant_of(i), Request::Predict(id)));
           CASCN_CHECK(p.status.ok()) << p.status;
           forecasts[i] = p.log_prediction;
         }
@@ -377,8 +386,8 @@ int main(int argc, char** argv) {
     CASCN_CHECK(removed.ok()) << removed;
     size_t checked = 0;
     for (size_t i = 0; i < replays.size(); ++i) {
-      const auto p = router.value()->CallPredict(
-          tenant_of(i), "live-" + std::to_string(i));
+      const auto p = Wait(router.value()->Submit(
+          tenant_of(i), Request::Predict("live-" + std::to_string(i))));
       CASCN_CHECK(p.status.ok()) << p.status;
       CASCN_CHECK(p.log_prediction == forecasts[i])
           << "session live-" << i << " drifted across the rebalance: got "
@@ -405,8 +414,8 @@ int main(int argc, char** argv) {
         // race and the revived shard is already empty).
         int stale_seen = 0;
         for (size_t i = 0; i < replays.size() && stale_seen < 2; ++i) {
-          const auto p = router.value()->CallPredict(
-              tenant_of(i), "live-" + std::to_string(i));
+          const auto p = Wait(router.value()->Submit(
+              tenant_of(i), Request::Predict("live-" + std::to_string(i))));
           if (p.status.ok() && p.stale) ++stale_seen;
         }
         std::printf("degraded mode: %d predicts answered stale while the "
@@ -425,20 +434,23 @@ int main(int argc, char** argv) {
       size_t relearned = 0;
       for (size_t i = 0; i < replays.size(); ++i) {
         const std::string id = "live-" + std::to_string(i);
-        auto p = router.value()->CallPredict(tenant_of(i), id);
+        auto p =
+            Wait(router.value()->Submit(tenant_of(i), Request::Predict(id)));
         if (!p.status.ok() || p.stale) {
           // Lost with the crashed shard: replay its events and re-verify.
-          CASCN_CHECK(router.value()
-                          ->CallCreate(tenant_of(i), id, replays[i][0].user)
+          CASCN_CHECK(Wait(router.value()->Submit(
+                               tenant_of(i),
+                               Request::Create(id, replays[i][0].user)))
                           .status.ok());
           for (size_t step = 1; step < replays[i].size(); ++step) {
             const AdoptionEvent& e = replays[i][step];
-            CASCN_CHECK(router.value()
-                            ->CallAppend(tenant_of(i), id, e.user,
-                                         e.parents[0], e.time)
+            CASCN_CHECK(Wait(router.value()->Submit(
+                                 tenant_of(i),
+                                 Request::Append(id, e.user, e.parents[0],
+                                                 e.time)))
                             .status.ok());
           }
-          p = router.value()->CallPredict(tenant_of(i), id);
+          p = Wait(router.value()->Submit(tenant_of(i), Request::Predict(id)));
           ++relearned;
         }
         CASCN_CHECK(p.status.ok() && !p.stale) << id << ": " << p.status;
@@ -509,7 +521,9 @@ int main(int argc, char** argv) {
            i += static_cast<size_t>(clients)) {
         const std::string id = "live-" + std::to_string(i);
         CASCN_CHECK(
-            service.value()->CallCreate(id, replays[i][0].user).status.ok());
+            Wait(service.value()->Submit(
+                     Request::Create(id, replays[i][0].user)))
+                .status.ok());
       }
       bool progressed = true;
       for (size_t step = 1; progressed; ++step) {
@@ -519,15 +533,15 @@ int main(int argc, char** argv) {
           if (step >= replays[i].size()) continue;
           progressed = true;
           const AdoptionEvent& e = replays[i][step];
-          const auto append = service.value()->CallAppend(
-              "live-" + std::to_string(i), e.user, e.parents[0], e.time);
+          const auto append = Wait(service.value()->Submit(Request::Append(
+              "live-" + std::to_string(i), e.user, e.parents[0], e.time)));
           CASCN_CHECK(append.status.ok()) << append.status;
         }
       }
       for (size_t i = static_cast<size_t>(c); i < replays.size();
            i += static_cast<size_t>(clients)) {
-        const auto p =
-            service.value()->CallPredict("live-" + std::to_string(i));
+        const auto p = Wait(service.value()->Submit(
+            Request::Predict("live-" + std::to_string(i))));
         CASCN_CHECK(p.status.ok()) << p.status;
         final_counts[i] = p.count_prediction;
       }

@@ -327,109 +327,117 @@ Result<std::shared_ptr<PredictionService>> ShardRouter::Route(
   return service;
 }
 
-obs::RequestContext ShardRouter::MintContext(const std::string& tenant,
-                                             std::string session_id,
-                                             double deadline_ms) const {
-  obs::RequestContext ctx =
-      obs::RequestContext::New(tenant, std::move(session_id), deadline_ms);
-  if (resilience_) {
-    // Resolve the deadline to an ABSOLUTE point exactly once, at the
-    // router's edge: a retry dispatched later inherits only the REMAINING
-    // time, never a fresh copy of the original budget. Real steady clock,
-    // not clock_() — deadlines bound wall time spent in queues and workers,
-    // which an injected test clock does not advance.
-    const double effective =
-        deadline_ms > 0.0
-            ? deadline_ms
-            : (deadline_ms < 0.0 ? 0.0 : options_.shard.default_deadline_ms);
-    if (effective > 0.0) {
-      ctx.has_deadline = true;
-      ctx.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::microseconds(
-                         static_cast<int64_t>(effective * 1000.0));
-    }
-  }
-  return ctx;
-}
-
-ShardRouter::Routed ShardRouter::RouteRequest(const std::string& tenant,
-                                              std::string session_id,
-                                              double deadline_ms,
-                                              bool create) {
-  obs::RequestContext ctx =
-      MintContext(tenant, std::move(session_id), deadline_ms);
+Result<std::shared_ptr<PredictionService>> ShardRouter::RouteRequest(
+    const obs::RequestContext& ctx, bool create) {
   CASCN_TRACE_SPAN_ID("cluster_route", ctx.trace_id, obs::SpanFlow::kNone);
   if (resilience_) resilience_->OnRequestObserved();
   Result<std::shared_ptr<PredictionService>> service = Route(ctx, create);
   if (!service.ok()) RecordRejection(ctx, service.status());
-  return Routed{std::move(ctx), std::move(service)};
+  return service;
 }
 
-namespace {
+Result<std::future<ServeResponse>> ShardRouter::Submit(
+    const std::string& tenant, serve::Request request) {
+  using Op = serve::Request::Op;
+  // The request enters the cluster here. Its session id moves into the
+  // context, and its deadline becomes an ABSOLUTE point exactly once, so a
+  // retry dispatched later inherits only the REMAINING time. The shard's
+  // Submit takes both from the context.
+  obs::RequestContext ctx =
+      obs::RequestContext::New(tenant, std::exchange(request.session_id, {}));
+  ctx.ResolveDeadline(request.deadline_ms, options_.shard.default_deadline_ms);
+  // A create pins its session: Route sets the pin once admitted.
+  Result<std::shared_ptr<PredictionService>> service =
+      RouteRequest(ctx, request.op == Op::kCreate);
 
-/// Submits ctx's predict to the routed shard, or passes the routing
-/// rejection through.
-Result<std::future<ServeResponse>> PredictOn(
-    const Result<std::shared_ptr<PredictionService>>& service,
-    obs::RequestContext ctx, double deadline_ms) {
+  if (request.op == Op::kPredict && resilience_) {
+    // A routing rejection is not final here: the retry and stale policies
+    // may still answer it. All of that policy (single retry under the
+    // budget with the remaining deadline, stale fallback) runs when the
+    // caller resolves the future — predicts are idempotent, so the
+    // re-dispatch is safe. The wrapper captures `this`: resolve predict
+    // futures before destroying the router (same contract as the debug
+    // endpoints). Without resilience the caller gets the shard's own
+    // future, below.
+    Result<std::future<ServeResponse>> first =
+        service.ok() ? service.value()->Submit(std::move(request), ctx)
+                     : Result<std::future<ServeResponse>>(service.status());
+    return std::async(std::launch::deferred,
+                      [this, ctx = std::move(ctx),
+                       first = std::move(first)]() mutable {
+                        return ResolvePredictResilient(std::move(ctx),
+                                                       std::move(first));
+                      });
+  }
   if (!service.ok()) return service.status();
-  std::string id = ctx.session_id;
-  return service.value()->SubmitPredict(std::move(ctx), std::move(id),
-                                        deadline_ms);
-}
+  if (request.op != Op::kClose)
+    return service.value()->Submit(std::move(request), std::move(ctx));
 
-}  // namespace
+  // A close's future releases the pin. A closing session has no further
+  // use for its last-good answer; drop it now (optimistically — a failed
+  // close just loses the degraded-mode fallback for a session the client
+  // is done with anyway).
+  if (resilience_) resilience_->stale().OnClose(ctx.session_id);
+  // Capture the pin's current generation before handing the close to the
+  // shard: the deferred release below only fires if the pin is still that
+  // incarnation when the caller resolves the future.
+  std::optional<uint64_t> generation;
+  {
+    std::lock_guard<std::mutex> pin_lock(pins_->mutex);
+    const auto it = pins_->session_shard.find(ctx.session_id);
+    if (it != pins_->session_shard.end()) generation = it->second.generation;
+  }
+  if (!generation)
+    return service.value()->Submit(std::move(request), std::move(ctx));
+  std::string id = ctx.session_id;
+  CASCN_ASSIGN_OR_RETURN(
+      std::future<ServeResponse> inner,
+      service.value()->Submit(std::move(request), std::move(ctx)));
+  // Wrap the future so that resolving a successful close releases the
+  // session's pin — the primary async interface does its own bookkeeping
+  // instead of leaking pins_. The wrapper captures only the shared pin
+  // state, never the router, so it stays safe if it outlives the router.
+  return std::async(std::launch::deferred,
+                    [pins = pins_, id = std::move(id),
+                     generation = *generation,
+                     inner = std::move(inner)]() mutable {
+                      ServeResponse response = inner.get();
+                      if (response.status.ok())
+                        ReleasePinIfCurrent(*pins, id, generation);
+                      return response;
+                    });
+}
 
 Result<std::future<ServeResponse>> ShardRouter::SubmitCreate(
-    const std::string& tenant, std::string session_id, int root_user,
-    double deadline_ms) {
-  Routed routed =
-      RouteRequest(tenant, std::move(session_id), deadline_ms, /*create=*/true);
-  if (!routed.service.ok()) return routed.service.status();
-  std::string id = routed.ctx.session_id;
-  return routed.service.value()->SubmitCreate(
-      std::move(routed.ctx), std::move(id), root_user, deadline_ms);
+    const std::string& tenant, std::string session_id, int root_user) {
+  return Submit(tenant,
+                serve::Request::Create(std::move(session_id), root_user));
 }
 
 Result<std::future<ServeResponse>> ShardRouter::SubmitAppend(
     const std::string& tenant, std::string session_id, int user,
-    int parent_node, double time, double deadline_ms) {
-  Routed routed = RouteRequest(tenant, std::move(session_id), deadline_ms,
-                               /*create=*/false);
-  if (!routed.service.ok()) return routed.service.status();
-  std::string id = routed.ctx.session_id;
-  return routed.service.value()->SubmitAppend(std::move(routed.ctx),
-                                              std::move(id), user,
-                                              parent_node, time, deadline_ms);
+    int parent_node, double time) {
+  return Submit(tenant, serve::Request::Append(std::move(session_id), user,
+                                               parent_node, time));
 }
 
 Result<std::future<ServeResponse>> ShardRouter::SubmitPredict(
-    const std::string& tenant, std::string session_id, double deadline_ms) {
-  Routed routed = RouteRequest(tenant, std::move(session_id), deadline_ms,
-                               /*create=*/false);
-  // Without resilience the caller gets the shard's own future.
-  if (!resilience_)
-    return PredictOn(routed.service, std::move(routed.ctx), deadline_ms);
-  // A routing rejection is not final here: the retry and stale policies
-  // below may still answer it.
-  Result<std::future<ServeResponse>> first =
-      PredictOn(routed.service, routed.ctx, deadline_ms);
-  // All resilience policy (single retry under the budget with the remaining
-  // deadline, stale fallback) runs when the caller resolves the future —
-  // predicts are idempotent, so the re-dispatch is safe. The wrapper
-  // captures `this`: resolve predict futures before destroying the router
-  // (same contract as the debug endpoints).
-  return std::async(std::launch::deferred,
-                    [this, ctx = std::move(routed.ctx),
-                     first = std::move(first), deadline_ms]() mutable {
-                      return ResolvePredictResilient(
-                          std::move(ctx), std::move(first), deadline_ms);
-                    });
+    const std::string& tenant, std::string session_id) {
+  return Submit(tenant, serve::Request::Predict(std::move(session_id)));
+}
+
+Result<std::future<ServeResponse>> ShardRouter::SubmitClose(
+    const std::string& tenant, std::string session_id) {
+  return Submit(tenant, serve::Request::Close(std::move(session_id)));
+}
+
+ServeResponse ShardRouter::CallPredict(const std::string& tenant,
+                                       std::string session_id) {
+  return serve::Wait(SubmitPredict(tenant, std::move(session_id)));
 }
 
 ServeResponse ShardRouter::ResolvePredictResilient(
-    obs::RequestContext ctx, Result<std::future<ServeResponse>> attempt,
-    double deadline_ms) {
+    obs::RequestContext ctx, Result<std::future<ServeResponse>> attempt) {
   const std::shared_ptr<ResilienceControl> rc = resilience_;
   ServeResponse response;
   bool retried = false;
@@ -478,8 +486,13 @@ ServeResponse ShardRouter::ResolvePredictResilient(
         // charged at first admission is not charged again.
         Result<std::shared_ptr<PredictionService>> service =
             Route(ctx, /*create=*/false, /*is_retry=*/true);
-        if (!service.ok()) RecordRejection(ctx, service.status());
-        attempt = PredictOn(service, ctx, deadline_ms);
+        if (service.ok()) {
+          // The context names the session.
+          attempt = service.value()->Submit(serve::Request::Predict({}), ctx);
+        } else {
+          RecordRejection(ctx, service.status());
+          attempt = service.status();
+        }
         continue;
       }
     }
@@ -525,95 +538,6 @@ ServeResponse ShardRouter::ResolvePredictResilient(
     }
   }
   return response;
-}
-
-Result<std::future<ServeResponse>> ShardRouter::SubmitClose(
-    const std::string& tenant, std::string session_id, double deadline_ms) {
-  Routed routed = RouteRequest(tenant, std::move(session_id), deadline_ms,
-                               /*create=*/false);
-  if (!routed.service.ok()) return routed.service.status();
-  obs::RequestContext& ctx = routed.ctx;
-  // A closing session has no further use for its last-good answer; drop it
-  // now (optimistically — a failed close just loses the degraded-mode
-  // fallback for a session the client is done with anyway).
-  if (resilience_) resilience_->stale().OnClose(ctx.session_id);
-  // Capture the pin's current generation before handing the close to the
-  // shard: the deferred release below only fires if the pin is still that
-  // incarnation when the caller resolves the future.
-  uint64_t generation = 0;
-  bool had_pin = false;
-  {
-    std::lock_guard<std::mutex> pin_lock(pins_->mutex);
-    const auto it = pins_->session_shard.find(ctx.session_id);
-    if (it != pins_->session_shard.end()) {
-      had_pin = true;
-      generation = it->second.generation;
-    }
-  }
-  const std::string id = ctx.session_id;
-  std::string session_arg = ctx.session_id;
-  CASCN_ASSIGN_OR_RETURN(std::future<ServeResponse> inner,
-                         routed.service.value()->SubmitClose(
-                             std::move(ctx), std::move(session_arg),
-                             deadline_ms));
-  if (!had_pin) return inner;
-  // Wrap the future so that resolving a successful close releases the
-  // session's pin — the primary async interface does its own bookkeeping
-  // instead of leaking pins_. The wrapper captures only the shared pin
-  // state, never the router, so it stays safe if it outlives the router.
-  return std::async(std::launch::deferred,
-                    [pins = pins_, id, generation,
-                     fut = std::move(inner)]() mutable {
-                      ServeResponse response = fut.get();
-                      if (response.status.ok())
-                        ReleasePinIfCurrent(*pins, id, generation);
-                      return response;
-                    });
-}
-
-namespace {
-
-ServeResponse Wait(Result<std::future<ServeResponse>> submitted) {
-  if (!submitted.ok()) return ServeResponse{submitted.status()};
-  return submitted.value().get();
-}
-
-}  // namespace
-
-ServeResponse ShardRouter::CallCreate(const std::string& tenant,
-                                      std::string session_id, int root_user) {
-  return Wait(SubmitCreate(tenant, std::move(session_id), root_user));
-}
-
-ServeResponse ShardRouter::CallAppend(const std::string& tenant,
-                                      std::string session_id, int user,
-                                      int parent_node, double time) {
-  return Wait(
-      SubmitAppend(tenant, std::move(session_id), user, parent_node, time));
-}
-
-ServeResponse ShardRouter::CallPredict(const std::string& tenant,
-                                       std::string session_id) {
-  return Wait(SubmitPredict(tenant, std::move(session_id)));
-}
-
-ServeResponse ShardRouter::CallClose(const std::string& tenant,
-                                     std::string session_id) {
-  // Resolving the SubmitClose future runs the pin release.
-  return Wait(SubmitClose(tenant, std::move(session_id)));
-}
-
-Status ShardRouter::DrainQueue(
-    PredictionService& service,
-    std::chrono::steady_clock::time_point deadline) const {
-  while (service.queue_depth() > 0) {
-    if (std::chrono::steady_clock::now() >= deadline)
-      return Status::DeadlineExceeded(StrFormat(
-          "shard queue still has %zu requests after %.0f ms drain window",
-          service.queue_depth(), options_.drain_timeout_ms));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return Status::OK();
 }
 
 Status ShardRouter::WaitQueuePassed(
@@ -691,15 +615,15 @@ Status ShardRouter::RemoveShard(int shard_id) {
     source_service = it->second.service;
   }
 
-  // Phase 2 (UNLOCKED): wait out the queue. Routing for every other shard
-  // and tenant proceeds for the whole drain window — a one-shard rebalance
-  // must not be a cluster-wide pause.
+  // Phase 2 (UNLOCKED): wait until everything queued has passed. Routing
+  // for every other shard and tenant proceeds for the whole drain window —
+  // a one-shard rebalance must not be a cluster-wide pause.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::microseconds(
           static_cast<int64_t>(options_.drain_timeout_ms * 1000.0));
 
-  const Status drained = DrainQueue(*source_service, deadline);
+  const Status drained = WaitQueuePassed(*source_service, deadline);
 
   // Phase 3 (routing lock): hand off and destroy.
   std::lock_guard<std::mutex> lock(mutex_);
@@ -722,9 +646,10 @@ Status ShardRouter::RemoveShard(int shard_id) {
   serve::SessionManager& sessions = source.service->sessions();
   {
     // Stragglers: a request routed just before the draining mark may have
-    // enqueued after the queue looked empty. With the lock held nothing
-    // new can route, so this pass (normally a no-op) settles them.
-    const Status settled = DrainQueue(*source.service, deadline);
+    // enqueued after the first wait took its mark. With the lock held
+    // nothing new can route, so "everything enqueued so far has passed" is
+    // "the queue is empty", and this pass (normally a no-op) settles them.
+    const Status settled = WaitQueuePassed(*source.service, deadline);
     if (!settled.ok()) {
       undrain();
       return settled;

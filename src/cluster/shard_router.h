@@ -19,30 +19,37 @@
 // consumes quota, so retries against a degraded cluster do not compound
 // the outage.
 //
-// Pin lifecycle: a pin is created by Create's placement and released when
-// the session ends — CallClose releases it inline, and the future returned
-// by SubmitClose releases it when the caller resolves a successful close
-// (the bookkeeping is deferred into the future, so it works even if the
-// router is gone by then). A session whose spilled history is discarded by
-// the shard's bounded spill LRU also releases its pin (the shard reports
-// the drop), and RemoveShard sweeps any stale pins still pointing at the
-// removed shard — so pins_ cannot grow without bound or permanently wedge
-// a session id on a dead shard.
+// Requests: one entry point, Submit(tenant, Request). It mints the
+// request's obs::RequestContext (trace id, tenant, session id, and the
+// deadline resolved to an absolute point), routes, and hands the request to
+// the shard's PredictionService::Submit. From the router on, the context is
+// the only holder of the session id and the deadline. Three rules depend on
+// the op: a create pins its session; with resilience on, a predict gets a
+// deferred retry/stale wrapper; a close's future releases the pin.
+//
+// Pin lifecycle: a pin is created by a create's placement and released when
+// the session ends — the future Submit returns for a close releases it when
+// the caller resolves a successful close (the bookkeeping is deferred into
+// the future, so it works even if the router is gone by then). A session
+// whose spilled history is discarded by the shard's bounded spill LRU also
+// releases its pin (the shard reports the drop), and RemoveShard sweeps any
+// stale pins still pointing at the removed shard — so pins_ cannot grow
+// without bound or permanently wedge a session id on a dead shard.
 //
 // Rebalance (RemoveShard) is two-phase so the cluster never pauses:
 // phase 1 (routing lock) marks the shard draining — the ring drops it and
 // requests pinned to it get Unavailable (retryable) — then the lock is
-// RELEASED while the shard's queue empties; phase 2 re-takes the lock,
-// re-checks the queue (requests routed just before the mark may trickle
-// in), then Extract every session -> write a CRC'd handoff file (atomic
-// write, retried on injected torn writes) -> re-read and validate it ->
-// Deserialize each session into its new owner -> update pins -> destroy the
-// shard. Sessions stay in the source shard's memory until the handoff file
-// has been read back successfully, so a torn write costs a retry, never a
-// session. RestartShard() is the inverse: a fresh shard joins the ring and
-// pulls back the sessions the ring now assigns to it; the sessions being
-// pulled are marked migrating (their requests get a retryable Unavailable)
-// while the rest of the cluster keeps serving.
+// RELEASED while everything already queued on the shard passes through;
+// phase 2 re-takes the lock, waits the same way once more for requests
+// routed just before the mark, then Extract every session -> write a CRC'd
+// handoff file (atomic write, retried on injected torn writes) -> re-read
+// and validate it -> Deserialize each session into its new owner -> update
+// pins -> destroy the shard. Sessions stay in the source shard's memory
+// until the handoff file has been read back successfully, so a torn write
+// costs a retry, never a session. RestartShard() is the inverse: a fresh
+// shard joins the ring and pulls back the sessions the ring now assigns to
+// it; the sessions being pulled are marked migrating (their requests get a
+// retryable Unavailable) while the rest of the cluster keeps serving.
 //
 // Failure model: CrashShard() (and the "cluster.shard_crash" fault point)
 // destroys a shard without a drain, as a real crash would. Pinned sessions
@@ -121,8 +128,9 @@ struct ShardRouterOptions {
   std::string handoff_dir;
   /// Attempts per handoff-file write (retries absorb injected torn writes).
   int handoff_write_attempts = 3;
-  /// Max milliseconds RemoveShard waits for the draining shard's queue to
-  /// empty before giving up with DeadlineExceeded.
+  /// Max milliseconds a rebalance (RemoveShard, AddShard's pull) waits for
+  /// a source shard's queued requests to pass before giving up with
+  /// DeadlineExceeded.
   double drain_timeout_ms = 5000.0;
   /// Per-tenant SLO configuration (availability target, burn windows and
   /// thresholds). Sustained burn degrades ClusterHealth.
@@ -174,41 +182,37 @@ class ShardRouter {
   /// charged for requests that could actually run), then routed to the
   /// session's shard. Unavailable when the session is pinned to a crashed
   /// or draining shard or the shard's queue is full. The returned future
-  /// always becomes ready. SubmitClose's future additionally releases the
+  /// always becomes ready. A close's future additionally releases the
   /// session's routing pin when resolved after a successful close, so
-  /// callers should resolve (get/wait) every close future.
+  /// callers should resolve (get/wait, or serve::Wait) every close future.
+  /// The request's deadline is resolved with the shards'
+  /// `default_deadline_ms`.
+  Result<std::future<serve::ServeResponse>> Submit(const std::string& tenant,
+                                                   serve::Request request);
+
+  // Named forms of Submit, each a one-line forward. They exist only
+  // because perfbench/harness/live.cc calls them, and benchmark files change
+  // only in a benchmark change; that change moves live.cc onto Submit and
+  // deletes these.
   Result<std::future<serve::ServeResponse>> SubmitCreate(
-      const std::string& tenant, std::string session_id, int root_user,
-      double deadline_ms = 0.0);
+      const std::string& tenant, std::string session_id, int root_user);
   Result<std::future<serve::ServeResponse>> SubmitAppend(
       const std::string& tenant, std::string session_id, int user,
-      int parent_node, double time, double deadline_ms = 0.0);
+      int parent_node, double time);
   Result<std::future<serve::ServeResponse>> SubmitPredict(
-      const std::string& tenant, std::string session_id,
-      double deadline_ms = 0.0);
+      const std::string& tenant, std::string session_id);
   Result<std::future<serve::ServeResponse>> SubmitClose(
-      const std::string& tenant, std::string session_id,
-      double deadline_ms = 0.0);
-
-  /// Blocking conveniences (submit + wait); admission rejections surface as
-  /// the response status.
-  serve::ServeResponse CallCreate(const std::string& tenant,
-                                  std::string session_id, int root_user);
-  serve::ServeResponse CallAppend(const std::string& tenant,
-                                  std::string session_id, int user,
-                                  int parent_node, double time);
+      const std::string& tenant, std::string session_id);
   serve::ServeResponse CallPredict(const std::string& tenant,
                                    std::string session_id);
-  serve::ServeResponse CallClose(const std::string& tenant,
-                                 std::string session_id);
 
   /// Live rebalance: drains shard `shard_id` (two-phase — the routing lock
-  /// is not held while the queue empties, so the rest of the cluster keeps
-  /// serving), hands its sessions off to the remaining shards (see file
+  /// is not held while its queued requests pass, so the rest of the cluster
+  /// keeps serving), hands its sessions off to the remaining shards (see file
   /// comment for the protocol), destroys it, and sweeps any stale pins
   /// still pointing at it. FailedPrecondition when it is the last routable
-  /// shard, unknown, or already draining; DeadlineExceeded when the queue
-  /// does not drain in time. No session is lost: on any error before the
+  /// shard, unknown, or already draining; DeadlineExceeded when its queued
+  /// requests do not pass in time. No session is lost: on any error before the
   /// handoff file validates, the shard keeps serving.
   Status RemoveShard(int shard_id);
 
@@ -385,32 +389,19 @@ class ShardRouter {
   Result<std::shared_ptr<serve::PredictionService>> Route(
       const obs::RequestContext& ctx, bool create, bool is_retry = false);
 
-  /// Mints the request context for one router entry point. With resilience
-  /// enabled this also resolves the deadline to an ABSOLUTE point once
-  /// (real steady clock: deadline_ms > 0 explicit, 0 the shard default,
-  /// < 0 none) so a retry inherits only the REMAINING time.
-  obs::RequestContext MintContext(const std::string& tenant,
-                                  std::string session_id,
-                                  double deadline_ms) const;
+  /// Submit's first routing of a request: opens the cluster_route span,
+  /// feeds the retry budget, routes, and books a rejection.
+  Result<std::shared_ptr<serve::PredictionService>> RouteRequest(
+      const obs::RequestContext& ctx, bool create);
 
-  /// One request's context and its routing outcome.
-  struct Routed {
-    obs::RequestContext ctx;
-    Result<std::shared_ptr<serve::PredictionService>> service;
-  };
-  /// The prologue every Submit* shares: mints the context, opens the
-  /// cluster_route span, feeds the retry budget, routes, and books a
-  /// rejection.
-  Routed RouteRequest(const std::string& tenant, std::string session_id,
-                      double deadline_ms, bool create);
-
-  /// Body of the deferred future SubmitPredict returns when resilience is
-  /// enabled: awaits the first dispatch `attempt`, re-dispatches once under
-  /// the retry budget with the remaining deadline, and falls back to the
-  /// stale cache when allowed. Runs on the caller's resolving thread.
+  /// Body of the deferred future Submit returns for a predict when
+  /// resilience is enabled: awaits the first dispatch `attempt`,
+  /// re-dispatches once under the retry budget with the remaining deadline,
+  /// and falls back to the stale cache when allowed. Runs on the caller's
+  /// resolving thread.
   serve::ServeResponse ResolvePredictResilient(
       obs::RequestContext ctx,
-      Result<std::future<serve::ServeResponse>> attempt, double deadline_ms);
+      Result<std::future<serve::ServeResponse>> attempt);
 
   /// Books a request rejected before reaching any shard: SLI error sample,
   /// router flight record (op=Route), and a "load_shed" anomaly dump when
@@ -423,17 +414,11 @@ class ShardRouter {
   /// Rebuilds the ring from the active, non-draining shards. Pre: mutex_.
   void RebuildRingLocked();
 
-  /// Waits (bounded by `deadline`) for `service`'s queue to empty. Called
-  /// WITHOUT mutex_ held — the shard must already be unroutable (draining)
-  /// so the queue can only shrink, modulo requests routed just before the
-  /// mark, which the caller re-checks under the lock.
-  Status DrainQueue(serve::PredictionService& service,
-                    std::chrono::steady_clock::time_point deadline) const;
-
   /// Waits (bounded by `deadline`) until every request enqueued to
-  /// `service` before this call has left the queue. Unlike a
-  /// drain-to-empty, this makes progress while other sessions keep the
-  /// queue busy, so it is safe to call without blocking routing.
+  /// `service` before this call has left the queue. It makes progress while
+  /// other sessions keep the queue busy, so it is safe to call without
+  /// blocking routing. Called again with mutex_ held on a draining shard,
+  /// where nothing new can route, it waits for the queue to empty.
   Status WaitQueuePassed(serve::PredictionService& service,
                          std::chrono::steady_clock::time_point deadline) const;
 

@@ -26,14 +26,23 @@ uint64_t NewTraceId() {
   return id;
 }
 
-RequestContext RequestContext::New(std::string tenant, std::string session_id,
-                                   double deadline_ms) {
+RequestContext RequestContext::New(std::string tenant, std::string session_id) {
   RequestContext ctx;
   ctx.trace_id = NewTraceId();
   ctx.tenant = std::move(tenant);
   ctx.session_id = std::move(session_id);
-  ctx.deadline_ms = deadline_ms;
   return ctx;
+}
+
+void RequestContext::ResolveDeadline(double deadline_ms, double default_ms) {
+  if (has_deadline) return;
+  const double budget_ms =
+      deadline_ms > 0.0 ? deadline_ms : (deadline_ms < 0.0 ? 0.0 : default_ms);
+  if (budget_ms <= 0.0) return;
+  has_deadline = true;
+  deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::microseconds(static_cast<int64_t>(budget_ms * 1000.0));
 }
 
 }  // namespace cascn::obs

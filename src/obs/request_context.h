@@ -1,14 +1,19 @@
 // RequestContext: the identity one request carries across threads, queues,
 // and shards.
 //
-// The PR 2 tracing layer answers "where did time go on this thread"; the
+// Trace spans (obs/trace.h) answer "where did time go on this thread"; the
 // request context answers "what happened to THIS request" as it crosses
 // router -> admission -> shard queue -> worker -> session. A context is
-// minted once at the edge (the shard router, or a bare PredictionService
-// submit) and then passed explicitly — never through thread-locals, which
-// cannot survive the enqueue/dequeue thread hop — so every span, flight-
-// recorder record, and SLI sample downstream can be stamped with the same
-// 64-bit trace id.
+// minted once at the edge (ShardRouter::Submit, or PredictionService::Submit
+// for a caller that passes none) and then passed explicitly — never through
+// thread-locals, which cannot survive the enqueue/dequeue thread hop — so
+// every span, flight-recorder record, and SLI sample downstream can be
+// stamped with the same 64-bit trace id.
+//
+// Once a request has entered the system, its context is the only holder of
+// its session id and its deadline. The edge resolves the caller's deadline
+// budget into an absolute point with ResolveDeadline, the one place the
+// "> 0 explicit / 0 default / < 0 none" rule lives.
 //
 // Trace ids are never zero: zero means "no context" everywhere (spans
 // without a request, flight records from untracked paths), so a context is
@@ -42,22 +47,24 @@ struct RequestContext {
   std::string tenant;
   /// Session the request addresses.
   std::string session_id;
-  /// Deadline budget the caller asked for, in the Submit* convention
-  /// (> 0 explicit ms, 0 service default, < 0 none).
-  double deadline_ms = 0.0;
-  /// Absolute deadline, resolved ONCE at the edge that minted the context.
-  /// Internal re-dispatch (retry, handoff retry) must carry this forward
-  /// rather than re-arming `deadline_ms` from scratch — the caller's budget
-  /// covers the whole request, not each attempt. When set, services honor
-  /// it verbatim instead of re-deriving a deadline at enqueue.
+  /// Absolute deadline, set ONCE by ResolveDeadline at the edge that minted
+  /// the context. Internal re-dispatch (a router retry) carries it forward
+  /// — the caller's budget covers the whole request, not each attempt —
+  /// and services honor it verbatim.
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline{};
 
   bool valid() const { return trace_id != 0; }
 
   /// Mints a context with a fresh trace id.
-  static RequestContext New(std::string tenant, std::string session_id,
-                            double deadline_ms = 0.0);
+  static RequestContext New(std::string tenant, std::string session_id);
+
+  /// The deadline rule. A context that already has an absolute deadline
+  /// keeps it (a retry relies on this). Otherwise the caller's budget
+  /// `deadline_ms` decides: > 0 is that many milliseconds from now, 0 means
+  /// `default_ms` (itself <= 0 for none), < 0 means no deadline. Real steady
+  /// clock, read only when a deadline applies.
+  void ResolveDeadline(double deadline_ms, double default_ms);
 };
 
 }  // namespace cascn::obs

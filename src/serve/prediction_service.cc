@@ -145,13 +145,13 @@ void PredictionService::Shutdown() {
   // Workers are gone; whatever is still queued was never executed. Fail
   // each request with a status naming the shutdown, so callers can tell a
   // drained request from backpressure.
-  std::deque<Request> drained;
+  std::deque<Queued> drained;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     drained.swap(queue_);
     queue_depth_.Set(0.0);
   }
-  for (Request& request : drained) {
+  for (Queued& request : drained) {
     ServeResponse response;
     response.status = Status::Unavailable(
         "service shut down before executing this request (drained from "
@@ -169,7 +169,7 @@ void PredictionService::Shutdown() {
   shutdown_cv_.notify_all();
 }
 
-void PredictionService::RecordOutcome(const Request& request,
+void PredictionService::RecordOutcome(const Queued& request,
                                       const Status& status,
                                       uint64_t queue_wait_ns,
                                       uint64_t exec_ns,
@@ -179,72 +179,58 @@ void PredictionService::RecordOutcome(const Request& request,
   record.queue_wait_ns = queue_wait_ns;
   record.exec_ns = exec_ns;
   record.shard_id = static_cast<int16_t>(options_.shard_id);
-  switch (request.type) {
-    case RequestType::kCreate: record.op = obs::FlightOp::kCreate; break;
-    case RequestType::kAppend: record.op = obs::FlightOp::kAppend; break;
-    case RequestType::kPredict: record.op = obs::FlightOp::kPredict; break;
-    case RequestType::kClose: record.op = obs::FlightOp::kClose; break;
+  switch (request.op) {
+    case Request::Op::kCreate: record.op = obs::FlightOp::kCreate; break;
+    case Request::Op::kAppend: record.op = obs::FlightOp::kAppend; break;
+    case Request::Op::kPredict: record.op = obs::FlightOp::kPredict; break;
+    case Request::Op::kClose: record.op = obs::FlightOp::kClose; break;
   }
   record.status = static_cast<uint8_t>(status.code());
   record.fault_bits = fault_bits;
   record.set_tenant(request.ctx.tenant);
-  record.set_session(request.session_id);
+  record.set_session(request.ctx.session_id);
   flight_.Append(record);
   if (options_.on_complete)
     options_.on_complete(request.ctx, status, exec_ns / 1000);
 }
 
-Result<std::future<ServeResponse>> PredictionService::Enqueue(
-    Request request) {
+Result<std::future<ServeResponse>> PredictionService::Submit(
+    Request request, obs::RequestContext ctx) {
   // Every request carries a context from here on: the flight recorder and
   // SLI attribution need a trace id even when the caller (a bare service
-  // user, not the cluster router) did not mint one.
-  if (!request.ctx.valid()) {
-    request.ctx.trace_id = obs::NewTraceId();
-    request.ctx.session_id = request.session_id;
+  // user, not the cluster router) did not mint one. Minting here is that
+  // caller's edge, so this is where its deadline is resolved.
+  if (!ctx.valid()) {
+    ctx.trace_id = obs::NewTraceId();
+    ctx.ResolveDeadline(request.deadline_ms, options_.default_deadline_ms);
   }
-  CASCN_TRACE_SPAN_ID("serve_enqueue", request.ctx.trace_id,
-                      obs::SpanFlow::kOut);
-  std::future<ServeResponse> future = request.promise.get_future();
-  request.enqueue_time = std::chrono::steady_clock::now();
-  if (request.ctx.has_deadline) {
-    // The context carries an absolute deadline resolved once at the edge
-    // that minted it. A router retry arrives here with only the REMAINING
-    // budget — re-deriving from deadline_ms would silently re-arm the
-    // caller's full deadline on every attempt.
-    request.has_deadline = true;
-    request.deadline = request.ctx.deadline;
-  } else {
-    const double deadline_ms = request.deadline_ms > 0.0
-                                   ? request.deadline_ms
-                                   : (request.deadline_ms < 0.0
-                                          ? 0.0
-                                          : options_.default_deadline_ms);
-    if (deadline_ms > 0.0) {
-      request.has_deadline = true;
-      request.deadline =
-          request.enqueue_time +
-          std::chrono::microseconds(
-              static_cast<int64_t>(deadline_ms * 1000.0));
-    }
-  }
+  if (ctx.session_id.empty()) ctx.session_id = std::move(request.session_id);
+  CASCN_TRACE_SPAN_ID("serve_enqueue", ctx.trace_id, obs::SpanFlow::kOut);
+  Queued queued{request.op,
+                request.user,
+                request.parent_node,
+                request.time,
+                std::move(ctx),
+                std::chrono::steady_clock::now(),
+                {}};
+  std::future<ServeResponse> future = queued.promise.get_future();
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
     if (shutting_down_) {
       metrics_.Increment(Counter::kRequestsRejected);
       lock.unlock();
       const Status status = Status::Unavailable("service is shutting down");
-      RecordOutcome(request, status, 0, 0, 0);
+      RecordOutcome(queued, status, 0, 0, 0);
       return status;
     }
     if (queue_.size() >= options_.queue_capacity) {
       metrics_.Increment(Counter::kRequestsRejected);
       lock.unlock();
       const Status status = Status::Unavailable("request queue is full");
-      RecordOutcome(request, status, 0, 0, 0);
+      RecordOutcome(queued, status, 0, 0, 0);
       return status;
     }
-    queue_.push_back(std::move(request));
+    queue_.push_back(std::move(queued));
     metrics_.Increment(Counter::kRequestsTotal);
     queue_depth_.Set(static_cast<double>(queue_.size()));
   }
@@ -252,149 +238,50 @@ Result<std::future<ServeResponse>> PredictionService::Enqueue(
   return future;
 }
 
-// The context-free overloads pass an empty context; Enqueue mints its trace
-// id.
-Result<std::future<ServeResponse>> PredictionService::SubmitCreate(
-    std::string session_id, int root_user, double deadline_ms) {
-  return SubmitCreate(obs::RequestContext{}, std::move(session_id), root_user,
-                      deadline_ms);
-}
-
-Result<std::future<ServeResponse>> PredictionService::SubmitAppend(
-    std::string session_id, int user, int parent_node, double time,
-    double deadline_ms) {
-  return SubmitAppend(obs::RequestContext{}, std::move(session_id), user,
-                      parent_node, time, deadline_ms);
-}
-
-Result<std::future<ServeResponse>> PredictionService::SubmitPredict(
-    std::string session_id, double deadline_ms) {
-  return SubmitPredict(obs::RequestContext{}, std::move(session_id),
-                       deadline_ms);
-}
-
-Result<std::future<ServeResponse>> PredictionService::SubmitClose(
-    std::string session_id, double deadline_ms) {
-  return SubmitClose(obs::RequestContext{}, std::move(session_id),
-                     deadline_ms);
-}
-
-Result<std::future<ServeResponse>> PredictionService::SubmitCreate(
-    obs::RequestContext ctx, std::string session_id, int root_user,
-    double deadline_ms) {
-  Request r;
-  r.type = RequestType::kCreate;
-  r.ctx = std::move(ctx);
-  r.session_id = std::move(session_id);
-  r.user = root_user;
-  r.deadline_ms = deadline_ms;
-  return Enqueue(std::move(r));
-}
-
-Result<std::future<ServeResponse>> PredictionService::SubmitAppend(
-    obs::RequestContext ctx, std::string session_id, int user,
-    int parent_node, double time, double deadline_ms) {
-  Request r;
-  r.type = RequestType::kAppend;
-  r.ctx = std::move(ctx);
-  r.session_id = std::move(session_id);
-  r.user = user;
-  r.parent_node = parent_node;
-  r.time = time;
-  r.deadline_ms = deadline_ms;
-  return Enqueue(std::move(r));
-}
-
-Result<std::future<ServeResponse>> PredictionService::SubmitPredict(
-    obs::RequestContext ctx, std::string session_id, double deadline_ms) {
-  Request r;
-  r.type = RequestType::kPredict;
-  r.ctx = std::move(ctx);
-  r.session_id = std::move(session_id);
-  r.deadline_ms = deadline_ms;
-  return Enqueue(std::move(r));
-}
-
-Result<std::future<ServeResponse>> PredictionService::SubmitClose(
-    obs::RequestContext ctx, std::string session_id, double deadline_ms) {
-  Request r;
-  r.type = RequestType::kClose;
-  r.ctx = std::move(ctx);
-  r.session_id = std::move(session_id);
-  r.deadline_ms = deadline_ms;
-  return Enqueue(std::move(r));
-}
-
-namespace {
-
-ServeResponse WaitOrReject(Result<std::future<ServeResponse>> submitted) {
-  if (!submitted.ok()) {
-    ServeResponse response;
-    response.status = submitted.status();
-    return response;
-  }
+ServeResponse Wait(Result<std::future<ServeResponse>> submitted) {
+  if (!submitted.ok()) return ServeResponse{submitted.status()};
   return submitted.value().get();
 }
 
-}  // namespace
-
-ServeResponse PredictionService::CallCreate(std::string session_id,
-                                            int root_user) {
-  return WaitOrReject(SubmitCreate(std::move(session_id), root_user));
-}
-
-ServeResponse PredictionService::CallAppend(std::string session_id, int user,
-                                            int parent_node, double time) {
-  return WaitOrReject(
-      SubmitAppend(std::move(session_id), user, parent_node, time));
-}
-
-ServeResponse PredictionService::CallPredict(std::string session_id) {
-  return WaitOrReject(SubmitPredict(std::move(session_id)));
-}
-
-ServeResponse PredictionService::CallClose(std::string session_id) {
-  return WaitOrReject(SubmitClose(std::move(session_id)));
-}
-
-ServeResponse PredictionService::Execute(const Request& request,
+ServeResponse PredictionService::Execute(const Queued& request,
                                          CascadeRegressor& model,
                                          uint16_t* fault_bits) {
   const char* span_name = "serve_request";
-  switch (request.type) {
-    case RequestType::kCreate:
+  switch (request.op) {
+    case Request::Op::kCreate:
       span_name = "serve_create";
       break;
-    case RequestType::kAppend:
+    case Request::Op::kAppend:
       span_name = "serve_append";
       break;
-    case RequestType::kPredict:
+    case Request::Op::kPredict:
       span_name = "serve_predict";
       break;
-    case RequestType::kClose:
+    case Request::Op::kClose:
       span_name = "serve_close";
       break;
   }
   // The execute span terminates the request's cross-thread flow chain
   // started by serve_enqueue (and stepped by serve_queue_wait).
   CASCN_TRACE_SPAN_ID(span_name, request.ctx.trace_id, obs::SpanFlow::kIn);
+  const std::string& session_id = request.ctx.session_id;
   ServeResponse response;
-  switch (request.type) {
-    case RequestType::kCreate:
-      response.status = sessions_->Create(request.session_id, request.user);
+  switch (request.op) {
+    case Request::Op::kCreate:
+      response.status = sessions_->Create(session_id, request.user);
       break;
-    case RequestType::kAppend:
-      response.status = sessions_->Append(request.session_id, request.user,
+    case Request::Op::kAppend:
+      response.status = sessions_->Append(session_id, request.user,
                                           request.parent_node, request.time);
       break;
-    case RequestType::kPredict: {
+    case Request::Op::kPredict: {
       if (fault::MaybeDelay(kFaultServeSlowPredict) && fault_bits != nullptr)
         *fault_bits |= obs::kFaultBitSlowPredict;
       if (!options_.extra_predict_fault_point.empty() &&
           fault::MaybeDelay(options_.extra_predict_fault_point) &&
           fault_bits != nullptr)
         *fault_bits |= obs::kFaultBitExtraPredict;
-      auto prediction = sessions_->PredictLog(request.session_id, model);
+      auto prediction = sessions_->PredictLog(session_id, model);
       if (prediction.ok()) {
         response.log_prediction = prediction.value();
         response.count_prediction = Exp2m1(prediction.value());
@@ -403,8 +290,8 @@ ServeResponse PredictionService::Execute(const Request& request,
       }
       break;
     }
-    case RequestType::kClose:
-      response.status = sessions_->Close(request.session_id);
+    case Request::Op::kClose:
+      response.status = sessions_->Close(session_id);
       break;
   }
   if (!response.status.ok()) metrics_.Increment(Counter::kErrors);
@@ -412,7 +299,7 @@ ServeResponse PredictionService::Execute(const Request& request,
 }
 
 void PredictionService::WorkerLoop(int worker_index) {
-  std::vector<Request> batch;
+  std::vector<Queued> batch;
   while (true) {
     batch.clear();
     {
@@ -442,7 +329,7 @@ void PredictionService::WorkerLoop(int worker_index) {
     if (tracer.enabled()) {
       // Queue-wait spans land in the worker's buffer and step the request's
       // flow chain: enqueue (client thread) -> queue wait -> execute (here).
-      for (const Request& request : batch)
+      for (const Queued& request : batch)
         tracer.RecordSpan("serve_queue_wait", request.enqueue_time,
                           dequeue_time, request.ctx.trace_id,
                           obs::SpanFlow::kStep);
@@ -458,7 +345,7 @@ void PredictionService::WorkerLoop(int worker_index) {
     // followers reuse the leader's response. (Appends invalidate the
     // session's prediction cache, so only identical observed states share.)
     std::unordered_map<std::string, ServeResponse> predict_memo;
-    for (Request& request : batch) {
+    for (Queued& request : batch) {
       const auto start = std::chrono::steady_clock::now();
       const uint64_t queue_wait_ns = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -467,30 +354,30 @@ void PredictionService::WorkerLoop(int worker_index) {
       uint16_t fault_bits = 0;
       bool deadline_exceeded = false;
       ServeResponse response;
-      if (request.has_deadline && start > request.deadline) {
+      const std::string& session_id = request.ctx.session_id;
+      if (request.ctx.has_deadline && start > request.ctx.deadline) {
         // Fail fast: the caller has already given up; executing now would
         // only burn a worker on a dead request.
         response.status = Status::DeadlineExceeded(
-            "deadline expired before execution for session " +
-            request.session_id);
+            "deadline expired before execution for session " + session_id);
         metrics_.Increment(Counter::kDeadlineExceeded);
         metrics_.Increment(Counter::kErrors);
         deadline_exceeded = true;
-      } else if (request.type == RequestType::kPredict) {
-        auto memo = predict_memo.find(request.session_id);
+      } else if (request.op == Request::Op::kPredict) {
+        auto memo = predict_memo.find(session_id);
         if (memo != predict_memo.end()) {
           response = memo->second;
           metrics_.Increment(Counter::kPredictions);
           metrics_.Increment(Counter::kPredictionCacheHits);
         } else {
           response = Execute(request, *model, &fault_bits);
-          predict_memo.emplace(request.session_id, response);
+          predict_memo.emplace(session_id, response);
         }
       } else {
         response = Execute(request, *model, &fault_bits);
         // Any mutation (create/append/close) changes what a predict for
         // this session should observe: drop the memo entry.
-        predict_memo.erase(request.session_id);
+        predict_memo.erase(session_id);
       }
       const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start);

@@ -1,7 +1,11 @@
 // PredictionService: the multi-threaded front end of the serving subsystem.
 //
-// Requests (create / append / predict / close) enter a bounded FIFO queue
-// and are drained by worker threads drawn from a ThreadPool. Each worker
+// Requests (create / append / predict / close) are one value type,
+// `Request`, with one entry point, Submit(Request, RequestContext). They
+// enter a bounded FIFO queue and are drained by worker threads drawn from a
+// ThreadPool. Submit is where a request enters the system: from there on its
+// session id and deadline live only in its obs::RequestContext. Wait()
+// turns a submission into its response, for callers that block. Each worker
 // owns a private model replica (loaded from the same checkpoint), so
 // forward passes never share mutable model state; session state is shared
 // through the SessionManager's per-session locks.
@@ -62,8 +66,10 @@ struct ServiceOptions {
   size_t queue_capacity = 4096;
   /// Max requests one worker drains per critical section; >= 1.
   int max_batch = 16;
-  /// Deadline applied to requests submitted without one, in milliseconds;
-  /// 0 disables. A request whose deadline passes before a worker reaches it
+  /// Deadline applied to requests submitted without one (Request's
+  /// `deadline_ms` 0), in milliseconds, where the request's context is
+  /// minted: by Submit without a context, or by the cluster router; 0
+  /// disables. A request whose deadline passes before a worker reaches it
   /// fails with DeadlineExceeded.
   double default_deadline_ms = 0.0;
   /// Checkpoint-load retries (CreateFromCheckpoint and ReloadCheckpoint):
@@ -97,16 +103,54 @@ struct ServiceOptions {
 /// armed @ms payload, forcing deadline misses under test.
 inline constexpr char kFaultServeSlowPredict[] = "serve.slow_predict";
 
+/// One serving request as a caller submits it. `user` is the root user of a
+/// create and the adopting user of an append; `parent_node` and `time` are
+/// read by appends only. `session_id` and `deadline_ms` are the caller's:
+/// the edge moves the id into the request's RequestContext and resolves
+/// the budget there (obs::RequestContext::ResolveDeadline: > 0 explicit
+/// ms, 0 ServiceOptions::default_deadline_ms, < 0 none).
+struct Request {
+  enum class Op { kCreate, kAppend, kPredict, kClose };
+
+  Op op = Op::kPredict;
+  std::string session_id;
+  int user = 0;
+  int parent_node = 0;
+  double time = 0.0;
+  double deadline_ms = 0.0;
+
+  static Request Create(std::string session_id, int root_user) {
+    return {.op = Op::kCreate, .session_id = std::move(session_id),
+            .user = root_user};
+  }
+  static Request Append(std::string session_id, int user, int parent_node,
+                        double time) {
+    return {.op = Op::kAppend, .session_id = std::move(session_id),
+            .user = user, .parent_node = parent_node, .time = time};
+  }
+  static Request Predict(std::string session_id, double deadline_ms = 0.0) {
+    return {.op = Op::kPredict, .session_id = std::move(session_id),
+            .deadline_ms = deadline_ms};
+  }
+  static Request Close(std::string session_id) {
+    return {.op = Op::kClose, .session_id = std::move(session_id)};
+  }
+};
+
 /// Outcome of one request. `log_prediction`/`count_prediction` are set only
 /// for successful predict requests.
 struct ServeResponse {
   Status status;
   double log_prediction = 0.0;
   double count_prediction = 0.0;
-  /// Trace id the request executed under (minted at submit when the caller
-  /// did not provide a RequestContext); correlates the response with spans
-  /// in the Chrome trace and flight-recorder records. 0 only for requests
-  /// rejected before a context existed.
+  /// Trace id of the request's context; correlates the response with spans
+  /// in the Chrome trace and with flight-recorder records. Set on every
+  /// response a future yields. A submission rejected before it was queued
+  /// (routing, admission, a full queue, shutdown) has no response: Submit
+  /// returns the Status, and Wait() turns it into a response with
+  /// trace_id 0. That request's id is still in the flight record of the
+  /// layer that rejected it: the router's ring (op=Route) for routing and
+  /// admission, the shard's ring for a full queue or shutdown.
   uint64_t trace_id = 0;
   /// Degraded-mode marker: true when the answer came from the router's
   /// last-good prediction cache instead of a live shard (the pinned shard
@@ -142,47 +186,16 @@ class PredictionService {
 
   /// Async submission. The future always becomes ready (also during
   /// shutdown drain). Fails fast with Unavailable when the queue is full or
-  /// the service is shutting down. `deadline_ms` > 0 sets a per-request
-  /// deadline, 0 uses ServiceOptions::default_deadline_ms, < 0 disables the
-  /// deadline for this request.
-  Result<std::future<ServeResponse>> SubmitCreate(std::string session_id,
-                                                  int root_user,
-                                                  double deadline_ms = 0.0);
-  Result<std::future<ServeResponse>> SubmitAppend(std::string session_id,
-                                                  int user, int parent_node,
-                                                  double time,
-                                                  double deadline_ms = 0.0);
-  Result<std::future<ServeResponse>> SubmitPredict(std::string session_id,
-                                                   double deadline_ms = 0.0);
-  Result<std::future<ServeResponse>> SubmitClose(std::string session_id,
-                                                 double deadline_ms = 0.0);
-
-  /// Context-carrying variants: the request is traced, flight-recorded, and
-  /// SLI-attributed under `ctx` (trace id, tenant) instead of a context
-  /// minted at enqueue. The cluster router mints one context per request at
-  /// the edge and passes it down through these.
-  Result<std::future<ServeResponse>> SubmitCreate(obs::RequestContext ctx,
-                                                  std::string session_id,
-                                                  int root_user,
-                                                  double deadline_ms = 0.0);
-  Result<std::future<ServeResponse>> SubmitAppend(obs::RequestContext ctx,
-                                                  std::string session_id,
-                                                  int user, int parent_node,
-                                                  double time,
-                                                  double deadline_ms = 0.0);
-  Result<std::future<ServeResponse>> SubmitPredict(obs::RequestContext ctx,
-                                                   std::string session_id,
-                                                   double deadline_ms = 0.0);
-  Result<std::future<ServeResponse>> SubmitClose(obs::RequestContext ctx,
-                                                 std::string session_id,
-                                                 double deadline_ms = 0.0);
-
-  /// Blocking conveniences (submit + wait).
-  ServeResponse CallCreate(std::string session_id, int root_user);
-  ServeResponse CallAppend(std::string session_id, int user, int parent_node,
-                           double time);
-  ServeResponse CallPredict(std::string session_id);
-  ServeResponse CallClose(std::string session_id);
+  /// the service is shutting down.
+  ///
+  /// With no `ctx`, the service mints the request's context: a fresh trace
+  /// id, the request's session id, and its deadline resolved from
+  /// `request.deadline_ms`. A caller-minted `ctx` (the cluster router's) is
+  /// traced, flight-recorded and SLI-attributed as given: its deadline is
+  /// used as is, and the session id it names, when it names one, wins over
+  /// the request's.
+  Result<std::future<ServeResponse>> Submit(Request request,
+                                            obs::RequestContext ctx = {});
 
   /// Hot-swaps every replica to `checkpoint_path`. The checkpoint is
   /// validated by loading one replica first (with the configured retries);
@@ -253,20 +266,14 @@ class PredictionService {
   void RegisterDebugEndpoints(obs::DebugServer& server);
 
  private:
-  enum class RequestType { kCreate, kAppend, kPredict, kClose };
-
-  struct Request {
-    RequestType type;
-    obs::RequestContext ctx;
-    std::string session_id;
+  /// A request on the queue: the op's payload plus its context, which holds
+  /// the session id and the deadline.
+  struct Queued {
+    Request::Op op = Request::Op::kPredict;
     int user = 0;
     int parent_node = 0;
     double time = 0.0;
-    /// Caller's deadline request (> 0 explicit, 0 service default, < 0
-    /// none); resolved into `deadline` at enqueue time.
-    double deadline_ms = 0.0;
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline;
+    obs::RequestContext ctx;
     std::chrono::steady_clock::time_point enqueue_time;
     std::promise<ServeResponse> promise;
   };
@@ -282,15 +289,14 @@ class PredictionService {
       const std::string& checkpoint_path, const ServiceOptions& options,
       ServeMetrics* metrics);
 
-  Result<std::future<ServeResponse>> Enqueue(Request request);
   /// `fault_bits` (may be null) accumulates FlightFault bits for the fault
   /// points that fired while executing this request.
-  ServeResponse Execute(const Request& request, CascadeRegressor& model,
+  ServeResponse Execute(const Queued& request, CascadeRegressor& model,
                         uint16_t* fault_bits);
   void WorkerLoop(int worker_index);
   /// Appends the request's flight record and reports the terminal outcome
   /// through ServiceOptions::on_complete.
-  void RecordOutcome(const Request& request, const Status& status,
+  void RecordOutcome(const Queued& request, const Status& status,
                      uint64_t queue_wait_ns, uint64_t exec_ns,
                      uint16_t fault_bits);
 
@@ -317,7 +323,7 @@ class PredictionService {
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
-  std::deque<Request> queue_;
+  std::deque<Queued> queue_;
   bool shutting_down_ = false;
 
   // Shutdown idempotency: first caller runs the drain; concurrent callers
@@ -331,6 +337,10 @@ class PredictionService {
   // any other member is destroyed.
   std::unique_ptr<parallel::ThreadPool> pool_;
 };
+
+/// Blocks on a submission. A rejected submission becomes a response that
+/// carries the rejection status (see ServeResponse::trace_id).
+ServeResponse Wait(Result<std::future<ServeResponse>> submitted);
 
 }  // namespace cascn::serve
 

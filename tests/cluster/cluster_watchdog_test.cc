@@ -29,7 +29,9 @@ namespace cascn::cluster {
 namespace {
 
 using serve::Health;
+using serve::Request;
 using serve::ServeResponse;
+using serve::Wait;
 
 class ClusterWatchdogTest : public ::testing::Test {
  protected:
@@ -80,8 +82,11 @@ TEST_F(ClusterWatchdogTest, SlowShardStallDegradesDumpsAndRecovers) {
   ASSERT_TRUE(router.ok()) << router.status();
 
   // One session, so every request lands on one known shard.
-  ASSERT_TRUE((*router)->CallCreate("acme", "sess", 1).status.ok());
-  ASSERT_TRUE((*router)->CallAppend("acme", "sess", 2, 0, 1.0).status.ok());
+  ASSERT_TRUE(
+      Wait((*router)->Submit("acme", Request::Create("sess", 1))).status.ok());
+  ASSERT_TRUE(
+      Wait((*router)->Submit("acme", Request::Append("sess", 2, 0, 1.0)))
+          .status.ok());
   const int victim = (*router)->ShardOf("sess");
   ASSERT_GE(victim, 0);
 
@@ -99,7 +104,7 @@ TEST_F(ClusterWatchdogTest, SlowShardStallDegradesDumpsAndRecovers) {
                   .ok());
   std::vector<std::future<ServeResponse>> pending;
   for (int i = 0; i < 3; ++i) {
-    auto submitted = (*router)->SubmitPredict("acme", "sess");
+    auto submitted = (*router)->Submit("acme", Request::Predict("sess"));
     ASSERT_TRUE(submitted.ok()) << submitted.status();
     pending.push_back(std::move(submitted).value());
   }
@@ -144,7 +149,7 @@ TEST_F(ClusterWatchdogTest, SlowShardStallDegradesDumpsAndRecovers) {
                   .ok());
   std::vector<std::future<ServeResponse>> second;
   for (int i = 0; i < 3; ++i) {
-    auto submitted = (*router)->SubmitPredict("acme", "sess");
+    auto submitted = (*router)->Submit("acme", Request::Predict("sess"));
     ASSERT_TRUE(submitted.ok()) << submitted.status();
     second.push_back(std::move(submitted).value());
   }

@@ -32,7 +32,9 @@ namespace {
 
 using serve::Health;
 using serve::PredictionService;
+using serve::Request;
 using serve::ServeResponse;
+using serve::Wait;
 using TimePoint = std::chrono::steady_clock::time_point;
 
 /// Fake-clock helper: an instant `seconds` past an arbitrary (positive)
@@ -321,24 +323,25 @@ class ResilienceRouterTest : public ::testing::Test {
 TEST_F(ResilienceRouterTest, DisabledControlPlaneIsNullAndCountsNothing) {
   auto router = MakeRouter(Options(2, /*resilient=*/false));
   EXPECT_EQ(router->resilience(), nullptr);
-  ASSERT_TRUE(router->CallCreate("", "s", 1).status.ok());
-  EXPECT_TRUE(router->CallPredict("", "s").status.ok());
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("s", 1))).status.ok());
+  EXPECT_TRUE(Wait(router->Submit("", Request::Predict("s"))).status.ok());
 }
 
 TEST_F(ResilienceRouterTest, RetryAbsorbsOneInjectedUnavailable) {
   auto router = MakeRouter(Options(2));
-  ASSERT_TRUE(router->CallCreate("", "r", 1).status.ok());
-  ASSERT_TRUE(router->CallAppend("", "r", 2, 0, 1.0).status.ok());
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("r", 1))).status.ok());
+  ASSERT_TRUE(
+      Wait(router->Submit("", Request::Append("r", 2, 0, 1.0))).status.ok());
   ASSERT_TRUE(fault::FaultRegistry::Get()
                   .Configure(std::string(kFaultPredictUnavailable) + "=nth:1")
                   .ok());
-  const ServeResponse r = router->CallPredict("", "r");
+  const ServeResponse r = Wait(router->Submit("", Request::Predict("r")));
   EXPECT_TRUE(r.status.ok()) << r.status;
   EXPECT_FALSE(r.stale);
   EXPECT_TRUE(std::isfinite(r.log_prediction));
   EXPECT_EQ(router->resilience()->retries_attempted(), 1u);
   // The fault fired exactly once, so the next predict needs no retry.
-  EXPECT_TRUE(router->CallPredict("", "r").status.ok());
+  EXPECT_TRUE(Wait(router->Submit("", Request::Predict("r"))).status.ok());
   EXPECT_EQ(router->resilience()->retries_attempted(), 1u);
 }
 
@@ -347,17 +350,17 @@ TEST_F(ResilienceRouterTest, RetryIsSingleAndRefusedWhenTheBudgetIsDry) {
   options.resilience.retry_budget.cap = 1.0;  // one retry, then dry
   options.resilience.retry_budget.ratio = 0.01;
   auto router = MakeRouter(options);
-  ASSERT_TRUE(router->CallCreate("", "r", 1).status.ok());
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("r", 1))).status.ok());
   ASSERT_TRUE(fault::FaultRegistry::Get()
                   .Configure(std::string(kFaultPredictUnavailable) + "=always")
                   .ok());
   // Every response is turned Unavailable: the first predict burns the one
   // token (a SINGLE re-dispatch, then gives up)...
-  EXPECT_EQ(router->CallPredict("", "r").status.code(),
+  EXPECT_EQ(Wait(router->Submit("", Request::Predict("r"))).status.code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(router->resilience()->retries_attempted(), 1u);
   // ...and the second finds the bucket dry: denied, not retried.
-  EXPECT_EQ(router->CallPredict("", "r").status.code(),
+  EXPECT_EQ(Wait(router->Submit("", Request::Predict("r"))).status.code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(router->resilience()->retries_attempted(), 1u);
   EXPECT_GE(router->resilience()->retries_denied(), 1u);
@@ -386,17 +389,20 @@ TEST_F(ResilienceRouterTest, PredictRacingShardCrashResolvesUnavailable) {
   ASSERT_TRUE(fault::FaultRegistry::Get()
                   .Configure(std::string(kFaultShardCrash) + "=nth:1@1")
                   .ok());
-  const ServeResponse raced = router->CallPredict("", ghost_on_victim);
+  const ServeResponse raced =
+      Wait(router->Submit("", Request::Predict(ghost_on_victim)));
   EXPECT_EQ(raced.status.code(), StatusCode::kUnavailable)
       << "session on the crashed shard must look retryable, got: "
       << raced.status;
   // A ghost owned by a SURVIVOR still gets the truthful NotFound.
-  EXPECT_EQ(router->CallPredict("", ghost_on_survivor).status.code(),
+  EXPECT_EQ(Wait(router->Submit("", Request::Predict(ghost_on_survivor)))
+                .status.code(),
             StatusCode::kNotFound);
   // After the restart the loss is healed: the id is NotFound (re-create me)
   // rather than permanently Unavailable.
   ASSERT_TRUE(router->RestartShard(1).ok());
-  EXPECT_EQ(router->CallPredict("", ghost_on_victim).status.code(),
+  EXPECT_EQ(Wait(router->Submit("", Request::Predict(ghost_on_victim)))
+                .status.code(),
             StatusCode::kNotFound);
 }
 
@@ -408,8 +414,9 @@ TEST_F(ResilienceRouterTest, StaleReadServesLastGoodWhilePinnedShardIsDead) {
   std::map<int, std::vector<std::string>> by_shard;
   for (int i = 0; i < 8; ++i) {
     const std::string id = "s" + std::to_string(i);
-    ASSERT_TRUE(router->CallCreate("", id, i).status.ok());
-    ASSERT_TRUE(router->CallAppend("", id, 10 + i, 0, 1.0).status.ok());
+    ASSERT_TRUE(Wait(router->Submit("", Request::Create(id, i))).status.ok());
+    ASSERT_TRUE(Wait(router->Submit("", Request::Append(id, 10 + i, 0, 1.0)))
+                    .status.ok());
     by_shard[router->ShardOf(id)].push_back(id);
   }
   ASSERT_EQ(by_shard.size(), 2u);
@@ -417,7 +424,8 @@ TEST_F(ResilienceRouterTest, StaleReadServesLastGoodWhilePinnedShardIsDead) {
   const std::string on_victim = by_shard[victim].front();
   const std::string on_survivor = by_shard[victim == 0 ? 1 : 0].front();
 
-  const ServeResponse live = router->CallPredict("", on_victim);
+  const ServeResponse live =
+      Wait(router->Submit("", Request::Predict(on_victim)));
   ASSERT_TRUE(live.status.ok());
   ASSERT_FALSE(live.stale);
 
@@ -426,7 +434,7 @@ TEST_F(ResilienceRouterTest, StaleReadServesLastGoodWhilePinnedShardIsDead) {
   std::string never_predicted;
   for (int j = 0; j < 64 && never_predicted.empty(); ++j) {
     const std::string id = "never-" + std::to_string(j);
-    ASSERT_TRUE(router->CallCreate("", id, 1).status.ok());
+    ASSERT_TRUE(Wait(router->Submit("", Request::Create(id, 1))).status.ok());
     if (router->ShardOf(id) == victim) never_predicted = id;
   }
   ASSERT_FALSE(never_predicted.empty());
@@ -434,7 +442,8 @@ TEST_F(ResilienceRouterTest, StaleReadServesLastGoodWhilePinnedShardIsDead) {
   router->CrashShard(victim);
 
   // Degraded mode: the exact last-good answer, marked stale, status OK.
-  const ServeResponse degraded = router->CallPredict("", on_victim);
+  const ServeResponse degraded =
+      Wait(router->Submit("", Request::Predict(on_victim)));
   EXPECT_TRUE(degraded.status.ok()) << degraded.status;
   EXPECT_TRUE(degraded.stale);
   EXPECT_GE(degraded.stale_age_ms, 0.0);
@@ -443,10 +452,12 @@ TEST_F(ResilienceRouterTest, StaleReadServesLastGoodWhilePinnedShardIsDead) {
   EXPECT_GE(router->resilience()->stale_serves(), 1u);
 
   // No cached answer -> the honest retryable error, not a fabricated one.
-  EXPECT_EQ(router->CallPredict("", never_predicted).status.code(),
+  EXPECT_EQ(Wait(router->Submit("", Request::Predict(never_predicted)))
+                .status.code(),
             StatusCode::kUnavailable);
   // The surviving shard serves live, unmarked answers throughout.
-  const ServeResponse healthy = router->CallPredict("", on_survivor);
+  const ServeResponse healthy =
+      Wait(router->Submit("", Request::Predict(on_survivor)));
   EXPECT_TRUE(healthy.status.ok());
   EXPECT_FALSE(healthy.stale);
 }
@@ -460,14 +471,15 @@ TEST_F(ResilienceRouterTest, DoomedRetriesAndStaleServesDoNotBurnQuota) {
   options.admission.tokens_per_second = 0.001;  // effectively no refill
   options.admission.burst = 3.0;
   auto router = MakeRouter(options);
-  ASSERT_TRUE(router->CallCreate("t", "a", 1).status.ok());   // token 1
-  const ServeResponse live = router->CallPredict("t", "a");   // token 2
+  // Tokens 1 and 2.
+  ASSERT_TRUE(Wait(router->Submit("t", Request::Create("a", 1))).status.ok());
+  const ServeResponse live = Wait(router->Submit("t", Request::Predict("a")));
   ASSERT_TRUE(live.status.ok());
   router->CrashShard(router->ShardOf("a"));
 
   const uint64_t retries_before = router->resilience()->retries_attempted();
   for (int i = 0; i < 5; ++i) {
-    const ServeResponse r = router->CallPredict("t", "a");
+    const ServeResponse r = Wait(router->Submit("t", Request::Predict("a")));
     EXPECT_TRUE(r.status.ok()) << r.status;
     EXPECT_TRUE(r.stale);
     EXPECT_EQ(r.log_prediction, live.log_prediction);
@@ -476,8 +488,8 @@ TEST_F(ResilienceRouterTest, DoomedRetriesAndStaleServesDoNotBurnQuota) {
   EXPECT_EQ(router->resilience()->retries_attempted() - retries_before, 5u);
   // ...and none of the 5 (nor their retries) consumed tenant quota: the
   // third token still admits real work, and it is the LAST one.
-  EXPECT_TRUE(router->CallCreate("t", "b", 2).status.ok());
-  EXPECT_EQ(router->CallCreate("t", "c", 3).status.code(),
+  EXPECT_TRUE(Wait(router->Submit("t", Request::Create("b", 2))).status.ok());
+  EXPECT_EQ(Wait(router->Submit("t", Request::Create("c", 3))).status.code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -485,10 +497,12 @@ TEST_F(ResilienceRouterTest, DoomedRetriesAndStaleServesDoNotBurnQuota) {
 // returns the pinned shard's own answer and the other shard sees no traffic.
 TEST_F(ResilienceRouterTest, SlowPinnedShardAnswersAloneAndBitIdentically) {
   auto router = MakeRouter(Options(2));
-  ASSERT_TRUE(router->CallCreate("", "h", 3).status.ok());
-  ASSERT_TRUE(router->CallAppend("", "h", 4, 0, 1.0).status.ok());
-  ASSERT_TRUE(router->CallAppend("", "h", 5, 1, 2.0).status.ok());
-  const ServeResponse healthy = router->CallPredict("", "h");
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("h", 3))).status.ok());
+  ASSERT_TRUE(
+      Wait(router->Submit("", Request::Append("h", 4, 0, 1.0))).status.ok());
+  ASSERT_TRUE(
+      Wait(router->Submit("", Request::Append("h", 5, 1, 2.0))).status.ok());
+  const ServeResponse healthy = Wait(router->Submit("", Request::Predict("h")));
   ASSERT_TRUE(healthy.status.ok());
 
   const int home = router->ShardOf("h");
@@ -501,7 +515,7 @@ TEST_F(ResilienceRouterTest, SlowPinnedShardAnswersAloneAndBitIdentically) {
   ASSERT_TRUE(fault::FaultRegistry::Get()
                   .Configure(SlowShardFaultPoint(home) + "=always@20")
                   .ok());
-  const ServeResponse slow = router->CallPredict("", "h");
+  const ServeResponse slow = Wait(router->Submit("", Request::Predict("h")));
   fault::FaultRegistry::Get().Clear();
   EXPECT_TRUE(slow.status.ok()) << slow.status;
   EXPECT_FALSE(slow.stale);
@@ -661,13 +675,14 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
     BuildSession(
         i,
         [&](const std::string& id, int u) {
-          return reference.value()->CallCreate(id, u);
+          return Wait(reference.value()->Submit(Request::Create(id, u)));
         },
         [&](const std::string& id, int u, int p, double t) {
-          return reference.value()->CallAppend(id, u, p, t);
+          return Wait(reference.value()->Submit(Request::Append(id, u, p, t)));
         });
     const std::string id = "sess-" + std::to_string(i);
-    const ServeResponse r = reference.value()->CallPredict(id);
+    const ServeResponse r =
+        Wait(reference.value()->Submit(Request::Predict(id)));
     ASSERT_TRUE(r.status.ok()) << r.status;
     expected[id] = r.log_prediction;
   }
@@ -696,15 +711,15 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
     BuildSession(
         i,
         [&](const std::string& id, int u) {
-          return router->CallCreate("", id, u);
+          return Wait(router->Submit("", Request::Create(id, u)));
         },
         [&](const std::string& id, int u, int p, double t) {
-          return router->CallAppend("", id, u, p, t);
+          return Wait(router->Submit("", Request::Append(id, u, p, t)));
         });
   // Baseline: sharded == unsharded, bit for bit; also primes the last-good
   // cache for the degraded phases below.
   for (const auto& [id, value] : expected) {
-    const ServeResponse r = router->CallPredict("", id);
+    const ServeResponse r = Wait(router->Submit("", Request::Predict(id)));
     ASSERT_TRUE(r.status.ok()) << id << ": " << r.status;
     ASSERT_EQ(r.log_prediction, value) << id;
   }
@@ -727,12 +742,12 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
   ASSERT_TRUE(fault::FaultRegistry::Get()
                   .Configure(SlowShardFaultPoint(victim) + "=always@40")
                   .ok());
-  auto blocker = router->SubmitPredict("", on_victim[0]);
+  auto blocker = router->Submit("", Request::Predict(on_victim[0]));
   ASSERT_TRUE(blocker.ok()) << blocker.status();
   std::vector<std::future<ServeResponse>> doomed;
   for (size_t i = 1; i < on_victim.size(); ++i) {
-    auto submitted =
-        router->SubmitPredict("", on_victim[i], /*deadline_ms=*/10.0);
+    auto submitted = router->Submit(
+        "", Request::Predict(on_victim[i], /*deadline_ms=*/10.0));
     ASSERT_TRUE(submitted.ok()) << submitted.status();
     doomed.push_back(std::move(submitted).value());
   }
@@ -763,7 +778,8 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
 
   // --- Phase 2: while open — budgeted retry, stale answer, no placement. --
   const uint64_t retries_before = rc->retries_attempted();
-  const ServeResponse gated = router->CallPredict("", on_victim[1]);
+  const ServeResponse gated =
+      Wait(router->Submit("", Request::Predict(on_victim[1])));
   EXPECT_TRUE(gated.status.ok()) << gated.status;
   EXPECT_TRUE(gated.stale);
   EXPECT_EQ(gated.log_prediction, expected[on_victim[1]]);
@@ -771,7 +787,7 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
       << "an open breaker with time on the clock is worth one budgeted retry";
   for (int i = 0; i < 9; ++i) {
     const std::string id = "fresh-" + std::to_string(i);
-    ASSERT_TRUE(router->CallCreate("", id, i).status.ok());
+    ASSERT_TRUE(Wait(router->Submit("", Request::Create(id, i))).status.ok());
     EXPECT_NE(router->ShardOf(id), victim)
         << "the ring walk must skip an open shard";
   }
@@ -779,7 +795,8 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
   // --- Phase 3: cooldown elapses; pinned traffic is the probe. -----------
   fake_ms.fetch_add(3000);  // > open_seconds
   for (int probe = 0; probe < 3; ++probe) {
-    const ServeResponse r = router->CallPredict("", on_victim[probe]);
+    const ServeResponse r =
+        Wait(router->Submit("", Request::Predict(on_victim[probe])));
     ASSERT_TRUE(r.status.ok()) << r.status;
     EXPECT_FALSE(r.stale) << "half-open admits real traffic";
     EXPECT_EQ(r.log_prediction, expected[on_victim[probe]]);
@@ -802,7 +819,8 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
             clock() + std::chrono::milliseconds(50));
   // The gap between crash and restart is bridged by stale serves — status
   // OK every time, never an error surfaced to the client.
-  const ServeResponse bridged = router->CallPredict("", on_victim[1]);
+  const ServeResponse bridged =
+      Wait(router->Submit("", Request::Predict(on_victim[1])));
   EXPECT_TRUE(bridged.status.ok()) << bridged.status;
   EXPECT_TRUE(bridged.stale);
   fake_ms.fetch_add(49);
@@ -829,7 +847,7 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
   for (int i = 0; i < 256 && probes < 3; ++i) {
     const std::string id = "probe-" + std::to_string(i);
     if (router->ShardOf(id) != victim) continue;
-    EXPECT_EQ(router->CallPredict("", id).status.code(),
+    EXPECT_EQ(Wait(router->Submit("", Request::Predict(id))).status.code(),
               StatusCode::kNotFound);
     ++probes;
   }
@@ -843,18 +861,18 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
       continue;
     // The crash already released these sessions' pins and state; the close
     // only drops the stale-cache entry and reports the honest NotFound.
-    (void)router->CallClose("", id);
+    (void)Wait(router->Submit("", Request::Close(id)));
     BuildSession(
         i,
         [&](const std::string& sid, int u) {
-          return router->CallCreate("", sid, u);
+          return Wait(router->Submit("", Request::Create(sid, u)));
         },
         [&](const std::string& sid, int u, int p, double t) {
-          return router->CallAppend("", sid, u, p, t);
+          return Wait(router->Submit("", Request::Append(sid, u, p, t)));
         });
   }
   for (const auto& [id, value] : expected) {
-    const ServeResponse r = router->CallPredict("", id);
+    const ServeResponse r = Wait(router->Submit("", Request::Predict(id)));
     ASSERT_TRUE(r.status.ok()) << id << ": " << r.status;
     EXPECT_FALSE(r.stale) << id;
     EXPECT_EQ(r.log_prediction, value) << id;

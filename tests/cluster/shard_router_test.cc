@@ -30,7 +30,9 @@ namespace {
 
 using serve::Health;
 using serve::PredictionService;
+using serve::Request;
 using serve::ServeResponse;
+using serve::Wait;
 
 class ShardRouterTest : public ::testing::Test {
  protected:
@@ -84,9 +86,11 @@ TEST_F(ShardRouterTest, RoutesSessionsAcrossShardsAndPredicts) {
   auto router = MakeRouter(Options(3));
   BuildSessions(
       24,
-      [&](const std::string& id, int u) { return router->CallCreate("", id, u); },
+      [&](const std::string& id, int u) {
+        return Wait(router->Submit("", Request::Create(id, u)));
+      },
       [&](const std::string& id, int u, int p, double t) {
-        return router->CallAppend("", id, u, p, t);
+        return Wait(router->Submit("", Request::Append(id, u, p, t)));
       });
   std::map<int, int> per_shard;
   for (int i = 0; i < 24; ++i)
@@ -94,7 +98,7 @@ TEST_F(ShardRouterTest, RoutesSessionsAcrossShardsAndPredicts) {
   EXPECT_EQ(per_shard.size(), 3u) << "sessions all landed on one shard";
   for (int i = 0; i < 24; ++i) {
     const ServeResponse r =
-        router->CallPredict("", "sess-" + std::to_string(i));
+        Wait(router->Submit("", Request::Predict("sess-" + std::to_string(i))));
     ASSERT_TRUE(r.status.ok()) << r.status;
     EXPECT_TRUE(std::isfinite(r.log_prediction));
   }
@@ -103,10 +107,12 @@ TEST_F(ShardRouterTest, RoutesSessionsAcrossShardsAndPredicts) {
 
 TEST_F(ShardRouterTest, SessionOperationsStayOnOnePin) {
   auto router = MakeRouter(Options(4));
-  ASSERT_TRUE(router->CallCreate("", "pinned", 1).status.ok());
+  ASSERT_TRUE(
+      Wait(router->Submit("", Request::Create("pinned", 1))).status.ok());
   const int home = router->ShardOf("pinned");
   for (int e = 0; e < 6; ++e) {
-    ASSERT_TRUE(router->CallAppend("", "pinned", 2 + e, e, 1.0 + e).status.ok());
+    const Request append = Request::Append("pinned", 2 + e, e, 1.0 + e);
+    ASSERT_TRUE(Wait(router->Submit("", append)).status.ok());
     EXPECT_EQ(router->ShardOf("pinned"), home);
   }
   EXPECT_EQ(router->shard(home)->sessions().SessionSize("pinned").value(), 7);
@@ -128,15 +134,16 @@ TEST_F(ShardRouterTest, RebalanceLosesNoSessionAndPredictsBitIdentically) {
   BuildSessions(
       kSessions,
       [&](const std::string& id, int u) {
-        return reference.value()->CallCreate(id, u);
+        return Wait(reference.value()->Submit(Request::Create(id, u)));
       },
       [&](const std::string& id, int u, int p, double t) {
-        return reference.value()->CallAppend(id, u, p, t);
+        return Wait(reference.value()->Submit(Request::Append(id, u, p, t)));
       });
   std::map<std::string, double> expected;
   for (int i = 0; i < kSessions; ++i) {
     const std::string id = "sess-" + std::to_string(i);
-    const ServeResponse r = reference.value()->CallPredict(id);
+    const ServeResponse r =
+        Wait(reference.value()->Submit(Request::Predict(id)));
     ASSERT_TRUE(r.status.ok()) << r.status;
     expected[id] = r.log_prediction;
   }
@@ -145,9 +152,11 @@ TEST_F(ShardRouterTest, RebalanceLosesNoSessionAndPredictsBitIdentically) {
   auto router = MakeRouter(Options(3));
   BuildSessions(
       kSessions,
-      [&](const std::string& id, int u) { return router->CallCreate("", id, u); },
+      [&](const std::string& id, int u) {
+        return Wait(router->Submit("", Request::Create(id, u)));
+      },
       [&](const std::string& id, int u, int p, double t) {
-        return router->CallAppend("", id, u, p, t);
+        return Wait(router->Submit("", Request::Append(id, u, p, t)));
       });
 
   // Drain + handoff shard 1.
@@ -159,7 +168,7 @@ TEST_F(ShardRouterTest, RebalanceLosesNoSessionAndPredictsBitIdentically) {
   for (int i = 0; i < kSessions; ++i) {
     const std::string id = "sess-" + std::to_string(i);
     EXPECT_NE(router->ShardOf(id), 1) << id;
-    const ServeResponse r = router->CallPredict("", id);
+    const ServeResponse r = Wait(router->Submit("", Request::Predict(id)));
     ASSERT_TRUE(r.status.ok()) << id << ": " << r.status;
     EXPECT_EQ(r.log_prediction, expected[id]) << id;
   }
@@ -170,14 +179,16 @@ TEST_F(ShardRouterTest, RebalanceRetriesThroughInjectedTornWrite) {
   auto router = MakeRouter(Options(2));
   BuildSessions(
       12,
-      [&](const std::string& id, int u) { return router->CallCreate("", id, u); },
+      [&](const std::string& id, int u) {
+        return Wait(router->Submit("", Request::Create(id, u)));
+      },
       [&](const std::string& id, int u, int p, double t) {
-        return router->CallAppend("", id, u, p, t);
+        return Wait(router->Submit("", Request::Append(id, u, p, t)));
       });
   std::map<std::string, double> before;
   for (int i = 0; i < 12; ++i) {
     const std::string id = "sess-" + std::to_string(i);
-    const ServeResponse r = router->CallPredict("", id);
+    const ServeResponse r = Wait(router->Submit("", Request::Predict(id)));
     ASSERT_TRUE(r.status.ok());
     before[id] = r.log_prediction;
   }
@@ -193,7 +204,7 @@ TEST_F(ShardRouterTest, RebalanceRetriesThroughInjectedTornWrite) {
                 .fires,
             1u);
   for (const auto& [id, value] : before) {
-    const ServeResponse r = router->CallPredict("", id);
+    const ServeResponse r = Wait(router->Submit("", Request::Predict(id)));
     ASSERT_TRUE(r.status.ok()) << id << ": " << r.status;
     EXPECT_EQ(r.log_prediction, value) << id;
   }
@@ -208,14 +219,16 @@ TEST_F(ShardRouterTest, SpilledSessionsSurviveTheRebalance) {
   auto router = MakeRouter(options);
   BuildSessions(
       10,
-      [&](const std::string& id, int u) { return router->CallCreate("", id, u); },
+      [&](const std::string& id, int u) {
+        return Wait(router->Submit("", Request::Create(id, u)));
+      },
       [&](const std::string& id, int u, int p, double t) {
-        return router->CallAppend("", id, u, p, t);
+        return Wait(router->Submit("", Request::Append(id, u, p, t)));
       });
   ASSERT_TRUE(router->RemoveShard(1).ok());
   for (int i = 0; i < 10; ++i) {
     const std::string id = "sess-" + std::to_string(i);
-    const ServeResponse r = router->CallPredict("", id);
+    const ServeResponse r = Wait(router->Submit("", Request::Predict(id)));
     ASSERT_TRUE(r.status.ok()) << id << ": " << r.status;
   }
 }
@@ -224,9 +237,11 @@ TEST_F(ShardRouterTest, CrashShedsToSurvivorsAndRestartRejoins) {
   auto router = MakeRouter(Options(3));
   BuildSessions(
       18,
-      [&](const std::string& id, int u) { return router->CallCreate("", id, u); },
+      [&](const std::string& id, int u) {
+        return Wait(router->Submit("", Request::Create(id, u)));
+      },
       [&](const std::string& id, int u, int p, double t) {
-        return router->CallAppend("", id, u, p, t);
+        return Wait(router->Submit("", Request::Append(id, u, p, t)));
       });
   std::vector<std::string> on_crashed, elsewhere;
   for (int i = 0; i < 18; ++i) {
@@ -242,16 +257,18 @@ TEST_F(ShardRouterTest, CrashShedsToSurvivorsAndRestartRejoins) {
 
   // Sessions pinned to the dead shard fail distinctly; others keep serving.
   for (const auto& id : on_crashed)
-    EXPECT_EQ(router->CallPredict("", id).status.code(),
+    EXPECT_EQ(Wait(router->Submit("", Request::Predict(id))).status.code(),
               StatusCode::kUnavailable)
         << id;
   for (const auto& id : elsewhere)
-    EXPECT_TRUE(router->CallPredict("", id).status.ok()) << id;
+    EXPECT_TRUE(Wait(router->Submit("", Request::Predict(id))).status.ok())
+        << id;
 
   // New sessions shed to the survivors.
   for (int i = 0; i < 12; ++i) {
     const std::string id = "fresh-" + std::to_string(i);
-    ASSERT_TRUE(router->CallCreate("", id, i).status.ok()) << id;
+    ASSERT_TRUE(Wait(router->Submit("", Request::Create(id, i))).status.ok())
+        << id;
     EXPECT_NE(router->ShardOf(id), 0) << id;
   }
 
@@ -261,18 +278,21 @@ TEST_F(ShardRouterTest, CrashShedsToSurvivorsAndRestartRejoins) {
   EXPECT_EQ(router->ClusterHealth(), Health::kHealthy);
   EXPECT_EQ(router->num_shards(), 3);
   for (const auto& id : elsewhere)
-    EXPECT_TRUE(router->CallPredict("", id).status.ok()) << id;
+    EXPECT_TRUE(Wait(router->Submit("", Request::Predict(id))).status.ok())
+        << id;
   for (int i = 0; i < 12; ++i) {
     const std::string id = "fresh-" + std::to_string(i);
-    EXPECT_TRUE(router->CallPredict("", id).status.ok()) << id;
+    EXPECT_TRUE(Wait(router->Submit("", Request::Predict(id))).status.ok())
+        << id;
   }
   // Crashed-shard sessions were lost (as a crash loses memory) but can be
   // re-created now that the pin is released.
   for (const auto& id : on_crashed) {
-    EXPECT_EQ(router->CallPredict("", id).status.code(),
+    EXPECT_EQ(Wait(router->Submit("", Request::Predict(id))).status.code(),
               StatusCode::kNotFound)
         << id;
-    EXPECT_TRUE(router->CallCreate("", id, 1).status.ok()) << id;
+    EXPECT_TRUE(Wait(router->Submit("", Request::Create(id, 1))).status.ok())
+        << id;
   }
 }
 
@@ -285,7 +305,8 @@ TEST_F(ShardRouterTest, ShardCrashFaultKillsTheNamedShardMidLoad) {
   int created = 0;
   for (int i = 0; i < 40; ++i) {
     const ServeResponse r =
-        router->CallCreate("", "chaos-" + std::to_string(i), i % 5);
+        Wait(router->Submit("", Request::Create("chaos-" + std::to_string(i),
+                                                i % 5)));
     if (r.status.ok()) ++created;
   }
   EXPECT_EQ(router->num_shards(), 2);
@@ -305,14 +326,16 @@ TEST_F(ShardRouterTest, TenantQuotasRejectWithResourceExhausted) {
   int ok = 0, exhausted = 0;
   for (int i = 0; i < 10; ++i) {
     const ServeResponse r =
-        router->CallCreate("tenant-x", "q-" + std::to_string(i), i);
+        Wait(router->Submit("tenant-x",
+                            Request::Create("q-" + std::to_string(i), i)));
     if (r.status.ok()) ++ok;
     if (r.status.code() == StatusCode::kResourceExhausted) ++exhausted;
   }
   EXPECT_EQ(ok, 3);
   EXPECT_EQ(exhausted, 7);
   // The unnamed tenant is exempt.
-  EXPECT_TRUE(router->CallCreate("", "exempt", 1).status.ok());
+  EXPECT_TRUE(
+      Wait(router->Submit("", Request::Create("exempt", 1))).status.ok());
   const auto snapshot = router->TakeSnapshot();
   ASSERT_EQ(snapshot.tenants.size(), 1u);
   EXPECT_EQ(snapshot.tenants[0].tenant, "tenant-x");
@@ -323,8 +346,9 @@ TEST_F(ShardRouterTest, TenantQuotasRejectWithResourceExhausted) {
 
 TEST_F(ShardRouterTest, SlowShardFaultOnlySlowsTheNamedShard) {
   auto router = MakeRouter(Options(2));
-  ASSERT_TRUE(router->CallCreate("", "a", 1).status.ok());
-  ASSERT_TRUE(router->CallAppend("", "a", 2, 0, 1.0).status.ok());
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("a", 1))).status.ok());
+  ASSERT_TRUE(
+      Wait(router->Submit("", Request::Append("a", 2, 0, 1.0))).status.ok());
   const int home = router->ShardOf("a");
   const int other = home == 0 ? 1 : 0;
   // Slow the *other* shard; session "a" must be unaffected by a deadline
@@ -332,7 +356,8 @@ TEST_F(ShardRouterTest, SlowShardFaultOnlySlowsTheNamedShard) {
   ASSERT_TRUE(fault::FaultRegistry::Get()
                   .Configure(SlowShardFaultPoint(other) + "=always@200")
                   .ok());
-  auto submitted = router->SubmitPredict("", "a", /*deadline_ms=*/100.0);
+  auto submitted =
+      router->Submit("", Request::Predict("a", /*deadline_ms=*/100.0));
   ASSERT_TRUE(submitted.ok()) << submitted.status();
   const ServeResponse r = submitted.value().get();
   EXPECT_TRUE(r.status.ok()) << r.status;
@@ -340,8 +365,9 @@ TEST_F(ShardRouterTest, SlowShardFaultOnlySlowsTheNamedShard) {
 
 TEST_F(ShardRouterTest, ExportsLabeledPerShardAndClusterMetrics) {
   auto router = MakeRouter(Options(2));
-  ASSERT_TRUE(router->CallCreate("acme", "m1", 1).status.ok());
-  ASSERT_TRUE(router->CallPredict("acme", "m1").status.ok());
+  ASSERT_TRUE(
+      Wait(router->Submit("acme", Request::Create("m1", 1))).status.ok());
+  ASSERT_TRUE(Wait(router->Submit("acme", Request::Predict("m1"))).status.ok());
   obs::MetricsRegistry registry;
   router->ExportToRegistry(registry);
   const std::string text = registry.TextSnapshot();
@@ -361,9 +387,9 @@ TEST_F(ShardRouterTest, ExportsLabeledPerShardAndClusterMetrics) {
 
 TEST_F(ShardRouterTest, RemovingTheLastShardIsRefused) {
   auto router = MakeRouter(Options(1));
-  ASSERT_TRUE(router->CallCreate("", "only", 1).status.ok());
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("only", 1))).status.ok());
   EXPECT_EQ(router->RemoveShard(0).code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(router->CallPredict("", "only").status.ok());
+  EXPECT_TRUE(Wait(router->Submit("", Request::Predict("only"))).status.ok());
 }
 
 uint64_t TotalPinned(const ShardRouter::Snapshot& snap) {
@@ -374,16 +400,17 @@ uint64_t TotalPinned(const ShardRouter::Snapshot& snap) {
 
 TEST_F(ShardRouterTest, ResolvingAnAsyncCloseReleasesThePin) {
   auto router = MakeRouter(Options(2));
-  ASSERT_TRUE(router->CallCreate("", "s", 1).status.ok());
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("s", 1))).status.ok());
   EXPECT_EQ(TotalPinned(router->TakeSnapshot()), 1u);
-  auto submitted = router->SubmitClose("", "s");
+  auto submitted = router->Submit("", Request::Close("s"));
   ASSERT_TRUE(submitted.ok()) << submitted.status();
   ASSERT_TRUE(submitted.value().get().status.ok());
   // The async close did its own pin bookkeeping — no blocking CallClose
   // needed, and the load metric no longer counts the dead session.
   EXPECT_EQ(TotalPinned(router->TakeSnapshot()), 0u);
-  EXPECT_EQ(router->CallPredict("", "s").status.code(), StatusCode::kNotFound);
-  EXPECT_TRUE(router->CallCreate("", "s", 2).status.ok());
+  EXPECT_EQ(Wait(router->Submit("", Request::Predict("s"))).status.code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(Wait(router->Submit("", Request::Create("s", 2))).status.ok());
 }
 
 // A re-create rejected by admission must leave the pin alone: the earlier
@@ -393,10 +420,10 @@ TEST_F(ShardRouterTest, RejectedRecreateDoesNotLeakThePin) {
   options.admission.tokens_per_second = 0.001;  // effectively no refill
   options.admission.burst = 2.0;
   auto router = MakeRouter(options);
-  ASSERT_TRUE(router->CallCreate("t", "s", 1).status.ok());
-  auto close = router->SubmitClose("t", "s");
+  ASSERT_TRUE(Wait(router->Submit("t", Request::Create("s", 1))).status.ok());
+  auto close = router->Submit("t", Request::Close("s"));
   ASSERT_TRUE(close.ok()) << close.status();
-  EXPECT_EQ(router->CallCreate("t", "s", 2).status.code(),
+  EXPECT_EQ(Wait(router->Submit("t", Request::Create("s", 2))).status.code(),
             StatusCode::kResourceExhausted);
   ASSERT_TRUE(close.value().get().status.ok());
   EXPECT_EQ(TotalPinned(router->TakeSnapshot()), 0u);
@@ -404,18 +431,22 @@ TEST_F(ShardRouterTest, RejectedRecreateDoesNotLeakThePin) {
 
 TEST_F(ShardRouterTest, RemoveShardSweepsStalePinsSoTheIdStaysUsable) {
   auto router = MakeRouter(Options(2));
-  ASSERT_TRUE(router->CallCreate("", "stale", 1).status.ok());
+  ASSERT_TRUE(
+      Wait(router->Submit("", Request::Create("stale", 1))).status.ok());
   const int home = router->ShardOf("stale");
   // Close behind the router's back: the session is gone from the shard but
   // the router still carries its pin.
-  ASSERT_TRUE(router->shard(home)->CallClose("stale").status.ok());
+  ASSERT_TRUE(
+      Wait(router->shard(home)->Submit(Request::Close("stale"))).status.ok());
   ASSERT_TRUE(router->RemoveShard(home).ok());
   // The sweep at the end of RemoveShard erased the stale pin; without it,
   // every request for this id — including Create — would be Unavailable
   // ("pinned to shard which is down") forever.
   EXPECT_NE(router->ShardOf("stale"), home);
-  EXPECT_TRUE(router->CallCreate("", "stale", 2).status.ok());
-  EXPECT_TRUE(router->CallPredict("", "stale").status.ok());
+  EXPECT_TRUE(
+      Wait(router->Submit("", Request::Create("stale", 2))).status.ok());
+  EXPECT_TRUE(
+      Wait(router->Submit("", Request::Predict("stale"))).status.ok());
 }
 
 TEST_F(ShardRouterTest, SpillLruDropReleasesThePin) {
@@ -427,9 +458,10 @@ TEST_F(ShardRouterTest, SpillLruDropReleasesThePin) {
   options.shard.sessions.capacity = 1;
   options.shard.sessions.spill_capacity = 1;
   auto router = MakeRouter(options);
-  ASSERT_TRUE(router->CallCreate("", "g0", 1).status.ok());
-  ASSERT_TRUE(router->CallCreate("", "g1", 2).status.ok());
-  ASSERT_TRUE(router->CallCreate("", "g2", 3).status.ok());  // drops "g0"
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("g0", 1))).status.ok());
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("g1", 2))).status.ok());
+  // Drops "g0".
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("g2", 3))).status.ok());
   const auto snapshot = router->TakeSnapshot();
   EXPECT_EQ(TotalPinned(snapshot), 2u);  // g1 (spilled) + g2 (live), not 3
   EXPECT_GE(snapshot.shards[0].metrics.counter(serve::Counter::kSpillDropped),
@@ -441,16 +473,17 @@ TEST_F(ShardRouterTest, DoomedRequestsDoNotConsumeTenantQuota) {
   options.admission.tokens_per_second = 0.001;  // effectively no refill
   options.admission.burst = 2.0;
   auto router = MakeRouter(options);
-  ASSERT_TRUE(router->CallCreate("t", "a", 1).status.ok());  // 1 token left
+  // Leaves 1 token.
+  ASSERT_TRUE(Wait(router->Submit("t", Request::Create("a", 1))).status.ok());
   router->CrashShard(router->ShardOf("a"));
   // Guaranteed-to-fail requests (pinned to a down shard) must not debit
   // the bucket — a client retrying against a degraded cluster would
   // otherwise burn its whole budget on failures.
   for (int i = 0; i < 5; ++i)
-    EXPECT_EQ(router->CallPredict("t", "a").status.code(),
+    EXPECT_EQ(Wait(router->Submit("t", Request::Predict("a"))).status.code(),
               StatusCode::kUnavailable);
   // The surviving token still admits real work.
-  EXPECT_TRUE(router->CallCreate("t", "b", 2).status.ok());
+  EXPECT_TRUE(Wait(router->Submit("t", Request::Create("b", 2))).status.ok());
 }
 
 // Satellite: the cluster's merged latency percentiles must equal the
@@ -461,13 +494,16 @@ TEST_F(ShardRouterTest, SnapshotMergesLatencyHistogramsAsTheirUnion) {
   auto router = MakeRouter(Options(3));
   BuildSessions(
       24,
-      [&](const std::string& id, int u) { return router->CallCreate("", id, u); },
+      [&](const std::string& id, int u) {
+        return Wait(router->Submit("", Request::Create(id, u)));
+      },
       [&](const std::string& id, int u, int p, double t) {
-        return router->CallAppend("", id, u, p, t);
+        return Wait(router->Submit("", Request::Append(id, u, p, t)));
       });
   for (int i = 0; i < 24; ++i)
     ASSERT_TRUE(
-        router->CallPredict("", "sess-" + std::to_string(i)).status.ok());
+        Wait(router->Submit("", Request::Predict("sess-" + std::to_string(i))))
+            .status.ok());
 
   const auto snap = router->TakeSnapshot();
   obs::Histogram::Snapshot merged;
@@ -497,8 +533,9 @@ TEST_F(ShardRouterTest, TraceIdLinksSpansAcrossThreadsViaFlowEvents) {
   obs::Tracer::Get().Clear();
   obs::Tracer::Get().Enable();
   auto router = MakeRouter(Options(3));
-  ASSERT_TRUE(router->CallCreate("acme", "traced", 1).status.ok());
-  auto submitted = router->SubmitPredict("acme", "traced");
+  ASSERT_TRUE(
+      Wait(router->Submit("acme", Request::Create("traced", 1))).status.ok());
+  auto submitted = router->Submit("acme", Request::Predict("traced"));
   ASSERT_TRUE(submitted.ok()) << submitted.status();
   const ServeResponse r = submitted.value().get();
   obs::Tracer::Get().Disable();
@@ -554,7 +591,8 @@ TEST_F(ShardRouterTest, DeadlineExceededTriggersFlightDumpWithTraceId) {
   const std::string dump_path = options.flight_dir + "/flight_shard_0.jsonl";
   std::remove(dump_path.c_str());
   auto router = MakeRouter(options);
-  ASSERT_TRUE(router->CallCreate("acme", "doomed", 1).status.ok());
+  ASSERT_TRUE(
+      Wait(router->Submit("acme", Request::Create("doomed", 1))).status.ok());
 
   // Every predict stalls 80 ms; the first occupies the lone worker, so the
   // second — carrying a 5 ms deadline — expires in the queue.
@@ -562,9 +600,10 @@ TEST_F(ShardRouterTest, DeadlineExceededTriggersFlightDumpWithTraceId) {
                   .Configure(std::string(serve::kFaultServeSlowPredict) +
                              "=always@80")
                   .ok());
-  auto blocker = router->SubmitPredict("acme", "doomed");
+  auto blocker = router->Submit("acme", Request::Predict("doomed"));
   ASSERT_TRUE(blocker.ok()) << blocker.status();
-  auto doomed = router->SubmitPredict("acme", "doomed", /*deadline_ms=*/5.0);
+  auto doomed =
+      router->Submit("acme", Request::Predict("doomed", /*deadline_ms=*/5.0));
   ASSERT_TRUE(doomed.ok()) << doomed.status();
   const ServeResponse r = doomed.value().get();
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded) << r.status;
@@ -600,7 +639,8 @@ TEST_F(ShardRouterTest, OnDemandDumpsAreSequencedAndRetained) {
                             .c_str()),
             0);
   auto router = MakeRouter(options);
-  ASSERT_TRUE(router->CallCreate("acme", "sess", 1).status.ok());
+  ASSERT_TRUE(
+      Wait(router->Submit("acme", Request::Create("sess", 1))).status.ok());
 
   for (int i = 0; i < 3; ++i)
     ASSERT_TRUE(router->DumpFlightRecorders("collide_check").ok());
@@ -660,10 +700,11 @@ TEST_F(ShardRouterTest, SustainedOverQuotaBurnDegradesHealthPerTenant) {
   // requests reject with ResourceExhausted — an SLI error every time.
   for (int s = 0; s < 120; ++s) {
     fake_second.fetch_add(1);
-    ASSERT_TRUE(
-        router->CallCreate("calm", StrFormat("calm-%d", s), 1).status.ok());
+    const Request create = Request::Create(StrFormat("calm-%d", s), 1);
+    ASSERT_TRUE(Wait(router->Submit("calm", create)).status.ok());
     for (int i = 0; i < 20; ++i)
-      (void)router->CallCreate("noisy", StrFormat("noisy-%d-%d", s, i), 1);
+      (void)Wait(router->Submit(
+          "noisy", Request::Create(StrFormat("noisy-%d-%d", s, i), 1)));
   }
 
   EXPECT_EQ(router->ClusterHealth(), Health::kDegraded)
@@ -686,7 +727,8 @@ TEST_F(ShardRouterTest, SustainedOverQuotaBurnDegradesHealthPerTenant) {
   EXPECT_DOUBLE_EQ(calm->slow_availability, 1.0);
   // The blast radius stops at observability: the noisy tenant's own
   // admitted requests and the calm tenant keep serving.
-  EXPECT_TRUE(router->CallCreate("calm", "calm-after", 1).status.ok());
+  EXPECT_TRUE(Wait(router->Submit("calm", Request::Create("calm-after", 1)))
+                  .status.ok());
 
   // The router's black box kept records of the shed requests (op=Route).
   EXPECT_GT(router->router_flight_recorder().total_appended(), 0u);

@@ -2,8 +2,10 @@
 // the trace id a caller mints must ride the queue handoff into the worker
 // and come back on the ServeResponse — byte-identical to how the shard
 // router's edge-minted contexts survive the same hop — and must stamp the
-// flight-recorder record the worker writes.
+// flight-recorder record the worker writes. Also pins the one deadline
+// rule, RequestContext::ResolveDeadline.
 
+#include <chrono>
 #include <future>
 #include <string>
 #include <vector>
@@ -48,11 +50,12 @@ TEST(RequestContextPropagationTest, BareEnqueuePreservesCallerTraceId) {
       BareOptions(), TempCheckpoint("bare"));
   ASSERT_TRUE(service.ok()) << service.status();
 
-  obs::RequestContext ctx = obs::RequestContext::New("acme", "s1");
+  // The session id travels once, in the Request; the context names none.
+  obs::RequestContext ctx = obs::RequestContext::New("acme", "");
   ASSERT_NE(ctx.trace_id, 0u);
   const uint64_t minted = ctx.trace_id;
 
-  auto created = (*service)->SubmitCreate(ctx, "s1", 1);
+  auto created = (*service)->Submit(Request::Create("s1", 1), ctx);
   ASSERT_TRUE(created.ok()) << created.status();
   ServeResponse response = created->get();
   ASSERT_TRUE(response.status.ok()) << response.status;
@@ -61,13 +64,14 @@ TEST(RequestContextPropagationTest, BareEnqueuePreservesCallerTraceId) {
   EXPECT_EQ(response.trace_id, minted);
 
   // Follow-up ops under fresh contexts each carry their own id.
-  obs::RequestContext append_ctx = obs::RequestContext::New("acme", "s1");
-  auto appended = (*service)->SubmitAppend(append_ctx, "s1", 2, 0, 1.0);
+  obs::RequestContext append_ctx = obs::RequestContext::New("acme", "");
+  auto appended =
+      (*service)->Submit(Request::Append("s1", 2, 0, 1.0), append_ctx);
   ASSERT_TRUE(appended.ok());
   EXPECT_EQ(appended->get().trace_id, append_ctx.trace_id);
 
-  obs::RequestContext predict_ctx = obs::RequestContext::New("acme", "s1");
-  auto predicted = (*service)->SubmitPredict(predict_ctx, "s1");
+  obs::RequestContext predict_ctx = obs::RequestContext::New("acme", "");
+  auto predicted = (*service)->Submit(Request::Predict("s1"), predict_ctx);
   ASSERT_TRUE(predicted.ok());
   response = predicted->get();
   ASSERT_TRUE(response.status.ok()) << response.status;
@@ -85,13 +89,19 @@ TEST(RequestContextPropagationTest, BareEnqueuePreservesCallerTraceId) {
         std::string(r.tenant) == "acme")
       tenant_seen = true;
   EXPECT_TRUE(tenant_seen) << "tenant must ride the context into the ring";
+  for (const obs::FlightRecord& r : records) {
+    if (r.trace_id == predict_ctx.trace_id) {
+      EXPECT_EQ(std::string(r.session), "s1")
+          << "the request's session id must move into the context";
+    }
+  }
 }
 
 TEST(RequestContextPropagationTest, ContextFreeSubmitMintsNonzeroId) {
   auto service = PredictionService::CreateFromCheckpoint(
       BareOptions(), TempCheckpoint("minted"));
   ASSERT_TRUE(service.ok()) << service.status();
-  auto created = (*service)->SubmitCreate("s1", 1);
+  auto created = (*service)->Submit(Request::Create("s1", 1));
   ASSERT_TRUE(created.ok());
   const ServeResponse response = created->get();
   ASSERT_TRUE(response.status.ok()) << response.status;
@@ -110,11 +120,13 @@ TEST(RequestContextPropagationTest, RouterAndBarePathsAgree) {
   auto router = cluster::ShardRouter::CreateFromCheckpoint(options, checkpoint);
   ASSERT_TRUE(router.ok()) << router.status();
 
-  const ServeResponse created = (*router)->CallCreate("acme", "sess", 1);
+  const ServeResponse created =
+      Wait((*router)->Submit("acme", Request::Create("sess", 1)));
   ASSERT_TRUE(created.status.ok()) << created.status;
   EXPECT_NE(created.trace_id, 0u);
 
-  const ServeResponse predicted = (*router)->CallPredict("acme", "sess");
+  const ServeResponse predicted =
+      Wait((*router)->Submit("acme", Request::Predict("sess")));
   ASSERT_TRUE(predicted.status.ok()) << predicted.status;
   EXPECT_NE(predicted.trace_id, 0u);
   EXPECT_NE(predicted.trace_id, created.trace_id)
@@ -127,6 +139,49 @@ TEST(RequestContextPropagationTest, RouterAndBarePathsAgree) {
   EXPECT_TRUE(FlightHasTrace(shard->flight_recorder(), predicted.trace_id,
                              obs::FlightOp::kPredict))
       << "router-minted id must survive the shard queue handoff";
+}
+
+TEST(RequestContextDeadlineTest, ResolveDeadlineAppliesTheOneRule) {
+  struct Case {
+    const char* name;
+    double deadline_ms;
+    double default_ms;
+    double want_ms;  // 0 = no deadline
+  };
+  const Case cases[] = {
+      {"explicit", 50.0, 0.0, 50.0},
+      {"explicit beats the default", 50.0, 200.0, 50.0},
+      {"service default", 0.0, 200.0, 200.0},
+      {"no default", 0.0, 0.0, 0.0},
+      {"none", -1.0, 200.0, 0.0},
+  };
+  using Clock = std::chrono::steady_clock;
+  for (const Case& c : cases) {
+    obs::RequestContext ctx;
+    const Clock::time_point before = Clock::now();
+    ctx.ResolveDeadline(c.deadline_ms, c.default_ms);
+    const Clock::time_point after = Clock::now();
+    EXPECT_EQ(ctx.has_deadline, c.want_ms > 0.0) << c.name;
+    if (!ctx.has_deadline) continue;
+    const auto budget = std::chrono::microseconds(
+        static_cast<int64_t>(c.want_ms * 1000.0));
+    EXPECT_GE(ctx.deadline, before + budget) << c.name;
+    EXPECT_LE(ctx.deadline, after + budget) << c.name;
+  }
+}
+
+TEST(RequestContextDeadlineTest, AnAbsoluteDeadlineIsKept) {
+  // A retry re-enters with the context its first attempt resolved: it must
+  // keep the original point, whatever budget it is offered again.
+  obs::RequestContext ctx;
+  ctx.ResolveDeadline(10.0, 0.0);
+  ASSERT_TRUE(ctx.has_deadline);
+  const auto original = ctx.deadline;
+  for (const double deadline_ms : {1000.0, 0.0, -1.0}) {
+    ctx.ResolveDeadline(deadline_ms, 5000.0);
+    EXPECT_TRUE(ctx.has_deadline) << deadline_ms;
+    EXPECT_EQ(ctx.deadline, original) << deadline_ms;
+  }
 }
 
 }  // namespace

@@ -98,8 +98,8 @@ TEST(ServiceConcurrencyTest, ParallelRepliesMatchSerialReplay) {
       std::vector<size_t> mine;
       for (size_t i = t; i < replays.size(); i += kThreads) mine.push_back(i);
       for (size_t i : mine) {
-        const ServeResponse r = service.value()->CallCreate(
-            "s" + std::to_string(i), replays[i][0].user);
+        const ServeResponse r = Wait(service.value()->Submit(
+            Request::Create("s" + std::to_string(i), replays[i][0].user)));
         ASSERT_TRUE(r.status.ok()) << r.status;
       }
       // Round-robin the appends across this thread's sessions.
@@ -111,19 +111,20 @@ TEST(ServiceConcurrencyTest, ParallelRepliesMatchSerialReplay) {
           progressed = true;
           const AdoptionEvent& event = replays[i][step];
           const std::string id = "s" + std::to_string(i);
-          const ServeResponse r = service.value()->CallAppend(
-              id, event.user, event.parents[0], event.time);
+          const ServeResponse r = Wait(service.value()->Submit(Request::Append(
+              id, event.user, event.parents[0], event.time)));
           ASSERT_TRUE(r.status.ok()) << r.status;
           if (step % 5 == 0) {
-            const ServeResponse p = service.value()->CallPredict(id);
+            const ServeResponse p =
+                Wait(service.value()->Submit(Request::Predict(id)));
             ASSERT_TRUE(p.status.ok()) << p.status;
             ASSERT_TRUE(std::isfinite(p.log_prediction));
           }
         }
       }
       for (size_t i : mine) {
-        const ServeResponse p =
-            service.value()->CallPredict("s" + std::to_string(i));
+        const ServeResponse p = Wait(
+            service.value()->Submit(Request::Predict("s" + std::to_string(i))));
         ASSERT_TRUE(p.status.ok()) << p.status;
         actual[i] = p.log_prediction;
       }
@@ -152,16 +153,18 @@ TEST(ServiceConcurrencyTest, BackpressureRejectsWithUnavailable) {
   auto service = PredictionService::CreateFromCheckpoint(options,
                                                          CheckpointPath());
   ASSERT_TRUE(service.ok()) << service.status();
-  ASSERT_TRUE(service.value()->CallCreate("s", 1).status.ok());
+  ASSERT_TRUE(
+      Wait(service.value()->Submit(Request::Create("s", 1))).status.ok());
   for (int i = 0; i < 20; ++i)
-    ASSERT_TRUE(
-        service.value()->CallAppend("s", 2 + i, i / 2, 1.0 + i).status.ok());
+    ASSERT_TRUE(Wait(service.value()->Submit(
+                         Request::Append("s", 2 + i, i / 2, 1.0 + i)))
+                    .status.ok());
 
   // A tight submission loop against a one-slot queue must hit the wall.
   std::vector<std::future<ServeResponse>> accepted;
   bool rejected = false;
   for (int i = 0; i < 10000 && !rejected; ++i) {
-    auto submitted = service.value()->SubmitPredict("s");
+    auto submitted = service.value()->Submit(Request::Predict("s"));
     if (submitted.ok()) {
       accepted.push_back(std::move(submitted).value());
     } else {
@@ -185,11 +188,12 @@ TEST(ServiceConcurrencyTest, ShutdownDrainsInFlightWork) {
   auto service = PredictionService::CreateFromCheckpoint(options,
                                                          CheckpointPath());
   ASSERT_TRUE(service.ok()) << service.status();
-  ASSERT_TRUE(service.value()->CallCreate("s", 1).status.ok());
+  ASSERT_TRUE(
+      Wait(service.value()->Submit(Request::Create("s", 1))).status.ok());
 
   std::vector<std::future<ServeResponse>> pending;
   for (int i = 0; i < 64; ++i) {
-    auto submitted = service.value()->SubmitPredict("s");
+    auto submitted = service.value()->Submit(Request::Predict("s"));
     ASSERT_TRUE(submitted.ok()) << submitted.status();
     pending.push_back(std::move(submitted).value());
   }
@@ -218,7 +222,7 @@ TEST(ServiceConcurrencyTest, ShutdownDrainsInFlightWork) {
       static_cast<uint64_t>(drained));
   EXPECT_EQ(service.value()->health(), Health::kUnhealthy);
   // New work is refused after shutdown.
-  auto late = service.value()->SubmitPredict("s");
+  auto late = service.value()->Submit(Request::Predict("s"));
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
 }
@@ -231,7 +235,8 @@ TEST(ServiceConcurrencyTest, ShutdownIsIdempotentAndConcurrent) {
   auto service = PredictionService::CreateFromCheckpoint(options,
                                                          CheckpointPath());
   ASSERT_TRUE(service.ok()) << service.status();
-  ASSERT_TRUE(service.value()->CallCreate("s", 1).status.ok());
+  ASSERT_TRUE(
+      Wait(service.value()->Submit(Request::Create("s", 1))).status.ok());
   std::vector<std::thread> callers;
   for (int i = 0; i < 4; ++i)
     callers.emplace_back([&service] { service.value()->Shutdown(); });

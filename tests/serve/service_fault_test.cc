@@ -50,9 +50,12 @@ TEST_F(ServiceFaultTest, SlowPredictTripsDeadlines) {
   auto service = PredictionService::CreateFromCheckpoint(options, path);
   ASSERT_TRUE(service.ok()) << service.status();
   // Build the session before arming the fault so setup cannot expire.
-  ASSERT_TRUE(service.value()->CallCreate("s", 1).status.ok());
-  ASSERT_TRUE(service.value()->CallAppend("s", 2, 0, 1.0).status.ok());
-  ASSERT_TRUE(service.value()->CallAppend("s", 3, 0, 2.0).status.ok());
+  ASSERT_TRUE(
+      Wait(service.value()->Submit(Request::Create("s", 1))).status.ok());
+  ASSERT_TRUE(Wait(service.value()->Submit(Request::Append("s", 2, 0, 1.0)))
+                  .status.ok());
+  ASSERT_TRUE(Wait(service.value()->Submit(Request::Append("s", 3, 0, 2.0)))
+                  .status.ok());
 
   // Every predict now stalls 50 ms inside the worker; with a 5 ms default
   // deadline, requests queued behind the first expire before execution.
@@ -62,12 +65,13 @@ TEST_F(ServiceFaultTest, SlowPredictTripsDeadlines) {
                   .ok());
   std::vector<std::future<ServeResponse>> pending;
   for (int i = 0; i < 8; ++i) {
-    auto submitted = service.value()->SubmitPredict("s");
+    auto submitted = service.value()->Submit(Request::Predict("s"));
     ASSERT_TRUE(submitted.ok()) << submitted.status();
     pending.push_back(std::move(submitted).value());
   }
   // A request that explicitly opts out of the deadline always executes.
-  auto undeadlined = service.value()->SubmitPredict("s", /*deadline_ms=*/-1.0);
+  auto undeadlined =
+      service.value()->Submit(Request::Predict("s", /*deadline_ms=*/-1.0));
   ASSERT_TRUE(undeadlined.ok());
 
   int expired = 0;
@@ -112,7 +116,8 @@ TEST_F(ServiceFaultTest, TransientLoadFailureIsRetriedAway) {
                 Counter::kLoadRetries),
             1u);
   EXPECT_EQ(service.value()->health(), Health::kHealthy);
-  EXPECT_TRUE(service.value()->CallCreate("s", 1).status.ok());
+  EXPECT_TRUE(
+      Wait(service.value()->Submit(Request::Create("s", 1))).status.ok());
   service.value()->Shutdown();
   std::remove(path.c_str());
 }
@@ -144,9 +149,12 @@ TEST_F(ServiceFaultTest, ReloadOfCorruptCheckpointKeepsOldVersionServing) {
   options.sessions.observation_window = 60.0;
   auto service = PredictionService::CreateFromCheckpoint(options, good);
   ASSERT_TRUE(service.ok()) << service.status();
-  ASSERT_TRUE(service.value()->CallCreate("s", 1).status.ok());
-  ASSERT_TRUE(service.value()->CallAppend("s", 2, 0, 1.0).status.ok());
-  const ServeResponse before = service.value()->CallPredict("s");
+  ASSERT_TRUE(
+      Wait(service.value()->Submit(Request::Create("s", 1))).status.ok());
+  ASSERT_TRUE(Wait(service.value()->Submit(Request::Append("s", 2, 0, 1.0)))
+                  .status.ok());
+  const ServeResponse before =
+      Wait(service.value()->Submit(Request::Predict("s")));
   ASSERT_TRUE(before.status.ok()) << before.status;
 
   // Reloading a corrupt checkpoint must fail, degrade health, and leave the
@@ -154,7 +162,8 @@ TEST_F(ServiceFaultTest, ReloadOfCorruptCheckpointKeepsOldVersionServing) {
   const Status bad = service.value()->ReloadCheckpoint(corrupt);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(service.value()->health(), Health::kDegraded);
-  const ServeResponse still = service.value()->CallPredict("s");
+  const ServeResponse still =
+      Wait(service.value()->Submit(Request::Predict("s")));
   ASSERT_TRUE(still.status.ok()) << still.status;
   EXPECT_DOUBLE_EQ(still.log_prediction, before.log_prediction);
 
@@ -162,7 +171,8 @@ TEST_F(ServiceFaultTest, ReloadOfCorruptCheckpointKeepsOldVersionServing) {
   // restores health.
   ASSERT_TRUE(service.value()->ReloadCheckpoint(better).ok());
   EXPECT_EQ(service.value()->health(), Health::kHealthy);
-  const ServeResponse after = service.value()->CallPredict("s");
+  const ServeResponse after =
+      Wait(service.value()->Submit(Request::Predict("s")));
   ASSERT_TRUE(after.status.ok()) << after.status;
   // Same session, new calibration offset: the cached prediction must not
   // have survived the swap.
