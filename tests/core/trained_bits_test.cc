@@ -124,7 +124,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"undirected", CascnVariant::kUndirected, false,
                            0xee1fee21a832aa11ULL, 0x2dc51ea1b043b82cULL},
                       Case{"attention", CascnVariant::kDefault, true,
-                           0xfca5303e81e0e9a8ULL, 0x8bf09ea6295e34feULL}),
+                           0xfca5303e81e0e9a8ULL, 0x8bf09ea6295e34feULL},
+                      Case{"gcn_lstm", CascnVariant::kGcnLstm, false,
+                           0x7cde3d510ec5dbc2ULL, 0xf1644440956fad5fULL}),
     [](const ::testing::TestParamInfo<Case>& info) {
       return std::string(info.param.name);
     });
