@@ -24,17 +24,6 @@ Result<EncodedCascade> EncodeCascade(const CascadeSample& sample,
   const Cascade& cascade = sample.observed;
   enc.active_n = std::min(cascade.size(), config.padded_size);
 
-  // Snapshot sequence (Fig. 3) as dense signals.
-  const std::vector<CascadeSnapshot> snapshots =
-      BuildSnapshotSequence(cascade, config.MakeSnapshotOptions());
-  enc.snapshot_signals.reserve(snapshots.size());
-  enc.decay_intervals.reserve(snapshots.size());
-  for (const CascadeSnapshot& snap : snapshots) {
-    enc.snapshot_signals.push_back(snap.adjacency.ToDense());
-    enc.decay_intervals.push_back(DecayInterval(
-        snap.time, sample.observation_window, config.num_time_intervals));
-  }
-
   // Cascade Laplacian: directed CasLaplacian by default, undirected
   // normalised Laplacian for the CasCN-Undirected ablation.
   CsrMatrix laplacian;
@@ -51,6 +40,22 @@ Result<EncodedCascade> EncodeCascade(const CascadeSample& sample,
   const CsrMatrix scaled =
       ScaleLaplacian(laplacian, enc.lambda_max, enc.active_n);
   enc.cheb_basis = ChebyshevBasis(scaled, config.cheb_order, enc.active_n);
+
+  // Snapshot sequence (Fig. 3), and every snapshot's operators T_k X_t in
+  // one pass.
+  std::vector<CascadeSnapshot> snapshots =
+      BuildSnapshotSequence(cascade, config.MakeSnapshotOptions());
+  std::vector<CsrMatrix> adjacency;
+  adjacency.reserve(snapshots.size());
+  enc.snapshot_signals.reserve(snapshots.size());
+  enc.decay_intervals.reserve(snapshots.size());
+  for (CascadeSnapshot& snap : snapshots) {
+    enc.snapshot_signals.push_back(snap.adjacency.ToDense());
+    enc.decay_intervals.push_back(DecayInterval(
+        snap.time, sample.observation_window, config.num_time_intervals));
+    adjacency.push_back(std::move(snap.adjacency));
+  }
+  enc.snapshot_ops = StackedProducts(enc.cheb_basis, adjacency);
   return enc;
 }
 

@@ -328,6 +328,35 @@ TEST(CascnModelTest, EncodingCacheIsBoundedWithLruEviction) {
                    model.PredictLog(dataset.train[0]).value().At(0, 0));
 }
 
+TEST(CascnModelTest, RecordedForwardOutlivesItsEncodingsEviction) {
+  // A recorded step holds the cached encoding's operators until Backward();
+  // evicting the entry first must change nothing.
+  const CascadeDataset dataset = TinyDataset();
+  for (const CascnVariant variant :
+       {CascnVariant::kDefault, CascnVariant::kGru, CascnVariant::kGcnLstm}) {
+    CascnConfig config = TinyCascnConfig();
+    config.variant = variant;
+    config.encoding_cache_capacity = 1;
+    CascnModel kept(config), evicted(config);
+    ag::Square(kept.PredictLog(dataset.train[0])).Backward();
+    const ag::Variable loss = ag::Square(evicted.PredictLog(dataset.train[0]));
+    evicted.PredictLog(dataset.train[1]);  // evicts train[0]'s encoding
+    evicted.ClearCache();
+    loss.Backward();
+    const auto want = kept.NamedParameters();
+    const auto got = evicted.NamedParameters();
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      const Tensor& a = want[i].second.grad();
+      const Tensor& b = got[i].second.grad();
+      ASSERT_TRUE(a.SameShape(b))
+          << VariantName(variant) << " " << want[i].first;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+          << VariantName(variant) << " " << want[i].first;
+    }
+  }
+}
+
 TEST(CascnModelTest, EncodedLambdaMaxModes) {
   const CascadeDataset dataset = TinyDataset();
   CascnConfig config = TinyCascnConfig();

@@ -1,10 +1,13 @@
 #include "core/encoder.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "../testing/test_data.h"
+#include "common/rng.h"
 
 namespace cascn {
 namespace {
@@ -107,6 +110,66 @@ TEST(EncoderTest, DirectedVariantIsAsymmetric) {
   ASSERT_TRUE(enc.ok());
   const Tensor t1 = enc->cheb_basis[1].ToDense();
   EXPECT_FALSE(AllClose(t1, t1.Transposed(), 1e-9));
+}
+
+/// A 40-node cascade whose adopters each retweet a seeded random earlier
+/// adopter.
+CascadeSample RandomTreeSample() {
+  Rng rng(21);
+  std::vector<AdoptionEvent> events = {{0, 0, {}, 0.0}};
+  for (int i = 1; i < 40; ++i) {
+    const int parent = static_cast<int>(rng.Uniform(0.0, i));
+    events.push_back({i, i, {std::min(parent, i - 1)}, 1.4 * i});
+  }
+  CascadeSample sample;
+  sample.observed =
+      std::move(Cascade::Create("tree", std::move(events))).value();
+  sample.observation_window = 60.0;
+  return sample;
+}
+
+bool SameCsr(const CsrMatrix& a, const CsrMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         a.row_offsets() == b.row_offsets() &&
+         a.col_indices() == b.col_indices() && a.values() == b.values();
+}
+
+TEST(EncoderTest, SnapshotOperatorsAreTheDenseProductsWithZerosDropped) {
+  const CascadeSample tree = RandomTreeSample();
+  for (const CascnVariant variant :
+       {CascnVariant::kDefault, CascnVariant::kUndirected}) {
+    for (const int order : {1, 2, 3}) {
+      CascnConfig config;  // padded size 32
+      config.variant = variant;
+      config.cheb_order = order;
+      for (const int size : {1, 2, 10, 32}) {
+        CascadeSample sample = tree;
+        sample.observed = tree.observed.PrefixBySize(size);
+        const auto enc = EncodeCascade(sample, config);
+        ASSERT_TRUE(enc.ok()) << enc.status();
+        const std::string where = VariantName(variant) +
+                                  " K=" + std::to_string(order) +
+                                  " size=" + std::to_string(size);
+        ASSERT_FALSE(enc->snapshot_signals.empty()) << where;
+        const int n = config.padded_size;
+        ASSERT_EQ(enc->snapshot_ops.rows(),
+                  static_cast<int>(enc->snapshot_signals.size()) * order * n)
+            << where;
+        for (size_t t = 0; t < enc->snapshot_signals.size(); ++t) {
+          for (int k = 0; k < order; ++k) {
+            // Values compare exactly, so a rounding difference fails as
+            // well as a missing or extra entry.
+            const CsrMatrix want = CsrMatrix::FromDense(
+                enc->cheb_basis[k].MatMulDense(enc->snapshot_signals[t]));
+            const CsrMatrix got = enc->snapshot_ops.RowBlock(
+                (static_cast<int>(t) * order + k) * n, n);
+            EXPECT_TRUE(SameCsr(got, want))
+                << where << " t=" << t << " k=" << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(EncoderTest, LargeCascadeIsTruncatedToPaddedSize) {
