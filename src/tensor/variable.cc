@@ -4,6 +4,7 @@
 #include <cmath>
 #include <initializer_list>
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -446,27 +447,42 @@ Variable MatMul(const Variable& a, const Variable& b) {
       2 * m * k * n, 4 * m * k * n);
 }
 
-Variable SparseMatMul(const CsrMatrix& op, const Variable& x) {
+namespace {
+
+/// SparseMatMul for `Op` = const CsrMatrix& or CsrMatrix: the backward
+/// closure copies the former and takes over the latter.
+template <typename Op>
+Variable SparseMatMulOwning(Op&& op, const Variable& x) {
   const auto& xn = CheckedNode(x);
   CASCN_CHECK(op.cols() == xn->value.rows()) << "SparseMatMul shape mismatch";
   OpProfile prof(obs::OpKind::kSparseMatMul);
   const uint64_t work = 2 * static_cast<uint64_t>(op.nnz()) *
                         static_cast<uint64_t>(xn->value.cols());
   Tensor out = op.MatMulDense(xn->value);
-  // The backward closure owns a copy of the operator, so build it only when
-  // a gradient will flow. The init-capture makes that copy a non-const
-  // member, so handing the closure to std::function moves it instead of
-  // copying the operator a second time.
+  // The backward closure owns the operator, so take it only when a
+  // gradient will flow. The init-capture makes it a non-const member, so
+  // handing the closure to std::function moves it instead of copying the
+  // operator a second time.
   if (!t_grad_enabled || !xn->needs_grad)
     return prof.Done(ValueNode(std::move(out)), work, work);
   return prof.Done(
       MakeOpNode(std::move(out), {xn},
-                 [op = CsrMatrix(op)](Node& self) {
+                 [op = CsrMatrix(std::forward<Op>(op))](Node& self) {
                    // dL/dX = Op^T G
                    self.parents[0]->AccumGrad(
                        op.TransposeMatMulDense(self.grad));
                  }),
       work, work);
+}
+
+}  // namespace
+
+Variable SparseMatMul(const CsrMatrix& op, const Variable& x) {
+  return SparseMatMulOwning(op, x);
+}
+
+Variable SparseMatMul(CsrMatrix&& op, const Variable& x) {
+  return SparseMatMulOwning(std::move(op), x);
 }
 
 // ---- Nonlinearities --------------------------------------------------------

@@ -217,6 +217,8 @@ Variable ScaleByScalar(const Variable& a, const Variable& s);
 Variable MatMul(const Variable& a, const Variable& b);
 /// Constant sparse operator @ dense variable. Pre: op.cols == x.rows.
 Variable SparseMatMul(const CsrMatrix& op, const Variable& x);
+/// The same, with the backward taking over `op` instead of a copy.
+Variable SparseMatMul(CsrMatrix&& op, const Variable& x);
 
 // ---- Nonlinearities --------------------------------------------------------
 

@@ -405,6 +405,19 @@ TEST(NoGradGuardTest, ConstantBranchSparseMatMulCopiesNoOperator) {
   }
   // Recording: the output plus the closure's copy of the three CSR arrays.
   EXPECT_EQ(allocs(param), 4u);
+  // Recording on a temporary operator: the closure takes it over.
+  profiler.Reset();
+  profiler.Enable();
+  CsrMatrix temporary = op;
+  const uint64_t before = profiler.alloc_count();
+  const Variable y = SparseMatMul(std::move(temporary), param);
+  EXPECT_EQ(profiler.alloc_count() - before, 1u);
+  profiler.Disable();
+  profiler.Reset();
+  const Tensor expected = op.MatMulDense(param.value());
+  for (int r = 0; r < 3; ++r)
+    for (int c = 0; c < 4; ++c)
+      EXPECT_EQ(y.value().At(r, c), expected.At(r, c));
 }
 
 TEST(NoGradGuardDeathTest, BackwardOnAGuardedResultDies) {
