@@ -76,7 +76,7 @@ class CascnModel : public nn::Module, public CascadeRegressor {
 
  private:
   /// Cached per-sample encoding, keyed by SampleFingerprint so a recycled
-  /// heap address (e.g. the per-update samples of a streaming session) can
+  /// heap address (e.g. the per-update samples of a live cascade) can
   /// never alias a previous cascade's encoding. LRU-bounded by
   /// config.encoding_cache_capacity. Entries are shared_ptr so a concurrent
   /// eviction can never invalidate an encoding another thread is reading.

@@ -66,7 +66,7 @@ class CascadeRegressor {
 
   /// PredictLogCalibrated's value, computed under ag::NoGradGuard: no graph
   /// is recorded, and the result is bit-identical. The single inference
-  /// entry point for serving, streaming and evaluation.
+  /// entry point for serving (LiveCascade) and evaluation.
   double PredictValue(const CascadeSample& sample) {
     ag::NoGradGuard no_grad;
     return PredictLogCalibrated(sample).value().At(0, 0);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -341,10 +340,6 @@ void PredictionService::WorkerLoop(int worker_index) {
       metrics_.Increment(Counter::kBatchedRequests,
                          static_cast<uint64_t>(batch.size()));
     }
-    // Duplicate predicts for one session inside a batch are computed once;
-    // followers reuse the leader's response. (Appends invalidate the
-    // session's prediction cache, so only identical observed states share.)
-    std::unordered_map<std::string, ServeResponse> predict_memo;
     for (Queued& request : batch) {
       const auto start = std::chrono::steady_clock::now();
       const uint64_t queue_wait_ns = static_cast<uint64_t>(
@@ -354,30 +349,17 @@ void PredictionService::WorkerLoop(int worker_index) {
       uint16_t fault_bits = 0;
       bool deadline_exceeded = false;
       ServeResponse response;
-      const std::string& session_id = request.ctx.session_id;
       if (request.ctx.has_deadline && start > request.ctx.deadline) {
         // Fail fast: the caller has already given up; executing now would
         // only burn a worker on a dead request.
         response.status = Status::DeadlineExceeded(
-            "deadline expired before execution for session " + session_id);
+            "deadline expired before execution for session " +
+            request.ctx.session_id);
         metrics_.Increment(Counter::kDeadlineExceeded);
         metrics_.Increment(Counter::kErrors);
         deadline_exceeded = true;
-      } else if (request.op == Request::Op::kPredict) {
-        auto memo = predict_memo.find(session_id);
-        if (memo != predict_memo.end()) {
-          response = memo->second;
-          metrics_.Increment(Counter::kPredictions);
-          metrics_.Increment(Counter::kPredictionCacheHits);
-        } else {
-          response = Execute(request, *model, &fault_bits);
-          predict_memo.emplace(session_id, response);
-        }
       } else {
         response = Execute(request, *model, &fault_bits);
-        // Any mutation (create/append/close) changes what a predict for
-        // this session should observe: drop the memo entry.
-        predict_memo.erase(session_id);
       }
       const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start);

@@ -1,132 +1,9 @@
 #include "serve/session_manager.h"
 
-#include <cmath>
-#include <cstring>
-
-#include "common/crc32.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "obs/trace.h"
 
 namespace cascn::serve {
-
-namespace {
-
-// Serialized-session layout (all little-endian, as written by the host):
-//   uint32  magic 0x53455353 ("SESS")
-//   uint32  version (kSessionBlobVersion)
-//   uint32  event count
-//   per event: int32 node, int32 user, uint32 parent count, int32 parents...,
-//              double time
-//   uint32  CRC-32 of every preceding byte
-constexpr uint32_t kSessionBlobMagic = 0x53455353;
-constexpr uint32_t kSessionBlobVersion = 1;
-constexpr uint32_t kMaxBlobEvents = 1u << 24;  // 16M events is implausible
-
-void AppendRaw(std::string& out, const void* data, size_t len) {
-  out.append(reinterpret_cast<const char*>(data), len);
-}
-
-void AppendU32(std::string& out, uint32_t v) { AppendRaw(out, &v, sizeof(v)); }
-void AppendI32(std::string& out, int32_t v) { AppendRaw(out, &v, sizeof(v)); }
-void AppendF64(std::string& out, double v) { AppendRaw(out, &v, sizeof(v)); }
-
-/// Cursor over a blob; every read is bounds-checked so a truncated blob
-/// fails with a Status instead of reading past the end.
-struct BlobReader {
-  const std::string& bytes;
-  size_t pos = 0;
-
-  Status Read(void* dst, size_t len, const char* what) {
-    if (pos + len > bytes.size())
-      return Status::IoError(
-          StrFormat("session blob truncated reading %s", what));
-    std::memcpy(dst, bytes.data() + pos, len);
-    pos += len;
-    return Status::OK();
-  }
-};
-
-std::string SerializeAdoptionEvents(const std::vector<AdoptionEvent>& events) {
-  std::string out;
-  AppendU32(out, kSessionBlobMagic);
-  AppendU32(out, kSessionBlobVersion);
-  AppendU32(out, static_cast<uint32_t>(events.size()));
-  for (const AdoptionEvent& e : events) {
-    AppendI32(out, e.node);
-    AppendI32(out, e.user);
-    AppendU32(out, static_cast<uint32_t>(e.parents.size()));
-    for (int parent : e.parents) AppendI32(out, parent);
-    AppendF64(out, e.time);
-  }
-  const uint32_t crc = Crc32(out);
-  AppendU32(out, crc);
-  return out;
-}
-
-Result<std::vector<AdoptionEvent>> ParseAdoptionEvents(
-    const std::string& blob) {
-  if (blob.size() < 4 * sizeof(uint32_t))
-    return Status::IoError(StrFormat(
-        "session blob of %zu bytes is too short", blob.size()));
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, blob.data() + blob.size() - sizeof(stored_crc),
-              sizeof(stored_crc));
-  const uint32_t computed =
-      Crc32(blob.data(), blob.size() - sizeof(stored_crc));
-  if (stored_crc != computed)
-    return Status::IoError(StrFormat(
-        "session blob checksum mismatch (stored 0x%08x, computed 0x%08x): "
-        "torn or corrupt blob",
-        stored_crc, computed));
-
-  BlobReader reader{blob};
-  uint32_t magic = 0;
-  CASCN_RETURN_IF_ERROR(reader.Read(&magic, sizeof(magic), "magic"));
-  if (magic != kSessionBlobMagic)
-    return Status::IoError(
-        StrFormat("not a session blob (magic 0x%08x)", magic));
-  uint32_t version = 0;
-  CASCN_RETURN_IF_ERROR(reader.Read(&version, sizeof(version), "version"));
-  if (version != kSessionBlobVersion)
-    return Status::IoError(
-        StrFormat("unsupported session blob version %u", version));
-  uint32_t count = 0;
-  CASCN_RETURN_IF_ERROR(reader.Read(&count, sizeof(count), "event count"));
-  if (count == 0 || count > kMaxBlobEvents)
-    return Status::IoError(
-        StrFormat("implausible session blob event count %u", count));
-
-  std::vector<AdoptionEvent> events;
-  events.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    AdoptionEvent e;
-    int32_t node = 0, user = 0;
-    CASCN_RETURN_IF_ERROR(reader.Read(&node, sizeof(node), "node"));
-    CASCN_RETURN_IF_ERROR(reader.Read(&user, sizeof(user), "user"));
-    e.node = node;
-    e.user = user;
-    uint32_t num_parents = 0;
-    CASCN_RETURN_IF_ERROR(
-        reader.Read(&num_parents, sizeof(num_parents), "parent count"));
-    if (num_parents > count)
-      return Status::IoError(
-          StrFormat("implausible parent count %u", num_parents));
-    e.parents.reserve(num_parents);
-    for (uint32_t p = 0; p < num_parents; ++p) {
-      int32_t parent = 0;
-      CASCN_RETURN_IF_ERROR(reader.Read(&parent, sizeof(parent), "parent"));
-      e.parents.push_back(parent);
-    }
-    CASCN_RETURN_IF_ERROR(reader.Read(&e.time, sizeof(e.time), "time"));
-    events.push_back(std::move(e));
-  }
-  if (reader.pos != blob.size() - sizeof(stored_crc))
-    return Status::IoError("session blob has trailing bytes");
-  return events;
-}
-
-}  // namespace
 
 SessionManager::SessionManager(const SessionManagerOptions& options,
                                ServeMetrics* metrics)
@@ -140,6 +17,13 @@ void SessionManager::DropSpillLocked(const std::string& session_id) const {
   if (it == spill_.end()) return;
   spill_lru_.erase(it->second.lru_it);
   spill_.erase(it);
+}
+
+void SessionManager::PutSpillLocked(const std::string& session_id,
+                                    std::string blob) const {
+  DropSpillLocked(session_id);
+  spill_lru_.push_front(session_id);
+  spill_.emplace(session_id, Spilled{std::move(blob), spill_lru_.begin()});
 }
 
 Status SessionManager::InsertLocked(
@@ -157,14 +41,9 @@ Status SessionManager::InsertLocked(
       if (options_.spill_capacity > 0) {
         // pins == 0 under map_mutex_ means no thread is inside the session
         // (and the releasing thread's writes are visible through the mutex),
-        // so its events can be read without taking the session mutex —
+        // so its cascade can be read without taking the session mutex —
         // which keeps session mutexes out of map_mutex_'s lock graph.
-        DropSpillLocked(*it);
-        spill_lru_.push_front(*it);
-        Spilled spilled;
-        spilled.blob = SerializeAdoptionEvents(candidate->second->events);
-        spilled.lru_it = spill_lru_.begin();
-        spill_.emplace(*it, std::move(spilled));
+        PutSpillLocked(*it, candidate->second->cascade.Serialize());
         while (spill_.size() > options_.spill_capacity) {
           // Capacity-driven session loss: the oldest spilled history is
           // gone for good. Make it observable — operators otherwise have
@@ -207,11 +86,9 @@ Result<std::shared_ptr<SessionManager::Session>> SessionManager::Acquire(
     auto spilled = spill_.find(session_id);
     if (spilled == spill_.end())
       return Status::NotFound("unknown session: " + session_id);
-    auto events = ParseAdoptionEvents(spilled->second.blob);
-    CASCN_CHECK(events.ok()) << "corrupt spill blob for session "
-                             << session_id << ": " << events.status();
-    auto session = std::make_shared<Session>();
-    session->events = std::move(events).value();
+    CASCN_ASSIGN_OR_RETURN(
+        LiveCascade cascade,
+        LiveCascade::Parse(spilled->second.blob, options_.observation_window));
     // Set the blob aside rather than discarding it: dropping it before the
     // insert keeps the restored id from LRU-evicting its own spill entry,
     // and putting it back on insert failure keeps the no-loss guarantee
@@ -219,13 +96,10 @@ Result<std::shared_ptr<SessionManager::Session>> SessionManager::Acquire(
     // evicted and the freed spill slot is still free).
     std::string blob = std::move(spilled->second.blob);
     DropSpillLocked(session_id);
-    const Status inserted = InsertLocked(session_id, std::move(session));
+    const Status inserted = InsertLocked(
+        session_id, std::make_shared<Session>(std::move(cascade)));
     if (!inserted.ok()) {
-      spill_lru_.push_front(session_id);
-      Spilled keep;
-      keep.blob = std::move(blob);
-      keep.lru_it = spill_lru_.begin();
-      spill_.emplace(session_id, std::move(keep));
+      PutSpillLocked(session_id, std::move(blob));
       return inserted;  // Unavailable: transient, the history is intact
     }
     Record(Counter::kSpillRestores);
@@ -242,92 +116,55 @@ void SessionManager::Release(Session& session) const {
   --session.pins;
 }
 
-Status SessionManager::Create(const std::string& session_id, int root_user) {
-  auto session = std::make_shared<Session>();
-  AdoptionEvent root;
-  root.node = 0;
-  root.user = root_user;
-  root.time = 0.0;
-  session->events.push_back(root);
+template <typename Fn>
+auto SessionManager::WithSession(const std::string& session_id, Fn fn) const
+    -> decltype(fn(std::declval<LiveCascade&>())) {
+  CASCN_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
+                         Acquire(session_id));
+  auto result = [&] {
+    std::lock_guard<std::mutex> lock(session->mutex);
+    return fn(session->cascade);
+  }();
+  Release(*session);
+  return result;
+}
 
+Status SessionManager::Insert(const std::string& session_id,
+                              LiveCascade cascade) {
+  auto session = std::make_shared<Session>(std::move(cascade));
   std::lock_guard<std::mutex> lock(map_mutex_);
   if (sessions_.count(session_id) > 0)
     return Status::InvalidArgument("session already exists: " + session_id);
-  // An explicit re-create starts a fresh cascade: the spilled history (if
-  // any) must not resurrect under it.
+  // A new cascade under this id replaces the spilled history (if any): it
+  // must not resurrect under it.
   DropSpillLocked(session_id);
-  CASCN_RETURN_IF_ERROR(InsertLocked(session_id, std::move(session)));
+  return InsertLocked(session_id, std::move(session));
+}
+
+Status SessionManager::Create(const std::string& session_id, int root_user) {
+  CASCN_RETURN_IF_ERROR(Insert(
+      session_id, LiveCascade(root_user, options_.observation_window)));
   Record(Counter::kSessionsCreated);
   return Status::OK();
 }
 
 Status SessionManager::Append(const std::string& session_id, int user,
                               int parent_node, double time) {
-  CASCN_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                         Acquire(session_id));
-  Status status = Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    if (parent_node < 0 ||
-        parent_node >= static_cast<int>(session->events.size())) {
-      status = Status::InvalidArgument(
-          StrFormat("unknown parent node %d", parent_node));
-    } else if (!std::isfinite(time)) {
-      status = Status::InvalidArgument("adoption time must be finite");
-    } else if (time < session->events.back().time) {
-      status =
-          Status::InvalidArgument("adoption times must be non-decreasing");
-    } else if (time > options_.observation_window) {
-      status = Status::OutOfRange("adoption outside the observation window");
-    } else {
-      AdoptionEvent e;
-      e.node = static_cast<int>(session->events.size());
-      e.user = user;
-      e.parents.push_back(parent_node);
-      e.time = time;
-      session->events.push_back(std::move(e));
-      session->sample_stale = true;
-      session->cached_prediction.reset();
-      Record(Counter::kAppends);
-    }
-  }
-  Release(*session);
-  return status;
-}
-
-const CascadeSample& SessionManager::CurrentSample(Session& session) const {
-  // Pre: session.mutex held.
-  if (session.sample_stale) {
-    auto cascade = Cascade::Create("session", session.events);
-    CASCN_CHECK(cascade.ok()) << cascade.status();
-    if (session.sample == nullptr)
-      session.sample = std::make_unique<CascadeSample>();
-    session.sample->observed = std::move(cascade).value();
-    session.sample->observation_window = options_.observation_window;
-    session.sample_stale = false;
-  }
-  return *session.sample;
+  return WithSession(session_id, [&](LiveCascade& cascade) {
+    Status status = cascade.Append(user, parent_node, time);
+    if (status.ok()) Record(Counter::kAppends);
+    return status;
+  });
 }
 
 Result<double> SessionManager::PredictLog(const std::string& session_id,
                                           CascadeRegressor& model) {
-  CASCN_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                         Acquire(session_id));
-  double prediction = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    if (session->cached_prediction.has_value()) {
+  return WithSession(session_id, [&](LiveCascade& cascade) {
+    if (cascade.has_cached_prediction())
       Record(Counter::kPredictionCacheHits);
-      prediction = *session->cached_prediction;
-    } else {
-      const CascadeSample& sample = CurrentSample(*session);
-      prediction = model.PredictValue(sample);
-      session->cached_prediction = prediction;
-    }
     Record(Counter::kPredictions);
-  }
-  Release(*session);
-  return prediction;
+    return cascade.Predict(model);
+  });
 }
 
 Status SessionManager::Close(const std::string& session_id) {
@@ -356,56 +193,29 @@ void SessionManager::InvalidateCachedPredictions() {
   }
   for (const auto& session : sessions) {
     std::lock_guard<std::mutex> lock(session->mutex);
-    session->cached_prediction.reset();
+    session->cascade.InvalidatePrediction();
   }
 }
 
 Result<int> SessionManager::SessionSize(const std::string& session_id) const {
-  CASCN_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                         Acquire(session_id));
-  int size = 0;
-  {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    size = static_cast<int>(session->events.size());
-  }
-  Release(*session);
-  return size;
+  return WithSession(session_id, [](LiveCascade& cascade) {
+    return Result<int>(cascade.size());
+  });
 }
 
 Result<std::string> SessionManager::Serialize(
     const std::string& session_id) const {
-  CASCN_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                         Acquire(session_id));
-  std::string blob;
-  {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    blob = SerializeAdoptionEvents(session->events);
-  }
-  Release(*session);
-  return blob;
+  return WithSession(session_id, [](LiveCascade& cascade) {
+    return Result<std::string>(cascade.Serialize());
+  });
 }
 
 Status SessionManager::Deserialize(const std::string& session_id,
                                    const std::string& blob) {
-  CASCN_ASSIGN_OR_RETURN(std::vector<AdoptionEvent> events,
-                         ParseAdoptionEvents(blob));
-  // Validate the structure exactly as a live session would build it, so a
-  // syntactically valid blob with impossible events (bad parent indices,
-  // time regressions) is rejected here instead of crashing a later predict.
-  {
-    auto cascade = Cascade::Create(session_id, events);
-    if (!cascade.ok())
-      return Status::InvalidArgument("session blob fails cascade validation: " +
-                                     cascade.status().message());
-  }
-  auto session = std::make_shared<Session>();
-  session->events = std::move(events);
-
-  std::lock_guard<std::mutex> lock(map_mutex_);
-  if (sessions_.count(session_id) > 0)
-    return Status::InvalidArgument("session already exists: " + session_id);
-  DropSpillLocked(session_id);
-  return InsertLocked(session_id, std::move(session));
+  CASCN_ASSIGN_OR_RETURN(
+      LiveCascade cascade,
+      LiveCascade::Parse(blob, options_.observation_window));
+  return Insert(session_id, std::move(cascade));
 }
 
 Result<std::string> SessionManager::Extract(const std::string& session_id) {
@@ -423,9 +233,9 @@ Result<std::string> SessionManager::Extract(const std::string& session_id) {
   }
   if (it->second->pins > 0)
     return Status::Unavailable("session is busy: " + session_id);
-  // pins == 0 under map_mutex_: safe to read events without the session
-  // mutex (see InsertLocked).
-  std::string blob = SerializeAdoptionEvents(it->second->events);
+  // pins == 0 under map_mutex_: safe to read the cascade without the
+  // session mutex (see InsertLocked).
+  std::string blob = it->second->cascade.Serialize();
   lru_.erase(it->second->lru_it);
   sessions_.erase(it);
   DropSpillLocked(session_id);

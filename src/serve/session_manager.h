@@ -1,13 +1,13 @@
-// SessionManager: many concurrent live cascades, generalizing the
-// single-cascade StreamingPredictor to a keyed session table.
+// SessionManager: a keyed table of live cascades (LiveCascade), one per
+// session.
 //
 // Each session is one evolving cascade: Create() starts it with the root
-// post, Append() adds adoptions (with the same validation as
-// StreamingPredictor), Predict() runs a model over the cascade as observed
-// so far, Close() ends it. Sessions are independently locked, so operations
-// on different sessions proceed in parallel; the table itself is guarded by
-// a separate mutex held only for map/LRU bookkeeping, never across a model
-// forward pass.
+// post, Append() adds adoptions (under LiveCascade's append rule),
+// PredictLog() runs a model over the cascade as observed so far, Close()
+// ends it. Sessions are independently locked, so operations on different
+// sessions proceed in parallel; the table itself is guarded by a separate
+// mutex held only for map/LRU bookkeeping, never across a model forward
+// pass.
 //
 // Capacity: at most `options.capacity` live sessions. Creating one more
 // evicts the least-recently-used *idle* session (idle = no operation
@@ -21,10 +21,10 @@
 // of silently losing it. Create() on a spilled id discards the blob (an
 // explicit re-create is a new cascade).
 //
-// Handoff: Serialize()/Deserialize() export one session's full history as a
-// self-validating binary blob and rebuild it elsewhere — the unit the
-// cluster layer moves between shards during rebalance. Extract() is the
-// remove-and-serialize variant used by a draining shard.
+// Handoff: Serialize()/Deserialize() export one session's full history as
+// LiveCascade's self-validating binary blob and rebuild it elsewhere — the
+// unit the cluster layer moves between shards during rebalance. Extract()
+// is the remove-and-serialize variant used by a draining shard.
 
 #ifndef CASCN_SERVE_SESSION_MANAGER_H_
 #define CASCN_SERVE_SESSION_MANAGER_H_
@@ -33,14 +33,14 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "core/regressor.h"
-#include "graph/cascade.h"
+#include "serve/live_cascade.h"
 #include "serve/metrics.h"
 
 namespace cascn::serve {
@@ -80,8 +80,8 @@ class SessionManager {
   Status Create(const std::string& session_id, int root_user);
 
   /// Appends one adoption to the session's cascade. NotFound for unknown
-  /// sessions; otherwise the same validation as StreamingPredictor
-  /// (finite monotone times, known parent, inside the window).
+  /// sessions; otherwise LiveCascade::Append's validation (finite monotone
+  /// times, known parent, inside the window).
   Status Append(const std::string& session_id, int user, int parent_node,
                 double time);
 
@@ -111,9 +111,10 @@ class SessionManager {
   Result<std::string> Serialize(const std::string& session_id) const;
 
   /// Rebuilds a session from a Serialize() blob. InvalidArgument if the id
-  /// already exists or the events fail cascade validation; IoError for a
-  /// torn or corrupt blob (bad magic/CRC/length). Subject to the same
-  /// capacity/eviction rules as Create().
+  /// already exists or the events are not what appends could have built
+  /// (LiveCascade::Parse); IoError for a torn or corrupt blob (bad
+  /// magic/CRC/length). Subject to the same capacity/eviction rules as
+  /// Create().
   Status Deserialize(const std::string& session_id, const std::string& blob);
 
   /// Serialize() + remove in one step — the draining side of a shard
@@ -132,11 +133,9 @@ class SessionManager {
 
  private:
   struct Session {
-    std::mutex mutex;  // guards everything below
-    std::vector<AdoptionEvent> events;
-    std::unique_ptr<CascadeSample> sample;  // rebuilt lazily after appends
-    bool sample_stale = true;
-    std::optional<double> cached_prediction;
+    explicit Session(LiveCascade c) : cascade(std::move(c)) {}
+    std::mutex mutex;  // guards cascade
+    LiveCascade cascade;
     int pins = 0;  // operations currently inside the session (eviction guard)
     std::list<std::string>::iterator lru_it;
   };
@@ -148,11 +147,18 @@ class SessionManager {
   /// can succeed).
   Result<std::shared_ptr<Session>> Acquire(const std::string& session_id) const;
   void Release(Session& session) const;
-  const CascadeSample& CurrentSample(Session& session) const;
+  /// Acquire + `fn(cascade)` under the session mutex + Release; returns
+  /// fn's Status/Result, or Acquire's error.
+  template <typename Fn>
+  auto WithSession(const std::string& session_id, Fn fn) const
+      -> decltype(fn(std::declval<LiveCascade&>()));
   void Record(Counter c, uint64_t n = 1) const {
     if (metrics_ != nullptr) metrics_->Increment(c, n);
   }
 
+  /// Inserts a new session holding `cascade`, replacing any spilled
+  /// history under the id. InvalidArgument if the id is live.
+  Status Insert(const std::string& session_id, LiveCascade cascade);
   /// Inserts a prebuilt session. Pre: map_mutex_ held; id not present.
   /// Evicts (and possibly spills) the LRU idle session at capacity;
   /// Unavailable when every session is busy.
@@ -160,6 +166,9 @@ class SessionManager {
                       std::shared_ptr<Session> session) const;
   /// Drops `session_id` from the spill table if present. Pre: map_mutex_.
   void DropSpillLocked(const std::string& session_id) const;
+  /// Stores `blob` as the most recently spilled history of `session_id`,
+  /// replacing any earlier one; does not trim the table. Pre: map_mutex_.
+  void PutSpillLocked(const std::string& session_id, std::string blob) const;
 
   SessionManagerOptions options_;
   ServeMetrics* metrics_;

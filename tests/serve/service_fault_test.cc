@@ -10,6 +10,7 @@
 #include <fstream>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,6 +94,70 @@ TEST_F(ServiceFaultTest, SlowPredictTripsDeadlines) {
   const auto snap = service.value()->metrics().TakeSnapshot();
   EXPECT_EQ(snap.counter(Counter::kDeadlineExceeded),
             static_cast<uint64_t>(expired));
+  service.value()->Shutdown();
+  std::remove(path.c_str());
+}
+
+/// Holds the only worker of `service` inside a 200 ms predict for session
+/// "held", then queues `predicts` behind it, so they drain as one batch.
+/// Returns every response, the held predict's first.
+std::vector<ServeResponse> PredictBehindHeldWorker(
+    PredictionService& service, const std::vector<std::string>& predicts) {
+  EXPECT_TRUE(Wait(service.Submit(Request::Create("held", 1))).status.ok());
+  EXPECT_TRUE(fault::FaultRegistry::Get()
+                  .Configure(std::string(kFaultServeSlowPredict) +
+                             "=nth:1@200")
+                  .ok());
+  std::vector<std::future<ServeResponse>> pending;
+  pending.push_back(service.Submit(Request::Predict("held")).value());
+  while (service.queue_depth() > 0) std::this_thread::yield();
+  for (const std::string& id : predicts)
+    pending.push_back(service.Submit(Request::Predict(id)).value());
+  std::vector<ServeResponse> responses;
+  for (auto& future : pending) responses.push_back(future.get());
+  return responses;
+}
+
+TEST_F(ServiceFaultTest, DuplicateFailedPredictsInABatchEachCountAnError) {
+  const std::string path = TempPath("duplicate_errors");
+  WriteTestCheckpoint(path, 2.0);
+  ServiceOptions options;
+  options.num_workers = 1;
+  auto service = PredictionService::CreateFromCheckpoint(options, path);
+  ASSERT_TRUE(service.ok()) << service.status();
+  const std::vector<ServeResponse> responses =
+      PredictBehindHeldWorker(*service.value(), {"ghost", "ghost"});
+  EXPECT_TRUE(responses[0].status.ok()) << responses[0].status;
+  EXPECT_EQ(responses[1].status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(responses[2].status.code(), StatusCode::kNotFound);
+  const auto snap = service.value()->metrics().TakeSnapshot();
+  EXPECT_EQ(snap.counter(Counter::kBatches), 1u);  // the two ghosts
+  EXPECT_EQ(snap.counter(Counter::kErrors), 2u);
+  EXPECT_EQ(snap.counter(Counter::kPredictionCacheHits), 0u);
+  service.value()->Shutdown();
+  std::remove(path.c_str());
+}
+
+TEST_F(ServiceFaultTest, DuplicatePredictsInABatchAreComputedOnce) {
+  const std::string path = TempPath("duplicate_hits");
+  WriteTestCheckpoint(path, 2.0);
+  ServiceOptions options;
+  options.num_workers = 1;
+  auto service = PredictionService::CreateFromCheckpoint(options, path);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ASSERT_TRUE(
+      Wait(service.value()->Submit(Request::Create("s", 1))).status.ok());
+  const std::vector<ServeResponse> responses =
+      PredictBehindHeldWorker(*service.value(), {"s", "s"});
+  ASSERT_TRUE(responses[1].status.ok()) << responses[1].status;
+  ASSERT_TRUE(responses[2].status.ok()) << responses[2].status;
+  EXPECT_EQ(responses[1].log_prediction, responses[2].log_prediction);
+  const auto snap = service.value()->metrics().TakeSnapshot();
+  EXPECT_EQ(snap.counter(Counter::kBatches), 1u);
+  EXPECT_EQ(snap.counter(Counter::kPredictions), 3u);
+  // The second "s" is a hit on the session's cached prediction.
+  EXPECT_EQ(snap.counter(Counter::kPredictionCacheHits), 1u);
+  EXPECT_EQ(snap.counter(Counter::kErrors), 0u);
   service.value()->Shutdown();
   std::remove(path.c_str());
 }
