@@ -1,7 +1,8 @@
 // Micro-benchmarks of the substrate kernels that dominate CasCN training:
 // dense matmul, sparse-dense matmul, the CasLaplacian construction
 // (Algorithm 1), the Chebyshev basis recursion, one graph-conv LSTM step
-// (forward and forward+backward), a standalone ChebConv layer, and snapshot
+// (forward and forward+backward), the cell's recorded sequence entry
+// (forward+backward), a standalone ChebConv layer, and snapshot
 // encoding. Paired rows time a whole cached-encoding forward served
 // (PredictValue, the fused kernel) and recorded (PredictLogCalibrated) on
 // the same samples, and a whole training sample (recorded forward plus
@@ -20,6 +21,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -133,6 +135,32 @@ void BM_GraphConvLstmStepTrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphConvLstmStepTrain)->Arg(16)->Arg(32);
+
+/// The cell's recorded sequence entry, RunRecorded plus Backward() of a
+/// loss reading every h_t, over the encoding of a cascade that reaches R of
+/// the n = 32 rows (R = 32 leaves no padding row).
+void BM_GraphConvLstmRecordedRun(benchmark::State& state) {
+  const CascnConfig config;
+  Rng rng(7);
+  nn::GraphConvLstmCell cell(config.padded_size, config.hidden_dim,
+                             config.cheb_order, rng);
+  CascadeSample sample;
+  sample.observed = BenchCascade(static_cast<int>(state.range(0)));
+  sample.observation_window = 60.0;
+  const auto enc = std::make_shared<const EncodedCascade>(
+      EncodeCascade(sample, config).value());
+  const nn::SharedBasis basis(enc, &enc->cheb_basis);
+  const std::shared_ptr<const CsrMatrix> ops(enc, &enc->snapshot_ops);
+  for (auto _ : state) {
+    const std::vector<nn::RnnState> states =
+        cell.RunRecorded(basis, ops, cell.InitialState());
+    ag::Variable sum = states[0].h;
+    for (size_t t = 1; t < states.size(); ++t) sum = ag::Add(sum, states[t].h);
+    ag::Sum(sum).Backward();
+    cell.ZeroGrad();
+  }
+}
+BENCHMARK(BM_GraphConvLstmRecordedRun)->Arg(4)->Arg(16)->Arg(32);
 
 /// A standalone ChebConv layer (kGcnLstm's graph convolution) forward and
 /// backward through ag ops, with the input signal taking a gradient.

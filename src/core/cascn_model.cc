@@ -147,8 +147,8 @@ ag::Variable CascnModel::ForwardPooled(const CascadeSample& sample) {
   }
 
   // Convolutional recurrence (default, GRU, undirected, no-decay): h_t per
-  // snapshot. With grad mode off the cell runs the whole sequence through
-  // its fused values-only kernel; training records it step by step.
+  // snapshot. The cell runs the whole sequence, values only with grad mode
+  // off and recorded with it on.
   const bool gru = config_.variant == CascnVariant::kGru;
   std::vector<ag::Variable> states;
   if (ag::GradEnabled()) {
@@ -156,14 +156,11 @@ ag::Variable CascnModel::ForwardPooled(const CascadeSample& sample) {
     // this encoding, which stays alive until their backward has run.
     const nn::SharedBasis basis(enc_ptr, &enc.cheb_basis);
     const std::shared_ptr<const CsrMatrix> stack(enc_ptr, &enc.snapshot_ops);
-    nn::RnnState state =
-        gru ? conv_gru_->InitialState() : conv_lstm_->InitialState();
-    for (int t = 0; t < enc.num_snapshots(); ++t) {
-      const nn::SnapshotOperators ops{stack, enc.snapshot_ops_row(t)};
-      state = gru ? conv_gru_->Step(basis, ops, state)
-                  : conv_lstm_->Step(basis, ops, state);
+    for (const nn::RnnState& state :
+         gru ? conv_gru_->RunRecorded(basis, stack, conv_gru_->InitialState())
+             : conv_lstm_->RunRecorded(basis, stack,
+                                       conv_lstm_->InitialState()))
       states.push_back(state.h);
-    }
   } else {
     for (Tensor& h : gru ? conv_gru_->Run(enc.cheb_basis, enc.snapshot_ops)
                          : conv_lstm_->Run(enc.cheb_basis, enc.snapshot_ops))

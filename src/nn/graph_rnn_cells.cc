@@ -19,7 +19,7 @@ std::shared_ptr<const PaddingTable> PaddingTableCache::Get(
   std::lock_guard<std::mutex> lock(mutex_);
   int deepest = 0;
   if (table_ != nullptr) {
-    deepest = static_cast<int>(table_->h.size());
+    deepest = static_cast<int>(table_->steps.size());
     size_t offset = 0;
     bool same = true;
     for (const Tensor* p : params) {
@@ -35,7 +35,7 @@ std::shared_ptr<const PaddingTable> PaddingTableCache::Get(
   auto table = std::make_shared<PaddingTable>();
   for (const Tensor* p : params)
     table->key.insert(table->key.end(), p->data(), p->data() + p->size());
-  table->h = build(std::max(depth, deepest));
+  table->steps = build(std::max(depth, deepest));
   table_ = std::move(table);
   return table_;
 }
@@ -53,6 +53,12 @@ int ReachedRows(const std::vector<CsrMatrix>& basis) {
     reached = std::max(reached, r);
   }
   return reached;
+}
+
+/// dst (width) += v src.
+inline void AddScaledRow(double v, const double* __restrict src, int width,
+                         double* __restrict dst) {
+  for (int j = 0; j < width; ++j) dst[j] += v * src[j];
 }
 
 /// The filters of `convs` side by side, one block per Chebyshev order k:
@@ -117,11 +123,8 @@ void FilterRows(const std::vector<CsrMatrix>& basis, int rows,
     double* pk = propagated.data() + k * block;
     for (int r = 0; r < rows; ++r) {
       double* prow = pk + static_cast<size_t>(r) * in;
-      for (int e = offsets[r]; e < offsets[r + 1]; ++e) {
-        const double v = vals[e];
-        const double* srow = s + static_cast<size_t>(cols[e]) * in;
-        for (int j = 0; j < in; ++j) prow[j] += v * srow[j];
-      }
+      for (int e = offsets[r]; e < offsets[r + 1]; ++e)
+        AddScaledRow(vals[e], s + static_cast<size_t>(cols[e]) * in, in, prow);
     }
     const double* w = packed.data() + k * static_cast<size_t>(in) * width;
     for (int r = 0; r < rows; ++r) {
@@ -130,8 +133,7 @@ void FilterRows(const std::vector<CsrMatrix>& basis, int rows,
       for (int p = 0; p < in; ++p) {
         const double a = prow[p];
         if (a == 0.0) continue;
-        const double* wrow = w + static_cast<size_t>(p) * width;
-        for (int j = 0; j < width; ++j) drow[j] += a * wrow[j];
+        AddScaledRow(a, w + static_cast<size_t>(p) * width, width, drow);
       }
     }
   });
@@ -155,11 +157,9 @@ void FilterOperators(const CsrMatrix& ops, int first, int order, int rows,
     const double* w = packed.data() + k * static_cast<size_t>(n) * width;
     for (int r = 0; r < rows; ++r) {
       double* drow = dst + static_cast<size_t>(r) * width;
-      for (int e = offsets[block + r]; e < offsets[block + r + 1]; ++e) {
-        const double a = vals[e];
-        const double* wrow = w + static_cast<size_t>(cols[e]) * width;
-        for (int j = 0; j < width; ++j) drow[j] += a * wrow[j];
-      }
+      for (int e = offsets[block + r]; e < offsets[block + r + 1]; ++e)
+        AddScaledRow(vals[e], w + static_cast<size_t>(cols[e]) * width, width,
+                     drow);
     }
   });
 }
@@ -181,6 +181,15 @@ void CheckSnapshotOperators(const CsrMatrix& ops, int first, int order,
       << "snapshot operators must be " << order << " blocks of n x n";
 }
 
+/// The number of steps in a stack of snapshot operators: whole steps of
+/// `order` blocks of n x n.
+int StackedSteps(const CsrMatrix& ops, int order, int n) {
+  const int step_rows = order * n;
+  CASCN_CHECK(ops.cols() == n && ops.rows() % step_rows == 0)
+      << "snapshot operators must be whole steps of K blocks of n x n";
+  return ops.rows() / step_rows;
+}
+
 /// A dense snapshot signal's operators P_k = T_k x, built as the encoder
 /// builds them from a sparse X_t.
 SnapshotOperators SignalOperators(const std::vector<CsrMatrix>& basis,
@@ -193,7 +202,19 @@ SnapshotOperators SignalOperators(const std::vector<CsrMatrix>& basis,
           0};
 }
 
+/// Rows [rows, n) of each of `blocks` n x d blocks, from `from` into `to`.
+void CopyRowsFrom(int rows, int n, int d, int blocks, const double* from,
+                  double* to) {
+  const size_t nd = static_cast<size_t>(n) * d;
+  const size_t skip = static_cast<size_t>(rows) * d;
+  for (int b = 0; b < blocks; ++b)
+    std::copy(from + b * nd + skip, from + (b + 1) * nd, to + b * nd + skip);
+}
+
 }  // namespace
+
+struct LstmSequence;
+struct GruSequence;
 
 /// The LSTM kernel of one forward: the gate filters packed as
 /// [W_i|W_f|W_c|W_o] per k, for X and for h, and the memory cell c.
@@ -202,6 +223,9 @@ class FusedLstm {
   /// What Gates keeps for a recorded step, one n x d block each: the four
   /// gates and tanh(c_t) for the backward, and the output gate's X term.
   enum Kept { kI, kF, kG, kO, kTanhC, kXo, kNumKept };
+  static constexpr bool kHasCell = true;
+  /// The c_t node's parents before the cell's parameters: h_{t-1}, c_{t-1}.
+  static constexpr int kParentSlots = 2;
 
   explicit FusedLstm(const GraphConvLstmCell& cell)
       : n(cell.num_nodes_),
@@ -227,19 +251,34 @@ class FusedLstm {
             &cell.b_o_.value()};
   }
 
-  /// One recorded step (see the header comment).
-  static RnnState Record(const GraphConvLstmCell& cell, SharedBasis basis,
-                         SnapshotOperators ops, const RnnState& prev);
+  /// Records rows [0, rows) of step t of `seq` from `prev`, whose c_{t-1}
+  /// this kernel's c holds; with a table, the rows from there on are
+  /// copied from its step t. `parents` is the cell's parameters after two
+  /// slots for h_{t-1} and c_{t-1}.
+  static RnnState Record(const std::shared_ptr<LstmSequence>& seq,
+                         int t, FusedLstm& fused, const PaddingTable* table,
+                         const RnnState& prev,
+                         std::vector<ag::Variable>& parents);
+
+  /// The record of a sequence whose step t reads the operators from row
+  /// first_row[t] of `stack` and computes rows [0, rows).
+  static std::shared_ptr<LstmSequence> NewSequence(
+      const GraphConvLstmCell& cell, SharedBasis basis,
+      std::shared_ptr<const CsrMatrix> stack, std::vector<int> first_row,
+      int rows);
+
 
   void Reset() { c.Zero(); }
 
   /// Rows [0, rows) of one step over the snapshot operators P_k = T_k X_t
   /// from row `first` of `ops` and h_{t-1} (n x d): writes h_t into h_next
-  /// and c_t into c.
+  /// and c_t into c, and with `keep` (kNumKept blocks of n x d) also what a
+  /// recorded step keeps.
   void Step(const std::vector<CsrMatrix>& basis, const CsrMatrix& ops,
-            int first, int rows, const double* h, double* h_next) {
+            int first, int rows, const double* h, double* h_next,
+            double* keep) {
     Filter(basis, ops, first, rows, h);
-    Gates(rows, h_next, nullptr);
+    Gates(rows, h_next, keep);
   }
 
   /// Every gate's filtered X and h terms for rows [0, rows); T_k h_{t-1}
@@ -253,18 +292,9 @@ class FusedLstm {
     FilterRows(basis, rows, h, d, wh_, width, hs_.data(), ph, term_);
   }
 
-  /// Sets the filtered terms of rows [rows, n) to the exact zero a full
-  /// Filter gives the rows no T_k reaches, for Gates over every row.
-  void ZeroUnreached(int rows) {
-    const size_t from = static_cast<size_t>(rows) * 4 * d;
-    std::fill(xs_.begin() + from, xs_.end(), 0.0);
-    std::fill(hs_.begin() + from, hs_.end(), 0.0);
-  }
-
   /// The gates of rows [0, rows) after Filter. In one pass per element,
   /// the recorded step's operations in its order: ((x + h) + b) + v (.) c
-  /// for the gates, f (.) c + i (.) g, o (.) tanh(c). With `keep` (kNumKept
-  /// blocks of n x d), also what the recorded backward reads.
+  /// for the gates, f (.) c + i (.) g, o (.) tanh(c).
   void Gates(int rows, double* h_next, double* keep) {
     const int width = 4 * d;
     const size_t nd = static_cast<size_t>(n) * d;
@@ -316,6 +346,10 @@ class FusedGru {
   /// What a recorded step keeps for its backward, one n x d block each:
   /// the three gates and the X terms of r and n.
   enum Kept { kR, kZ, kN, kXr, kXn, kNumKept };
+  static constexpr bool kHasCell = false;
+  /// The h_t node's parents before the cell's parameters: the X terms of n
+  /// and r, and h_{t-1}.
+  static constexpr int kParentSlots = 3;
 
   explicit FusedGru(const GraphConvGruCell& cell)
       : n(cell.num_nodes_),
@@ -338,20 +372,28 @@ class FusedGru {
     return {&cell.b_r_.value(), &cell.b_z_.value(), &cell.b_n_.value()};
   }
 
-  /// One recorded step (see the header comment).
-  static RnnState Record(const GraphConvGruCell& cell, SharedBasis basis,
-                         SnapshotOperators ops, const RnnState& prev);
+  /// As FusedLstm::Record; `parents` is the cell's parameters after three
+  /// slots for the X terms of n and r and for h_{t-1}.
+  static RnnState Record(const std::shared_ptr<GruSequence>& seq,
+                         int t, FusedGru& fused, const PaddingTable* table,
+                         const RnnState& prev,
+                         std::vector<ag::Variable>& parents);
+  static std::shared_ptr<GruSequence> NewSequence(
+      const GraphConvGruCell& cell, SharedBasis basis,
+      std::shared_ptr<const CsrMatrix> stack, std::vector<int> first_row,
+      int rows);
 
   void Reset() {}
 
   /// As FusedLstm::Step: r and z from ((x + h) + b), then
   /// n = tanh((x_n + U_n *G (r (.) h)) + b_n) and h_t = n + z (.) (h - n).
   void Step(const std::vector<CsrMatrix>& basis, const CsrMatrix& ops,
-            int first, int rows, const double* h, double* h_next) {
+            int first, int rows, const double* h, double* h_next,
+            double* keep) {
     Filter(basis, ops, first, rows, h);
-    ResetGate(rows, h, nullptr);
+    ResetGate(rows, h, keep);
     FilterReset(basis, rows);
-    Output(rows, h, h_next, nullptr);
+    Output(rows, h, h_next, keep);
   }
 
   /// The filtered X terms of every gate and h terms of r and z for rows
@@ -366,14 +408,6 @@ class FusedGru {
     rh_.resize(nd);
     FilterOperators(ops, first, order, rows, wx_, 3 * d, xs_.data(), term_);
     FilterRows(basis, rows, h, d, wh_, 2 * d, hs_.data(), ph, term_);
-  }
-
-  /// As FusedLstm::ZeroUnreached, for every filtered term of the step.
-  void ZeroUnreached(int rows) {
-    const size_t from = static_cast<size_t>(rows) * d;
-    std::fill(xs_.begin() + 3 * from, xs_.end(), 0.0);
-    std::fill(hs_.begin() + 2 * from, hs_.end(), 0.0);
-    std::fill(hn_.begin() + from, hn_.end(), 0.0);
   }
 
   /// r, z and r (.) h. r (.) h is needed on every row T_k may read, so rows
@@ -435,26 +469,40 @@ class FusedGru {
 
 namespace {
 
-/// h_t of every row for steps 0..depth-1 from the zero state, with a basis
-/// and snapshot operators that have no entries: the trajectory of a row no
-/// T_k reaches.
+/// Every row's h_t, c_t (LSTM) and kept activations for steps 0..depth-1
+/// from the zero state, with a basis and snapshot operators that have no
+/// entries: the trajectory of a row no T_k reaches.
 template <typename Fused>
-std::vector<Tensor> ZeroInputTrajectory(Fused& fused, int depth) {
+std::vector<PaddingTable::Step> ZeroInputTrajectory(Fused& fused, int depth) {
   const std::vector<CsrMatrix> no_graph(
       fused.order, CsrMatrix::FromTriplets(fused.n, fused.n, {}));
   const CsrMatrix no_ops =
       CsrMatrix::FromTriplets(fused.order * fused.n, fused.n, {});
-  std::vector<Tensor> h;
-  h.reserve(depth);
+  std::vector<PaddingTable::Step> steps(depth);
   fused.Reset();
-  Tensor h0(fused.n, fused.d);
+  const Tensor h0(fused.n, fused.d);
   for (int t = 0; t < depth; ++t) {
-    Tensor next(fused.n, fused.d);
+    PaddingTable::Step& step = steps[t];
+    step.h = Tensor(fused.n, fused.d);
+    step.kept.resize(static_cast<size_t>(Fused::kNumKept) * fused.n *
+                     fused.d);
     fused.Step(no_graph, no_ops, 0, fused.n,
-               t == 0 ? h0.data() : h[t - 1].data(), next.data());
-    h.push_back(std::move(next));
+               t == 0 ? h0.data() : steps[t - 1].h.data(), step.h.data(),
+               step.kept.data());
+    if constexpr (Fused::kHasCell) step.c = fused.c;
   }
-  return h;
+  return steps;
+}
+
+/// The cell's padding table, at least `depth` steps deep, for the current
+/// values of its row-local parameters.
+template <typename Fused>
+std::shared_ptr<const PaddingTable> Padding(
+    Fused& fused, PaddingTableCache& padding,
+    const std::vector<const Tensor*>& row_local, int depth) {
+  return padding.Get(row_local, depth, [&](int deepest) {
+    return ZeroInputTrajectory(fused, deepest);
+  });
 }
 
 /// The fused recurrence over a snapshot sequence: rows the basis reaches
@@ -465,120 +513,148 @@ std::vector<Tensor> RunFused(
     const std::vector<const Tensor*>& row_local,
     const std::vector<CsrMatrix>& basis, const CsrMatrix& snapshot_ops) {
   CheckBasis(basis, fused.order, fused.n);
-  const int step_rows = fused.order * fused.n;
-  CASCN_CHECK(snapshot_ops.rows() % step_rows == 0)
-      << "snapshot operators must be whole steps of K blocks of n rows";
-  const int depth = snapshot_ops.rows() / step_rows;
+  const int depth = StackedSteps(snapshot_ops, fused.order, fused.n);
   const std::shared_ptr<const PaddingTable> table =
-      padding.Get(row_local, depth, [&](int deepest) {
-        return ZeroInputTrajectory(fused, deepest);
-      });
+      Padding(fused, padding, row_local, depth);
   const int reached = ReachedRows(basis);
-  const size_t pad_from = static_cast<size_t>(reached) * fused.d;
   fused.Reset();
   std::vector<Tensor> h;
   h.reserve(depth);
   const Tensor h0(fused.n, fused.d);
   for (int t = 0; t < depth; ++t) {
     CASCN_TRACE_SPAN(span);
-    CheckSnapshotOperators(snapshot_ops, t * step_rows, fused.order,
-                           fused.n);
     Tensor next(fused.n, fused.d);
-    fused.Step(basis, snapshot_ops, t * step_rows, reached,
-               t == 0 ? h0.data() : h[t - 1].data(), next.data());
-    const Tensor& pad = table->h[t];
-    std::copy(pad.data() + pad_from, pad.data() + pad.size(),
-              next.data() + pad_from);
+    fused.Step(basis, snapshot_ops, t * fused.order * fused.n, reached,
+               t == 0 ? h0.data() : h[t - 1].data(), next.data(), nullptr);
+    CopyRowsFrom(reached, fused.n, fused.d, 1, table->steps[t].h.data(),
+                 next.data());
     h.push_back(std::move(next));
   }
   return h;
 }
 
-// ---- Recorded steps ---------------------------------------------------------
+// ---- Recorded sequences -----------------------------------------------------
 //
-// The backward of a recorded step is the per-gate tape's arithmetic, one
-// contribution at a time, in the order Backward() ran that tape's nodes
-// (see DESIGN.md, "The recorded step"). The kernels below are the tape
-// ops' loops on row-major buffers, each writing its result from zero, and
-// a node gradient the tape built from one contribution is written
-// 0.0 + x, as AccumGrad's zero-filled buffer made it.
+// The backward of a recorded step is the per-gate tape's arithmetic: every
+// buffer gets the contributions that tape gave it, each computed element by
+// element as the tape op's loop computed it, from zero, and added in the
+// order Backward() ran that tape's nodes (see DESIGN.md, "The recorded
+// step"). What is shared is the work: a step forms every gate's
+// pre-activation gradient first, side by side in one buffer, and then makes
+// each filter product once per Chebyshev order for all gates, 4d wide. A
+// node gradient the tape built from one contribution is written 0.0 + x, as
+// AccumGrad's zero-filled buffer made it.
 
-/// c (in x d) = P^T G for P (n x in) and G (n x d): MatMulTransposeA. A
-/// caller may pass fewer rows than P has when the rest of P is zero, which
-/// MatMulTransposeA skips.
-void ProductTransposeA(const double* p, int n, int in, const double* g,
-                       int d, double* c) {
-  std::fill(c, c + static_cast<size_t>(in) * d, 0.0);
-  for (int r = 0; r < n; ++r) {
-    const double* prow = p + static_cast<size_t>(r) * in;
-    const double* grow = g + static_cast<size_t>(r) * d;
+/// t, reshaped to rows x cols when it is not: a sequence's backward reuses
+/// its scratch for every step, and AccumulateGrad copies or adds a
+/// contribution before the next one is written.
+Tensor& Shaped(Tensor& t, int rows, int cols) {
+  if (t.rows() != rows || t.cols() != cols) t = Tensor(rows, cols);
+  return t;
+}
+
+/// The most gates a packed product serves.
+constexpr int kMaxGates = 4;
+
+/// g_j (in x d) = P^T a_j for P (rows x in) and `count` gradients a_j side
+/// by side in `a`, whose rows are `stride` apart, a_j in columns
+/// [j d, (j + 1) d): MatMulTransposeA per gate. Each element adds the rows
+/// in ascending order from zero and skips the zero entries of P, four
+/// columns at a time in registers. A caller may pass fewer rows than P has
+/// when the rest of P is zero.
+void ProductsTransposeA(const double* p, int rows, int in, const double* a,
+                        int stride, int count, int d, Tensor* g) {
+  for (int j = 0; j < count; ++j) {
+    const double* aj = a + j * d;
+    double* gj = Shaped(g[j], in, d).data();
     for (int i = 0; i < in; ++i) {
-      const double a = prow[i];
-      if (a == 0.0) continue;
-      double* crow = c + static_cast<size_t>(i) * d;
-      for (int j = 0; j < d; ++j) crow[j] += a * grow[j];
+      double* grow = gj + static_cast<size_t>(i) * d;
+      int c = 0;
+      for (; c + 4 <= d; c += 4) {
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (int r = 0; r < rows; ++r) {
+          const double x = p[static_cast<size_t>(r) * in + i];
+          if (x == 0.0) continue;
+          const double* ar = aj + static_cast<size_t>(r) * stride + c;
+          s0 += x * ar[0];
+          s1 += x * ar[1];
+          s2 += x * ar[2];
+          s3 += x * ar[3];
+        }
+        grow[c] = s0;
+        grow[c + 1] = s1;
+        grow[c + 2] = s2;
+        grow[c + 3] = s3;
+      }
+      for (; c < d; ++c) {
+        double sum = 0.0;
+        for (int r = 0; r < rows; ++r) {
+          const double x = p[static_cast<size_t>(r) * in + i];
+          if (x == 0.0) continue;
+          sum += x * aj[static_cast<size_t>(r) * stride + c];
+        }
+        grow[c] = sum;
+      }
     }
   }
 }
 
-/// s (n x in) = G W^T for G (n x d) and W (in x d): MatMulTransposeB.
-void ProductTransposeB(const double* g, int n, int d, const double* w,
-                       int in, double* s) {
-  for (int r = 0; r < n; ++r) {
-    const double* grow = g + static_cast<size_t>(r) * d;
-    for (int i = 0; i < in; ++i) {
-      const double* wrow = w + static_cast<size_t>(i) * d;
-      double acc = 0;
-      for (int p = 0; p < d; ++p) acc += grow[p] * wrow[p];
-      s[static_cast<size_t>(r) * in + i] = acc;
-    }
+/// s (d) = a W^T for one gradient row a (d) and W (d x d), given W^T:
+/// MatMulTransposeB's row. Each element adds p in ascending order from
+/// zero, as MatMulTransposeB's dot product does, but the loop runs along
+/// the row of outputs, which stays in registers, so it vectorizes.
+inline void RowTimesTransposed(const double* __restrict a,
+                               const double* __restrict wt, int d,
+                               double* __restrict s) {
+  std::fill(s, s + d, 0.0);
+  for (int p = 0; p < d; ++p) {
+    const double x = a[p];
+    const double* w = wt + static_cast<size_t>(p) * d;
+    for (int i = 0; i < d; ++i) s[i] += x * w[i];
   }
 }
 
-/// out (cols x d) = B^T s for B rows [first, first + rows) of t:
-/// CsrMatrix::TransposeMatMulDense. For a snapshot operator P = T_k X it is
-/// MatMulTransposeA over the dense T_k X: each element adds the rows in
-/// ascending order, skipping exact zeros.
+/// Rows [0, rows) of s = [a_0 W_0^T | ... | a_{count-1} W_{count-1}^T]
+/// (count d wide), for the gradients a_j side by side in `a` (rows `stride`
+/// apart) and W_j^T in wt[j]: MatMulTransposeB per gate.
+void ProductsTransposeB(const double* a, int rows, int stride, int count,
+                        int d, const double* const* wt, double* s) {
+  const int width = count * d;
+  for (int r = 0; r < rows; ++r)
+    for (int j = 0; j < count; ++j)
+      RowTimesTransposed(a + static_cast<size_t>(r) * stride + j * d, wt[j],
+                         d, s + static_cast<size_t>(r) * width + j * d);
+}
+
+/// out (cols x width) = B^T s for B rows [first, first + rows) of t and s
+/// (rows x width, rows `stride` apart): CsrMatrix::TransposeMatMulDense,
+/// for the columns of every gate at once. For a snapshot operator
+/// P = T_k X it is MatMulTransposeA over the dense T_k X: each element adds
+/// the rows in ascending order, skipping exact zeros.
 void ScatterTranspose(const CsrMatrix& t, int first, int rows,
-                      const double* s, int d, double* out) {
-  std::fill(out, out + static_cast<size_t>(t.cols()) * d, 0.0);
+                      const double* s, int stride, int width, double* out) {
+  std::fill(out, out + static_cast<size_t>(t.cols()) * width, 0.0);
   const auto& offsets = t.row_offsets();
   const auto& cols = t.col_indices();
   const auto& vals = t.values();
   for (int r = 0; r < rows; ++r) {
-    const double* srow = s + static_cast<size_t>(r) * d;
-    for (int e = offsets[first + r]; e < offsets[first + r + 1]; ++e) {
-      const double v = vals[e];
-      double* orow = out + static_cast<size_t>(cols[e]) * d;
-      for (int j = 0; j < d; ++j) orow[j] += v * srow[j];
-    }
+    const double* srow = s + static_cast<size_t>(r) * stride;
+    for (int e = offsets[first + r]; e < offsets[first + r + 1]; ++e)
+      AddScaledRow(vals[e], srow, width,
+                   out + static_cast<size_t>(cols[e]) * width);
   }
 }
 
-/// The buffers of one node's backward, each allocated on first use and
-/// reused for every contribution of its kind: AccumulateGrad copies or adds
-/// a contribution before the next one is written.
-class Scratch {
- public:
-  enum Slot {
-    kRowsGrad,  // n x d: an X-side filter's or a peephole's gradient
-    kHiddenFilterGrad,
-    kBiasGrad,
-    kStateGrad,
-    kPropagatedGrad,
-    kGateGrad0,  // four slots for per-gate pre-activation gradients
-    kNumSlots = kGateGrad0 + 4,
-  };
-
-  Tensor& Get(int slot, int rows, int cols) {
-    Tensor& t = buffers_[slot];
-    if (t.rows() != rows || t.cols() != cols) t = Tensor(rows, cols);
-    return t;
+/// Block j (rows x d) of `wide` (rows x width) into `out`.
+Tensor& Column(const double* wide, int rows, int width, int j, int d,
+               Tensor& out) {
+  double* dst = Shaped(out, rows, d).data();
+  for (int r = 0; r < rows; ++r) {
+    const double* src = wide + static_cast<size_t>(r) * width + j * d;
+    std::copy(src, src + d, dst + static_cast<size_t>(r) * d);
   }
-
- private:
-  Tensor buffers_[kNumSlots];
-};
+  return out;
+}
 
 /// The filters W_0..W_{K-1} of a cell's ChebConv (built without a bias).
 std::vector<ag::Variable> Filters(const ChebConv& conv) {
@@ -587,81 +663,44 @@ std::vector<ag::Variable> Filters(const ChebConv& conv) {
   return w;
 }
 
-/// The gradient a gate's X-side term sum_k P_k W_k hands its filters,
-/// given a = dL/d(gate preactivation): P_k^T a into W_k, k = K-1..0, as the
-/// tape's MatMuls ran, for the snapshot operators P_k = T_k X (n x n).
-void AddInputFilterGrads(Scratch& scratch, const SnapshotOperators& ops,
-                         const std::vector<ag::Variable>& w, const double* a,
-                         int d) {
-  const int n = ops.stack->cols();
-  Tensor& g = scratch.Get(Scratch::kRowsGrad, n, d);
-  for (int k = static_cast<int>(w.size()) - 1; k >= 0; --k) {
-    ScatterTranspose(*ops.stack, ops.first_row + k * n, n, a, d, g.data());
-    ag::AccumulateGrad(w[k], g);
-  }
-}
-
-/// The same for an h-side term sum_k (T_k s) W_k over a signal s (n x d)
-/// with rows [0, rows) of T_k s in `ps`: for k = K-1..0, W_k's gradient
-/// (T_k s)^T a and, when the signal takes one, T_k^T (a W_k^T) handed to
-/// `to_signal`. T_k has no entries from row `rows` on, so a W_k^T is only
-/// needed above it.
-template <typename ToSignal>
-void AddHiddenFilterGrads(Scratch& scratch,
-                          const std::vector<CsrMatrix>& basis,
-                          const std::vector<double>& ps, int rows, int n,
-                          int d, const std::vector<ag::Variable>& w,
-                          const double* a, bool signal_needs_grad,
-                          ToSignal&& to_signal) {
-  Tensor& g = scratch.Get(Scratch::kHiddenFilterGrad, d, d);
-  Tensor& ds = scratch.Get(Scratch::kPropagatedGrad, n, d);
-  Tensor& dsignal = scratch.Get(Scratch::kStateGrad, n, d);
-  const size_t block = static_cast<size_t>(rows) * d;
-  for (int k = static_cast<int>(w.size()) - 1; k >= 0; --k) {
-    if (signal_needs_grad)
-      ProductTransposeB(a, rows, d, w[k].value().data(), d, ds.data());
-    ProductTransposeA(ps.data() + k * block, rows, d, a, d, g.data());
-    ag::AccumulateGrad(w[k], g);
-    if (signal_needs_grad) {
-      ScatterTranspose(basis[k], 0, n, ds.data(), d, dsignal.data());
-      to_signal(dsignal);
-    }
-  }
-}
-
-/// A bias's gradient: the column sums of a (n x d), Tensor::ColSums.
-void AddBiasGrad(Scratch& scratch, const ag::Variable& b, const double* a,
-                 int n, int d) {
-  Tensor& g = scratch.Get(Scratch::kBiasGrad, 1, d);
-  double* out = g.data();
+/// A bias's gradient into `g`: the column sums of a (n x d, rows `stride`
+/// apart), Tensor::ColSums.
+void AddBiasGrad(Tensor& g, const ag::Variable& b, const double* a,
+                 int stride, int n, int d) {
+  double* out = Shaped(g, 1, d).data();
   std::fill(out, out + d, 0.0);
   for (int r = 0; r < n; ++r)
-    for (int j = 0; j < d; ++j) out[j] += a[static_cast<size_t>(r) * d + j];
+    for (int j = 0; j < d; ++j)
+      out[j] += a[static_cast<size_t>(r) * stride + j];
   ag::AccumulateGrad(b, g);
 }
 
-/// A peephole term v (.) c: v's gradient a (.) c, then, when the state
-/// takes one, the state's a (.) v.
-void AddPeepholeGrads(Scratch& scratch, const ag::Variable& v,
-                      const ag::Variable& state, const double* a, int n,
-                      int d) {
-  const size_t nd = static_cast<size_t>(n) * d;
-  Tensor& g = scratch.Get(Scratch::kRowsGrad, n, d);
-  const double* c = state.value().data();
-  for (size_t e = 0; e < nd; ++e) g.data()[e] = a[e] * c[e];
+/// A peephole term v (.) c through `g`, for a (n x d, rows `stride`
+/// apart): v's gradient a (.) c, then, when the state takes one, the
+/// state's a (.) v.
+void AddPeepholeGrads(Tensor& g, const ag::Variable& v,
+                      const ag::Variable& state, const double* a, int stride,
+                      int n, int d) {
+  double* out = Shaped(g, n, d).data();
+  auto product = [&](const double* x) {
+    for (int r = 0; r < n; ++r)
+      for (int j = 0; j < d; ++j) {
+        const size_t e = static_cast<size_t>(r) * d + j;
+        out[e] = a[static_cast<size_t>(r) * stride + j] * x[e];
+      }
+  };
+  product(state.value().data());
   ag::AccumulateGrad(v, g);
   if (!state.needs_grad()) return;
-  const double* vv = v.value().data();
-  for (size_t e = 0; e < nd; ++e) g.data()[e] = a[e] * vv[e];
+  product(v.value().data());
   ag::AccumulateGrad(state, g);
 }
 
 /// An n x d Tensor holding block `index` of `kept`.
-Tensor KeptBlock(const std::vector<double>& kept, int index, int n, int d) {
+Tensor KeptBlock(const double* kept, int index, int n, int d) {
   Tensor t(n, d);
   const size_t nd = static_cast<size_t>(n) * d;
-  std::copy(kept.begin() + index * nd, kept.begin() + (index + 1) * nd,
-            t.data());
+  std::copy(kept + index * nd, kept + (index + 1) * nd, t.data());
   return t;
 }
 
@@ -672,303 +711,525 @@ uint64_t FilterFlops(int n, int order, uint64_t in_times_out) {
          in_times_out;
 }
 
-/// What one recorded LSTM step keeps, shared by its three nodes.
-struct LstmRecord {
-  enum Gate { kGateI, kGateF, kGateC, kGateO };
-  int n = 0, d = 0;
-  int rows = 0;  // one past the last row any T_k reaches
-  std::vector<ag::Variable> wx[4], wh[4];
-  ag::Variable v_i, v_f, v_o, b[4];
-  ag::Variable h_prev, c_prev;
-  SharedBasis basis;  // T_k
-  SnapshotOperators ops;  // P_k = T_k X_t
-  std::vector<double> ph, kept;
-  // dL/d(output-gate preactivation), handed from the h_t node to the c_t
-  // node, which runs the rest of that gate's backward after the others.
-  Tensor d_out_gate;
+/// The cell's parameters after `slots` empty slots for a node's other
+/// parents.
+std::vector<ag::Variable> ParentsAfter(const Module& cell, int slots) {
+  std::vector<ag::Variable> parents = cell.Parameters();
+  parents.insert(parents.begin(), slots, ag::Variable());
+  return parents;
+}
 
-  const double* Kept(int block) const {
-    return kept.data() + static_cast<size_t>(block) * n * d;
+}  // namespace
+
+/// What a recorded sequence keeps, shared by the nodes of all its steps:
+/// the basis and operators, every step's kept activations and propagated
+/// signals, and the backward's scratch. It holds no graph node but
+/// parameter leaves, so the nodes that hold it form no cycle.
+struct Sequence {
+  /// A sequence whose step t reads the operators from row first_row[t] of
+  /// `stack` and computes rows [0, rows): `kept` blocks of n x d per step
+  /// and `signals` propagated signals of K blocks of rows x d.
+  Sequence(int n_in, int d_in, SharedBasis basis_in,
+           std::shared_ptr<const CsrMatrix> stack_in,
+           std::vector<int> first_row_in, int rows_in, int kept,
+           int signals)
+      : n(n_in),
+        d(d_in),
+        order(static_cast<int>(basis_in->size())),
+        rows(rows_in),
+        basis(std::move(basis_in)),
+        stack(std::move(stack_in)),
+        first_row(std::move(first_row_in)),
+        kept_blocks_(kept),
+        signals_(signals),
+        kept_(first_row.size() * kept * n * d),
+        propagated_(first_row.size() * signals * order * rows * d) {
+    for (int row : first_row) CheckSnapshotOperators(*stack, row, order, n);
   }
 
-  /// A gate's bias and h-side filters, given its preactivation gradient.
-  void HiddenGrads(Scratch& scratch, int gate, const double* a) {
-    AddBiasGrad(scratch, b[gate], a, n, d);
-    AddHiddenFilterGrads(scratch, *basis, ph, rows, n, d, wh[gate], a,
-                         h_prev.needs_grad(),
-                         [&](const Tensor& g) {
-                           ag::AccumulateGrad(h_prev, g);
-                         });
+  double* Kept(int t, int block) {
+    return kept_.data() +
+           (static_cast<size_t>(t) * kept_blocks_ + block) * n * d;
   }
+
+  /// Propagated signal `signal` of step t: K blocks of rows x d.
+  double* Propagated(int t, int signal) {
+    const size_t per_signal = static_cast<size_t>(order) * rows * d;
+    return propagated_.data() +
+           (static_cast<size_t>(t) * signals_ + signal) * per_signal;
+  }
+
+  /// The X-side backward of `count` gates at step t, their pre-activation
+  /// gradients side by side in `a` (rows `stride` apart): gate j's term is
+  /// sum_k P_k W_{j,k}, with W_{j,k} = w[j][k]. For k = K-1..0, each
+  /// W_{j,k} takes P_k^T a_j, as the tape's MatMuls ran, from one pass over
+  /// P_k's entries.
+  void InputFilterGrads(int t, const std::vector<ag::Variable>* w,
+                        const double* a, int stride, int count) {
+    const int width = count * d;
+    for (int k = order - 1; k >= 0; --k) {
+      const int first = first_row[t] + k * n;
+      if (count == 1) {
+        ScatterTranspose(*stack, first, n, a, stride, d,
+                         Shaped(x_filter_, n, d).data());
+        ag::AccumulateGrad(w[0][k], x_filter_);
+        continue;
+      }
+      wide_.resize(static_cast<size_t>(n) * width);
+      ScatterTranspose(*stack, first, n, a, stride, width, wide_.data());
+      for (int j = 0; j < count; ++j)
+        ag::AccumulateGrad(w[j][k],
+                           Column(wide_.data(), n, width, j, d, x_filter_));
+    }
+  }
+
+  /// The h-side backward of `count` gates at step t that filter one signal
+  /// s, their pre-activation gradients side by side in `a` (rows `stride`
+  /// apart): gate j's term is sum_k (T_k s) W_{j,k}, with W_{j,k} =
+  /// w[j][k], and `ps` holds T_k s for rows < rows. For k = K-1..0, each
+  /// W_{j,k} takes (T_k s)^T a_j. With `to_signal`,
+  /// T_k^T [a_0 W_{0,k}^T | ...] (n x count d) goes to block k of it, given
+  /// every W_{j,k}^T (d x d) at block j K + k of `wt`. T_k has no entries
+  /// from row `rows` on, so a_j W^T is only needed above it.
+  void HiddenFilterGrads(const double* ps, const std::vector<ag::Variable>* w,
+                         const double* wt, const double* a, int stride,
+                         int count, double* to_signal) {
+    const double* wt_k[kMaxGates];
+    const int width = count * d;
+    const size_t block = static_cast<size_t>(rows) * d;
+    const size_t dd = static_cast<size_t>(d) * d;
+    wide_.resize(static_cast<size_t>(rows) * width);
+    for (int k = order - 1; k >= 0; --k) {
+      ProductsTransposeA(ps + k * block, rows, d, a, stride, count, d,
+                         filter_);
+      for (int j = 0; j < count; ++j) ag::AccumulateGrad(w[j][k], filter_[j]);
+      if (to_signal == nullptr) continue;
+      for (int j = 0; j < count; ++j) wt_k[j] = wt + (j * order + k) * dd;
+      ProductsTransposeB(a, rows, stride, count, d, wt_k, wide_.data());
+      ScatterTranspose((*basis)[k], 0, rows, wide_.data(), width, width,
+                       to_signal + static_cast<size_t>(k) * n * width);
+    }
+  }
+
+  /// W^T of each filter in `w` (count gates, K orders, d x d each) at
+  /// block j K + k, built at the sequence's first backward from the
+  /// filters' values then, which is when the tape read them.
+  const double* Transposed(const std::vector<ag::Variable>* w, int count) {
+    if (!transposed_.empty()) return transposed_.data();
+    const size_t dd = static_cast<size_t>(d) * d;
+    transposed_.resize(count * order * dd);
+    for (int j = 0; j < count; ++j)
+      for (int k = 0; k < order; ++k) {
+        const double* src = w[j][k].value().data();
+        double* dst = transposed_.data() + (j * order + k) * dd;
+        for (int p = 0; p < d; ++p)
+          for (int i = 0; i < d; ++i) dst[p * d + i] = src[i * d + p];
+      }
+    return transposed_.data();
+  }
+
+  const int n, d, order, rows;
+  const SharedBasis basis;                      // T_k
+  const std::shared_ptr<const CsrMatrix> stack;  // every step's P_k
+  const std::vector<int> first_row;
+  // Backward scratch: a signal's contributions before they are handed
+  // over, and one bias's or state's gradient.
+  std::vector<double> to_signal;
+  std::vector<const double*> handover;
+  Tensor bias, rows_grad;
+
+ private:
+  const int kept_blocks_, signals_;
+  std::vector<double> kept_, propagated_, transposed_, wide_;
+  Tensor filter_[kMaxGates], x_filter_;
+};
+
+/// A recorded LSTM sequence. Its gates are in the order the tape handed
+/// h_{t-1} their contributions.
+struct LstmSequence : Sequence {
+  using Sequence::Sequence;
+  enum Gate { kGateC, kGateI, kGateF, kGateO };
 
   /// The h_t node's backward: h_t = o (.) tanh(c_t) and the output gate's
   /// peephole, as the tape ran them.
-  void BackwardH(const Tensor& dh, const ag::Variable& c_node,
+  void BackwardH(int t, const Tensor& dh, const ag::Variable& c_node,
                  const ag::Variable& x_out_gate) {
     const size_t nd = static_cast<size_t>(n) * d;
-    const double* o = Kept(FusedLstm::kO);
-    const double* tanh_c = Kept(FusedLstm::kTanhC);
-    d_out_gate = Tensor(n, d);
-    Scratch scratch;
-    Tensor& dc = scratch.Get(Scratch::kStateGrad, n, d);
+    const double* o = Kept(t, FusedLstm::kO);
+    const double* tanh_c = Kept(t, FusedLstm::kTanhC);
+    Tensor& a_o = d_out_gate[t] = Tensor(n, d);
+    Tensor& dc = Shaped(rows_grad, n, d);
     for (size_t e = 0; e < nd; ++e) {
       const double o_grad = 0.0 + dh.data()[e] * tanh_c[e];
       const double tanh_c_grad = 0.0 + dh.data()[e] * o[e];
       dc.data()[e] = tanh_c_grad * (1.0 - tanh_c[e] * tanh_c[e]);
-      d_out_gate.data()[e] = 0.0 + (o_grad * o[e]) * (1.0 - o[e]);
+      a_o.data()[e] = 0.0 + (o_grad * o[e]) * (1.0 - o[e]);
     }
     ag::AccumulateGrad(c_node, dc);
-    AddPeepholeGrads(scratch, v_o, c_node, d_out_gate.data(), n, d);
-    ag::AccumulateGrad(x_out_gate, d_out_gate);
+    AddPeepholeGrads(rows_grad, v_o, c_node, a_o.data(), d, n, d);
+    ag::AccumulateGrad(x_out_gate, a_o);
   }
 
   /// The c_t node's backward: c_t = f (.) c_{t-1} + i (.) g through the
-  /// candidate, input and forget gates, then the output gate's bias and
-  /// h-side filters once the h_t node has run.
-  void BackwardC(const Tensor& dc) {
-    const size_t nd = static_cast<size_t>(n) * d;
-    const double* i = Kept(FusedLstm::kI);
-    const double* f = Kept(FusedLstm::kF);
-    const double* g = Kept(FusedLstm::kG);
+  /// candidate, input and forget gates, and the output gate's bias and
+  /// h-side filters once the h_t node has run. Their pre-activation
+  /// gradients sit side by side in Gate order.
+  void BackwardC(int t, const Tensor& dc, const ag::Variable& h_prev,
+                 const ag::Variable& c_prev) {
+    const int count = d_out_gate[t].empty() ? 3 : 4;
+    const int stride = 4 * d;
+    const double* i = Kept(t, FusedLstm::kI);
+    const double* f = Kept(t, FusedLstm::kF);
+    const double* g = Kept(t, FusedLstm::kG);
+    const double* o_grad = d_out_gate[t].data();
     const double* c_prev_value = c_prev.value().data();
-    Scratch scratch;
-    Tensor& a_c = scratch.Get(Scratch::kGateGrad0, n, d);
-    Tensor& a_i = scratch.Get(Scratch::kGateGrad0 + 1, n, d);
-    Tensor& a_f = scratch.Get(Scratch::kGateGrad0 + 2, n, d);
-    for (size_t e = 0; e < nd; ++e) {
-      const double dce = dc.data()[e];
-      const double i_grad = 0.0 + dce * g[e];
-      const double g_grad = 0.0 + dce * i[e];
-      const double f_grad = 0.0 + dce * c_prev_value[e];
-      a_c.data()[e] = 0.0 + g_grad * (1.0 - g[e] * g[e]);
-      a_i.data()[e] = 0.0 + (i_grad * i[e]) * (1.0 - i[e]);
-      a_f.data()[e] = 0.0 + (f_grad * f[e]) * (1.0 - f[e]);
+    grads.resize(static_cast<size_t>(n) * stride);
+    for (int r = 0; r < n; ++r) {
+      double* a = grads.data() + static_cast<size_t>(r) * stride;
+      for (int j = 0; j < d; ++j) {
+        const size_t e = static_cast<size_t>(r) * d + j;
+        const double dce = dc.data()[e];
+        const double i_grad = 0.0 + dce * g[e];
+        const double g_grad = 0.0 + dce * i[e];
+        const double f_grad = 0.0 + dce * c_prev_value[e];
+        a[j] = 0.0 + g_grad * (1.0 - g[e] * g[e]);
+        a[d + j] = 0.0 + (i_grad * i[e]) * (1.0 - i[e]);
+        a[2 * d + j] = 0.0 + (f_grad * f[e]) * (1.0 - f[e]);
+        if (count == 4) a[3 * d + j] = o_grad[e];
+      }
     }
-    HiddenGrads(scratch, kGateC, a_c.data());
-    AddInputFilterGrads(scratch, ops, wx[kGateC], a_c.data(), d);
-    AddPeepholeGrads(scratch, v_i, c_prev, a_i.data(), n, d);
-    HiddenGrads(scratch, kGateI, a_i.data());
-    AddInputFilterGrads(scratch, ops, wx[kGateI], a_i.data(), d);
+    const double* a = grads.data();
+    for (int j = 0; j < count; ++j)
+      AddBiasGrad(bias, b[j], a + j * d, stride, n, d);
+    const bool h_needs_grad = h_prev.needs_grad();
+    const int width = count * d;
+    if (h_needs_grad) to_signal.resize(static_cast<size_t>(order) * n * width);
+    HiddenFilterGrads(Propagated(t, 0), wh, Transposed(wh, 4), a, stride,
+                      count, h_needs_grad ? to_signal.data() : nullptr);
+    InputFilterGrads(t, wx, a, stride, 3);
+    AddPeepholeGrads(rows_grad, v_i, c_prev, a + d, stride, n, d);
     if (c_prev.needs_grad()) {
-      Tensor& to_c = scratch.Get(Scratch::kStateGrad, n, d);
-      for (size_t e = 0; e < nd; ++e) to_c.data()[e] = dc.data()[e] * f[e];
-      ag::AccumulateGrad(c_prev, to_c);
+      const size_t nd = static_cast<size_t>(n) * d;
+      double* to_c = Shaped(rows_grad, n, d).data();
+      for (size_t e = 0; e < nd; ++e) to_c[e] = dc.data()[e] * f[e];
+      ag::AccumulateGrad(c_prev, rows_grad);
     }
-    AddPeepholeGrads(scratch, v_f, c_prev, a_f.data(), n, d);
-    HiddenGrads(scratch, kGateF, a_f.data());
-    AddInputFilterGrads(scratch, ops, wx[kGateF], a_f.data(), d);
-    if (!d_out_gate.empty()) HiddenGrads(scratch, kGateO, d_out_gate.data());
+    AddPeepholeGrads(rows_grad, v_f, c_prev, a + 2 * d, stride, n, d);
+    if (!h_needs_grad) return;
+    // Gate by gate, each for k = K-1..0, as the tape handed them over.
+    handover.clear();
+    for (int j = 0; j < count; ++j)
+      for (int k = order - 1; k >= 0; --k)
+        handover.push_back(to_signal.data() +
+                           static_cast<size_t>(k) * n * width + j * d);
+    ag::AccumulateGrads(h_prev, handover.data(), handover.size(), width);
   }
+
+  std::vector<ag::Variable> wx[4], wh[4];  // per gate, W_0..W_{K-1}
+  ag::Variable v_i, v_f, v_o, b[4];
+  // dL/d(output-gate preactivation) per step, handed from the h_t node to
+  // the c_t node, which runs the rest of that gate's backward.
+  std::vector<Tensor> d_out_gate;
+  std::vector<double> grads;  // the gates' pre-activation gradients, n x 4d
 };
 
-}  // namespace
-
-RnnState FusedLstm::Record(const GraphConvLstmCell& cell, SharedBasis basis,
-                           SnapshotOperators ops, const RnnState& prev) {
-  FusedLstm fused(cell);
-  const int n = fused.n, d = fused.d;
-  fused.c = prev.c.value();
-  auto rec = std::make_shared<LstmRecord>();
-  rec->n = n;
-  rec->d = d;
-  rec->rows = ReachedRows(*basis);
+RnnState FusedLstm::Record(const std::shared_ptr<LstmSequence>& seq, int t,
+                           FusedLstm& fused, const PaddingTable* table,
+                           const RnnState& prev,
+                           std::vector<ag::Variable>& parents) {
+  const int n = seq->n, d = seq->d, rows = seq->rows;
+  double* keep = seq->Kept(t, 0);
+  Tensor h(n, d);
   {
     CASCN_TRACE_SPAN("cheb_conv");
-    fused.Filter(*basis, *ops.stack, ops.first_row, rec->rows,
+    fused.Filter(*seq->basis, *seq->stack, seq->first_row[t], rows,
                  prev.h.value().data());
   }
-  fused.ZeroUnreached(rec->rows);
-  Tensor h(n, d);
-  rec->kept.resize(static_cast<size_t>(kNumKept) * n * d);
-  fused.Gates(n, h.data(), rec->kept.data());
-  rec->ph = std::move(fused.ph);
-  const ChebConv* convs_x[] = {cell.conv_x_i_.get(), cell.conv_x_f_.get(),
-                               cell.conv_x_c_.get(), cell.conv_x_o_.get()};
-  const ChebConv* convs_h[] = {cell.conv_h_i_.get(), cell.conv_h_f_.get(),
-                               cell.conv_h_c_.get(), cell.conv_h_o_.get()};
-  for (int gate = 0; gate < 4; ++gate) {
-    rec->wx[gate] = Filters(*convs_x[gate]);
-    rec->wh[gate] = Filters(*convs_h[gate]);
+  fused.Gates(rows, h.data(), keep);
+  std::copy(fused.ph.begin(), fused.ph.end(), seq->Propagated(t, 0));
+  if (table != nullptr) {
+    const PaddingTable::Step& pad = table->steps[t];
+    CopyRowsFrom(rows, n, d, 1, pad.h.data(), h.data());
+    CopyRowsFrom(rows, n, d, 1, pad.c.data(), fused.c.data());
+    CopyRowsFrom(rows, n, d, kNumKept, pad.kept.data(), keep);
   }
-  rec->v_i = cell.v_i_;
-  rec->v_f = cell.v_f_;
-  rec->v_o = cell.v_o_;
-  rec->b[LstmRecord::kGateI] = cell.b_i_;
-  rec->b[LstmRecord::kGateF] = cell.b_f_;
-  rec->b[LstmRecord::kGateC] = cell.b_c_;
-  rec->b[LstmRecord::kGateO] = cell.b_o_;
-  rec->h_prev = prev.h;
-  rec->c_prev = prev.c;
-  rec->basis = std::move(basis);
-  rec->ops = std::move(ops);
 
   // The output gate's X term is its own node, listed first among h_t's
   // parents: the tape's graph search reached that term before h_{t-1}, so
   // when the search first reaches h_{t-1} through this step, these filters
   // take their gradients after every earlier step's, as the tape's did.
   const ag::Variable x_out_gate = ag::RecordOp(
-      KeptBlock(rec->kept, kXo, n, d), rec->wx[LstmRecord::kGateO],
-      [rec](const Tensor& g) {
-        Scratch scratch;
-        AddInputFilterGrads(scratch, rec->ops, rec->wx[LstmRecord::kGateO],
-                            g.data(), rec->d);
+      KeptBlock(keep, kXo, n, d), seq->wx[LstmSequence::kGateO],
+      [seq, t](const Tensor& g) {
+        seq->InputFilterGrads(t, &seq->wx[LstmSequence::kGateO], g.data(),
+                              seq->d, 1);
       },
       0);
   // Parameters are leaves, so where they sit among a node's parents does
   // not move any node in the graph search.
-  std::vector<ag::Variable> c_parents = cell.Parameters();
-  c_parents.insert(c_parents.begin(), {prev.h, prev.c});
+  parents[0] = prev.h;
+  parents[1] = prev.c;
   RnnState next;
-  next.c = ag::RecordOp(std::move(fused.c), c_parents,
-                        [rec](const Tensor& dc) { rec->BackwardC(dc); }, 0);
-  next.h = ag::RecordOp(
-      std::move(h), {x_out_gate, prev.h, next.c, rec->v_o},
-      [rec, c_node = next.c, x_out_gate](const Tensor& dh) {
-        rec->BackwardH(dh, c_node, x_out_gate);
+  next.c = ag::RecordOp(
+      fused.c, parents,
+      [seq, t, h_prev = prev.h, c_prev = prev.c](const Tensor& dc) {
+        seq->BackwardC(t, dc, h_prev, c_prev);
       },
-      FilterFlops(n, fused.order, static_cast<uint64_t>(n + d) * 4 * d));
+      0);
+  next.h = ag::RecordOp(
+      std::move(h), {x_out_gate, prev.h, next.c, seq->v_o},
+      [seq, t, c_node = next.c, x_out_gate](const Tensor& dh) {
+        seq->BackwardH(t, dh, c_node, x_out_gate);
+      },
+      FilterFlops(n, seq->order, static_cast<uint64_t>(n + d) * 4 * d));
   return next;
 }
 
-namespace {
-
-/// What one recorded GRU step keeps, shared by its three nodes.
-struct GruRecord {
+/// A recorded GRU sequence.
+struct GruSequence : Sequence {
+  using Sequence::Sequence;
   enum Gate { kGateR, kGateZ, kGateN };
-  int n = 0, d = 0;
-  int rows = 0;  // one past the last row any T_k reaches
-  std::vector<ag::Variable> wx[3], wh[3];
-  ag::Variable b[3];
-  ag::Variable h_prev;
-  SharedBasis basis;  // T_k
-  SnapshotOperators ops;  // P_k = T_k X_t
-  std::vector<double> ph, prh, kept;
-
-  const double* Kept(int block) const {
-    return kept.data() + static_cast<size_t>(block) * n * d;
-  }
 
   /// The h_t node's backward: h_t = n + z (.) (h_{t-1} - n) through the
   /// update gate, the candidate (with U_n over r (.) h_{t-1}) and the reset
   /// gate, as the tape ran them. The X terms of r and n are their own
-  /// nodes and take their gradients last.
-  void BackwardH(const Tensor& dh, const ag::Variable& x_reset,
+  /// nodes and take their gradients last. r's gradient needs U_n's, so the
+  /// gates' products run one gate at a time.
+  void BackwardH(int t, const Tensor& dh, const ag::Variable& h_prev,
+                 const ag::Variable& x_reset,
                  const ag::Variable& x_candidate) {
     const size_t nd = static_cast<size_t>(n) * d;
-    const double* r = Kept(FusedGru::kR);
-    const double* z = Kept(FusedGru::kZ);
-    const double* cand = Kept(FusedGru::kN);
+    const double* r = Kept(t, FusedGru::kR);
+    const double* z = Kept(t, FusedGru::kZ);
+    const double* cand = Kept(t, FusedGru::kN);
     const double* h = h_prev.value().data();
     const bool h_needs_grad = h_prev.needs_grad();
-    auto to_h = [&](const Tensor& g) { ag::AccumulateGrad(h_prev, g); };
-    Scratch scratch;
-    Tensor& a_z = scratch.Get(Scratch::kGateGrad0, n, d);
-    Tensor& a_n = scratch.Get(Scratch::kGateGrad0 + 1, n, d);
-    Tensor& diff_grad = scratch.Get(Scratch::kStateGrad, n, d);
+    // h_{t-1}'s contributions in the tape's order, n x d each: h_{t-1} - n,
+    // z for k = K-1..0, r (.) h_{t-1}, r for k = K-1..0; then what r (.) h
+    // takes, for k = K-1..0.
+    to_signal.resize((3 * order + 2) * nd);
+    double* diff_grad = to_signal.data();
+    double* from_z = diff_grad + nd;
+    double* rh_part = from_z + order * nd;
+    double* from_r = rh_part + nd;
+    double* from_n = from_r + order * nd;
+    Shaped(a_z, n, d);
+    Shaped(a_n, n, d);
     for (size_t e = 0; e < nd; ++e) {
       const double zd_grad = 0.0 + dh.data()[e];
       const double z_grad = 0.0 + zd_grad * (h[e] - cand[e]);
-      diff_grad.data()[e] = 0.0 + zd_grad * z[e];
-      const double n_grad = (0.0 + dh.data()[e]) + diff_grad.data()[e] * -1.0;
+      diff_grad[e] = 0.0 + zd_grad * z[e];
+      const double n_grad = (0.0 + dh.data()[e]) + diff_grad[e] * -1.0;
       a_z.data()[e] = 0.0 + (z_grad * z[e]) * (1.0 - z[e]);
       a_n.data()[e] = 0.0 + n_grad * (1.0 - cand[e] * cand[e]);
     }
-    if (h_needs_grad) to_h(diff_grad);
-    AddBiasGrad(scratch, b[kGateZ], a_z.data(), n, d);
-    AddHiddenFilterGrads(scratch, *basis, ph, rows, n, d, wh[kGateZ],
-                         a_z.data(), h_needs_grad, to_h);
-    AddInputFilterGrads(scratch, ops, wx[kGateZ], a_z.data(), d);
+    const double* transposed = Transposed(wh, 3);
+    auto gate_grads = [&](int g, const double* ps, const double* a,
+                          double* to) {
+      AddBiasGrad(bias, b[g], a, d, n, d);
+      HiddenFilterGrads(ps, &wh[g],
+                        transposed + static_cast<size_t>(g) * order * d * d,
+                        a, d, 1, to);
+    };
+    gate_grads(kGateZ, Propagated(t, 0), a_z.data(),
+               h_needs_grad ? from_z : nullptr);
+    InputFilterGrads(t, &wx[kGateZ], a_z.data(), d, 1);
 
-    AddBiasGrad(scratch, b[kGateN], a_n.data(), n, d);
-    Tensor& rh_grad = scratch.Get(Scratch::kGateGrad0 + 2, n, d);
+    gate_grads(kGateN, Propagated(t, 1), a_n.data(), from_n);
+    Shaped(rh_grad, n, d);
     rh_grad.Zero();
-    AddHiddenFilterGrads(scratch, *basis, prh, rows, n, d, wh[kGateN],
-                         a_n.data(), true,
-                         [&](const Tensor& g) { rh_grad.AddInPlace(g); });
-    Tensor& a_r = scratch.Get(Scratch::kGateGrad0 + 3, n, d);
+    for (int k = order - 1; k >= 0; --k)
+      for (size_t e = 0; e < nd; ++e) rh_grad.data()[e] += from_n[k * nd + e];
+    Shaped(a_r, n, d);
     for (size_t e = 0; e < nd; ++e) {
       const double r_grad = 0.0 + rh_grad.data()[e] * h[e];
       a_r.data()[e] = 0.0 + (r_grad * r[e]) * (1.0 - r[e]);
+      rh_part[e] = rh_grad.data()[e] * r[e];
     }
+    gate_grads(kGateR, Propagated(t, 0), a_r.data(),
+               h_needs_grad ? from_r : nullptr);
     if (h_needs_grad) {
-      Tensor& g = scratch.Get(Scratch::kStateGrad, n, d);
-      for (size_t e = 0; e < nd; ++e) g.data()[e] = rh_grad.data()[e] * r[e];
-      to_h(g);
+      handover.assign({diff_grad});
+      for (int k = order - 1; k >= 0; --k) handover.push_back(from_z + k * nd);
+      handover.push_back(rh_part);
+      for (int k = order - 1; k >= 0; --k) handover.push_back(from_r + k * nd);
+      ag::AccumulateGrads(h_prev, handover.data(), handover.size(), d);
     }
-    AddBiasGrad(scratch, b[kGateR], a_r.data(), n, d);
-    AddHiddenFilterGrads(scratch, *basis, ph, rows, n, d, wh[kGateR],
-                         a_r.data(), h_needs_grad, to_h);
     ag::AccumulateGrad(x_reset, a_r);
     ag::AccumulateGrad(x_candidate, a_n);
   }
+
+  std::vector<ag::Variable> wx[3], wh[3];  // per gate, W_0..W_{K-1}
+  ag::Variable b[3];
+  // The pre-activation gradients of z, n and r, and r (.) h_{t-1}'s.
+  Tensor a_z, a_n, a_r, rh_grad;
 };
 
-}  // namespace
-
-RnnState FusedGru::Record(const GraphConvGruCell& cell, SharedBasis basis,
-                          SnapshotOperators ops, const RnnState& prev) {
-  FusedGru fused(cell);
-  const int n = fused.n, d = fused.d;
+RnnState FusedGru::Record(const std::shared_ptr<GruSequence>& seq, int t,
+                          FusedGru& fused, const PaddingTable* table,
+                          const RnnState& prev,
+                          std::vector<ag::Variable>& parents) {
+  const int n = seq->n, d = seq->d, rows = seq->rows;
   const double* h_prev = prev.h.value().data();
-  auto rec = std::make_shared<GruRecord>();
-  rec->n = n;
-  rec->d = d;
-  rec->rows = ReachedRows(*basis);
-  rec->kept.resize(static_cast<size_t>(kNumKept) * n * d);
+  double* keep = seq->Kept(t, 0);
   {
     CASCN_TRACE_SPAN("cheb_conv");
-    fused.Filter(*basis, *ops.stack, ops.first_row, rec->rows, h_prev);
+    fused.Filter(*seq->basis, *seq->stack, seq->first_row[t], rows, h_prev);
   }
-  fused.ZeroUnreached(rec->rows);
-  fused.ResetGate(n, h_prev, rec->kept.data());
+  fused.ResetGate(rows, h_prev, keep);
   {
     CASCN_TRACE_SPAN("cheb_conv");
-    fused.FilterReset(*basis, rec->rows);
+    fused.FilterReset(*seq->basis, rows);
   }
   Tensor h(n, d);
-  fused.Output(n, h_prev, h.data(), rec->kept.data());
-  rec->ph = std::move(fused.ph);
-  rec->prh = std::move(fused.prh);
-  rec->wx[GruRecord::kGateR] = Filters(*cell.conv_x_r_);
-  rec->wx[GruRecord::kGateZ] = Filters(*cell.conv_x_z_);
-  rec->wx[GruRecord::kGateN] = Filters(*cell.conv_x_n_);
-  rec->wh[GruRecord::kGateR] = Filters(*cell.conv_h_r_);
-  rec->wh[GruRecord::kGateZ] = Filters(*cell.conv_h_z_);
-  rec->wh[GruRecord::kGateN] = Filters(*cell.conv_h_n_);
-  rec->b[GruRecord::kGateR] = cell.b_r_;
-  rec->b[GruRecord::kGateZ] = cell.b_z_;
-  rec->b[GruRecord::kGateN] = cell.b_n_;
-  rec->h_prev = prev.h;
-  rec->basis = std::move(basis);
-  rec->ops = std::move(ops);
+  fused.Output(rows, h_prev, h.data(), keep);
+  std::copy(fused.ph.begin(), fused.ph.end(), seq->Propagated(t, 0));
+  std::copy(fused.prh.begin(), fused.prh.end(), seq->Propagated(t, 1));
+  if (table != nullptr) {
+    const PaddingTable::Step& pad = table->steps[t];
+    CopyRowsFrom(rows, n, d, 1, pad.h.data(), h.data());
+    CopyRowsFrom(rows, n, d, kNumKept, pad.kept.data(), keep);
+  }
 
   // The X terms of n and r are their own nodes, listed first among h_t's
   // parents in the order the tape's graph search reached them.
   auto x_term = [&](int gate, int block) {
     return ag::RecordOp(
-        KeptBlock(rec->kept, block, n, d), rec->wx[gate],
-        [rec, gate](const Tensor& g) {
-          Scratch scratch;
-          AddInputFilterGrads(scratch, rec->ops, rec->wx[gate], g.data(),
-                              rec->d);
+        KeptBlock(keep, block, n, d), seq->wx[gate],
+        [seq, t, gate](const Tensor& g) {
+          seq->InputFilterGrads(t, &seq->wx[gate], g.data(), seq->d, 1);
         },
         0);
   };
-  const ag::Variable x_candidate = x_term(GruRecord::kGateN, kXn);
-  const ag::Variable x_reset = x_term(GruRecord::kGateR, kXr);
-  std::vector<ag::Variable> parents = cell.Parameters();
-  parents.insert(parents.begin(), {x_candidate, x_reset, prev.h});
+  const ag::Variable x_candidate = x_term(GruSequence::kGateN, kXn);
+  const ag::Variable x_reset = x_term(GruSequence::kGateR, kXr);
+  parents[0] = x_candidate;
+  parents[1] = x_reset;
+  parents[2] = prev.h;
   RnnState next;
   next.h = ag::RecordOp(
       std::move(h), parents,
-      [rec, x_reset, x_candidate](const Tensor& dh) {
-        rec->BackwardH(dh, x_reset, x_candidate);
+      [seq, t, h_prev = prev.h, x_reset, x_candidate](const Tensor& dh) {
+        seq->BackwardH(t, dh, h_prev, x_reset, x_candidate);
       },
-      FilterFlops(n, fused.order,
+      FilterFlops(n, seq->order,
                   static_cast<uint64_t>(n) * 3 * d +
                       static_cast<uint64_t>(d) * 3 * d));
   return next;
 }
+
+namespace {
+
+/// `state` is an n x d h, with an n x d c when the cell has one.
+void CheckState(const RnnState& state, int n, int d, bool has_cell) {
+  CASCN_CHECK(state.h.rows() == n && state.h.cols() == d &&
+              (!has_cell || state.c.value().SameShape(state.h.value())))
+      << "state must be n x hidden";
+}
+
+/// The first row the kernel can leave to the padding table, for a run from
+/// `initial`: one past the rows the basis reaches when `initial` is +0.0
+/// from there on, as the table's trajectory starts; n otherwise.
+int PaddedFrom(const std::vector<CsrMatrix>& basis, const RnnState& initial) {
+  const int n = initial.h.rows();
+  const int rows = ReachedRows(basis);
+  for (const ag::Variable* v : {&initial.h, &initial.c}) {
+    if (!v->defined()) continue;
+    const Tensor& t = v->value();
+    for (int e = rows * t.cols(); e < t.size(); ++e)
+      if (t.data()[e] != 0.0 || std::signbit(t.data()[e])) return n;
+  }
+  return rows;
+}
+
+/// Step t's operators start at row t K n of a stacked sequence.
+std::vector<int> StackedFirstRows(int depth, int order, int n) {
+  std::vector<int> first_row(depth);
+  for (int t = 0; t < depth; ++t) first_row[t] = t * order * n;
+  return first_row;
+}
+
+}  // namespace
+
+std::shared_ptr<LstmSequence> FusedLstm::NewSequence(
+    const GraphConvLstmCell& cell, SharedBasis basis,
+    std::shared_ptr<const CsrMatrix> stack, std::vector<int> first_row,
+    int rows) {
+  auto seq = std::make_shared<LstmSequence>(
+      cell.num_nodes_, cell.hidden_dim_, std::move(basis), std::move(stack),
+      std::move(first_row), rows, kNumKept, 1);
+  const ChebConv* convs_x[] = {cell.conv_x_c_.get(), cell.conv_x_i_.get(),
+                               cell.conv_x_f_.get(), cell.conv_x_o_.get()};
+  const ChebConv* convs_h[] = {cell.conv_h_c_.get(), cell.conv_h_i_.get(),
+                               cell.conv_h_f_.get(), cell.conv_h_o_.get()};
+  const ag::Variable biases[] = {cell.b_c_, cell.b_i_, cell.b_f_, cell.b_o_};
+  for (int gate = 0; gate < 4; ++gate) {
+    seq->wx[gate] = Filters(*convs_x[gate]);
+    seq->wh[gate] = Filters(*convs_h[gate]);
+    seq->b[gate] = biases[gate];
+  }
+  seq->v_i = cell.v_i_;
+  seq->v_f = cell.v_f_;
+  seq->v_o = cell.v_o_;
+  seq->d_out_gate.resize(seq->first_row.size());
+  return seq;
+}
+
+std::shared_ptr<GruSequence> FusedGru::NewSequence(
+    const GraphConvGruCell& cell, SharedBasis basis,
+    std::shared_ptr<const CsrMatrix> stack, std::vector<int> first_row,
+    int rows) {
+  auto seq = std::make_shared<GruSequence>(
+      cell.num_nodes_, cell.hidden_dim_, std::move(basis), std::move(stack),
+      std::move(first_row), rows, kNumKept, 2);
+  const ChebConv* convs_x[] = {cell.conv_x_r_.get(), cell.conv_x_z_.get(),
+                               cell.conv_x_n_.get()};
+  const ChebConv* convs_h[] = {cell.conv_h_r_.get(), cell.conv_h_z_.get(),
+                               cell.conv_h_n_.get()};
+  const ag::Variable biases[] = {cell.b_r_, cell.b_z_, cell.b_n_};
+  for (int gate = 0; gate < 3; ++gate) {
+    seq->wx[gate] = Filters(*convs_x[gate]);
+    seq->wh[gate] = Filters(*convs_h[gate]);
+    seq->b[gate] = biases[gate];
+  }
+  return seq;
+}
+
+namespace {
+
+/// Records one step from `initial` per entry of first_row, step t over the
+/// operators from row first_row[t] of `stack`. With `every_row`, or when
+/// `initial` is not +0.0 on the rows no T_k reaches, every row runs the
+/// kernel; otherwise those rows come from the cell's padding table.
+template <typename Fused, typename Cell>
+std::vector<RnnState> RecordSteps(const Cell& cell, PaddingTableCache& padding,
+                                  SharedBasis basis,
+                                  std::shared_ptr<const CsrMatrix> stack,
+                                  std::vector<int> first_row,
+                                  const RnnState& initial, bool every_row,
+                                  const char* span) {
+  Fused fused(cell);
+  const int depth = static_cast<int>(first_row.size());
+  const int rows = every_row ? fused.n : PaddedFrom(*basis, initial);
+  std::shared_ptr<const PaddingTable> table;
+  if (rows < fused.n)
+    table = Padding(fused, padding, Fused::RowLocal(cell), depth);
+  if constexpr (Fused::kHasCell) fused.c = initial.c.value();
+  const auto seq = Fused::NewSequence(cell, std::move(basis), std::move(stack),
+                                      std::move(first_row), rows);
+  std::vector<ag::Variable> parents = ParentsAfter(cell, Fused::kParentSlots);
+  std::vector<RnnState> states;
+  states.reserve(depth);
+  RnnState state = initial;
+  for (int t = 0; t < depth; ++t) {
+    CASCN_TRACE_SPAN(span);
+    state = Fused::Record(seq, t, fused, table.get(), state, parents);
+    states.push_back(state);
+  }
+  return states;
+}
+
+}  // namespace
 
 }  // namespace internal
 
@@ -1019,22 +1280,23 @@ RnnState GraphConvLstmCell::InitialState() const {
 RnnState GraphConvLstmCell::Step(SharedBasis cheb_basis,
                                  SnapshotOperators snapshot_ops,
                                  const RnnState& prev) const {
-  CASCN_TRACE_SPAN("graph_lstm_step");
   internal::CheckBasis(*cheb_basis, cheb_order(), num_nodes_);
   internal::CheckSnapshotOperators(*snapshot_ops.stack,
                                    snapshot_ops.first_row, cheb_order(),
                                    num_nodes_);
-  CASCN_CHECK(prev.h.rows() == num_nodes_ && prev.h.cols() == hidden_dim_ &&
-              prev.c.value().SameShape(prev.h.value()));
+  internal::CheckState(prev, num_nodes_, hidden_dim_, true);
   if (ag::GradEnabled()) {
-    return internal::FusedLstm::Record(*this, std::move(cheb_basis),
-                                       std::move(snapshot_ops), prev);
+    return internal::RecordSteps<internal::FusedLstm>(
+        *this, padding_, std::move(cheb_basis), std::move(snapshot_ops.stack),
+        {snapshot_ops.first_row}, prev, /*every_row=*/true,
+        "graph_lstm_step")[0];
   }
+  CASCN_TRACE_SPAN("graph_lstm_step");
   internal::FusedLstm fused(*this);
   fused.c = prev.c.value();
   Tensor h(num_nodes_, hidden_dim_);
   fused.Step(*cheb_basis, *snapshot_ops.stack, snapshot_ops.first_row,
-             num_nodes_, prev.h.value().data(), h.data());
+             num_nodes_, prev.h.value().data(), h.data(), nullptr);
   RnnState next;
   next.h = ag::Variable::Leaf(std::move(h));
   next.c = ag::Variable::Leaf(std::move(fused.c));
@@ -1055,6 +1317,19 @@ std::vector<Tensor> GraphConvLstmCell::Run(
   return internal::RunFused(fused, "graph_lstm_step", padding_,
                             internal::FusedLstm::RowLocal(*this), cheb_basis,
                             snapshot_ops);
+}
+
+std::vector<RnnState> GraphConvLstmCell::RunRecorded(
+    SharedBasis cheb_basis, std::shared_ptr<const CsrMatrix> snapshot_ops,
+    const RnnState& initial) const {
+  internal::CheckBasis(*cheb_basis, cheb_order(), num_nodes_);
+  internal::CheckState(initial, num_nodes_, hidden_dim_, true);
+  const int depth =
+      internal::StackedSteps(*snapshot_ops, cheb_order(), num_nodes_);
+  return internal::RecordSteps<internal::FusedLstm>(
+      *this, padding_, std::move(cheb_basis), std::move(snapshot_ops),
+      internal::StackedFirstRows(depth, cheb_order(), num_nodes_), initial,
+      /*every_row=*/false, "graph_lstm_step");
 }
 
 GraphConvGruCell::GraphConvGruCell(int num_nodes, int hidden_dim,
@@ -1094,20 +1369,22 @@ RnnState GraphConvGruCell::InitialState() const {
 RnnState GraphConvGruCell::Step(SharedBasis cheb_basis,
                                 SnapshotOperators snapshot_ops,
                                 const RnnState& prev) const {
-  CASCN_TRACE_SPAN("graph_gru_step");
   internal::CheckBasis(*cheb_basis, cheb_order(), num_nodes_);
   internal::CheckSnapshotOperators(*snapshot_ops.stack,
                                    snapshot_ops.first_row, cheb_order(),
                                    num_nodes_);
-  CASCN_CHECK(prev.h.rows() == num_nodes_ && prev.h.cols() == hidden_dim_);
+  internal::CheckState(prev, num_nodes_, hidden_dim_, false);
   if (ag::GradEnabled()) {
-    return internal::FusedGru::Record(*this, std::move(cheb_basis),
-                                      std::move(snapshot_ops), prev);
+    return internal::RecordSteps<internal::FusedGru>(
+        *this, padding_, std::move(cheb_basis), std::move(snapshot_ops.stack),
+        {snapshot_ops.first_row}, prev, /*every_row=*/true,
+        "graph_gru_step")[0];
   }
+  CASCN_TRACE_SPAN("graph_gru_step");
   internal::FusedGru fused(*this);
   Tensor h(num_nodes_, hidden_dim_);
   fused.Step(*cheb_basis, *snapshot_ops.stack, snapshot_ops.first_row,
-             num_nodes_, prev.h.value().data(), h.data());
+             num_nodes_, prev.h.value().data(), h.data(), nullptr);
   RnnState next;
   next.h = ag::Variable::Leaf(std::move(h));
   return next;
@@ -1127,6 +1404,19 @@ std::vector<Tensor> GraphConvGruCell::Run(
   return internal::RunFused(fused, "graph_gru_step", padding_,
                             internal::FusedGru::RowLocal(*this), cheb_basis,
                             snapshot_ops);
+}
+
+std::vector<RnnState> GraphConvGruCell::RunRecorded(
+    SharedBasis cheb_basis, std::shared_ptr<const CsrMatrix> snapshot_ops,
+    const RnnState& initial) const {
+  internal::CheckBasis(*cheb_basis, cheb_order(), num_nodes_);
+  internal::CheckState(initial, num_nodes_, hidden_dim_, false);
+  const int depth =
+      internal::StackedSteps(*snapshot_ops, cheb_order(), num_nodes_);
+  return internal::RecordSteps<internal::FusedGru>(
+      *this, padding_, std::move(cheb_basis), std::move(snapshot_ops),
+      internal::StackedFirstRows(depth, cheb_order(), num_nodes_), initial,
+      /*every_row=*/false, "graph_gru_step");
 }
 
 }  // namespace cascn::nn

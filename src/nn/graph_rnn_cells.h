@@ -30,21 +30,25 @@
 // to it: a row of P_k holds, in ascending column order, exactly the entries
 // of T_k X_t that the dense products do not skip as zero.
 //
-// With grad mode on, Step records a few ag nodes (ag::RecordOp) whose
-// backward is hand-written backpropagation through time: it hands every
-// parameter, h_{t-1} and c_{t-1} the contributions the per-gate graph
-// would, computed the same way and in the order that graph's Backward()
-// adds them, so trained weights are bit-identical (DESIGN.md, "The
-// recorded step"). X_t takes no gradient; an X filter W_k's gradient is
-// P_k^T times its gate's pre-activation gradient. A recorded step shares
-// the basis and P with their owner instead of copying them.
+// Run (values only) and RunRecorded (grad mode) take a whole snapshot
+// sequence, Run from the zero state. Both skip the rows no T_k reaches (the
+// padding past the cascade): their filtered terms are exactly zero, so
+// from the zero state their h_t, c_t and gate activations depend only on t
+// and the row-local parameters (peepholes and biases). They are copied from
+// a table the cell builds once per parameter values (see
+// internal::PaddingTableCache). Step runs one step from any state, so it
+// computes every row.
 //
-// With grad mode off (ag::NoGradGuard), Step and Run compute values only.
-// Run also skips the rows no T_k reaches (the padding past the cascade):
-// their filtered terms are exactly zero, so their h_t depends only on t
-// and the row-local parameters (peepholes and biases). It is copied from a
-// table the cell builds once per parameter values (see
-// internal::PaddingTableCache).
+// RunRecorded, and Step with grad mode on, record a few ag nodes per step
+// (ag::RecordOp) whose backward is hand-written backpropagation through
+// time: it hands every parameter, h_{t-1} and c_{t-1} the contributions the
+// per-gate graph would, computed the same way and in the order that graph's
+// Backward() adds them, so trained weights are bit-identical (DESIGN.md,
+// "The recorded step"). The backward forms every gate's pre-activation
+// gradient first and then makes each filter product once per Chebyshev
+// order for all gates. X_t takes no gradient; an X filter W_k's gradient is
+// P_k^T times its gate's pre-activation gradient. A recorded sequence
+// shares the basis and P with their owner instead of copying them.
 
 #ifndef CASCN_NN_GRAPH_RNN_CELLS_H_
 #define CASCN_NN_GRAPH_RNN_CELLS_H_
@@ -79,12 +83,18 @@ namespace internal {
 class FusedLstm;
 class FusedGru;
 
-/// h_t of every row of a graph-convolutional cell run from the zero state
-/// on zero graph input, for steps 0..depth-1. It is the trajectory of every
-/// row that no T_k reaches, whatever the cascade.
+/// Every row of a graph-convolutional cell run from the zero state on zero
+/// graph input, for steps 0..depth-1: the trajectory of every row that no
+/// T_k reaches, whatever the cascade.
 struct PaddingTable {
+  /// One step: h_t and the LSTM's c_t (empty for the GRU), n x hidden, and
+  /// the gate activations a recorded step keeps for its backward.
+  struct Step {
+    Tensor h, c;
+    std::vector<double> kept;
+  };
   std::vector<double> key;  // row-local parameter bytes it was built from
-  std::vector<Tensor> h;    // per step, num_nodes x hidden
+  std::vector<Step> steps;
 };
 
 /// A cell's PaddingTable, rebuilt whenever the row-local parameters it was
@@ -94,7 +104,7 @@ struct PaddingTable {
 class PaddingTableCache {
  public:
   /// A table at least `depth` steps deep for the current values of
-  /// `params`. `build(depth)` returns the per-step h tensors; it runs
+  /// `params`. `build(depth)` returns the table's steps; it runs
   /// when the bytes of `params` differ from the stored key or the stored
   /// table is shallower, and keeps the deepest depth seen.
   template <typename Build>
@@ -138,6 +148,17 @@ class GraphConvLstmCell : public Module {
   std::vector<Tensor> Run(const std::vector<CsrMatrix>& cheb_basis,
                           const CsrMatrix& snapshot_ops) const;
 
+  /// Run's recorded counterpart, from `initial` (InitialState(), or a
+  /// state whose leaves take a gradient): the state after every step, each
+  /// step recording the nodes Step records, with the same parents in the
+  /// same order and bit-identical values and gradients. The padding rows
+  /// come from the table when `initial` is +0.0 on them, as InitialState()
+  /// is; otherwise every row runs the kernel. Holds the basis and the
+  /// operators until the backward has run.
+  std::vector<RnnState> RunRecorded(
+      SharedBasis cheb_basis, std::shared_ptr<const CsrMatrix> snapshot_ops,
+      const RnnState& initial) const;
+
   int num_nodes() const { return num_nodes_; }
   int hidden_dim() const { return hidden_dim_; }
   int cheb_order() const { return conv_x_i_->order(); }
@@ -171,6 +192,10 @@ class GraphConvGruCell : public Module {
   /// As GraphConvLstmCell::Run.
   std::vector<Tensor> Run(const std::vector<CsrMatrix>& cheb_basis,
                           const CsrMatrix& snapshot_ops) const;
+  /// As GraphConvLstmCell::RunRecorded.
+  std::vector<RnnState> RunRecorded(
+      SharedBasis cheb_basis, std::shared_ptr<const CsrMatrix> snapshot_ops,
+      const RnnState& initial) const;
 
   int num_nodes() const { return num_nodes_; }
   int hidden_dim() const { return hidden_dim_; }

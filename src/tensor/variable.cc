@@ -1,5 +1,6 @@
 #include "tensor/variable.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <initializer_list>
@@ -34,6 +35,31 @@ void Node::AccumGrad(const Tensor& g) {
   }
   if (grad.empty()) grad = Tensor(value.rows(), value.cols());
   grad.AddInPlace(g);
+}
+
+void Node::AccumGrads(const double* const* gs, size_t count, int stride) {
+  const int rows = value.rows(), cols = value.cols();
+  if (requires_grad && t_active_sink != nullptr) {
+    Tensor g(rows, cols);
+    for (size_t i = 0; i < count; ++i) {
+      for (int r = 0; r < rows; ++r)
+        std::copy(gs[i] + static_cast<size_t>(r) * stride,
+                  gs[i] + static_cast<size_t>(r) * stride + cols,
+                  g.data() + static_cast<size_t>(r) * cols);
+      t_active_sink->Accumulate(this, g);
+    }
+    return;
+  }
+  if (grad.empty()) grad = Tensor(rows, cols);
+  // A row takes every contribution before the next row, so each element
+  // adds them in order while the row stays in cache.
+  for (int r = 0; r < rows; ++r) {
+    double* out = grad.data() + static_cast<size_t>(r) * cols;
+    for (size_t i = 0; i < count; ++i) {
+      const double* g = gs[i] + static_cast<size_t>(r) * stride;
+      for (int c = 0; c < cols; ++c) out[c] += g[c];
+    }
+  }
 }
 
 }  // namespace internal
@@ -285,6 +311,14 @@ void AccumulateGrad(const Variable& v, const Tensor& g) {
   CASCN_CHECK(CheckedNode(v)->needs_grad)
       << "AccumulateGrad into a Variable that needs no gradient";
   v.node()->AccumGrad(g);
+}
+
+void AccumulateGrads(const Variable& v, const double* const* gs,
+                     size_t count, int stride) {
+  CASCN_CHECK(CheckedNode(v)->needs_grad)
+      << "AccumulateGrads into a Variable that needs no gradient";
+  CASCN_CHECK(stride >= v.cols()) << "AccumulateGrads rows overlap";
+  v.node()->AccumGrads(gs, count, stride);
 }
 
 // ---- Element-wise and broadcast arithmetic --------------------------------

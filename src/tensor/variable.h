@@ -56,6 +56,9 @@ struct Node {
 
   /// grad += g, allocating on first use.
   void AccumGrad(const Tensor& g);
+  /// grad += gs[0], ..., += gs[count - 1] (rows `stride` apart), in one
+  /// pass.
+  void AccumGrads(const double* const* gs, size_t count, int stride);
 };
 
 }  // namespace internal
@@ -193,6 +196,13 @@ Variable RecordOp(Tensor value, const std::vector<Variable>& parents,
 /// backward, it goes to the thread's GradSink for a parameter leaf while
 /// one is active. Pre: v.needs_grad().
 void AccumulateGrad(const Variable& v, const Tensor& g);
+
+/// v's gradient += gs[0], then gs[1], ..., then gs[count - 1], in one pass
+/// over the buffer: every element sums as `count` AccumulateGrad calls in
+/// that order would. Each gs[i] points to v-shaped values whose rows are
+/// `stride` doubles apart. Pre: v.needs_grad().
+void AccumulateGrads(const Variable& v, const double* const* gs,
+                     size_t count, int stride);
 
 // ---- Element-wise and broadcast arithmetic --------------------------------
 

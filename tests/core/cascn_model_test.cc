@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <sstream>
 #include <thread>
@@ -269,6 +270,149 @@ TEST(CascnModelTest, ConcurrentPredictValueAcrossAWeightChange) {
   }
   serve_round("after");
   EXPECT_NE(model.PredictValue(samples[0]), before);
+}
+
+/// A recorded forward and its Backward() for one sample, under a gradient
+/// sink as the trainer runs it: the loss and every parameter gradient.
+struct RecordedPass {
+  double loss = 0.0;
+  std::vector<Tensor> grads;
+};
+
+RecordedPass RecordPass(CascnModel& model, const CascadeSample& sample) {
+  ag::GradSink sink;
+  RecordedPass pass;
+  {
+    const ag::Variable loss =
+        nn::SquaredError(model.PredictLogCalibrated(sample), 1.5);
+    pass.loss = loss.value().At(0, 0);
+    ag::ScopedGradCapture capture(&sink);
+    loss.Backward();
+  }
+  model.ZeroGrad();
+  sink.Flush();
+  for (const ag::Variable& p : model.Parameters())
+    pass.grads.push_back(p.grad());
+  model.ZeroGrad();
+  return pass;
+}
+
+void ExpectSamePass(const RecordedPass& got, const RecordedPass& want,
+                    const std::string& where) {
+  EXPECT_TRUE(SameBits(got.loss, want.loss)) << where;
+  ASSERT_EQ(got.grads.size(), want.grads.size()) << where;
+  for (size_t i = 0; i < want.grads.size(); ++i) {
+    ASSERT_TRUE(got.grads[i].SameShape(want.grads[i])) << where << " " << i;
+    EXPECT_EQ(std::memcmp(got.grads[i].data(), want.grads[i].data(),
+                          want.grads[i].size() * sizeof(double)),
+              0)
+        << where << " gradient " << i;
+  }
+}
+
+/// The same model built afresh from `model`'s current weights.
+std::unique_ptr<CascnModel> FreshCopy(const CascnModel& model) {
+  auto fresh = std::make_unique<CascnModel>(model.config());
+  std::stringstream weights;
+  EXPECT_TRUE(model.Save(weights).ok());
+  EXPECT_TRUE(fresh->Load(weights).ok());
+  fresh->set_output_offset(model.output_offset());
+  return fresh;
+}
+
+/// Training reads the padding table too, and only training edits weights
+/// between passes: after a recorded pass, an edit to a row-local parameter
+/// on a padding row, to a bias and to an X filter must reach the next
+/// recorded pass, whose value and gradients equal a fresh model's.
+TEST(CascnModelTest, RecordedForwardFollowsWeightChanges) {
+  for (const CascnVariant variant :
+       {CascnVariant::kDefault, CascnVariant::kGru}) {
+    const bool gru = variant == CascnVariant::kGru;
+    CascnConfig config = TinyCascnConfig();
+    config.variant = variant;
+    CascnModel model(config);
+    model.set_output_offset(0.4);
+    if (!gru) SetCandidateBias(model, 0.5);
+    const CascadeSample sample = GrowingSample(4, 9);
+    RecordedPass before = RecordPass(model, sample);
+    const std::vector<std::string> edits =
+        gru ? std::vector<std::string>{"conv_gru.b_n", "conv_gru.b_z",
+                                       "conv_gru.conv_x_n.w0"}
+            : std::vector<std::string>{"conv_lstm.v_i", "conv_lstm.b_f",
+                                       "conv_lstm.conv_x_i.w0"};
+    for (const std::string& name : edits) {
+      ag::Variable p = NamedParameter(model, name);
+      ASSERT_TRUE(p.defined()) << name;
+      // A peephole's last row is a padding row of the 4-node sample; an X
+      // filter's first row multiplies the root's column of P.
+      const bool filter = name.find(".w0") != std::string::npos;
+      p.mutable_value().At(filter ? 0 : p.rows() - 1, 0) += 0.25;
+      const RecordedPass edited = RecordPass(model, sample);
+      EXPECT_NE(edited.loss, before.loss) << "editing " << name;
+      const std::unique_ptr<CascnModel> fresh = FreshCopy(model);
+      ExpectSamePass(edited, RecordPass(*fresh, sample),
+                     VariantName(variant) + " after editing " + name);
+      before = edited;
+    }
+  }
+}
+
+/// Two threads training on one model share its padding table, including
+/// the rebuild after the weights change between two rounds: each recorded
+/// pass equals the serial one, bit for bit.
+TEST(CascnModelTest, ConcurrentRecordedPassesAcrossAWeightChange) {
+  CascnModel model(TinyCascnConfig());
+  model.set_output_offset(0.2);
+  SetCandidateBias(model, 0.5);
+  std::vector<CascadeSample> samples;
+  for (int size = 1; size <= 14; ++size)
+    samples.push_back(GrowingSample(size, 200 + size));
+  auto train_round = [&](const std::string& round) {
+    std::vector<RecordedPass> expected;
+    for (const CascadeSample& sample : samples)
+      expected.push_back(RecordPass(model, sample));
+    // Each thread records and backpropagates into its own sinks; the
+    // gradients are compared after the threads join.
+    std::vector<std::vector<std::pair<double, ag::GradSink>>> sinks(2);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 2; ++w) {
+      threads.emplace_back([&, w] {
+        for (int rep = 0; rep < 2; ++rep)
+          for (size_t i = 0; i < samples.size(); ++i) {
+            const size_t k = (i + w * 5) % samples.size();
+            auto& [loss_value, sink] = sinks[w].emplace_back();
+            const ag::Variable loss =
+                nn::SquaredError(model.PredictLogCalibrated(samples[k]), 1.5);
+            loss_value = loss.value().At(0, 0);
+            ag::ScopedGradCapture capture(&sink);
+            loss.Backward();
+          }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int w = 0; w < 2; ++w) {
+      for (size_t j = 0; j < sinks[w].size(); ++j) {
+        const size_t k = (j % samples.size() + w * 5) % samples.size();
+        RecordedPass pass;
+        pass.loss = sinks[w][j].first;
+        model.ZeroGrad();
+        sinks[w][j].second.Flush();
+        for (const ag::Variable& p : model.Parameters())
+          pass.grads.push_back(p.grad());
+        ExpectSamePass(pass, expected[k],
+                       round + " thread " + std::to_string(w) + " pass " +
+                           std::to_string(j));
+      }
+    }
+    model.ZeroGrad();
+  };
+  train_round("before");
+  for (const char* name : {"conv_lstm.b_o", "conv_lstm.v_f"}) {
+    ag::Variable p = NamedParameter(model, name);
+    ASSERT_TRUE(p.defined()) << name;
+    p.mutable_value().At(p.rows() - 1, p.cols() - 1) -= 0.5;
+  }
+  train_round("after");
 }
 
 TEST(CascnModelTest, RepresentationHasHiddenWidth) {

@@ -1,6 +1,7 @@
 #include "nn/graph_rnn_cells.h"
 
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -629,6 +630,161 @@ TEST(GraphConvLstmCellTest, RecordedStepIsThePerGateTapeBitForBit) {
 TEST(GraphConvGruCellTest, RecordedStepIsThePerGateTapeBitForBit) {
   ExpectRecordedStepIsPerGateTapeOverEncodings<GraphConvGruCell>(
       {Readout::kEveryStep, Readout::kLastStep}, 90);
+}
+
+/// What a RunRecorded case starts from.
+enum class Start {
+  kZero,            // InitialState(): padding rows from the table
+  kZeroTakesGrad,   // zero leaves that take a gradient: the table, and dh_0
+  kRandomTakesGrad  // a random state: every row through the kernel
+};
+
+/// A loss that pools the per-step node sums with softmax attention, as
+/// CascnModel's attention-pooling extension does, with fixed weights.
+ag::Variable AttentionLoss(const std::vector<RnnState>& states) {
+  const int hidden = states[0].h.cols();
+  Rng rng(5);
+  const ag::Variable w =
+      ag::Variable::Leaf(Tensor::RandomNormal(hidden, hidden, 0.5, rng));
+  const ag::Variable v =
+      ag::Variable::Leaf(Tensor::RandomNormal(hidden, 1, 0.5, rng));
+  std::vector<ag::Variable> per_step;
+  for (const RnnState& s : states) per_step.push_back(ag::SumRows(s.h));
+  const ag::Variable stacked = ag::ConcatRows(per_step);
+  const ag::Variable scores = ag::MatMul(ag::Tanh(ag::MatMul(stacked, w)), v);
+  const ag::Variable attention = ag::SoftmaxRows(ag::Transpose(scores));
+  return ag::Sum(ag::Square(ag::MatMul(attention, stacked)));
+}
+
+/// Everything a recorded run yields: every state, and after the loss's
+/// Backward() every parameter gradient, then dh_0 and dc_0 when the start
+/// takes a gradient.
+struct RecordedOutcome {
+  std::vector<RnnState> states;
+  std::vector<Tensor> grads;
+};
+
+/// RunRecorded and a Step loop over the same snapshot operators from equal
+/// starts, each backpropagating `loss`: every h_t and c_t, every parameter
+/// gradient, dh_0 and dc_0 bit for bit.
+template <typename Cell, typename Loss>
+void ExpectRunRecordedIsStepLoop(Cell& cell,
+                                 const std::vector<CsrMatrix>& basis,
+                                 const CsrMatrix& ops, Start start,
+                                 Loss&& loss, const std::string& where) {
+  const SharedBasis shared_basis = Share(basis);
+  const auto stack = std::make_shared<const CsrMatrix>(ops);
+  const int order = cell.cheb_order();
+  const size_t depth = ops.rows() / (order * cell.num_nodes());
+  auto run = [&](bool sequence) {
+    cell.ZeroGrad();
+    RnnState init = cell.InitialState();
+    if (start == Start::kZeroTakesGrad) {
+      init.h = ag::Variable::Leaf(init.h.value(), true);
+      if (init.c.defined()) init.c = ag::Variable::Leaf(init.c.value(), true);
+    } else if (start == Start::kRandomTakesGrad) {
+      Rng rng(13);
+      init = RandomState(init, true, rng);
+    }
+    RecordedOutcome out;
+    if (sequence) {
+      out.states = cell.RunRecorded(shared_basis, stack, init);
+    } else {
+      RnnState state = init;
+      for (size_t t = 0; t < depth; ++t) {
+        state = cell.Step(shared_basis, StepOperators(ops, t, order), state);
+        out.states.push_back(state);
+      }
+    }
+    loss(out.states).Backward();
+    for (const ag::Variable& p : cell.Parameters())
+      out.grads.push_back(p.grad());
+    if (start != Start::kZero) {
+      out.grads.push_back(init.h.grad());
+      if (init.c.defined()) out.grads.push_back(init.c.grad());
+    }
+    return out;
+  };
+  const RecordedOutcome stepped = run(false);
+  const RecordedOutcome sequence = run(true);
+  ASSERT_EQ(sequence.states.size(), depth) << where;
+  for (size_t t = 0; t < depth; ++t) {
+    ASSERT_TRUE(sequence.states[t].h.needs_grad()) << where;
+    EXPECT_TRUE(
+        SameBits(sequence.states[t].h.value(), stepped.states[t].h.value()))
+        << where << " h at step " << t;
+    if (stepped.states[t].c.defined()) {
+      EXPECT_TRUE(
+          SameBits(sequence.states[t].c.value(), stepped.states[t].c.value()))
+          << where << " c at step " << t;
+    }
+  }
+  ASSERT_EQ(sequence.grads.size(), stepped.grads.size()) << where;
+  for (size_t i = 0; i < stepped.grads.size(); ++i) {
+    ASSERT_FALSE(stepped.grads[i].empty()) << where << " gradient " << i;
+    EXPECT_TRUE(SameBits(sequence.grads[i], stepped.grads[i]))
+        << where << " gradient " << i;
+  }
+}
+
+/// Encoder bases and snapshot operators of a generator cascade cut to 1, 2,
+/// 10 and 12 nodes and to the padded size (16, so no padding row), for
+/// K = 1..3, with losses reading every h_t, only h_T, and attention
+/// pooling, from every Start.
+template <typename Cell>
+void ExpectRunRecordedIsStepLoopOverEncodings(uint64_t seed) {
+  CascnConfig config = testing::TinyCascnConfig();
+  config.padded_size = 16;
+  config.hidden_dim = 5;
+  const CascadeDataset dataset = testing::TinyDataset();
+  const CascadeSample* source = nullptr;
+  for (const CascadeSample& sample : dataset.train)
+    if (sample.observed.size() >= config.padded_size) source = &sample;
+  ASSERT_NE(source, nullptr);
+  const std::pair<std::string, std::function<ag::Variable(
+                                   const std::vector<RnnState>&)>>
+      losses[] = {
+          {"every h_t",
+           [](const std::vector<RnnState>& s) {
+             return Loss(s, Readout::kEveryStep);
+           }},
+          {"last h_t",
+           [](const std::vector<RnnState>& s) {
+             return Loss(s, Readout::kLastStep);
+           }},
+          {"attention", AttentionLoss},
+      };
+  for (int order = 1; order <= 3; ++order) {
+    config.cheb_order = order;
+    Rng rng(seed + order);
+    Cell cell(config.padded_size, config.hidden_dim, order, rng);
+    RandomizeRowLocal(cell, rng);
+    for (const int size : {1, 2, 10, 12, config.padded_size}) {
+      CascadeSample sample = *source;
+      sample.observed = source->observed.PrefixBySize(size);
+      const Result<EncodedCascade> enc = EncodeCascade(sample, config);
+      ASSERT_TRUE(enc.ok()) << enc.status();
+      for (const auto& [loss_name, loss] : losses) {
+        for (const Start start :
+             {Start::kZero, Start::kZeroTakesGrad, Start::kRandomTakesGrad}) {
+          ExpectRunRecordedIsStepLoop(
+              cell, enc.value().cheb_basis, enc.value().snapshot_ops, start,
+              loss,
+              "K=" + std::to_string(order) + " size=" + std::to_string(size) +
+                  " loss on " + loss_name + " start " +
+                  std::to_string(static_cast<int>(start)));
+        }
+      }
+    }
+  }
+}
+
+TEST(GraphConvLstmCellTest, RunRecordedIsTheStepLoopBitForBit) {
+  ExpectRunRecordedIsStepLoopOverEncodings<GraphConvLstmCell>(120);
+}
+
+TEST(GraphConvGruCellTest, RunRecordedIsTheStepLoopBitForBit) {
+  ExpectRunRecordedIsStepLoopOverEncodings<GraphConvGruCell>(130);
 }
 
 /// The dense-signal Step against the operator Step over the same snapshots,

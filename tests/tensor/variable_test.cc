@@ -505,6 +505,58 @@ TEST(RecordOpTest, ParameterGradientsGoToTheActiveSink) {
   EXPECT_TRUE(SameBits(a.grad(), expected));
 }
 
+/// Gradients of 2 x 3 Variables handed over as blocks of one 2 x 7 buffer
+/// (rows 7 apart), with values whose sums round differently in each order.
+struct StridedContributions {
+  StridedContributions() {
+    Rng rng(70);
+    for (double& x : buffer) x = rng.Normal(0.0, 1.0) * 1e8;
+    buffer[1] = -0.0;
+    pointers = {buffer, buffer + 4, buffer + 2};
+  }
+  /// Contribution i as a 2 x 3 Tensor.
+  Tensor Block(int i) const {
+    Tensor t(2, 3);
+    for (int r = 0; r < 2; ++r)
+      for (int c = 0; c < 3; ++c) t.At(r, c) = pointers[i][r * 7 + c];
+    return t;
+  }
+  double buffer[14];
+  std::vector<const double*> pointers;
+};
+
+TEST(RecordOpTest, AccumulateGradsIsOneAccumulateGradPerContribution) {
+  const StridedContributions in;
+  for (const bool requires_grad : {false, true}) {
+    for (const bool capture : {false, true}) {
+      Variable one_pass = RandomLeaf(2, 3, 71, requires_grad);
+      Variable in_turn = RandomLeaf(2, 3, 71, requires_grad);
+      if (!requires_grad) {
+        // Intermediate nodes: an op over a parameter, so they take a
+        // gradient without being leaves.
+        const Variable p = RandomLeaf(2, 3, 72);
+        one_pass = Add(p, p);
+        in_turn = Add(p, p);
+      }
+      GradSink sink_one, sink_turn;
+      {
+        ScopedGradCapture c1(capture ? &sink_one : nullptr);
+        AccumulateGrad(one_pass, in.Block(1));
+        AccumulateGrads(one_pass, in.pointers.data(), in.pointers.size(), 7);
+      }
+      {
+        ScopedGradCapture c2(capture ? &sink_turn : nullptr);
+        AccumulateGrad(in_turn, in.Block(1));
+        for (int i = 0; i < 3; ++i) AccumulateGrad(in_turn, in.Block(i));
+      }
+      sink_one.Flush();
+      sink_turn.Flush();
+      EXPECT_TRUE(SameBits(one_pass.grad(), in_turn.grad()))
+          << "requires_grad=" << requires_grad << " capture=" << capture;
+    }
+  }
+}
+
 TEST(RecordOpDeathTest, AccumulateGradIntoAConstantDies) {
   const Variable c = RandomLeaf(2, 2, 66, /*requires_grad=*/false);
   EXPECT_DEATH(AccumulateGrad(c, Tensor(2, 2)), "needs no gradient");
