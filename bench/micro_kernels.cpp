@@ -197,12 +197,15 @@ void BM_EncodeCascade(benchmark::State& state) {
 BENCHMARK(BM_EncodeCascade)->Arg(16)->Arg(32)->Arg(64);
 
 /// A BenchCascade with `active` nodes observed for 60 minutes, and a
-/// default-config CasCN (padded 32) that has already encoded it.
+/// default-config CasCN (padded 32) whose encoding cache holds it. Only the
+/// recorded rows read that cache: a values-only forward encodes its sample
+/// on every call, so BM_CascnPredictValue times encode + forward, a served
+/// cold predict.
 struct PredictFixture {
   explicit PredictFixture(int active) : model(CascnConfig{}) {
     sample.observed = BenchCascade(active);
     sample.observation_window = 60.0;
-    model.PredictValue(sample);
+    model.PredictLogCalibrated(sample);
   }
   CascadeSample sample;
   CascnModel model;

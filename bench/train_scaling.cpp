@@ -2,7 +2,8 @@
 //
 // Trains the same CasCN model on the same generated dataset at each thread
 // count in --threads_list (default 1,2,4,8), reporting per-epoch wall-clock,
-// samples/sec, and speedup vs. the single-thread run. Thanks to the
+// samples/sec, speedup vs. the single-thread run, and the trainer's own
+// mean epoch and validation seconds (EpochStats). Thanks to the
 // trainer's fixed-order gradient tree reduction the trained weights are
 // bit-identical across runs, so this measures pure scheduling overhead and
 // parallel speedup — the final train losses are asserted equal here.
@@ -58,6 +59,9 @@ struct ScalingRun {
   double epoch_seconds = 0.0;
   double samples_per_sec = 0.0;
   double final_train_loss = 0.0;
+  // Means over epochs of the trainer's EpochStats.
+  double trainer_epoch_seconds = 0.0;
+  double validation_seconds = 0.0;
 };
 
 ScalingRun RunAtThreads(size_t threads, const CascadeDataset& dataset,
@@ -84,6 +88,13 @@ ScalingRun RunAtThreads(size_t threads, const CascadeDataset& dataset,
   run.samples_per_sec =
       static_cast<double>(dataset.train.size()) * epochs / run.total_seconds;
   run.final_train_loss = result.history.back().train_loss;
+  for (const EpochStats& stats : result.history) {
+    run.trainer_epoch_seconds += stats.epoch_seconds;
+    run.validation_seconds += stats.validation_seconds;
+  }
+  const double num_epochs = static_cast<double>(result.history.size());
+  run.trainer_epoch_seconds /= num_epochs;
+  run.validation_seconds /= num_epochs;
   parallel::SetThreads(0);
   return run;
 }
@@ -138,9 +149,11 @@ int Main(int argc, char** argv) {
     const double speedup = runs.front().epoch_seconds / run.epoch_seconds;
     std::fprintf(stderr,
                  "[train_scaling] threads=%zu epoch=%.3fs "
-                 "samples/sec=%.1f speedup=%.2fx loss=%.6f\n",
+                 "samples/sec=%.1f speedup=%.2fx loss=%.6f "
+                 "trainer_epoch=%.4fs validation=%.4fs\n",
                  run.threads, run.epoch_seconds, run.samples_per_sec,
-                 speedup, run.final_train_loss);
+                 speedup, run.final_train_loss, run.trainer_epoch_seconds,
+                 run.validation_seconds);
     // The determinism contract, enforced where it is easiest to violate.
     CASCN_CHECK(run.final_train_loss == runs.front().final_train_loss)
         << "train loss at " << run.threads
@@ -154,6 +167,8 @@ int Main(int argc, char** argv) {
             .Add("epoch_seconds", run.epoch_seconds)
             .Add("samples_per_sec", run.samples_per_sec)
             .Add("speedup_vs_1", speedup)
+            .Add("trainer_epoch_seconds", run.trainer_epoch_seconds)
+            .Add("validation_seconds", run.validation_seconds)
             .Build());
   }
 

@@ -6,6 +6,23 @@
 #include "nn/init.h"
 
 namespace cascn {
+namespace {
+
+/// The sample's encoding, owned by the caller.
+std::shared_ptr<const EncodedCascade> Encode(const CascadeSample& sample,
+                                             const CascnConfig& config) {
+  auto encoded = EncodeCascade(sample, config);
+  CASCN_CHECK(encoded.ok()) << "encoding failed for cascade "
+                            << sample.observed.id() << ": "
+                            << encoded.status().ToString();
+  EncodedCascade value = std::move(encoded).value();
+  // Every forward reads the snapshot operators; the dense signals would
+  // only take memory.
+  value.snapshot_signals = {};
+  return std::make_shared<const EncodedCascade>(std::move(value));
+}
+
+}  // namespace
 
 std::string VariantName(CascnVariant variant) {
   switch (variant) {
@@ -68,6 +85,10 @@ std::string CascnModel::name() const { return VariantName(config_.variant); }
 
 std::shared_ptr<const EncodedCascade> CascnModel::Encoded(
     const CascadeSample& sample) {
+  // Only recorded forwards re-read an encoding (every training epoch). A
+  // values-only forward serves a prefix that is seen once, so it keeps its
+  // encoding for this call alone: no fingerprint, no lock, no entry.
+  if (!ag::GradEnabled()) return Encode(sample, config_);
   const uint64_t key = SampleFingerprint(sample);
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -79,15 +100,7 @@ std::shared_ptr<const EncodedCascade> CascnModel::Encoded(
   }
   // Encoding is the expensive part; do it outside the lock so concurrent
   // misses on *different* samples don't serialize.
-  auto encoded = EncodeCascade(sample, config_);
-  CASCN_CHECK(encoded.ok()) << "encoding failed for cascade "
-                            << sample.observed.id() << ": "
-                            << encoded.status().ToString();
-  EncodedCascade value = std::move(encoded).value();
-  // Every forward reads the snapshot operators; the dense signals would
-  // only take cache memory.
-  value.snapshot_signals = {};
-  auto fresh = std::make_shared<const EncodedCascade>(std::move(value));
+  auto fresh = Encode(sample, config_);
   std::lock_guard<std::mutex> lock(cache_mutex_);
   auto it = cache_.find(key);
   if (it != cache_.end()) {

@@ -52,13 +52,15 @@ class CascnModel : public nn::Module, public CascadeRegressor {
     cache_lru_.clear();
   }
 
-  /// The encoding cache is mutex-guarded and parameters are only read during
-  /// forward, so per-sample graphs may be built concurrently (gradient
-  /// accumulation safety is the trainer's job via ag::ScopedGradCapture).
+  /// Parameters are only read during forward, a values-only forward keeps
+  /// its encoding to itself, and the recorded forwards' encoding cache is
+  /// mutex-guarded, so per-sample graphs may be built concurrently
+  /// (gradient accumulation safety is the trainer's job via
+  /// ag::ScopedGradCapture).
   bool SupportsConcurrentForward() const override { return true; }
 
   /// Number of cached per-sample encodings (bounded by
-  /// config.encoding_cache_capacity).
+  /// config.encoding_cache_capacity). Only recorded forwards add entries.
   size_t EncodingCacheSize() const {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     return cache_.size();
@@ -75,10 +77,13 @@ class CascnModel : public nn::Module, public CascadeRegressor {
   double EncodedLambdaMax(const CascadeSample& sample);
 
  private:
-  /// Cached per-sample encoding, keyed by SampleFingerprint so a recycled
-  /// heap address (e.g. the per-update samples of a live cascade) can
-  /// never alias a previous cascade's encoding. LRU-bounded by
-  /// config.encoding_cache_capacity. Entries are shared_ptr so a concurrent
+  /// The sample's encoding. With grad mode off (PredictValue,
+  /// Representation) it is encoded for this call only and the cache is not
+  /// touched: a served prefix is forecast once. A recorded forward reads
+  /// and fills the cache, because training re-reads every sample each
+  /// epoch. Entries are keyed by SampleFingerprint so a recycled heap
+  /// address can never alias a previous cascade's encoding, LRU-bounded by
+  /// config.encoding_cache_capacity, and shared_ptr so a concurrent
   /// eviction can never invalidate an encoding another thread is reading.
   std::shared_ptr<const EncodedCascade> Encoded(const CascadeSample& sample);
 

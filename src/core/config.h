@@ -67,8 +67,9 @@ struct CascnConfig {
   uint64_t seed = 42;
 
   /// Per-model cap on cached per-sample encodings (LRU-evicted beyond this).
-  /// Sized to hold a full training split; long-running serving workloads
-  /// stay bounded instead of growing one entry per observed update.
+  /// It bounds recorded (grad-mode) forwards only: sized to hold a full
+  /// training split. A values-only forward (serving, evaluation) caches
+  /// nothing.
   int encoding_cache_capacity = 8192;
 
   SnapshotOptions MakeSnapshotOptions() const {

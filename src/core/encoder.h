@@ -2,7 +2,8 @@
 // signal sequence (Fig. 3), the cascade Laplacian scaled for Chebyshev
 // filtering (Algorithm 1 + Eq. 4), the Chebyshev basis, and the time-decay
 // interval of each snapshot (Eq. 15). All of it depends only on the sample
-// and the configuration, so models compute it once and cache it.
+// and the configuration, so a model computes it once per forward and, when
+// training re-reads the sample every epoch, caches it.
 //
 // A graph convolution filters X_t as sum_k (T_k X_t) W_k (Eq. 12-14), and
 // T_k X_t is a constant of the sample too. The encoder builds it once, as

@@ -62,9 +62,8 @@ class LiveCascade {
  private:
   std::vector<AdoptionEvent> events_;
   double observation_window_;
-  // Rebuilt in place when stale. Its cascade id is always "session":
-  // SampleFingerprint covers the id, so live cascades with equal events
-  // share one cached encoding in the model.
+  // Rebuilt in place when stale. Its cascade id is always "session", so a
+  // forecast depends on the events alone.
   CascadeSample sample_;
   bool sample_stale_ = true;
   std::optional<double> cached_prediction_;
