@@ -83,40 +83,56 @@ std::vector<double> PackFilters(std::initializer_list<const ChebConv*> convs) {
   return packed;
 }
 
-/// out (rows x width) = sum_k term_k, adding the terms in k order
-/// (ChebConv::Forward). `product(k, dst)` adds term k into dst, which holds
-/// zeros; `term` is the buffer of terms past the first.
-template <typename Product>
-void SumOverOrders(size_t order, int rows, int width, double* out,
-                   std::vector<double>& term, Product&& product) {
-  const size_t out_size = static_cast<size_t>(rows) * width;
-  std::fill(out, out + out_size, 0.0);
-  for (size_t k = 0; k < order; ++k) {
-    if (k == 0) {
-      product(k, out);
-      continue;
-    }
-    term.assign(out_size, 0.0);
-    product(k, term.data());
-    for (size_t i = 0; i < out_size; ++i) out[i] += term[i];
+/// Columns [c, c + kCols) of FilterRow's output row, summed in registers.
+/// (`total` starts zeroed only so the compiler can see it set: order >= 1,
+/// and order 0's sum overwrites it.)
+template <int kCols, typename Entries>
+inline void FilterTile(int order, int c, Entries& entries,
+                       double* __restrict out) {
+  double total[kCols] = {};
+  for (int k = 0; k < order; ++k) {
+    double sum[kCols];
+    for (int i = 0; i < kCols; ++i) sum[i] = 0.0;
+    entries(k, [&](double a, const double* __restrict w) {
+      for (int i = 0; i < kCols; ++i) sum[i] += a * w[c + i];
+    });
+    for (int i = 0; i < kCols; ++i)
+      total[i] = k == 0 ? sum[i] : total[i] + sum[i];
   }
+  for (int i = 0; i < kCols; ++i) out[c + i] = total[i];
+}
+
+/// The row kernel of every filter product: out (width) = sum_k sum_e
+/// a_{k,e} w_{k,e} over the `order` Chebyshev orders, for the entries
+/// `entries(k, add)` hands over in order as add(a, w), w a row of `width`
+/// weights. It is the tape ops' arithmetic, element by element: each
+/// order's sum starts at +0.0, as a product's zero-filled output does (so
+/// a first term of -0.0 adds to +0.0), adds the entries in the order they
+/// come, and the orders add in k order. Which coefficients to skip is the
+/// entries' choice: exactly those the tape op a product stands for skipped.
+/// Columns are summed 8, then 4, then 1 at a time in registers across every
+/// entry of every order, and each output element is written once.
+template <typename Entries>
+inline void FilterRow(int order, int width, Entries&& entries,
+                      double* __restrict out) {
+  int c = 0;
+  for (; c + 8 <= width; c += 8) FilterTile<8>(order, c, entries, out);
+  for (; c + 4 <= width; c += 4) FilterTile<4>(order, c, entries, out);
+  for (; c < width; ++c) FilterTile<1>(order, c, entries, out);
 }
 
 /// Rows [0, rows) of sum_k (T_k s) W_k into `out` (rows x width), for a
 /// signal s (n x in) and W_k block k of `packed`; `propagated` receives
 /// T_k s, block k of rows x in. Element by element it is the recorded ops'
 /// arithmetic: each row of T_k s gathers its CSR entries in order from
-/// zero (CsrMatrix::MatMulDense), each product adds p in ascending order
-/// from zero and skips zero entries of T_k s (MatMulAccum), and the terms
-/// add in k order.
+/// zero (CsrMatrix::MatMulDense), and the product skips the zero entries
+/// of T_k s (MatMulAccum).
 void FilterRows(const std::vector<CsrMatrix>& basis, int rows,
                 const double* s, int in, const std::vector<double>& packed,
-                int width, double* out, std::vector<double>& propagated,
-                std::vector<double>& term) {
+                int width, double* out, std::vector<double>& propagated) {
   const size_t block = static_cast<size_t>(rows) * in;
   propagated.assign(basis.size() * block, 0.0);
-  SumOverOrders(basis.size(), rows, width, out, term,
-                [&](size_t k, double* dst) {
+  for (size_t k = 0; k < basis.size(); ++k) {
     const auto& offsets = basis[k].row_offsets();
     const auto& cols = basis[k].col_indices();
     const auto& vals = basis[k].values();
@@ -126,17 +142,21 @@ void FilterRows(const std::vector<CsrMatrix>& basis, int rows,
       for (int e = offsets[r]; e < offsets[r + 1]; ++e)
         AddScaledRow(vals[e], s + static_cast<size_t>(cols[e]) * in, in, prow);
     }
-    const double* w = packed.data() + k * static_cast<size_t>(in) * width;
-    for (int r = 0; r < rows; ++r) {
-      const double* prow = pk + static_cast<size_t>(r) * in;
-      double* drow = dst + static_cast<size_t>(r) * width;
-      for (int p = 0; p < in; ++p) {
-        const double a = prow[p];
-        if (a == 0.0) continue;
-        AddScaledRow(a, w + static_cast<size_t>(p) * width, width, drow);
-      }
-    }
-  });
+  }
+  const size_t filter = static_cast<size_t>(in) * width;
+  for (int r = 0; r < rows; ++r) {
+    const double* prow = propagated.data() + static_cast<size_t>(r) * in;
+    FilterRow(static_cast<int>(basis.size()), width,
+              [&](int k, auto&& add) {
+                const double* a = prow + k * block;
+                const double* w = packed.data() + k * filter;
+                for (int p = 0; p < in; ++p) {
+                  if (a[p] != 0.0)
+                    add(a[p], w + static_cast<size_t>(p) * width);
+                }
+              },
+              out + static_cast<size_t>(r) * width);
+  }
 }
 
 /// Rows [0, rows) of sum_k P_k W_k into `out` (rows x width), for the
@@ -144,24 +164,26 @@ void FilterRows(const std::vector<CsrMatrix>& basis, int rows,
 /// n rows from row `first` of `ops`, and W_k block k of `packed`. It is
 /// FilterRows' product over X: a row of P_k holds, in ascending column
 /// order, exactly the nonzeros of that row of T_k X, which are the entries
-/// FilterRows' p loop does not skip, with the same values.
+/// FilterRows' product does not skip, with the same values, so it skips
+/// none of them.
 void FilterOperators(const CsrMatrix& ops, int first, int order, int rows,
                      const std::vector<double>& packed, int width,
-                     double* out, std::vector<double>& term) {
+                     double* out) {
   const int n = ops.cols();
   const auto& offsets = ops.row_offsets();
   const auto& cols = ops.col_indices();
   const auto& vals = ops.values();
-  SumOverOrders(order, rows, width, out, term, [&](size_t k, double* dst) {
-    const int block = first + static_cast<int>(k) * n;
-    const double* w = packed.data() + k * static_cast<size_t>(n) * width;
-    for (int r = 0; r < rows; ++r) {
-      double* drow = dst + static_cast<size_t>(r) * width;
-      for (int e = offsets[block + r]; e < offsets[block + r + 1]; ++e)
-        AddScaledRow(vals[e], w + static_cast<size_t>(cols[e]) * width, width,
-                     drow);
-    }
-  });
+  const size_t filter = static_cast<size_t>(n) * width;
+  for (int r = 0; r < rows; ++r) {
+    FilterRow(order, width,
+              [&](int k, auto&& add) {
+                const int row = first + k * n + r;
+                const double* w = packed.data() + k * filter;
+                for (int e = offsets[row]; e < offsets[row + 1]; ++e)
+                  add(vals[e], w + static_cast<size_t>(cols[e]) * width);
+              },
+              out + static_cast<size_t>(r) * width);
+  }
 }
 
 /// `basis` is T_0..T_{K-1} for K = `order`, each n x n.
@@ -288,8 +310,8 @@ class FusedLstm {
     const int width = 4 * d;
     xs_.resize(static_cast<size_t>(n) * width);
     hs_.resize(static_cast<size_t>(n) * width);
-    FilterOperators(ops, first, order, rows, wx_, width, xs_.data(), term_);
-    FilterRows(basis, rows, h, d, wh_, width, hs_.data(), ph, term_);
+    FilterOperators(ops, first, order, rows, wx_, width, xs_.data());
+    FilterRows(basis, rows, h, d, wh_, width, hs_.data(), ph);
   }
 
   /// The gates of rows [0, rows) after Filter. In one pass per element,
@@ -336,7 +358,7 @@ class FusedLstm {
  private:
   const std::vector<double> wx_, wh_;
   const double *v_i_, *v_f_, *v_o_, *b_i_, *b_f_, *b_c_, *b_o_;
-  std::vector<double> xs_, hs_, term_;
+  std::vector<double> xs_, hs_;
 };
 
 /// The GRU kernel of one forward: [W_r|W_z|W_n] per k for X, [U_r|U_z] per
@@ -406,8 +428,8 @@ class FusedGru {
     hn_.resize(nd);
     z_.resize(nd);
     rh_.resize(nd);
-    FilterOperators(ops, first, order, rows, wx_, 3 * d, xs_.data(), term_);
-    FilterRows(basis, rows, h, d, wh_, 2 * d, hs_.data(), ph, term_);
+    FilterOperators(ops, first, order, rows, wx_, 3 * d, xs_.data());
+    FilterRows(basis, rows, h, d, wh_, 2 * d, hs_.data(), ph);
   }
 
   /// r, z and r (.) h. r (.) h is needed on every row T_k may read, so rows
@@ -435,7 +457,7 @@ class FusedGru {
   /// U_n *G (r (.) h) for rows [0, rows); T_k (r (.) h) of those rows
   /// stays in prh.
   void FilterReset(const std::vector<CsrMatrix>& basis, int rows) {
-    FilterRows(basis, rows, rh_.data(), d, wn_, d, hn_.data(), prh, term_);
+    FilterRows(basis, rows, rh_.data(), d, wn_, d, hn_.data(), prh);
   }
 
   /// The candidate n and h_t for rows [0, rows).
@@ -464,7 +486,7 @@ class FusedGru {
   const std::vector<double> wx_, wh_, wn_;
   const double *b_r_, *b_z_, *b_n_;
   std::vector<double> r_pad_;
-  std::vector<double> xs_, hs_, hn_, z_, rh_, term_;
+  std::vector<double> xs_, hs_, hn_, z_, rh_;
 };
 
 namespace {
@@ -556,74 +578,48 @@ Tensor& Shaped(Tensor& t, int rows, int cols) {
 /// The most gates a packed product serves.
 constexpr int kMaxGates = 4;
 
-/// g_j (in x d) = P^T a_j for P (rows x in) and `count` gradients a_j side
-/// by side in `a`, whose rows are `stride` apart, a_j in columns
-/// [j d, (j + 1) d): MatMulTransposeA per gate. Each element adds the rows
-/// in ascending order from zero and skips the zero entries of P, four
-/// columns at a time in registers. A caller may pass fewer rows than P has
-/// when the rest of P is zero.
+/// out (in x width) = P^T A for P (rows x in) and A (rows x width, rows
+/// `stride` apart): MatMulTransposeA for every gate's block of A at once.
+/// Row i of out is FilterRow over the rows of P in ascending order,
+/// skipping P's zero entries. A caller may pass fewer rows than P has when
+/// the rest of P is zero.
 void ProductsTransposeA(const double* p, int rows, int in, const double* a,
-                        int stride, int count, int d, Tensor* g) {
-  for (int j = 0; j < count; ++j) {
-    const double* aj = a + j * d;
-    double* gj = Shaped(g[j], in, d).data();
-    for (int i = 0; i < in; ++i) {
-      double* grow = gj + static_cast<size_t>(i) * d;
-      int c = 0;
-      for (; c + 4 <= d; c += 4) {
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        for (int r = 0; r < rows; ++r) {
-          const double x = p[static_cast<size_t>(r) * in + i];
-          if (x == 0.0) continue;
-          const double* ar = aj + static_cast<size_t>(r) * stride + c;
-          s0 += x * ar[0];
-          s1 += x * ar[1];
-          s2 += x * ar[2];
-          s3 += x * ar[3];
-        }
-        grow[c] = s0;
-        grow[c + 1] = s1;
-        grow[c + 2] = s2;
-        grow[c + 3] = s3;
-      }
-      for (; c < d; ++c) {
-        double sum = 0.0;
-        for (int r = 0; r < rows; ++r) {
-          const double x = p[static_cast<size_t>(r) * in + i];
-          if (x == 0.0) continue;
-          sum += x * aj[static_cast<size_t>(r) * stride + c];
-        }
-        grow[c] = sum;
-      }
-    }
-  }
-}
-
-/// s (d) = a W^T for one gradient row a (d) and W (d x d), given W^T:
-/// MatMulTransposeB's row. Each element adds p in ascending order from
-/// zero, as MatMulTransposeB's dot product does, but the loop runs along
-/// the row of outputs, which stays in registers, so it vectorizes.
-inline void RowTimesTransposed(const double* __restrict a,
-                               const double* __restrict wt, int d,
-                               double* __restrict s) {
-  std::fill(s, s + d, 0.0);
-  for (int p = 0; p < d; ++p) {
-    const double x = a[p];
-    const double* w = wt + static_cast<size_t>(p) * d;
-    for (int i = 0; i < d; ++i) s[i] += x * w[i];
+                        int stride, int width, double* out) {
+  for (int i = 0; i < in; ++i) {
+    FilterRow(1, width,
+              [&](int, auto&& add) {
+                for (int r = 0; r < rows; ++r) {
+                  const double x = p[static_cast<size_t>(r) * in + i];
+                  if (x != 0.0) add(x, a + static_cast<size_t>(r) * stride);
+                }
+              },
+              out + static_cast<size_t>(i) * width);
   }
 }
 
 /// Rows [0, rows) of s = [a_0 W_0^T | ... | a_{count-1} W_{count-1}^T]
 /// (count d wide), for the gradients a_j side by side in `a` (rows `stride`
-/// apart) and W_j^T in wt[j]: MatMulTransposeB per gate.
+/// apart) and W_j^T in wt[j]: MatMulTransposeB per gate. Block j of a row
+/// is FilterRow over the rows of W_j^T, p ascending, skipping nothing, as
+/// MatMulTransposeB's dot product adds them. The entries step a pointer
+/// along W_j^T rather than index it by p: GCC vectorizes a loop with an
+/// index along p, gathering every column's weights, where the pointer loop
+/// keeps the columns in vector registers and runs faster.
 void ProductsTransposeB(const double* a, int rows, int stride, int count,
                         int d, const double* const* wt, double* s) {
   const int width = count * d;
+  const size_t dd = static_cast<size_t>(d) * d;
   for (int r = 0; r < rows; ++r)
-    for (int j = 0; j < count; ++j)
-      RowTimesTransposed(a + static_cast<size_t>(r) * stride + j * d, wt[j],
-                         d, s + static_cast<size_t>(r) * width + j * d);
+    for (int j = 0; j < count; ++j) {
+      const double* arow = a + static_cast<size_t>(r) * stride + j * d;
+      FilterRow(1, d,
+                [&](int, auto&& add) {
+                  const double* x = arow;
+                  for (const double* w = wt[j]; w != wt[j] + dd; w += d)
+                    add(*x++, w);
+                },
+                s + static_cast<size_t>(r) * width + j * d);
+    }
 }
 
 /// out (cols x width) = B^T s for B rows [first, first + rows) of t and s
@@ -798,11 +794,13 @@ struct Sequence {
     const int width = count * d;
     const size_t block = static_cast<size_t>(rows) * d;
     const size_t dd = static_cast<size_t>(d) * d;
-    wide_.resize(static_cast<size_t>(rows) * width);
+    wide_.resize(static_cast<size_t>(std::max(rows, d)) * width);
     for (int k = order - 1; k >= 0; --k) {
-      ProductsTransposeA(ps + k * block, rows, d, a, stride, count, d,
-                         filter_);
-      for (int j = 0; j < count; ++j) ag::AccumulateGrad(w[j][k], filter_[j]);
+      ProductsTransposeA(ps + k * block, rows, d, a, stride, width,
+                         wide_.data());
+      for (int j = 0; j < count; ++j)
+        ag::AccumulateGrad(w[j][k],
+                           Column(wide_.data(), d, width, j, d, filter_));
       if (to_signal == nullptr) continue;
       for (int j = 0; j < count; ++j) wt_k[j] = wt + (j * order + k) * dd;
       ProductsTransposeB(a, rows, stride, count, d, wt_k, wide_.data());
@@ -841,7 +839,9 @@ struct Sequence {
  private:
   const int kept_blocks_, signals_;
   std::vector<double> kept_, propagated_, transposed_, wide_;
-  Tensor filter_[kMaxGates], x_filter_;
+  // One filter's gradient before it is handed over: h side d x d, X side
+  // n x d.
+  Tensor filter_, x_filter_;
 };
 
 /// A recorded LSTM sequence. Its gates are in the order the tape handed

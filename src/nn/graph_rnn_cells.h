@@ -25,10 +25,11 @@
 // as its snapshot operators P_k = T_k X_t, built once by the encoder
 // (core/encoder.h) as sparse matrices, and propagates only h_{t-1}, once.
 // The gate filters are packed side by side so a step makes one product per
-// (signal, Chebyshev order); and the gates are evaluated in one pointwise
-// pass in the per-gate graph's operation order, so values are bit-identical
-// to it: a row of P_k holds, in ascending column order, exactly the entries
-// of T_k X_t that the dense products do not skip as zero.
+// signal, summing every Chebyshev order's term in one row kernel with the
+// per-gate graph's arithmetic; and the gates are evaluated in one pointwise
+// pass in that graph's operation order, so values are bit-identical to it:
+// a row of P_k holds, in ascending column order, exactly the entries of
+// T_k X_t that the dense products do not skip as zero.
 //
 // Run (values only) and RunRecorded (grad mode) take a whole snapshot
 // sequence, Run from the zero state. Both skip the rows no T_k reaches (the

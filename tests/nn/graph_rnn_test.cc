@@ -1,7 +1,9 @@
 #include "nn/graph_rnn_cells.h"
 
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -383,63 +385,180 @@ void RandomizeRowLocal(Module& cell, Rng& rng) {
   }
 }
 
-/// Run, and Step under NoGradGuard, against the recording Step loop on
-/// `signals`: every h_t (and c_t) bit for bit.
+/// Every way the cells run the fused kernel against the per-gate tape on
+/// `signals`, from `init` (InitialState() when null): Run (from the zero
+/// state only), RunRecorded, and the dense-signal Step recorded and under
+/// NoGradGuard. Every h_t and c_t bit for bit.
 template <typename Cell>
 void ExpectFusedIsRecorded(const Cell& cell,
                            const std::vector<CsrMatrix>& basis,
                            const std::vector<Tensor>& signals,
-                           const std::string& where) {
-  const std::vector<Tensor> run =
-      cell.Run(basis, SignalOperators(basis, signals));
-  ASSERT_EQ(run.size(), signals.size()) << where;
-  RnnState recorded = cell.InitialState();
-  RnnState stepped = cell.InitialState();
+                           const std::string& where,
+                           const RnnState* from = nullptr) {
+  const RnnState init = from != nullptr ? *from : cell.InitialState();
+  const PerGateReference ref(cell, cell.num_nodes(), cell.hidden_dim(),
+                             cell.cheb_order());
+  const CsrMatrix ops = SignalOperators(basis, signals);
+  std::vector<Tensor> run;
+  if (from == nullptr) {
+    run = cell.Run(basis, ops);
+    ASSERT_EQ(run.size(), signals.size()) << where;
+  }
+  const std::vector<RnnState> sequence = cell.RunRecorded(
+      Share(basis), std::make_shared<const CsrMatrix>(ops), init);
+  ASSERT_EQ(sequence.size(), signals.size()) << where;
+  RnnState recorded = init, stepped = init, tape = init;
   for (size_t t = 0; t < signals.size(); ++t) {
-    recorded = cell.Step(basis, ag::Variable::Leaf(signals[t]), recorded);
-    ASSERT_TRUE(recorded.h.needs_grad()) << where;
+    const std::string at = where + " step " + std::to_string(t);
+    const ag::Variable x = ag::Variable::Leaf(signals[t]);
+    recorded = cell.Step(basis, x, recorded);
+    ASSERT_TRUE(recorded.h.needs_grad()) << at;
     {
       ag::NoGradGuard no_grad;
-      stepped = cell.Step(basis, ag::Variable::Leaf(signals[t]), stepped);
+      stepped = cell.Step(basis, x, stepped);
     }
-    ASSERT_FALSE(stepped.h.needs_grad()) << where;
-    EXPECT_TRUE(SameBits(run[t], recorded.h.value()))
-        << where << " step " << t;
-    EXPECT_TRUE(SameBits(stepped.h.value(), recorded.h.value()))
-        << where << " step " << t;
-    if (recorded.c.defined()) {
-      EXPECT_TRUE(SameBits(stepped.c.value(), recorded.c.value()))
-          << where << " step " << t;
+    ASSERT_FALSE(stepped.h.needs_grad()) << at;
+    tape = ref.Step(cell, basis, x, tape);
+    const Tensor& h = tape.h.value();
+    EXPECT_TRUE(SameBits(recorded.h.value(), h)) << at << " recorded Step";
+    EXPECT_TRUE(SameBits(stepped.h.value(), h)) << at << " Step";
+    EXPECT_TRUE(SameBits(sequence[t].h.value(), h)) << at << " RunRecorded";
+    if (!run.empty()) {
+      EXPECT_TRUE(SameBits(run[t], h)) << at << " Run";
+    }
+    if (tape.c.defined()) {
+      const Tensor& c = tape.c.value();
+      EXPECT_TRUE(SameBits(recorded.c.value(), c)) << at << " recorded c";
+      EXPECT_TRUE(SameBits(stepped.c.value(), c)) << at << " c";
+      EXPECT_TRUE(SameBits(sequence[t].c.value(), c)) << at << " sequence c";
     }
   }
 }
 
-/// Every order K in 1..3 and every number of reached rows from 1 to n
-/// (n itself leaves no padding row), with sequence lengths that grow and
-/// shrink so the padding table deepens and is reused.
+/// Every order K in 1..3, hidden widths whose gate blocks (LSTM 4d, GRU d,
+/// 2d and 3d, and the X side) leave every remainder of the kernel's 8-, 4-
+/// and 1-column tiles, and every number of reached rows from 1 to n (n
+/// itself leaves no padding row), with sequence lengths that grow and
+/// shrink so the padding table deepens and is reused. Then the production
+/// shape: n = 32, d = 12, K = 2.
 template <typename Cell>
 void ExpectFusedIsRecordedOverShapes(uint64_t seed) {
-  const int n = 7, hidden = 3;
-  for (int order = 1; order <= 3; ++order) {
-    Rng rng(seed + order);
-    Cell cell(n, hidden, order, rng);
-    RandomizeRowLocal(cell, rng);
-    for (int active = 1; active <= n; ++active) {
-      const int steps = 1 + (active * 3) % 7;
-      ExpectFusedIsRecorded(cell, ActiveBasis(n, active, order, rng),
-                            ActiveSignals(n, active, steps, rng),
-                            "K=" + std::to_string(order) +
-                                " active=" + std::to_string(active));
+  const int n = 7;
+  for (const int hidden : {1, 2, 3, 5, 12}) {
+    for (int order = 1; order <= 3; ++order) {
+      Rng rng(seed + 10 * hidden + order);
+      Cell cell(n, hidden, order, rng);
+      RandomizeRowLocal(cell, rng);
+      for (int active = 1; active <= n; ++active) {
+        const int steps = 1 + (active * 3) % 7;
+        ExpectFusedIsRecorded(cell, ActiveBasis(n, active, order, rng),
+                              ActiveSignals(n, active, steps, rng),
+                              "d=" + std::to_string(hidden) +
+                                  " K=" + std::to_string(order) +
+                                  " active=" + std::to_string(active));
+      }
     }
   }
+  Rng rng(seed);
+  Cell cell(32, 12, 2, rng);
+  RandomizeRowLocal(cell, rng);
+  for (const int active : {3, 17, 32}) {
+    ExpectFusedIsRecorded(cell, ActiveBasis(32, active, 2, rng),
+                          ActiveSignals(32, active, 6, rng),
+                          "n=32 d=12 K=2 active=" + std::to_string(active));
+  }
+}
+
+/// The cell parameter called `name`.
+ag::Variable Param(const Module& cell, const std::string& name) {
+  for (const auto& [param_name, p] : cell.NamedParameters())
+    if (param_name == name) return p;
+  ADD_FAILURE() << "no parameter " << name;
+  return ag::Variable();
+}
+
+/// Hidden unit `unit` stays exactly 0.0 at every step, while row `unit` of
+/// every h-side filter W_k holds +inf. The tape's products skip the zero
+/// entries of T_k h (and of T_k (r (.) h)), which are the only entries that
+/// reach that row, so every value stays finite; a kernel that multiplied a
+/// skipped zero by inf would produce NaN. The unit stays zero because its
+/// candidate (LSTM g, GRU n) has zero filters into it and a zero bias.
+template <typename Cell>
+void ExpectSkippedZerosMeetInfiniteFilters(const std::string& candidate,
+                                           const std::vector<std::string>&
+                                               gates,
+                                           uint64_t seed) {
+  const int n = 9, hidden = 5, order = 2, unit = 2, active = 6;
+  Rng rng(seed);
+  Cell cell(n, hidden, order, rng);
+  RandomizeRowLocal(cell, rng);
+  Param(cell, "b_" + candidate).mutable_value().At(0, unit) = 0.0;
+  for (int k = 0; k < order; ++k) {
+    const std::string w = ".w" + std::to_string(k);
+    for (const char* side : {"conv_x_", "conv_h_"}) {
+      Tensor& into =
+          Param(cell, side + candidate + w).mutable_value();
+      for (int q = 0; q < into.rows(); ++q) into.At(q, unit) = 0.0;
+    }
+    for (const std::string& gate : gates) {
+      Tensor& filter = Param(cell, "conv_h_" + gate + w).mutable_value();
+      for (int j = 0; j < hidden; ++j)
+        filter.At(unit, j) = std::numeric_limits<double>::infinity();
+    }
+  }
+  const std::vector<CsrMatrix> basis = ActiveBasis(n, active, order, rng);
+  const std::vector<Tensor> signals = ActiveSignals(n, active, 5, rng);
+  ExpectFusedIsRecorded(cell, basis, signals, "inf filter rows");
+  const std::vector<Tensor> run =
+      cell.Run(basis, SignalOperators(basis, signals));
+  for (const Tensor& h : run)
+    for (int e = 0; e < h.size(); ++e)
+      ASSERT_TRUE(std::isfinite(h.data()[e])) << "h is not finite";
+}
+
+/// Sums that start at +0.0, as the tape's zero-filled products do: from a
+/// state whose h and c hold -0.0, over nonnegative signals with T_0 = I
+/// (K = 1), with -0.0 in the LSTM candidate's X and h filter column `unit`
+/// and bias. Every product into that column is then -0.0, the tape's sum is
+/// +0.0 and c_t stays +0.0 there; a sum that started at its first product
+/// would be -0.0, and so would c_t.
+void ExpectSumsStartAtPositiveZero(uint64_t seed) {
+  const int n = 6, hidden = 3, unit = 1, active = 5;
+  Rng rng(seed);
+  GraphConvLstmCell cell(n, hidden, 1, rng);
+  RandomizeRowLocal(cell, rng);
+  Param(cell, "b_c").mutable_value().At(0, unit) = -0.0;
+  for (const char* side : {"conv_x_c.w0", "conv_h_c.w0"}) {
+    Tensor& into = Param(cell, side).mutable_value();
+    for (int q = 0; q < into.rows(); ++q) into.At(q, unit) = -0.0;
+  }
+  std::vector<Tensor> signals = ActiveSignals(n, active, 3, rng);
+  for (Tensor& x : signals)
+    for (int e = 0; e < x.size(); ++e)
+      x.data()[e] = x.data()[e] != 0.0 ? 1.0 : 0.0;
+  RnnState init;
+  Tensor h(n, hidden), c(n, hidden);
+  for (int e = 0; e < h.size(); ++e) {
+    h.data()[e] = e % 2 == 0 ? -0.0 : 0.25 + 0.1 * e;
+    c.data()[e] = -0.0;
+  }
+  init.h = ag::Variable::Leaf(h);
+  init.c = ag::Variable::Leaf(c);
+  ExpectFusedIsRecorded(cell, ActiveBasis(n, active, 1, rng), signals,
+                        "-0.0 in h and c", &init);
 }
 
 TEST(GraphConvLstmCellTest, FusedKernelIsTheRecordedStepBitForBit) {
   ExpectFusedIsRecordedOverShapes<GraphConvLstmCell>(40);
+  ExpectSkippedZerosMeetInfiniteFilters<GraphConvLstmCell>(
+      "c", {"i", "f", "c", "o"}, 41);
+  ExpectSumsStartAtPositiveZero(42);
 }
 
 TEST(GraphConvGruCellTest, FusedKernelIsTheRecordedStepBitForBit) {
   ExpectFusedIsRecordedOverShapes<GraphConvGruCell>(50);
+  ExpectSkippedZerosMeetInfiniteFilters<GraphConvGruCell>(
+      "n", {"r", "z", "n"}, 51);
 }
 
 /// The padding table must follow every way the row-local parameters change:
@@ -664,19 +783,24 @@ struct RecordedOutcome {
   std::vector<Tensor> grads;
 };
 
-/// RunRecorded and a Step loop over the same snapshot operators from equal
-/// starts, each backpropagating `loss`: every h_t and c_t, every parameter
-/// gradient, dh_0 and dc_0 bit for bit.
+/// RunRecorded and a Step loop over the same snapshot operators, and the
+/// per-gate tape over the dense `signals`, from equal starts, each
+/// backpropagating `loss`: every h_t and c_t, every parameter gradient,
+/// dh_0 and dc_0 bit for bit.
 template <typename Cell, typename Loss>
 void ExpectRunRecordedIsStepLoop(Cell& cell,
                                  const std::vector<CsrMatrix>& basis,
-                                 const CsrMatrix& ops, Start start,
-                                 Loss&& loss, const std::string& where) {
+                                 const CsrMatrix& ops,
+                                 const std::vector<Tensor>& signals,
+                                 Start start, Loss&& loss,
+                                 const std::string& where) {
   const SharedBasis shared_basis = Share(basis);
   const auto stack = std::make_shared<const CsrMatrix>(ops);
   const int order = cell.cheb_order();
   const size_t depth = ops.rows() / (order * cell.num_nodes());
-  auto run = [&](bool sequence) {
+  ASSERT_EQ(signals.size(), depth) << where;
+  enum class Path { kStepLoop, kSequence, kTape };
+  auto run = [&](Path path) {
     cell.ZeroGrad();
     RnnState init = cell.InitialState();
     if (start == Start::kZeroTakesGrad) {
@@ -686,61 +810,67 @@ void ExpectRunRecordedIsStepLoop(Cell& cell,
       Rng rng(13);
       init = RandomState(init, true, rng);
     }
+    const PerGateReference ref(cell, cell.num_nodes(), cell.hidden_dim(),
+                               order);
     RecordedOutcome out;
-    if (sequence) {
+    if (path == Path::kSequence) {
       out.states = cell.RunRecorded(shared_basis, stack, init);
     } else {
       RnnState state = init;
       for (size_t t = 0; t < depth; ++t) {
-        state = cell.Step(shared_basis, StepOperators(ops, t, order), state);
+        state = path == Path::kTape
+                    ? ref.Step(cell, basis, ag::Variable::Leaf(signals[t]),
+                               state)
+                    : cell.Step(shared_basis, StepOperators(ops, t, order),
+                                state);
         out.states.push_back(state);
       }
     }
     loss(out.states).Backward();
-    for (const ag::Variable& p : cell.Parameters())
-      out.grads.push_back(p.grad());
+    for (const auto& [name, p] : cell.NamedParameters())
+      out.grads.push_back(path == Path::kTape ? ref.Param(name).grad()
+                                              : p.grad());
     if (start != Start::kZero) {
       out.grads.push_back(init.h.grad());
       if (init.c.defined()) out.grads.push_back(init.c.grad());
     }
     return out;
   };
-  const RecordedOutcome stepped = run(false);
-  const RecordedOutcome sequence = run(true);
-  ASSERT_EQ(sequence.states.size(), depth) << where;
-  for (size_t t = 0; t < depth; ++t) {
-    ASSERT_TRUE(sequence.states[t].h.needs_grad()) << where;
-    EXPECT_TRUE(
-        SameBits(sequence.states[t].h.value(), stepped.states[t].h.value()))
-        << where << " h at step " << t;
-    if (stepped.states[t].c.defined()) {
+  const RecordedOutcome tape = run(Path::kTape);
+  for (const Path path : {Path::kStepLoop, Path::kSequence}) {
+    const RecordedOutcome out = run(path);
+    const std::string what =
+        where + (path == Path::kSequence ? " RunRecorded" : " Step loop");
+    ASSERT_EQ(out.states.size(), depth) << what;
+    for (size_t t = 0; t < depth; ++t) {
+      ASSERT_TRUE(out.states[t].h.needs_grad()) << what;
       EXPECT_TRUE(
-          SameBits(sequence.states[t].c.value(), stepped.states[t].c.value()))
-          << where << " c at step " << t;
+          SameBits(out.states[t].h.value(), tape.states[t].h.value()))
+          << what << " h at step " << t;
+      if (tape.states[t].c.defined()) {
+        EXPECT_TRUE(
+            SameBits(out.states[t].c.value(), tape.states[t].c.value()))
+            << what << " c at step " << t;
+      }
     }
-  }
-  ASSERT_EQ(sequence.grads.size(), stepped.grads.size()) << where;
-  for (size_t i = 0; i < stepped.grads.size(); ++i) {
-    ASSERT_FALSE(stepped.grads[i].empty()) << where << " gradient " << i;
-    EXPECT_TRUE(SameBits(sequence.grads[i], stepped.grads[i]))
-        << where << " gradient " << i;
+    ASSERT_EQ(out.grads.size(), tape.grads.size()) << what;
+    for (size_t i = 0; i < tape.grads.size(); ++i) {
+      ASSERT_FALSE(tape.grads[i].empty()) << what << " gradient " << i;
+      EXPECT_TRUE(SameBits(out.grads[i], tape.grads[i]))
+          << what << " gradient " << i;
+    }
   }
 }
 
 /// Encoder bases and snapshot operators of a generator cascade cut to 1, 2,
 /// 10 and 12 nodes and to the padded size (16, so no padding row), for
-/// K = 1..3, with losses reading every h_t, only h_T, and attention
-/// pooling, from every Start.
+/// hidden widths 1, 2, 5 and 12 and K = 1..3, and of cascades cut to 3, 17
+/// and 32 nodes in the production shape (padded size 32, d = 12, K = 2);
+/// with losses reading every h_t, only h_T, and attention pooling, from
+/// every Start.
 template <typename Cell>
 void ExpectRunRecordedIsStepLoopOverEncodings(uint64_t seed) {
-  CascnConfig config = testing::TinyCascnConfig();
-  config.padded_size = 16;
-  config.hidden_dim = 5;
   const CascadeDataset dataset = testing::TinyDataset();
-  const CascadeSample* source = nullptr;
-  for (const CascadeSample& sample : dataset.train)
-    if (sample.observed.size() >= config.padded_size) source = &sample;
-  ASSERT_NE(source, nullptr);
   const std::pair<std::string, std::function<ag::Variable(
                                    const std::vector<RnnState>&)>>
       losses[] = {
@@ -754,12 +884,15 @@ void ExpectRunRecordedIsStepLoopOverEncodings(uint64_t seed) {
            }},
           {"attention", AttentionLoss},
       };
-  for (int order = 1; order <= 3; ++order) {
-    config.cheb_order = order;
-    Rng rng(seed + order);
-    Cell cell(config.padded_size, config.hidden_dim, order, rng);
+  auto check = [&](const CascnConfig& config, const std::vector<int>& sizes,
+                   Rng& rng) {
+    const CascadeSample* source = nullptr;
+    for (const CascadeSample& sample : dataset.train)
+      if (sample.observed.size() >= config.padded_size) source = &sample;
+    ASSERT_NE(source, nullptr);
+    Cell cell(config.padded_size, config.hidden_dim, config.cheb_order, rng);
     RandomizeRowLocal(cell, rng);
-    for (const int size : {1, 2, 10, 12, config.padded_size}) {
+    for (const int size : sizes) {
       CascadeSample sample = *source;
       sample.observed = source->observed.PrefixBySize(size);
       const Result<EncodedCascade> enc = EncodeCascade(sample, config);
@@ -768,15 +901,32 @@ void ExpectRunRecordedIsStepLoopOverEncodings(uint64_t seed) {
         for (const Start start :
              {Start::kZero, Start::kZeroTakesGrad, Start::kRandomTakesGrad}) {
           ExpectRunRecordedIsStepLoop(
-              cell, enc.value().cheb_basis, enc.value().snapshot_ops, start,
-              loss,
-              "K=" + std::to_string(order) + " size=" + std::to_string(size) +
-                  " loss on " + loss_name + " start " +
-                  std::to_string(static_cast<int>(start)));
+              cell, enc.value().cheb_basis, enc.value().snapshot_ops,
+              enc.value().snapshot_signals, start, loss,
+              "n=" + std::to_string(config.padded_size) +
+                  " d=" + std::to_string(config.hidden_dim) +
+                  " K=" + std::to_string(config.cheb_order) +
+                  " size=" + std::to_string(size) + " loss on " + loss_name +
+                  " start " + std::to_string(static_cast<int>(start)));
         }
       }
     }
+  };
+  CascnConfig config = testing::TinyCascnConfig();
+  config.padded_size = 16;
+  for (const int hidden : {1, 2, 5, 12}) {
+    config.hidden_dim = hidden;
+    for (int order = 1; order <= 3; ++order) {
+      config.cheb_order = order;
+      Rng rng(seed + 10 * hidden + order);
+      check(config, {1, 2, 10, 12, config.padded_size}, rng);
+    }
   }
+  config.padded_size = 32;
+  config.hidden_dim = 12;
+  config.cheb_order = 2;
+  Rng rng(seed);
+  check(config, {3, 17, 32}, rng);
 }
 
 TEST(GraphConvLstmCellTest, RunRecordedIsTheStepLoopBitForBit) {

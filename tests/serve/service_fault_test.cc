@@ -50,13 +50,15 @@ TEST_F(ServiceFaultTest, SlowPredictTripsDeadlines) {
   options.default_deadline_ms = 5.0;
   auto service = PredictionService::CreateFromCheckpoint(options, path);
   ASSERT_TRUE(service.ok()) << service.status();
-  // Build the session before arming the fault so setup cannot expire.
-  ASSERT_TRUE(
-      Wait(service.value()->Submit(Request::Create("s", 1))).status.ok());
-  ASSERT_TRUE(Wait(service.value()->Submit(Request::Append("s", 2, 0, 1.0)))
-                  .status.ok());
-  ASSERT_TRUE(Wait(service.value()->Submit(Request::Append("s", 3, 0, 2.0)))
-                  .status.ok());
+  // Build the session before arming the fault, with no deadline, so setup
+  // cannot expire however loaded the host is.
+  auto setup = [&](Request request) {
+    request.deadline_ms = -1.0;
+    return Wait(service.value()->Submit(std::move(request))).status;
+  };
+  ASSERT_TRUE(setup(Request::Create("s", 1)).ok());
+  ASSERT_TRUE(setup(Request::Append("s", 2, 0, 1.0)).ok());
+  ASSERT_TRUE(setup(Request::Append("s", 3, 0, 2.0)).ok());
 
   // Every predict now stalls 50 ms inside the worker; with a 5 ms default
   // deadline, requests queued behind the first expire before execution.
