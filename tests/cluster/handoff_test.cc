@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../testing/hex.h"
 #include "common/crc32.h"
 #include "common/file_util.h"
 #include "fault/fault.h"
@@ -51,6 +52,21 @@ TEST_F(HandoffTest, EmptyImageRoundTrips) {
   Result<HandoffImage> parsed = ParseHandoff(bytes, "empty");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_TRUE(parsed.value().entries.empty());
+}
+
+TEST_F(HandoffTest, SerializedBytesArePinned) {
+  // Handoff format version 1, byte for byte: a drain written by one build
+  // is imported by another, so the layout must never drift.
+  const std::vector<HandoffEntry> entries = {
+      {"a", std::string("\x01\x02", 2)},
+      {"bc", ""},
+  };
+  EXPECT_EQ(testing::Hex(SerializeHandoff(5, entries)),
+            "48414e44" "01000000"  // magic "HAND", version
+            "05000000" "02000000"  // source shard 5, 2 entries
+            "01000000" "61" "02000000" "0102"  // "a", 2-byte blob
+            "02000000" "6263" "00000000"       // "bc", empty blob
+            "33a8edc9");  // CRC-32 of everything before it
 }
 
 TEST_F(HandoffTest, TruncationAndBitRotAreIoErrors) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../testing/hex.h"
 #include "../testing/test_data.h"
 #include "common/crc32.h"
 #include "common/file_util.h"
@@ -96,6 +97,50 @@ TEST(TrainStateTest, RoundTripsEveryField) {
   }
   EXPECT_EQ(got.history_train_loss, st.history_train_loss);
   EXPECT_EQ(got.history_validation_msle, st.history_validation_msle);
+  std::remove(path.c_str());
+}
+
+TEST(TrainStateTest, SerializedBytesArePinned) {
+  // Train state format version 1, byte for byte: a run resumes from a file
+  // an older build wrote, so the layout must never drift.
+  TrainState st;
+  st.next_epoch = 2;
+  st.best_epoch = 1;
+  st.learning_rate = 0.5;
+  st.best_validation_msle = 0.25;
+  st.output_offset = 1.0;
+  st.global_step = 3;
+  st.adam_t = 3;
+  st.rng.s[0] = 1;
+  st.rng.s[1] = 2;
+  st.rng.s[2] = 3;
+  st.rng.s[3] = 4;
+  st.params = {Tensor(1, 1, 0.5)};
+  st.adam_m = {Tensor(1, 1, 0.25)};
+  st.adam_v = {Tensor(1, 1, 1.0)};
+  st.history_train_loss = {2.0};
+  st.history_validation_msle = {0.25};
+  const std::string path = TempPath("pinned");
+  ASSERT_TRUE(SaveTrainState(path, st).ok());
+  EXPECT_EQ(testing::Hex(ReadAll(path)),
+            "54525354" "01000000"  // magic "TRST", version 1
+            "02000000" "00000000" "01000000"  // epochs: next, stagnant, best
+            "000000000000e03f"  // learning rate 0.5
+            "000000000000d03f"  // best validation MSLE 0.25
+            "000000000000f03f"  // output offset 1.0
+            "0300000000000000" "0000000000000000"  // global, skipped steps
+            "0300000000000000"  // Adam step
+            "0100000000000000" "0200000000000000"  // rng words
+            "0300000000000000" "0400000000000000"
+            "00" "0000000000000000"  // no cached normal
+            // params, Adam m, Adam v: one 1x1 tensor each; no best weights
+            "01000000" "01000000" "01000000" "000000000000e03f"
+            "01000000" "01000000" "01000000" "000000000000d03f"
+            "01000000" "01000000" "01000000" "000000000000f03f"
+            "00000000"
+            "01000000" "0000000000000040"  // train loss history {2.0}
+            "01000000" "000000000000d03f"  // validation history {0.25}
+            "0f518434");  // CRC-32 of everything before it
   std::remove(path.c_str());
 }
 
