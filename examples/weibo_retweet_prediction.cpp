@@ -1,15 +1,14 @@
 // Weibo re-tweet growth prediction: the paper's headline scenario.
 //
 // Trains CasCN and the strongest baseline (DeepHawkes) on the same
-// Weibo-like dataset, compares their test MSLE, persists the trained CasCN
-// to disk, reloads it into a fresh model and verifies the predictions
+// Weibo-like dataset, compares their test MSLE, saves the trained CasCN as a
+// checkpoint, reloads it into a fresh model and verifies the predictions
 // survive the round trip — the workflow of a user deploying the model.
 //
 //   ./weibo_retweet_prediction [--cascades=500] [--epochs=8]
 //                              [--window-minutes=60] [--model-out=path]
 
 #include <cstdio>
-#include <fstream>
 
 #include "baselines/deephawkes_model.h"
 #include "common/cli_flags.h"
@@ -19,6 +18,7 @@
 #include "core/trainer.h"
 #include "data/cascade_generator.h"
 #include "data/dataset.h"
+#include "serve/checkpoint.h"
 
 int main(int argc, char** argv) {
   using namespace cascn;
@@ -73,21 +73,13 @@ int main(int argc, char** argv) {
   // --- Persist, reload, and verify -------------------------------------
   const std::string model_path =
       flags.GetString("model-out", "/tmp/cascn_weibo.bin");
-  {
-    std::ofstream out(model_path, std::ios::binary);
-    CASCN_CHECK(cascn_model.Save(out).ok());
-  }
-  CascnConfig restored_config = config;
-  restored_config.seed = 999;  // different init, will be overwritten
-  CascnModel restored(restored_config);
-  restored.set_output_offset(cascn_model.output_offset());
-  {
-    std::ifstream in(model_path, std::ios::binary);
-    CASCN_CHECK(restored.Load(in).ok());
-  }
+  const Status saved = serve::SaveCascnCheckpoint(model_path, cascn_model);
+  CASCN_CHECK(saved.ok()) << saved;
+  auto restored = serve::LoadCascnCheckpoint(model_path);
+  CASCN_CHECK(restored.ok()) << restored.status();
   const CascadeSample& probe = dataset->test[0];
   const double original_pred = cascn_model.PredictValue(probe);
-  const double restored_pred = restored.PredictValue(probe);
+  const double restored_pred = (*restored)->PredictValue(probe);
   CASCN_CHECK(std::abs(original_pred - restored_pred) < 1e-12);
   std::printf(
       "model saved to %s and reloaded; prediction for %s: %.1f further "

@@ -1,10 +1,7 @@
 #include "cluster/handoff.h"
 
-#include <cstring>
-#include <fstream>
-
-#include "common/crc32.h"
 #include "common/file_util.h"
+#include "common/sealed_frame.h"
 #include "common/string_util.h"
 #include "fault/fault.h"
 
@@ -15,143 +12,56 @@ namespace {
 constexpr uint32_t kHandoffMagic = 0x444E4148;  // "HAND"
 constexpr uint32_t kHandoffVersion = 1;
 
-void AppendU32(std::string& out, uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendI32(std::string& out, int32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-/// Bounds-checked sequential reader over the raw image.
-class Reader {
- public:
-  Reader(const std::string& bytes, const std::string& context)
-      : bytes_(bytes), context_(context) {}
-
-  Status ReadU32(uint32_t* out, const char* what) {
-    if (bytes_.size() - pos_ < sizeof(uint32_t))
-      return Truncated(what);
-    std::memcpy(out, bytes_.data() + pos_, sizeof(uint32_t));
-    pos_ += sizeof(uint32_t);
-    return Status::OK();
-  }
-
-  Status ReadI32(int32_t* out, const char* what) {
-    uint32_t raw = 0;
-    CASCN_RETURN_IF_ERROR(ReadU32(&raw, what));
-    std::memcpy(out, &raw, sizeof(raw));
-    return Status::OK();
-  }
-
-  Status ReadString(std::string* out, uint32_t len, const char* what) {
-    if (bytes_.size() - pos_ < len) return Truncated(what);
-    out->assign(bytes_.data() + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  size_t pos() const { return pos_; }
-
- private:
-  Status Truncated(const char* what) const {
-    return Status::IoError(StrFormat(
-        "%s: handoff truncated reading %s at offset %zu (size %zu)",
-        context_.c_str(), what, pos_, bytes_.size()));
-  }
-
-  const std::string& bytes_;
-  const std::string& context_;
-  size_t pos_ = 0;
+constexpr FrameFormat kHandoffFormat = {
+    .name = "handoff file",
+    .magic = kHandoffMagic,
+    .min_version = kHandoffVersion,
+    .max_version = kHandoffVersion,
+    .min_field_bytes = 2 * sizeof(uint32_t),  // source shard, entry count
 };
 
 }  // namespace
 
 std::string SerializeHandoff(int source_shard,
                              const std::vector<HandoffEntry>& entries) {
-  std::string out;
-  AppendU32(out, kHandoffMagic);
-  AppendU32(out, kHandoffVersion);
-  AppendI32(out, static_cast<int32_t>(source_shard));
-  AppendU32(out, static_cast<uint32_t>(entries.size()));
+  FrameWriter w(kHandoffMagic, kHandoffVersion);
+  w.Put<int32_t>(static_cast<int32_t>(source_shard));
+  w.Put<uint32_t>(static_cast<uint32_t>(entries.size()));
   for (const HandoffEntry& entry : entries) {
-    AppendU32(out, static_cast<uint32_t>(entry.session_id.size()));
-    out.append(entry.session_id);
-    AppendU32(out, static_cast<uint32_t>(entry.blob.size()));
-    out.append(entry.blob);
+    w.PutString(entry.session_id);
+    w.PutString(entry.blob);
   }
-  AppendU32(out, Crc32(out.data(), out.size()));
-  return out;
+  return std::move(w).Seal();
 }
 
 Result<HandoffImage> ParseHandoff(const std::string& bytes,
                                   const std::string& context) {
-  if (bytes.size() < 5 * sizeof(uint32_t))
-    return Status::IoError(
-        StrFormat("%s: %zu bytes is too short to be a handoff file",
-                  context.c_str(), bytes.size()));
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
-  const uint32_t computed_crc =
-      Crc32(bytes.data(), bytes.size() - sizeof(uint32_t));
-  if (stored_crc != computed_crc)
-    return Status::IoError(StrFormat(
-        "%s: checksum mismatch (stored 0x%08x, computed 0x%08x): torn or "
-        "corrupt handoff",
-        context.c_str(), stored_crc, computed_crc));
-
-  Reader reader(bytes, context);
-  uint32_t magic = 0;
-  CASCN_RETURN_IF_ERROR(reader.ReadU32(&magic, "magic"));
-  if (magic != kHandoffMagic)
-    return Status::InvalidArgument(StrFormat(
-        "%s: not a handoff file (magic 0x%08x)", context.c_str(), magic));
-  uint32_t version = 0;
-  CASCN_RETURN_IF_ERROR(reader.ReadU32(&version, "version"));
-  if (version != kHandoffVersion)
-    return Status::InvalidArgument(
-        StrFormat("%s: unsupported handoff version %u", context.c_str(),
-                  version));
-
+  CASCN_ASSIGN_OR_RETURN(FrameReader r,
+                         OpenFrame(bytes, kHandoffFormat, context));
   HandoffImage image;
   int32_t source_shard = 0;
-  CASCN_RETURN_IF_ERROR(reader.ReadI32(&source_shard, "source_shard"));
+  CASCN_RETURN_IF_ERROR(r.Get(&source_shard, "source shard"));
   image.source_shard = source_shard;
   uint32_t count = 0;
-  CASCN_RETURN_IF_ERROR(reader.ReadU32(&count, "entry_count"));
-  image.entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    HandoffEntry entry;
-    uint32_t id_len = 0;
-    CASCN_RETURN_IF_ERROR(reader.ReadU32(&id_len, "session id length"));
-    CASCN_RETURN_IF_ERROR(
-        reader.ReadString(&entry.session_id, id_len, "session id"));
-    uint32_t blob_len = 0;
-    CASCN_RETURN_IF_ERROR(reader.ReadU32(&blob_len, "session blob length"));
-    CASCN_RETURN_IF_ERROR(
-        reader.ReadString(&entry.blob, blob_len, "session blob"));
-    image.entries.push_back(std::move(entry));
+  CASCN_RETURN_IF_ERROR(r.Get(&count, "entry count"));
+  // Each entry holds two length words, so the bytes left bound the count
+  // before anything is sized by it.
+  if (count > r.remaining() / (2 * sizeof(uint32_t)))
+    return r.Corrupt(StrFormat("implausible entry count %u", count));
+  image.entries.resize(count);
+  for (HandoffEntry& entry : image.entries) {
+    CASCN_RETURN_IF_ERROR(r.GetString(&entry.session_id, "session id"));
+    CASCN_RETURN_IF_ERROR(r.GetString(&entry.blob, "session blob"));
   }
-  if (reader.pos() != bytes.size() - sizeof(uint32_t))
-    return Status::IoError(StrFormat(
-        "%s: %zu trailing bytes after last handoff entry", context.c_str(),
-        bytes.size() - sizeof(uint32_t) - reader.pos()));
+  CASCN_RETURN_IF_ERROR(r.Finish());
   return image;
 }
 
 Status WriteHandoffFile(const std::string& path, int source_shard,
                         const std::vector<HandoffEntry>& entries) {
   const std::string bytes = SerializeHandoff(source_shard, entries);
-  if (fault::ShouldFire(kFaultHandoffTornWrite)) {
-    // Simulate a crash mid-write, same contract as checkpoint torn writes:
-    // a torn image under the temp name, destination untouched. The drained
-    // sessions are still in memory, so the caller retries the write.
-    std::ofstream torn(path + ".tmp", std::ios::binary | std::ios::trunc);
-    torn.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-    return Status::IoError("injected fault: handoff write to " + path +
-                           " torn mid-stream (destination untouched)");
-  }
+  CASCN_RETURN_IF_ERROR(
+      fault::InjectTornWrite(kFaultHandoffTornWrite, "handoff", path, bytes));
   return WriteFileAtomic(path, bytes);
 }
 

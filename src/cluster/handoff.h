@@ -2,8 +2,8 @@
 //
 // When the router drains a shard, every session is extracted from the
 // shard's SessionManager as a serialized blob and the set is written to a
-// handoff file. The file is self-validating — magic, version, payload,
-// trailing CRC-32 — in the same style as model checkpoints, so a torn or
+// handoff file. The file is a sealed frame (common/sealed_frame.h) — magic,
+// version, payload, trailing CRC-32 — like model checkpoints, so a torn or
 // bit-rotted handoff is detected on read instead of silently importing
 // half a shard's sessions. Writes go through WriteFileAtomic and the
 // router re-reads the file before declaring the drain durable; the
@@ -12,7 +12,7 @@
 // retry path loses nothing.
 //
 // Layout (little-endian):
-//   u32 magic 'HAND'   u32 version   i32 source_shard   u32 entry_count
+//   u32 magic "HAND"   u32 version 1   i32 source_shard   u32 entry_count
 //   entries: { u32 id_len, id bytes, u32 blob_len, blob bytes }
 //   u32 crc32 of every preceding byte
 

@@ -151,6 +151,14 @@ void ShardRouter::ReleasePinIfCurrent(PinState& pins,
   pins.session_shard.erase(it);
 }
 
+void ShardRouter::DropPinsInto(PinState& pins, int shard_id) {
+  std::lock_guard<std::mutex> lock(pins.mutex);
+  std::erase_if(pins.session_shard, [shard_id](const auto& pin) {
+    return pin.second.shard_id == shard_id;
+  });
+  pins.shard_load.erase(shard_id);
+}
+
 void ShardRouter::RebuildRingLocked() {
   std::vector<int> ids;
   for (const auto& [id, shard] : shards_)
@@ -736,15 +744,7 @@ Status ShardRouter::RemoveShard(int shard_id) {
   // import loop, so anything still mapping to the removed shard is stale —
   // an async close whose future was never resolved, or a spill-LRU drop —
   // and would otherwise wedge its session id on a dead shard forever.
-  {
-    std::lock_guard<std::mutex> pin_lock(pins_->mutex);
-    for (auto p = pins_->session_shard.begin();
-         p != pins_->session_shard.end();) {
-      p = p->second.shard_id == shard_id ? pins_->session_shard.erase(p)
-                                         : std::next(p);
-    }
-    pins_->shard_load.erase(shard_id);
-  }
+  DropPinsInto(*pins_, shard_id);
   return Status::OK();
 }
 
@@ -893,13 +893,7 @@ Status ShardRouter::RestartShard(int shard_id) {
           StrFormat("shard %d is still active", shard_id));
     // Pins into the crashed shard point at state that died with it; drop
     // them so re-created sessions place by the ring again.
-    std::lock_guard<std::mutex> pin_lock(pins_->mutex);
-    for (auto it = pins_->session_shard.begin();
-         it != pins_->session_shard.end();) {
-      it = it->second.shard_id == shard_id ? pins_->session_shard.erase(it)
-                                           : std::next(it);
-    }
-    pins_->shard_load.erase(shard_id);
+    DropPinsInto(*pins_, shard_id);
   }
   return AddShard(shard_id);
 }

@@ -373,6 +373,9 @@ class ShardRouter {
   static void ReleasePinIfCurrent(PinState& pins,
                                   const std::string& session_id,
                                   uint64_t generation);
+  /// Drops every pin into `shard_id` and its load count. Takes
+  /// pins.mutex.
+  static void DropPinsInto(PinState& pins, int shard_id);
 
   /// Builds one shard's service options (shard-scoped slow fault point,
   /// spill default).

@@ -1,7 +1,8 @@
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): the payload
-// checksum used by checkpoint files to distinguish a cleanly written file
-// from a torn or bit-rotted one. Table-driven, byte-at-a-time; fast enough
-// for checkpoint-sized payloads and dependency-free.
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): the trailer of
+// every sealed frame (common/sealed_frame.h), which tells a cleanly written
+// file or blob from a torn or bit-rotted one. Table-driven,
+// byte-at-a-time; fast enough for checkpoint-sized payloads and
+// dependency-free.
 
 #ifndef CASCN_COMMON_CRC32_H_
 #define CASCN_COMMON_CRC32_H_

@@ -1,110 +1,73 @@
 #include "core/train_state.h"
 
-#include <cstring>
-
-#include "common/crc32.h"
 #include "common/file_util.h"
+#include "common/sealed_frame.h"
 #include "common/string_util.h"
 
 namespace cascn {
 
 namespace {
 
-class Writer {
- public:
-  template <typename T>
-  void Put(T v) {
-    bytes_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  }
-
-  void PutTensors(const std::vector<Tensor>& tensors) {
-    Put<uint32_t>(static_cast<uint32_t>(tensors.size()));
-    for (const Tensor& t : tensors) {
-      Put<int32_t>(t.rows());
-      Put<int32_t>(t.cols());
-      bytes_.append(reinterpret_cast<const char*>(t.data()),
-                    static_cast<size_t>(t.size()) * sizeof(double));
-    }
-  }
-
-  void PutDoubles(const std::vector<double>& values) {
-    Put<uint32_t>(static_cast<uint32_t>(values.size()));
-    for (const double v : values) Put(v);
-  }
-
-  std::string Finish() {
-    const uint32_t crc = Crc32(bytes_);
-    Put(crc);
-    return std::move(bytes_);
-  }
-
- private:
-  std::string bytes_;
+constexpr FrameFormat kTrainStateFormat = {
+    .name = "train state",
+    .magic = kTrainStateMagic,
+    .min_version = kTrainStateVersion,
+    .max_version = kTrainStateVersion,
 };
 
-/// Bounds-checked cursor over a CRC-verified image: every read and every
-/// length prefix is checked against the bytes left, so no field can make
-/// the loader read past the end or allocate more than the file holds.
-class Reader {
- public:
-  Reader(const std::string& bytes, size_t end) : bytes_(bytes), end_(end) {}
-
-  template <typename T>
-  Status Get(T* v, const char* what) {
-    if (end_ - pos_ < sizeof(T))
-      return Status::IoError(
-          StrFormat("train state truncated reading %s", what));
-    std::memcpy(v, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
+void PutTensors(FrameWriter& w, const std::vector<Tensor>& tensors) {
+  w.Put<uint32_t>(static_cast<uint32_t>(tensors.size()));
+  for (const Tensor& t : tensors) {
+    w.Put<int32_t>(t.rows());
+    w.Put<int32_t>(t.cols());
+    w.PutBytes(t.data(), static_cast<size_t>(t.size()) * sizeof(double));
   }
+}
 
-  Status GetTensors(std::vector<Tensor>* tensors, const char* what) {
-    uint32_t count = 0;
-    CASCN_RETURN_IF_ERROR(Get(&count, what));
-    if (count > end_ - pos_)
-      return Status::IoError(
-          StrFormat("train state %s count %u is implausible", what, count));
-    tensors->clear();
-    tensors->reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      int32_t rows = 0, cols = 0;
-      CASCN_RETURN_IF_ERROR(Get(&rows, what));
-      CASCN_RETURN_IF_ERROR(Get(&cols, what));
-      if (rows < 0 || cols < 0)
-        return Status::IoError(StrFormat(
-            "train state %s tensor %u has shape %dx%d", what, i, rows, cols));
-      const uint64_t len = static_cast<uint64_t>(rows) *
-                           static_cast<uint64_t>(cols) * sizeof(double);
-      if (len > end_ - pos_)
-        return Status::IoError(
-            StrFormat("train state truncated reading %s", what));
-      Tensor t(rows, cols);
-      std::memcpy(t.data(), bytes_.data() + pos_, len);
-      pos_ += len;
-      tensors->push_back(std::move(t));
-    }
-    return Status::OK();
+void PutDoubles(FrameWriter& w, const std::vector<double>& values) {
+  w.Put<uint32_t>(static_cast<uint32_t>(values.size()));
+  w.PutBytes(values.data(), values.size() * sizeof(double));
+}
+
+/// Every count and shape is checked against the bytes left before anything
+/// is sized by it, so no field can make the loader allocate more than the
+/// file holds.
+Status GetTensors(FrameReader& r, std::vector<Tensor>* tensors,
+                  const char* what) {
+  uint32_t count = 0;
+  CASCN_RETURN_IF_ERROR(r.Get(&count, what));
+  if (count > r.remaining())
+    return r.Corrupt(StrFormat("%s count %u is implausible", what, count));
+  tensors->clear();
+  tensors->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    int32_t rows = 0, cols = 0;
+    CASCN_RETURN_IF_ERROR(r.Get(&rows, what));
+    CASCN_RETURN_IF_ERROR(r.Get(&cols, what));
+    if (rows < 0 || cols < 0)
+      return r.Corrupt(
+          StrFormat("%s tensor %u has shape %dx%d", what, i, rows, cols));
+    if (static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols) >
+        r.remaining() / sizeof(double))
+      return r.Corrupt(StrFormat("%s tensor %u is cut short", what, i));
+    Tensor t(rows, cols);
+    CASCN_RETURN_IF_ERROR(
+        r.GetBytes(t.data(), static_cast<size_t>(t.size()) * sizeof(double),
+                   what));
+    tensors->push_back(std::move(t));
   }
+  return Status::OK();
+}
 
-  Status GetDoubles(std::vector<double>* values, const char* what) {
-    uint32_t count = 0;
-    CASCN_RETURN_IF_ERROR(Get(&count, what));
-    if (count > (end_ - pos_) / sizeof(double))
-      return Status::IoError(
-          StrFormat("train state truncated reading %s", what));
-    values->resize(count);
-    for (double& v : *values) CASCN_RETURN_IF_ERROR(Get(&v, what));
-    return Status::OK();
-  }
-
-  bool done() const { return pos_ == end_; }
-
- private:
-  const std::string& bytes_;
-  size_t end_;
-  size_t pos_ = 0;
-};
+Status GetDoubles(FrameReader& r, std::vector<double>* values,
+                  const char* what) {
+  uint32_t count = 0;
+  CASCN_RETURN_IF_ERROR(r.Get(&count, what));
+  if (count > r.remaining() / sizeof(double))
+    return r.Corrupt(StrFormat("%s count %u is cut short", what, count));
+  values->resize(count);
+  return r.GetBytes(values->data(), count * sizeof(double), what);
+}
 
 /// Whether two tensor lists agree in count and per-tensor shape.
 bool SameShapes(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
@@ -117,9 +80,7 @@ bool SameShapes(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
 }  // namespace
 
 Status SaveTrainState(const std::string& path, const TrainState& state) {
-  Writer w;
-  w.Put<uint32_t>(kTrainStateMagic);
-  w.Put<uint32_t>(kTrainStateVersion);
+  FrameWriter w(kTrainStateMagic, kTrainStateVersion);
   w.Put<int32_t>(state.next_epoch);
   w.Put<int32_t>(state.stagnant);
   w.Put<int32_t>(state.best_epoch);
@@ -132,43 +93,19 @@ Status SaveTrainState(const std::string& path, const TrainState& state) {
   for (const uint64_t word : state.rng.s) w.Put(word);
   w.Put<uint8_t>(state.rng.has_cached_normal ? 1 : 0);
   w.Put(state.rng.cached_normal);
-  w.PutTensors(state.params);
-  w.PutTensors(state.adam_m);
-  w.PutTensors(state.adam_v);
-  w.PutTensors(state.best_weights);
-  w.PutDoubles(state.history_train_loss);
-  w.PutDoubles(state.history_validation_msle);
-  return WriteFileAtomic(path, w.Finish());
+  PutTensors(w, state.params);
+  PutTensors(w, state.adam_m);
+  PutTensors(w, state.adam_v);
+  PutTensors(w, state.best_weights);
+  PutDoubles(w, state.history_train_loss);
+  PutDoubles(w, state.history_validation_msle);
+  return WriteFileAtomic(path, std::move(w).Seal());
 }
 
 Result<TrainState> LoadTrainState(const std::string& path) {
   CASCN_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
-  if (bytes.size() < 3 * sizeof(uint32_t))
-    return Status::IoError(StrFormat(
-        "%s: %zu bytes is too short to be a train state", path.c_str(),
-        bytes.size()));
-  const size_t payload = bytes.size() - sizeof(uint32_t);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + payload, sizeof(stored_crc));
-  const uint32_t computed = Crc32(bytes.data(), payload);
-  if (stored_crc != computed)
-    return Status::IoError(StrFormat(
-        "%s: checksum mismatch (stored 0x%08x, computed 0x%08x): torn or "
-        "corrupt train state",
-        path.c_str(), stored_crc, computed));
-
-  Reader r(bytes, payload);
-  uint32_t magic = 0, version = 0;
-  CASCN_RETURN_IF_ERROR(r.Get(&magic, "magic"));
-  if (magic != kTrainStateMagic)
-    return Status::InvalidArgument(StrFormat(
-        "%s: not a train state file (magic 0x%08x)", path.c_str(), magic));
-  CASCN_RETURN_IF_ERROR(r.Get(&version, "version"));
-  if (version != kTrainStateVersion)
-    return Status::InvalidArgument(
-        StrFormat("%s: unsupported train state version %u (expected %u)",
-                  path.c_str(), version, kTrainStateVersion));
-
+  CASCN_ASSIGN_OR_RETURN(FrameReader r,
+                         OpenFrame(bytes, kTrainStateFormat, path));
   TrainState st;
   int32_t next_epoch = 0, stagnant = 0, best_epoch = 0;
   CASCN_RETURN_IF_ERROR(r.Get(&next_epoch, "next epoch"));
@@ -189,17 +126,15 @@ Result<TrainState> LoadTrainState(const std::string& path) {
   CASCN_RETURN_IF_ERROR(r.Get(&has_cached_normal, "rng state"));
   st.rng.has_cached_normal = has_cached_normal != 0;
   CASCN_RETURN_IF_ERROR(r.Get(&st.rng.cached_normal, "rng state"));
-  CASCN_RETURN_IF_ERROR(r.GetTensors(&st.params, "parameters"));
-  CASCN_RETURN_IF_ERROR(r.GetTensors(&st.adam_m, "Adam first moments"));
-  CASCN_RETURN_IF_ERROR(r.GetTensors(&st.adam_v, "Adam second moments"));
-  CASCN_RETURN_IF_ERROR(r.GetTensors(&st.best_weights, "best weights"));
+  CASCN_RETURN_IF_ERROR(GetTensors(r, &st.params, "parameters"));
+  CASCN_RETURN_IF_ERROR(GetTensors(r, &st.adam_m, "Adam first moments"));
+  CASCN_RETURN_IF_ERROR(GetTensors(r, &st.adam_v, "Adam second moments"));
+  CASCN_RETURN_IF_ERROR(GetTensors(r, &st.best_weights, "best weights"));
   CASCN_RETURN_IF_ERROR(
-      r.GetDoubles(&st.history_train_loss, "train loss history"));
+      GetDoubles(r, &st.history_train_loss, "train loss history"));
   CASCN_RETURN_IF_ERROR(
-      r.GetDoubles(&st.history_validation_msle, "validation history"));
-  if (!r.done())
-    return Status::IoError(
-        StrFormat("%s: trailing bytes after the train state", path.c_str()));
+      GetDoubles(r, &st.history_validation_msle, "validation history"));
+  CASCN_RETURN_IF_ERROR(r.Finish());
 
   if (st.next_epoch < 1)
     return Status::InvalidArgument(StrFormat(

@@ -3,7 +3,7 @@
 // step count, the shuffle generator's state, early-stopping bookkeeping and
 // the loss history.
 //
-// File layout (all little-endian, as written by the host):
+// File layout, a sealed frame (common/sealed_frame.h):
 //
 //   uint32  magic 0x54535254 ("TRST")
 //   uint32  version (kTrainStateVersion)

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <thread>
 
@@ -211,6 +212,16 @@ uint64_t FaultRegistry::total_fires() const {
 Status InjectStatus(std::string_view point) {
   if (!ShouldFire(point)) return Status::OK();
   return Status::IoError("injected fault at '" + std::string(point) + "'");
+}
+
+Status InjectTornWrite(std::string_view point, std::string_view what,
+                       const std::string& path, const std::string& bytes) {
+  if (!ShouldFire(point)) return Status::OK();
+  std::ofstream torn(path + ".tmp", std::ios::binary | std::ios::trunc);
+  torn.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  return Status::IoError("injected fault: " + std::string(what) +
+                         " write to " + path +
+                         " torn mid-stream (destination untouched)");
 }
 
 bool MaybeDelay(std::string_view point) {

@@ -150,6 +150,13 @@ inline bool ShouldFire(std::string_view point, uint64_t key) {
 /// the standard way to make an I/O layer exhibit a failure.
 Status InjectStatus(std::string_view point);
 
+/// OK unless `point` fires, in which case it simulates a crash part-way
+/// through an atomic write (common/file_util.h) of `bytes` to `path`: the
+/// first half lands under the temp name `path`.tmp, `path` is untouched,
+/// and the IoError names `what` ("checkpoint", "handoff").
+Status InjectTornWrite(std::string_view point, std::string_view what,
+                       const std::string& path, const std::string& bytes);
+
 /// Sleeps for the point's "@V" payload in milliseconds (default 10 ms) when
 /// it fires; returns whether it fired. Models slow disks and replicas.
 bool MaybeDelay(std::string_view point);

@@ -37,53 +37,66 @@ int64_t Module::ParameterCount() const {
   return count;
 }
 
-Status Module::Save(std::ostream& out) const {
+void Module::Save(FrameWriter& out) const {
   const auto named = NamedParameters();
-  const uint64_t n = named.size();
-  out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  out.Put<uint64_t>(named.size());
   for (const auto& [name, p] : named) {
-    const uint64_t name_len = name.size();
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(name.data(), static_cast<std::streamsize>(name_len));
-    const int32_t rows = p.value().rows();
-    const int32_t cols = p.value().cols();
-    out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    out.write(reinterpret_cast<const char*>(p.value().data()),
-              static_cast<std::streamsize>(sizeof(double) * p.value().size()));
+    out.Put<uint64_t>(name.size());
+    out.PutBytes(name.data(), name.size());
+    out.Put<int32_t>(p.value().rows());
+    out.Put<int32_t>(p.value().cols());
+    out.PutBytes(p.value().data(), sizeof(double) * p.value().size());
   }
-  if (!out.good()) return Status::IoError("failed writing module parameters");
-  return Status::OK();
 }
 
-Status Module::Load(std::istream& in) {
-  auto named = NamedParameters();
+Result<std::vector<Tensor>> Module::ReadParameterValues(
+    FrameReader& in) const {
+  const auto named = NamedParameters();
   uint64_t n = 0;
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!in.good() || n != named.size())
+  if (!in.Get(&n, "parameter count").ok() || n != named.size())
     return Status::InvalidArgument(
         StrFormat("parameter count mismatch: file has %llu, module has %zu",
                   static_cast<unsigned long long>(n), named.size()));
-  for (auto& [name, p] : named) {
+  std::vector<Tensor> values;
+  values.reserve(named.size());
+  for (const auto& [name, p] : named) {
     uint64_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    if (!in.good() || name_len > 1 << 20)
+    if (!in.Get(&name_len, "parameter name length").ok() ||
+        name_len > 1 << 20)
       return Status::IoError("corrupt parameter name length");
+    // A name or shape cut short cannot match, so it reads as a mismatch.
     std::string file_name(name_len, '\0');
-    in.read(file_name.data(), static_cast<std::streamsize>(name_len));
-    if (file_name != name)
+    if (!in.GetBytes(file_name.data(), file_name.size(), "parameter name")
+             .ok() ||
+        file_name != name)
       return Status::InvalidArgument("parameter name mismatch: expected " +
                                      name + ", file has " + file_name);
     int32_t rows = 0, cols = 0;
-    in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-    in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-    if (rows != p.value().rows() || cols != p.value().cols())
+    if (!in.Get(&rows, "parameter rows").ok() ||
+        !in.Get(&cols, "parameter cols").ok() || rows != p.value().rows() ||
+        cols != p.value().cols())
       return Status::InvalidArgument("parameter shape mismatch for " + name);
-    in.read(reinterpret_cast<char*>(p.mutable_value().data()),
-            static_cast<std::streamsize>(sizeof(double) *
-                                         p.value().size()));
-    if (!in.good()) return Status::IoError("truncated parameter data");
+    Tensor value(rows, cols);
+    CASCN_RETURN_IF_ERROR(in.GetBytes(
+        value.data(), sizeof(double) * value.size(), "parameter data"));
+    values.push_back(std::move(value));
   }
+  return values;
+}
+
+void Module::SetParameterValues(const std::vector<Tensor>& values) {
+  auto named = NamedParameters();
+  CASCN_CHECK(values.size() == named.size());
+  for (size_t i = 0; i < named.size(); ++i) {
+    CASCN_CHECK(values[i].SameShape(named[i].second.value()));
+    named[i].second.mutable_value() = values[i];
+  }
+}
+
+Status Module::Load(FrameReader& in) {
+  CASCN_ASSIGN_OR_RETURN(const std::vector<Tensor> values,
+                         ReadParameterValues(in));
+  SetParameterValues(values);
   return Status::OK();
 }
 

@@ -1,17 +1,16 @@
 // Module: base class for neural-network components with named trainable
 // parameters. Provides the parameter registry that optimizers iterate and
-// binary save/load of parameter values.
+// binary save/load of parameter values (common/sealed_frame.h fields).
 
 #ifndef CASCN_NN_MODULE_H_
 #define CASCN_NN_MODULE_H_
 
-#include <istream>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
+#include "common/result.h"
+#include "common/sealed_frame.h"
 #include "tensor/variable.h"
 
 namespace cascn::nn {
@@ -39,11 +38,25 @@ class Module {
   /// Total number of trainable scalars.
   int64_t ParameterCount() const;
 
-  /// Writes all parameter tensors in registration order (binary).
-  Status Save(std::ostream& out) const;
+  /// Appends every parameter (name, shape, values) in registration order:
+  ///   uint64 count; per parameter: uint64 name length, name bytes,
+  ///   int32 rows, int32 cols, rows*cols doubles.
+  void Save(FrameWriter& out) const;
 
-  /// Reads parameter values written by Save. Shapes must match exactly.
-  Status Load(std::istream& in);
+  /// Reads parameters written by Save, checking each name and shape
+  /// against this module, and changes nothing: pass the values to
+  /// SetParameterValues once the rest of the input checks out.
+  /// InvalidArgument for a count, name or shape mismatch; IoError for a
+  /// corrupt name length or cut-short values.
+  Result<std::vector<Tensor>> ReadParameterValues(FrameReader& in) const;
+
+  /// Overwrites every parameter with `values`, in NamedParameters() order.
+  /// The shapes must match.
+  void SetParameterValues(const std::vector<Tensor>& values);
+
+  /// ReadParameterValues, then SetParameterValues: a failed load leaves
+  /// the module as it was.
+  Status Load(FrameReader& in);
 
  protected:
   /// Registers a trainable parameter; returns the Variable to store.

@@ -1,12 +1,7 @@
 #include "serve/checkpoint.h"
 
-#include <cstring>
-#include <fstream>
-#include <functional>
-#include <sstream>
-
-#include "common/crc32.h"
 #include "common/file_util.h"
+#include "common/sealed_frame.h"
 #include "common/string_util.h"
 #include "fault/fault.h"
 
@@ -16,254 +11,116 @@ namespace {
 
 constexpr uint32_t kMaxStringLength = 1 << 20;  // 1 MiB: headers are tiny
 
-void WriteU32(std::ostream& out, uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
+constexpr FrameFormat kCheckpointFormat = {
+    .name = "checkpoint",
+    .magic = kCheckpointMagic,
+    .min_version = kCheckpointMinVersion,
+    .max_version = kCheckpointVersion,
+    .first_sealed_version = 2,
+};
 
-void WriteString(std::ostream& out, const std::string& s) {
-  WriteU32(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
+/// A checkpoint whose frame and header checked out, with `params` at the
+/// parameter payload. It views the bytes it was opened from.
+struct OpenedCheckpoint {
+  CheckpointHeader header;
+  FrameReader params;
+};
 
-Status ReadU32(std::istream& in, uint32_t* v, const char* what) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  if (!in.good())
-    return Status::IoError(StrFormat("checkpoint truncated reading %s", what));
-  return Status::OK();
-}
-
-Status ReadString(std::istream& in, std::string* s, const char* what) {
-  uint32_t len = 0;
-  CASCN_RETURN_IF_ERROR(ReadU32(in, &len, what));
-  if (len > kMaxStringLength)
-    return Status::IoError(
-        StrFormat("checkpoint %s length %u is implausible", what, len));
-  s->assign(len, '\0');
-  in.read(s->data(), static_cast<std::streamsize>(len));
-  if (!in.good())
-    return Status::IoError(StrFormat("checkpoint truncated reading %s", what));
-  return Status::OK();
-}
-
-/// Serializes a complete current-version checkpoint (including the trailing
-/// CRC) into a byte string.
-Result<std::string> SerializeCheckpoint(const std::string& model_type,
-                                        const std::string& config_text,
-                                        const nn::Module& module,
-                                        double output_offset) {
-  std::ostringstream buffer;
-  WriteU32(buffer, kCheckpointMagic);
-  WriteU32(buffer, kCheckpointVersion);
-  WriteString(buffer, model_type);
-  WriteString(buffer, config_text);
-  buffer.write(reinterpret_cast<const char*>(&output_offset),
-               sizeof(output_offset));
-  if (!buffer.good())
-    return Status::IoError("failed serializing checkpoint header");
-  CASCN_RETURN_IF_ERROR(module.Save(buffer));
-  WriteU32(buffer, kCheckpointFooter);
-  if (!buffer.good())
-    return Status::IoError("failed serializing checkpoint footer");
-  std::string bytes = buffer.str();
-  const uint32_t crc = Crc32(bytes);
-  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return bytes;
-}
-
-/// Structural integrity of a whole checkpoint image: minimum size and, for
-/// version >= 2, the trailing CRC. `context` names the source (usually the
-/// path) in error messages. Magic/version/type validation happens during
-/// parsing; this runs first so a torn or bit-rotted file is called out as
-/// such instead of failing deep inside the parse.
-Status VerifyCheckpointBytes(const std::string& bytes,
-                             const std::string& context) {
-  if (bytes.size() < 2 * sizeof(uint32_t))
-    return Status::IoError(StrFormat(
-        "%s: %zu bytes is too short to be a checkpoint", context.c_str(),
-        bytes.size()));
-  uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  if (magic != kCheckpointMagic)
+/// Opens a whole checkpoint image and reads its header. `context` (usually
+/// the path) names the source in messages; a non-null `expected_type` must
+/// match the file's model type.
+Result<OpenedCheckpoint> OpenCheckpoint(const std::string& bytes,
+                                        const std::string& context,
+                                        const char* expected_type) {
+  CheckpointHeader header;
+  CASCN_ASSIGN_OR_RETURN(
+      FrameReader r,
+      OpenFrame(bytes, kCheckpointFormat, context, &header.version));
+  CASCN_RETURN_IF_ERROR(
+      r.GetString(&header.model_type, "model type", kMaxStringLength));
+  CASCN_RETURN_IF_ERROR(
+      r.GetString(&header.config_text, "config block", kMaxStringLength));
+  CASCN_RETURN_IF_ERROR(r.Get(&header.output_offset, "output offset"));
+  if (expected_type != nullptr && header.model_type != expected_type)
     return Status::InvalidArgument(
-        StrFormat("%s: not a CasCN checkpoint (magic 0x%08x)",
-                  context.c_str(), magic));
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(uint32_t), sizeof(version));
-  if (version < 2) return Status::OK();  // v1 carries no checksum
-  if (bytes.size() < 3 * sizeof(uint32_t))
-    return Status::IoError(
-        StrFormat("%s: truncated before the checksum", context.c_str()));
-  uint32_t stored = 0;
-  std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
-              sizeof(stored));
-  const uint32_t computed =
-      Crc32(bytes.data(), bytes.size() - sizeof(stored));
-  if (stored != computed)
-    return Status::IoError(StrFormat(
-        "%s: checksum mismatch (stored 0x%08x, computed 0x%08x): torn or "
-        "corrupt checkpoint",
-        context.c_str(), stored, computed));
-  return Status::OK();
+        StrFormat("checkpoint holds a '%s' model, expected '%s'",
+                  header.model_type.c_str(), expected_type));
+  return OpenedCheckpoint{std::move(header), std::move(r)};
 }
 
-/// Bytes the parser must leave unconsumed at the end of a valid image.
-size_t ExpectedTrailingBytes(uint32_t version) {
-  return version >= 2 ? sizeof(uint32_t) : 0;
-}
-
-/// Parses header + module payload + footer from a full in-memory image that
-/// already passed VerifyCheckpointBytes. `load` receives the positioned
-/// stream and parsed header and loads the parameter payload.
-Status ParseCheckpointBytes(
-    const std::string& bytes, const std::string& context,
-    CheckpointHeader* header_out,
-    const std::function<Status(std::istream&, const CheckpointHeader&)>&
-        load) {
-  std::istringstream in(bytes);
-  CASCN_ASSIGN_OR_RETURN(CheckpointHeader header, ReadCheckpointHeader(in));
-  CASCN_RETURN_IF_ERROR(load(in, header));
+/// Reads the parameter payload into `module`, which changes only once the
+/// footer and the end of the image check out too.
+Status LoadParameters(FrameReader& r, nn::Module& module) {
+  CASCN_ASSIGN_OR_RETURN(const std::vector<Tensor> values,
+                         module.ReadParameterValues(r));
   uint32_t footer = 0;
-  CASCN_RETURN_IF_ERROR(ReadU32(in, &footer, "footer"));
+  CASCN_RETURN_IF_ERROR(r.Get(&footer, "footer"));
   if (footer != kCheckpointFooter)
-    return Status::IoError(
-        StrFormat("%s: checkpoint footer mismatch (0x%08x): truncated or "
-                  "corrupt parameter payload",
-                  context.c_str(), footer));
-  const std::streampos pos = in.tellg();
-  if (pos < 0 ||
-      bytes.size() - static_cast<size_t>(pos) !=
-          ExpectedTrailingBytes(header.version))
-    return Status::IoError(StrFormat(
-        "%s: %zu unexpected trailing bytes after the checkpoint footer",
-        context.c_str(),
-        pos < 0 ? size_t{0} : bytes.size() - static_cast<size_t>(pos)));
-  if (header_out != nullptr) *header_out = std::move(header);
+    return r.Corrupt(StrFormat("footer mismatch (0x%08x): truncated or "
+                               "corrupt parameter payload",
+                               footer));
+  CASCN_RETURN_IF_ERROR(r.Finish());
+  module.SetParameterValues(values);
   return Status::OK();
 }
 
-/// Reads the whole stream (used by the istream-based loaders; checkpoint
-/// images are small enough to buffer).
-std::string DrainStream(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+/// Reads a checkpoint file for loading, through its fault points.
+Result<std::string> ReadCheckpointBytes(const std::string& path) {
+  CASCN_RETURN_IF_ERROR(fault::InjectStatus(kFaultCheckpointLoadFail));
+  fault::MaybeDelay(kFaultCheckpointLoadSlow);
+  return ReadFileToString(path);
 }
 
 }  // namespace
-
-Status WriteCheckpoint(std::ostream& out, const std::string& model_type,
-                       const std::string& config_text,
-                       const nn::Module& module, double output_offset) {
-  CASCN_ASSIGN_OR_RETURN(
-      const std::string bytes,
-      SerializeCheckpoint(model_type, config_text, module, output_offset));
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out.good()) return Status::IoError("failed writing checkpoint");
-  return Status::OK();
-}
 
 Status WriteCheckpointFile(const std::string& path,
                            const std::string& model_type,
                            const std::string& config_text,
                            const nn::Module& module, double output_offset) {
-  CASCN_ASSIGN_OR_RETURN(
-      const std::string bytes,
-      SerializeCheckpoint(model_type, config_text, module, output_offset));
-  if (fault::ShouldFire(kFaultCheckpointTornWrite)) {
-    // Simulate a crash mid-write: a torn image under the temp name, no
-    // rename — the destination (the previous checkpoint, if any) is
-    // untouched, exactly the guarantee the atomic write provides.
-    std::ofstream torn(path + ".tmp", std::ios::binary | std::ios::trunc);
-    torn.write(bytes.data(),
-               static_cast<std::streamsize>(bytes.size() / 2));
-    return Status::IoError("injected fault: checkpoint write to " + path +
-                           " torn mid-stream (destination untouched)");
-  }
+  FrameWriter w(kCheckpointMagic, kCheckpointVersion);
+  w.PutString(model_type);
+  w.PutString(config_text);
+  w.Put(output_offset);
+  module.Save(w);
+  w.Put(kCheckpointFooter);
+  const std::string bytes = std::move(w).Seal();
+  CASCN_RETURN_IF_ERROR(fault::InjectTornWrite(kFaultCheckpointTornWrite,
+                                               "checkpoint", path, bytes));
   CASCN_RETURN_IF_ERROR(fault::InjectStatus(kFaultCheckpointWriteFail));
   return WriteFileAtomic(path, bytes);
 }
 
-Result<CheckpointHeader> ReadCheckpointHeader(std::istream& in) {
-  uint32_t magic = 0;
-  CASCN_RETURN_IF_ERROR(ReadU32(in, &magic, "magic"));
-  if (magic != kCheckpointMagic)
-    return Status::InvalidArgument(
-        StrFormat("not a CasCN checkpoint (magic 0x%08x)", magic));
-  CheckpointHeader header;
-  CASCN_RETURN_IF_ERROR(ReadU32(in, &header.version, "version"));
-  if (header.version < kCheckpointMinVersion ||
-      header.version > kCheckpointVersion)
-    return Status::InvalidArgument(
-        StrFormat("unsupported checkpoint version %u (supported: %u..%u)",
-                  header.version, kCheckpointMinVersion, kCheckpointVersion));
-  CASCN_RETURN_IF_ERROR(ReadString(in, &header.model_type, "model type"));
-  CASCN_RETURN_IF_ERROR(ReadString(in, &header.config_text, "config block"));
-  in.read(reinterpret_cast<char*>(&header.output_offset),
-          sizeof(header.output_offset));
-  if (!in.good())
-    return Status::IoError("checkpoint truncated reading output offset");
-  return header;
-}
-
 Result<CheckpointHeader> ReadCheckpointHeaderFile(const std::string& path) {
   CASCN_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
-  std::istringstream in(bytes);
-  return ReadCheckpointHeader(in);
-}
-
-Status LoadCheckpointInto(std::istream& in,
-                          const std::string& expected_model_type,
-                          nn::Module& module, CheckpointHeader* header) {
-  const std::string bytes = DrainStream(in);
-  const std::string context = "checkpoint stream";
-  CASCN_RETURN_IF_ERROR(VerifyCheckpointBytes(bytes, context));
-  return ParseCheckpointBytes(
-      bytes, context, header,
-      [&](std::istream& stream, const CheckpointHeader& parsed) -> Status {
-        if (parsed.model_type != expected_model_type)
-          return Status::InvalidArgument(
-              StrFormat("checkpoint holds a '%s' model, expected '%s'",
-                        parsed.model_type.c_str(),
-                        expected_model_type.c_str()));
-        return module.Load(stream);
-      });
+  CASCN_ASSIGN_OR_RETURN(OpenedCheckpoint checkpoint,
+                         OpenCheckpoint(bytes, path, nullptr));
+  return std::move(checkpoint.header);
 }
 
 Status LoadCheckpointIntoFile(const std::string& path,
                               const std::string& expected_model_type,
                               nn::Module& module, CheckpointHeader* header) {
-  CASCN_RETURN_IF_ERROR(fault::InjectStatus(kFaultCheckpointLoadFail));
-  fault::MaybeDelay(kFaultCheckpointLoadSlow);
-  CASCN_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
-  CASCN_RETURN_IF_ERROR(VerifyCheckpointBytes(bytes, path));
-  return ParseCheckpointBytes(
-      bytes, path, header,
-      [&](std::istream& stream, const CheckpointHeader& parsed) -> Status {
-        if (parsed.model_type != expected_model_type)
-          return Status::InvalidArgument(
-              StrFormat("checkpoint holds a '%s' model, expected '%s'",
-                        parsed.model_type.c_str(),
-                        expected_model_type.c_str()));
-        return stream.good() ? module.Load(stream) : Status::IoError("bad stream");
-      });
+  CASCN_ASSIGN_OR_RETURN(const std::string bytes, ReadCheckpointBytes(path));
+  CASCN_ASSIGN_OR_RETURN(
+      OpenedCheckpoint checkpoint,
+      OpenCheckpoint(bytes, path, expected_model_type.c_str()));
+  CASCN_RETURN_IF_ERROR(LoadParameters(checkpoint.params, module));
+  if (header != nullptr) *header = std::move(checkpoint.header);
+  return Status::OK();
 }
 
 std::string EncodeCascnConfig(const CascnConfig& config) {
-  std::ostringstream out;
-  out << "variant=" << static_cast<int>(config.variant) << "\n";
-  out << "padded_size=" << config.padded_size << "\n";
-  out << "hidden_dim=" << config.hidden_dim << "\n";
-  out << "cheb_order=" << config.cheb_order << "\n";
-  out << "max_sequence_length=" << config.max_sequence_length << "\n";
-  out << "num_time_intervals=" << config.num_time_intervals << "\n";
-  out << "mlp_hidden1=" << config.mlp_hidden1 << "\n";
-  out << "mlp_hidden2=" << config.mlp_hidden2 << "\n";
-  out << "attention_pooling=" << (config.attention_pooling ? 1 : 0) << "\n";
-  out << "lambda_mode=" << static_cast<int>(config.lambda_mode) << "\n";
-  out << StrFormat("caslaplacian_alpha=%.17g\n", config.caslaplacian_alpha);
-  out << "seed=" << config.seed << "\n";
-  out << "encoding_cache_capacity=" << config.encoding_cache_capacity << "\n";
-  return out.str();
+  return StrFormat(
+      "variant=%d\npadded_size=%d\nhidden_dim=%d\ncheb_order=%d\n"
+      "max_sequence_length=%d\nnum_time_intervals=%d\nmlp_hidden1=%d\n"
+      "mlp_hidden2=%d\nattention_pooling=%d\nlambda_mode=%d\n"
+      "caslaplacian_alpha=%.17g\nseed=%llu\nencoding_cache_capacity=%d\n",
+      static_cast<int>(config.variant), config.padded_size, config.hidden_dim,
+      config.cheb_order, config.max_sequence_length, config.num_time_intervals,
+      config.mlp_hidden1, config.mlp_hidden2,
+      config.attention_pooling ? 1 : 0, static_cast<int>(config.lambda_mode),
+      config.caslaplacian_alpha, static_cast<unsigned long long>(config.seed),
+      config.encoding_cache_capacity);
 }
 
 Result<CascnConfig> ParseCascnConfig(const std::string& text) {
@@ -327,25 +184,14 @@ Status SaveCascnCheckpoint(const std::string& path, const CascnModel& model) {
 
 Result<std::unique_ptr<CascnModel>> LoadCascnCheckpoint(
     const std::string& path) {
-  CASCN_RETURN_IF_ERROR(fault::InjectStatus(kFaultCheckpointLoadFail));
-  fault::MaybeDelay(kFaultCheckpointLoadSlow);
-  CASCN_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
-  CASCN_RETURN_IF_ERROR(VerifyCheckpointBytes(bytes, path));
-  std::unique_ptr<CascnModel> model;
-  CASCN_RETURN_IF_ERROR(ParseCheckpointBytes(
-      bytes, path, nullptr,
-      [&](std::istream& stream, const CheckpointHeader& parsed) -> Status {
-        if (parsed.model_type != kCascnModelType)
-          return Status::InvalidArgument(
-              StrFormat("checkpoint holds a '%s' model, expected '%s'",
-                        parsed.model_type.c_str(), kCascnModelType));
-        CASCN_ASSIGN_OR_RETURN(const CascnConfig config,
-                               ParseCascnConfig(parsed.config_text));
-        model = std::make_unique<CascnModel>(config);
-        CASCN_RETURN_IF_ERROR(model->Load(stream));
-        model->set_output_offset(parsed.output_offset);
-        return Status::OK();
-      }));
+  CASCN_ASSIGN_OR_RETURN(const std::string bytes, ReadCheckpointBytes(path));
+  CASCN_ASSIGN_OR_RETURN(OpenedCheckpoint checkpoint,
+                         OpenCheckpoint(bytes, path, kCascnModelType));
+  CASCN_ASSIGN_OR_RETURN(const CascnConfig config,
+                         ParseCascnConfig(checkpoint.header.config_text));
+  auto model = std::make_unique<CascnModel>(config);
+  CASCN_RETURN_IF_ERROR(LoadParameters(checkpoint.params, *model));
+  model->set_output_offset(checkpoint.header.output_offset);
   return model;
 }
 

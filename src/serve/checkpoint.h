@@ -2,14 +2,14 @@
 // be trained once (e.g. by examples/quickstart) and served later from disk
 // by a different process.
 //
-// Layout (all integers little-endian, as written by the host):
+// A checkpoint is a sealed frame (common/sealed_frame.h):
 //
 //   uint32  magic          0x4E435343 ("CSCN")
 //   uint32  format version (kCheckpointVersion)
-//   uint32  model-type length,  bytes   e.g. "cascn"
-//   uint32  config length,      bytes   key=value lines, one per line
-//   double  output offset                (CascadeRegressor calibration)
-//   ----    Module::Save payload         (named parameter tensors)
+//   string  model type               e.g. "cascn"
+//   string  config block             key=value lines, one per line
+//   double  output offset            (CascadeRegressor calibration)
+//   ----    Module::Save payload     (named parameter tensors)
 //   uint32  footer magic   0x4E444E45 ("ENDN")
 //   uint32  CRC-32 of every preceding byte   (version >= 2)
 //
@@ -18,7 +18,7 @@
 // checksum) are still read. The footer magic distinguishes a cleanly
 // written file from one truncated mid-stream. Corrupt, truncated, or
 // mismatched files are rejected with a descriptive error Status — never a
-// crash.
+// crash — and a failed load leaves the destination module untouched.
 //
 // Durability: WriteCheckpointFile is atomic (temp file + rename via
 // common/file_util.h). A crash mid-write — exercised by the
@@ -28,9 +28,7 @@
 #ifndef CASCN_SERVE_CHECKPOINT_H_
 #define CASCN_SERVE_CHECKPOINT_H_
 
-#include <istream>
 #include <memory>
-#include <ostream>
 #include <string>
 
 #include "common/result.h"
@@ -60,33 +58,23 @@ struct CheckpointHeader {
   double output_offset = 0.0;
 };
 
-/// Writes a checkpoint for any Module-backed model. `model_type` tags the
-/// concrete class (readers refuse a mismatched tag); `config_text` is an
-/// opaque block the loader uses to reconstruct the model shape. The stream
-/// variant serializes in memory first so the trailing CRC covers every
-/// byte; the file variant additionally writes atomically (temp + rename),
-/// reporting open/write failures with the path and strerror(errno).
-Status WriteCheckpoint(std::ostream& out, const std::string& model_type,
-                       const std::string& config_text,
-                       const nn::Module& module, double output_offset);
+/// Writes a checkpoint for any Module-backed model, atomically (temp +
+/// rename), reporting open/write failures with the path and
+/// strerror(errno). `model_type` tags the concrete class (readers refuse a
+/// mismatched tag); `config_text` is an opaque block the loader uses to
+/// reconstruct the model shape.
 Status WriteCheckpointFile(const std::string& path,
                            const std::string& model_type,
                            const std::string& config_text,
                            const nn::Module& module, double output_offset);
 
-/// Reads and validates the header only (magic, version, strings, offset),
-/// leaving the stream positioned at the parameter payload.
-Result<CheckpointHeader> ReadCheckpointHeader(std::istream& in);
+/// Reads and validates a checkpoint's frame (CRC included) and its header.
 Result<CheckpointHeader> ReadCheckpointHeaderFile(const std::string& path);
 
 /// Loads a checkpoint into an already-constructed module whose parameter
-/// names/shapes must match the file. Fails (without modifying observable
-/// behaviour guarantees) on magic/version/type mismatch, truncation, or
-/// trailing garbage. On success `*header` (optional) receives the header.
-Status LoadCheckpointInto(std::istream& in,
-                          const std::string& expected_model_type,
-                          nn::Module& module,
-                          CheckpointHeader* header = nullptr);
+/// names/shapes must match the file. Fails on magic/version/type mismatch,
+/// truncation, corruption or trailing garbage, leaving `module` unchanged.
+/// On success `*header` (optional) receives the header.
 Status LoadCheckpointIntoFile(const std::string& path,
                               const std::string& expected_model_type,
                               nn::Module& module,

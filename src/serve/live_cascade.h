@@ -41,14 +41,14 @@ class LiveCascade {
   int size() const { return static_cast<int>(events_.size()); }
   const std::vector<AdoptionEvent>& events() const { return events_; }
 
-  /// The events as a self-validating binary blob (magic + version + events
-  /// + CRC-32).
+  /// The events as a sealed frame (common/sealed_frame.h): magic, version,
+  /// events, CRC-32.
   std::string Serialize() const;
 
   /// Rebuilds a cascade from a Serialize() blob. IoError for a torn or
-  /// corrupt blob (bad magic, version, length or CRC); InvalidArgument when
-  /// its events are not what Append() would have built within
-  /// `observation_window`.
+  /// corrupt blob (bad length or CRC); InvalidArgument for a sealed blob
+  /// of another magic or version, or when its events are not what Append()
+  /// would have built within `observation_window`.
   static Result<LiveCascade> Parse(const std::string& blob,
                                    double observation_window);
 

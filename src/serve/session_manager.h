@@ -111,10 +111,10 @@ class SessionManager {
   Result<std::string> Serialize(const std::string& session_id) const;
 
   /// Rebuilds a session from a Serialize() blob. InvalidArgument if the id
-  /// already exists or the events are not what appends could have built
-  /// (LiveCascade::Parse); IoError for a torn or corrupt blob (bad
-  /// magic/CRC/length). Subject to the same capacity/eviction rules as
-  /// Create().
+  /// already exists, the blob has another magic or version, or its events
+  /// are not what appends could have built (LiveCascade::Parse); IoError
+  /// for a torn or corrupt blob (bad CRC/length). Subject to the same
+  /// capacity/eviction rules as Create().
   Status Deserialize(const std::string& session_id, const std::string& blob);
 
   /// Serialize() + remove in one step — the draining side of a shard

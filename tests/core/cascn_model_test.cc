@@ -5,7 +5,6 @@
 #include <cstring>
 #include <memory>
 #include <new>
-#include <sstream>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -335,9 +334,10 @@ void ExpectSamePass(const RecordedPass& got, const RecordedPass& want,
 /// The same model built afresh from `model`'s current weights.
 std::unique_ptr<CascnModel> FreshCopy(const CascnModel& model) {
   auto fresh = std::make_unique<CascnModel>(model.config());
-  std::stringstream weights;
-  EXPECT_TRUE(model.Save(weights).ok());
-  EXPECT_TRUE(fresh->Load(weights).ok());
+  FrameWriter weights;
+  model.Save(weights);
+  FrameReader in(weights.bytes());
+  EXPECT_TRUE(fresh->Load(in).ok());
   fresh->set_output_offset(model.output_offset());
   return fresh;
 }
@@ -547,11 +547,12 @@ TEST(CascnModelTest, SaveLoadRoundTripPreservesPredictions) {
   CascnConfig config = TinyCascnConfig();
   CascnModel original(config);
   const double before = original.PredictLog(dataset.test[0]).value().At(0, 0);
-  std::stringstream buffer;
-  ASSERT_TRUE(original.Save(buffer).ok());
+  FrameWriter buffer;
+  original.Save(buffer);
   config.seed = 31337;  // different init
   CascnModel restored(config);
-  ASSERT_TRUE(restored.Load(buffer).ok());
+  FrameReader in(buffer.bytes());
+  ASSERT_TRUE(restored.Load(in).ok());
   EXPECT_DOUBLE_EQ(restored.PredictLog(dataset.test[0]).value().At(0, 0),
                    before);
 }

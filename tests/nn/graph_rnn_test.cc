@@ -6,7 +6,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -595,9 +594,10 @@ void ExpectPaddingTableFollowsParameters(const std::string& edited,
   Rng other_rng(seed + 1);
   Cell other(n, hidden, order, other_rng);
   RandomizeRowLocal(other, other_rng);
-  std::stringstream weights;
-  ASSERT_TRUE(other.Save(weights).ok());
-  ASSERT_TRUE(cell.Load(weights).ok());
+  FrameWriter weights;
+  other.Save(weights);
+  FrameReader in(weights.bytes());
+  ASSERT_TRUE(cell.Load(in).ok());
   ExpectFusedIsRecorded(cell, basis, signals, "after Load");
 }
 

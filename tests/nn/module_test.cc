@@ -1,7 +1,5 @@
 #include "nn/module.h"
 
-#include <sstream>
-
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -55,12 +53,13 @@ TEST(ModuleTest, ZeroGradClearsAll) {
 TEST(ModuleTest, SaveLoadRoundTrip) {
   Rng rng(5);
   Mlp original({3, 4, 1}, Activation::kRelu, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(original.Save(buffer).ok());
+  FrameWriter buffer;
+  original.Save(buffer);
 
   Rng rng2(999);  // different init
   Mlp restored({3, 4, 1}, Activation::kRelu, rng2);
-  ASSERT_TRUE(restored.Load(buffer).ok());
+  FrameReader in(buffer.bytes());
+  ASSERT_TRUE(restored.Load(in).ok());
 
   const auto a = original.NamedParameters();
   const auto b = restored.NamedParameters();
@@ -73,26 +72,27 @@ TEST(ModuleTest, SaveLoadRoundTrip) {
 TEST(ModuleTest, LoadRejectsShapeMismatch) {
   Rng rng(6);
   Mlp small({2, 2, 1}, Activation::kRelu, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(small.Save(buffer).ok());
+  FrameWriter buffer;
+  small.Save(buffer);
   Mlp big({3, 3, 1}, Activation::kRelu, rng);
-  EXPECT_FALSE(big.Load(buffer).ok());
+  FrameReader in(buffer.bytes());
+  EXPECT_FALSE(big.Load(in).ok());
 }
 
 TEST(ModuleTest, LoadRejectsTruncatedStream) {
   Rng rng(7);
   Mlp mlp({2, 2, 1}, Activation::kRelu, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(mlp.Save(buffer).ok());
-  std::string data = buffer.str();
-  std::stringstream truncated(data.substr(0, data.size() / 2));
+  FrameWriter buffer;
+  mlp.Save(buffer);
+  const std::string& data = buffer.bytes();
+  FrameReader truncated(std::string_view(data).substr(0, data.size() / 2));
   EXPECT_FALSE(mlp.Load(truncated).ok());
 }
 
 TEST(ModuleTest, LoadRejectsEmptyStream) {
   Rng rng(8);
   Mlp mlp({2, 1}, Activation::kRelu, rng);
-  std::stringstream empty;
+  FrameReader empty("");
   EXPECT_FALSE(mlp.Load(empty).ok());
 }
 

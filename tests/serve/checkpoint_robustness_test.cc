@@ -93,6 +93,18 @@ TEST_F(CheckpointRobustnessTest, SingleFlippedBitIsDetected) {
   EXPECT_NE(result.status().message().find("checksum"), std::string::npos);
 }
 
+TEST_F(CheckpointRobustnessTest, HeaderReadChecksTheChecksum) {
+  // The header itself is intact; the flip is in the parameter payload.
+  std::string bytes = ReadAll(path_);
+  ASSERT_TRUE(ReadCheckpointHeaderFile(path_).ok());
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
+  WriteAll(path_, bytes);
+  const auto result = ReadCheckpointHeaderFile(path_);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("checksum"), std::string::npos);
+}
+
 TEST_F(CheckpointRobustnessTest, VersionOneFilesStillLoad) {
   // A v1 file is the current image minus the trailing CRC, with the version
   // field rewritten — what a pre-CRC writer produced.

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,9 +71,10 @@ TEST_F(LiveCascadeTest, CachedBetweenUpdates) {
 /// `model` built afresh from its current weights: no cached state.
 std::unique_ptr<CascnModel> FreshCopy(const CascnModel& model) {
   auto fresh = std::make_unique<CascnModel>(model.config());
-  std::stringstream weights;
-  EXPECT_TRUE(model.Save(weights).ok());
-  EXPECT_TRUE(fresh->Load(weights).ok());
+  FrameWriter weights;
+  model.Save(weights);
+  FrameReader in(weights.bytes());
+  EXPECT_TRUE(fresh->Load(in).ok());
   fresh->set_output_offset(model.output_offset());
   return fresh;
 }
