@@ -1,12 +1,12 @@
 // Micro-benchmarks of the substrate kernels that dominate CasCN training:
 // dense matmul, sparse-dense matmul, the CasLaplacian construction
 // (Algorithm 1), the Chebyshev basis recursion, one graph-conv LSTM step
-// (forward and forward+backward), the cell's recorded sequence entry
-// (forward+backward), a standalone ChebConv layer, and snapshot
-// encoding. Paired rows time a whole cached-encoding forward served
-// (PredictValue, the fused kernel) and recorded (PredictLogCalibrated) on
-// the same samples, and a whole training sample (recorded forward plus
-// backward).
+// (forward and forward+backward), the cell's values-only sequence entry
+// (the served forward) and recorded one (forward+backward), a standalone
+// ChebConv layer, and snapshot encoding. Paired rows time a whole
+// cached-encoding forward served (PredictValue, the fused kernel) and
+// recorded (PredictLogCalibrated) on the same samples, and a whole training
+// sample (recorded forward plus backward).
 //
 // Besides the usual console output, every run writes a machine-readable
 // BENCH_micro_kernels.json (see obs/bench_report.h) that the CI bench-guard
@@ -136,9 +136,26 @@ void BM_GraphConvLstmStepTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphConvLstmStepTrain)->Arg(16)->Arg(32);
 
+/// The cell's values-only sequence entry, Run, which every served predict
+/// calls, over the encoding of a cascade that reaches R of the n = 32 rows
+/// (R = 32 leaves no padding row).
+void BM_GraphConvLstmRun(benchmark::State& state) {
+  const CascnConfig config;
+  Rng rng(7);
+  nn::GraphConvLstmCell cell(config.padded_size, config.hidden_dim,
+                             config.cheb_order, rng);
+  CascadeSample sample;
+  sample.observed = BenchCascade(static_cast<int>(state.range(0)));
+  sample.observation_window = 60.0;
+  const EncodedCascade enc = EncodeCascade(sample, config).value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cell.Run(enc.cheb_basis, enc.snapshot_ops));
+  }
+}
+BENCHMARK(BM_GraphConvLstmRun)->Arg(4)->Arg(16)->Arg(32);
+
 /// The cell's recorded sequence entry, RunRecorded plus Backward() of a
-/// loss reading every h_t, over the encoding of a cascade that reaches R of
-/// the n = 32 rows (R = 32 leaves no padding row).
+/// loss reading every h_t, over the encoding of BM_GraphConvLstmRun.
 void BM_GraphConvLstmRecordedRun(benchmark::State& state) {
   const CascnConfig config;
   Rng rng(7);

@@ -85,7 +85,11 @@ std::vector<double> PackFilters(std::initializer_list<const ChebConv*> convs) {
 
 /// Columns [c, c + kCols) of FilterRow's output row, summed in registers.
 /// (`total` starts zeroed only so the compiler can see it set: order >= 1,
-/// and order 0's sum overwrites it.)
+/// and order 0's sum overwrites it.) Weights and output go through
+/// pointers moved to column c, not w[c + i]: GCC rewrites the tile loop's
+/// test c + kCols <= width as c + kCols - 1 < width and reuses that sum as
+/// the last column's index, which the vectorizer then no longer sees next
+/// to the others, so each tile's last pair of columns went scalar.
 template <int kCols, typename Entries>
 inline void FilterTile(int order, int c, Entries& entries,
                        double* __restrict out) {
@@ -94,12 +98,14 @@ inline void FilterTile(int order, int c, Entries& entries,
     double sum[kCols];
     for (int i = 0; i < kCols; ++i) sum[i] = 0.0;
     entries(k, [&](double a, const double* __restrict w) {
-      for (int i = 0; i < kCols; ++i) sum[i] += a * w[c + i];
+      w += c;
+      for (int i = 0; i < kCols; ++i) sum[i] += a * w[i];
     });
     for (int i = 0; i < kCols; ++i)
       total[i] = k == 0 ? sum[i] : total[i] + sum[i];
   }
-  for (int i = 0; i < kCols; ++i) out[c + i] = total[i];
+  out += c;
+  for (int i = 0; i < kCols; ++i) out[i] = total[i];
 }
 
 /// The row kernel of every filter product: out (width) = sum_k sum_e
@@ -110,12 +116,16 @@ inline void FilterTile(int order, int c, Entries& entries,
 /// a first term of -0.0 adds to +0.0), adds the entries in the order they
 /// come, and the orders add in k order. Which coefficients to skip is the
 /// entries' choice: exactly those the tape op a product stands for skipped.
-/// Columns are summed 8, then 4, then 1 at a time in registers across every
-/// entry of every order, and each output element is written once.
+/// Columns are summed 16, then 8, 4 and 1 at a time in registers across
+/// every entry of every order, and each output element is written once.
+/// Sixteen columns are eight SSE2 accumulators, enough independent adds to
+/// hide the add latency that four leave exposed, and they walk the entries
+/// once where 8-column tiles walk them twice.
 template <typename Entries>
 inline void FilterRow(int order, int width, Entries&& entries,
                       double* __restrict out) {
   int c = 0;
+  for (; c + 16 <= width; c += 16) FilterTile<16>(order, c, entries, out);
   for (; c + 8 <= width; c += 8) FilterTile<8>(order, c, entries, out);
   for (; c + 4 <= width; c += 4) FilterTile<4>(order, c, entries, out);
   for (; c < width; ++c) FilterTile<1>(order, c, entries, out);

@@ -14,8 +14,8 @@ namespace {
 
 // Multiply-add count below which a matmul is not worth farming out to the
 // pool. 2^19 keeps every per-snapshot kernel in the tiny CasCN configs —
-// and the bench-guard calibration benchmark (BM_DenseMatMul/64, 64^3 =
-// 2^18 work) — on the fast serial path.
+// and the bench-guard calibration benchmarks (the largest,
+// BM_DenseMatMul/64, is 64^3 = 2^18 work) — on the fast serial path.
 constexpr uint64_t kParallelDenseCutoff = uint64_t{1} << 19;
 
 bool UseParallelKernel(uint64_t work) {

@@ -435,15 +435,16 @@ void ExpectFusedIsRecorded(const Cell& cell,
 }
 
 /// Every order K in 1..3, hidden widths whose gate blocks (LSTM 4d, GRU d,
-/// 2d and 3d, and the X side) leave every remainder of the kernel's 8-, 4-
-/// and 1-column tiles, and every number of reached rows from 1 to n (n
-/// itself leaves no padding row), with sequence lengths that grow and
-/// shrink so the padding table deepens and is reused. Then the production
-/// shape: n = 32, d = 12, K = 2.
+/// 2d and 3d, and the X side) run every mix of the kernel's 16-, 8-, 4- and
+/// 1-column tiles (d = 4: 4d = 16; d = 6: 4d = 24 = 16 + 8; d = 7: 4d = 28 =
+/// 16 + 8 + 4, 3d = 21 = 16 + 4 + 1), and every number of reached rows
+/// from 1 to n (n itself leaves no padding row), with sequence lengths that
+/// grow and shrink so the padding table deepens and is reused. Then the
+/// production shape: n = 32, d = 12, K = 2.
 template <typename Cell>
 void ExpectFusedIsRecordedOverShapes(uint64_t seed) {
   const int n = 7;
-  for (const int hidden : {1, 2, 3, 5, 12}) {
+  for (const int hidden : {1, 2, 3, 4, 5, 6, 7, 12}) {
     for (int order = 1; order <= 3; ++order) {
       Rng rng(seed + 10 * hidden + order);
       Cell cell(n, hidden, order, rng);
@@ -482,12 +483,15 @@ ag::Variable Param(const Module& cell, const std::string& name) {
 /// reach that row, so every value stays finite; a kernel that multiplied a
 /// skipped zero by inf would produce NaN. The unit stays zero because its
 /// candidate (LSTM g, GRU n) has zero filters into it and a zero bias.
+/// With d = 12 the candidate's column of the LSTM's 4d block and of the
+/// GRU's X-side 3d block is 2d + unit = 26, in the second half of the
+/// 16-column tile [16, 32).
 template <typename Cell>
 void ExpectSkippedZerosMeetInfiniteFilters(const std::string& candidate,
                                            const std::vector<std::string>&
                                                gates,
                                            uint64_t seed) {
-  const int n = 9, hidden = 5, order = 2, unit = 2, active = 6;
+  const int n = 9, hidden = 12, order = 2, unit = 2, active = 6;
   Rng rng(seed);
   Cell cell(n, hidden, order, rng);
   RandomizeRowLocal(cell, rng);
@@ -520,9 +524,10 @@ void ExpectSkippedZerosMeetInfiniteFilters(const std::string& candidate,
 /// (K = 1), with -0.0 in the LSTM candidate's X and h filter column `unit`
 /// and bias. Every product into that column is then -0.0, the tape's sum is
 /// +0.0 and c_t stays +0.0 there; a sum that started at its first product
-/// would be -0.0, and so would c_t.
+/// would be -0.0, and so would c_t. With d = 5 that column, 2d + unit = 12
+/// of the 4d = 20 block, is in the second half of the 16-column tile.
 void ExpectSumsStartAtPositiveZero(uint64_t seed) {
-  const int n = 6, hidden = 3, unit = 1, active = 5;
+  const int n = 6, hidden = 5, unit = 2, active = 5;
   Rng rng(seed);
   GraphConvLstmCell cell(n, hidden, 1, rng);
   RandomizeRowLocal(cell, rng);
@@ -864,7 +869,8 @@ void ExpectRunRecordedIsStepLoop(Cell& cell,
 
 /// Encoder bases and snapshot operators of a generator cascade cut to 1, 2,
 /// 10 and 12 nodes and to the padded size (16, so no padding row), for
-/// hidden widths 1, 2, 5 and 12 and K = 1..3, and of cascades cut to 3, 17
+/// hidden widths 1, 2, 4, 5, 6, 7 and 12 (every mix of the kernel's 16-, 8-,
+/// 4- and 1-column tiles) and K = 1..3, and of cascades cut to 3, 17
 /// and 32 nodes in the production shape (padded size 32, d = 12, K = 2);
 /// with losses reading every h_t, only h_T, and attention pooling, from
 /// every Start.
@@ -914,7 +920,7 @@ void ExpectRunRecordedIsStepLoopOverEncodings(uint64_t seed) {
   };
   CascnConfig config = testing::TinyCascnConfig();
   config.padded_size = 16;
-  for (const int hidden : {1, 2, 5, 12}) {
+  for (const int hidden : {1, 2, 4, 5, 6, 7, 12}) {
     config.hidden_dim = hidden;
     for (int order = 1; order <= 3; ++order) {
       config.cheb_order = order;

@@ -3,20 +3,23 @@
 
 Compares per-benchmark times from a fresh bench/micro_kernels run (see
 obs/bench_report.h for the schema) against bench/baselines/. Raw nanoseconds
-are meaningless across machines, so each benchmark is normalized by a
-calibration benchmark from the *same* report before comparing: what is
-guarded is the ratio
+are meaningless across machines, so each benchmark is normalized by the
+host's speed as the calibration benchmarks of the *same* report read it:
+what is guarded is
 
-    time(benchmark) / time(calibration)
+    (current(benchmark) / baseline(benchmark)) / speed,
+    speed = median over calibration rows c of current(c) / baseline(c)
 
 which cancels the host's overall speed. A regression in one kernel relative
 to the others (the usual way a silent slowdown lands) moves its ratio; a
-uniformly slower machine does not.
+uniformly slower machine does not. The median over several rows keeps one
+noisy calibration sample from moving every verdict; a single row (as the
+scaling guards pass) is its own median.
 
 Usage:
     bench_guard.py --current BENCH_micro_kernels.json \
         --baseline bench/baselines/BENCH_micro_kernels.json \
-        [--tolerance 0.5] [--calibration BM_DenseMatMul/64] [--update]
+        [--tolerance 0.5] [--calibration ROW [ROW ...]] [--update]
 
 Exit status: 0 when every benchmark is within tolerance (or --update), 1 on
 any regression, missing benchmark, or schema violation.
@@ -25,7 +28,16 @@ any regression, missing benchmark, or schema violation.
 import argparse
 import json
 import shutil
+import statistics
 import sys
+
+DEFAULT_CALIBRATION = [
+    "BM_DenseMatMul/16",
+    "BM_DenseMatMul/32",
+    "BM_DenseMatMul/64",
+    "BM_SparseMatMulDense/32",
+    "BM_SparseMatMulDense/128",
+]
 
 REQUIRED_TOP_LEVEL = [
     "schema_version",
@@ -71,8 +83,10 @@ def main():
     parser.add_argument("--tolerance", type=float, default=0.5,
                         help="allowed relative increase of the normalized "
                              "ratio (0.5 = 50%%)")
-    parser.add_argument("--calibration", default="BM_DenseMatMul/64",
-                        help="benchmark used to normalize out machine speed")
+    parser.add_argument("--calibration", nargs="+",
+                        default=DEFAULT_CALIBRATION,
+                        help="benchmarks whose median current/baseline "
+                             "ratio normalizes out machine speed")
     parser.add_argument("--update", action="store_true",
                         help="refresh the baseline from --current and exit")
     parser.add_argument("--allow-missing", action="store_true",
@@ -103,8 +117,9 @@ def main():
 
     for report, times in ((args.current, current_times),
                           (args.baseline, baseline_times)):
-        if args.calibration not in times:
-            print(f"bench_guard: calibration benchmark {args.calibration!r} "
+        absent = [name for name in args.calibration if name not in times]
+        if absent:
+            print(f"bench_guard: calibration benchmarks {absent} "
                   f"missing from {report}", file=sys.stderr)
             return 1
 
@@ -123,20 +138,24 @@ def main():
         print(f"bench_guard: NOTE: benchmarks not in baseline (run with "
               f"--update to include): {added}")
 
-    current_cal = current_times[args.calibration]
-    baseline_cal = baseline_times[args.calibration]
-    print(f"bench_guard: calibration {args.calibration}: "
-          f"current {current_cal:.0f} ns, baseline {baseline_cal:.0f} ns")
-    print(f"{'benchmark':<34} {'base_ratio':>10} {'cur_ratio':>10} "
+    for name in args.calibration:
+        print(f"bench_guard: calibration {name}: "
+              f"current {current_times[name]:.0f} ns, "
+              f"baseline {baseline_times[name]:.0f} ns, "
+              f"speed {current_times[name] / baseline_times[name]:.3f}")
+    speed = statistics.median(current_times[name] / baseline_times[name]
+                              for name in args.calibration)
+    print(f"bench_guard: host speed (median current/baseline) {speed:.3f}")
+    print(f"{'benchmark':<34} {'base_ns':>12} {'cur_ns':>12} "
           f"{'delta':>8}  verdict")
 
     regressions = []
     for name in sorted(baseline_times):
-        base_ratio = baseline_times[name] / baseline_cal
-        cur_ratio = current_times[name] / current_cal
-        delta = cur_ratio / base_ratio - 1.0 if base_ratio > 0 else 0.0
+        base_ns = baseline_times[name]
+        cur_ns = current_times[name]
+        delta = cur_ns / base_ns / speed - 1.0 if base_ns > 0 else 0.0
         ok = delta <= args.tolerance
-        print(f"{name:<34} {base_ratio:>10.4f} {cur_ratio:>10.4f} "
+        print(f"{name:<34} {base_ns:>12.0f} {cur_ns:>12.0f} "
               f"{delta:>+7.0%}  {'ok' if ok else 'REGRESSION'}")
         if not ok:
             regressions.append((name, delta))
