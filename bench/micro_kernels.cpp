@@ -23,6 +23,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -149,7 +150,8 @@ void BM_GraphConvLstmRun(benchmark::State& state) {
   sample.observation_window = 60.0;
   const EncodedCascade enc = EncodeCascade(sample, config).value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.Run(enc.cheb_basis, enc.snapshot_ops));
+    benchmark::DoNotOptimize(
+        cell.Run(enc.cheb_basis, enc.snapshot_ops, enc.snapshot_columns));
   }
 }
 BENCHMARK(BM_GraphConvLstmRun)->Arg(4)->Arg(16)->Arg(32);
@@ -170,7 +172,8 @@ void BM_GraphConvLstmRecordedRun(benchmark::State& state) {
   const std::shared_ptr<const CsrMatrix> ops(enc, &enc->snapshot_ops);
   for (auto _ : state) {
     const std::vector<nn::RnnState> states =
-        cell.RunRecorded(basis, ops, cell.InitialState());
+        cell.RunRecorded(basis, ops, enc->snapshot_columns,
+                         cell.InitialState());
     ag::Variable sum = states[0].h;
     for (size_t t = 1; t < states.size(); ++t) sum = ag::Add(sum, states[t].h);
     ag::Sum(sum).Backward();
@@ -197,6 +200,15 @@ void BM_ChebConvTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_ChebConvTrain)->Arg(16)->Arg(32);
 
+/// The bytes of a CSR matrix's arrays.
+double CsrBytes(const CsrMatrix& m) {
+  return static_cast<double>(m.row_offsets().size() * sizeof(int) +
+                             m.col_indices().size() * sizeof(int) +
+                             m.values().size() * sizeof(double));
+}
+
+/// EncodeCascade of one generated cascade, with `encoding_bytes`: the
+/// arrays of its snapshot operators and Chebyshev basis.
 void BM_EncodeCascade(benchmark::State& state) {
   GeneratorConfig gen = WeiboLikeConfig();
   gen.num_cascades = 1;
@@ -210,6 +222,10 @@ void BM_EncodeCascade(benchmark::State& state) {
     auto enc = EncodeCascade(sample, config);
     benchmark::DoNotOptimize(enc);
   }
+  const EncodedCascade enc = EncodeCascade(sample, config).value();
+  double bytes = CsrBytes(enc.snapshot_ops);
+  for (const CsrMatrix& t : enc.cheb_basis) bytes += CsrBytes(t);
+  state.counters["encoding_bytes"] = bytes;
 }
 BENCHMARK(BM_EncodeCascade)->Arg(16)->Arg(32)->Arg(64);
 
@@ -264,7 +280,8 @@ struct CapturedRun {
   double real_ns_per_iter = 0.0;
   double cpu_ns_per_iter = 0.0;
   int64_t iterations = 0;
-  double items_per_second = 0.0;  // 0 when the benchmark sets no item count
+  // The benchmark's counters (items_per_second, encoding_bytes), by name.
+  std::vector<std::pair<std::string, double>> counters;
 };
 
 /// Forwards to the normal console output while keeping each per-iteration
@@ -279,8 +296,8 @@ class CaptureReporter : public benchmark::ConsoleReporter {
       captured.real_ns_per_iter = run.GetAdjustedRealTime();
       captured.cpu_ns_per_iter = run.GetAdjustedCPUTime();
       captured.iterations = run.iterations;
-      const auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) captured.items_per_second = it->second;
+      for (const auto& [name, counter] : run.counters)
+        captured.counters.emplace_back(name, counter.value);
       captured_.push_back(std::move(captured));
     }
     ConsoleReporter::ReportRuns(runs);
@@ -339,8 +356,7 @@ int MicroKernelsMain(int argc, char** argv) {
         .Add("real_ns_per_iter", run.real_ns_per_iter)
         .Add("cpu_ns_per_iter", run.cpu_ns_per_iter)
         .Add("iterations", run.iterations);
-    if (run.items_per_second > 0)
-      row.Add("items_per_second", run.items_per_second);
+    for (const auto& [name, value] : run.counters) row.Add(name, value);
     report.AddResult(row.Build());
   }
   report.CaptureProfile().CaptureMetrics(obs::MetricsRegistry::Get());

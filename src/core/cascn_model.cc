@@ -142,12 +142,10 @@ ag::Variable CascnModel::ForwardPooled(const CascadeSample& sample) {
     // GCN per snapshot -> node-mean -> plain LSTM -> decayed sum (1 x d_h).
     nn::RnnState state = gl_lstm_->InitialState(1);
     ag::Variable pooled_sum;
-    const int n = config_.padded_size;
     for (int t = 0; t < enc.num_snapshots(); ++t) {
       std::vector<CsrMatrix> ops;
       for (int k = 0; k < config_.cheb_order; ++k)
-        ops.push_back(
-            enc.snapshot_ops.RowBlock(enc.snapshot_ops_row(t) + k * n, n));
+        ops.push_back(enc.SnapshotOperator(t, k));
       const ag::Variable conv =
           ag::Relu(gl_conv_->ForwardPropagated(std::move(ops)));
       state = gl_lstm_->Step(ag::MeanRows(conv), state);
@@ -168,15 +166,19 @@ ag::Variable CascnModel::ForwardPooled(const CascadeSample& sample) {
     // The recorded steps hold the operators through aliasing pointers into
     // this encoding, which stays alive until their backward has run.
     const nn::SharedBasis basis(enc_ptr, &enc.cheb_basis);
-    const std::shared_ptr<const CsrMatrix> stack(enc_ptr, &enc.snapshot_ops);
+    const std::shared_ptr<const CsrMatrix> ops(enc_ptr, &enc.snapshot_ops);
     for (const nn::RnnState& state :
-         gru ? conv_gru_->RunRecorded(basis, stack, conv_gru_->InitialState())
-             : conv_lstm_->RunRecorded(basis, stack,
+         gru ? conv_gru_->RunRecorded(basis, ops, enc.snapshot_columns,
+                                      conv_gru_->InitialState())
+             : conv_lstm_->RunRecorded(basis, ops, enc.snapshot_columns,
                                        conv_lstm_->InitialState()))
       states.push_back(state.h);
   } else {
-    for (Tensor& h : gru ? conv_gru_->Run(enc.cheb_basis, enc.snapshot_ops)
-                         : conv_lstm_->Run(enc.cheb_basis, enc.snapshot_ops))
+    for (Tensor& h :
+         gru ? conv_gru_->Run(enc.cheb_basis, enc.snapshot_ops,
+                              enc.snapshot_columns)
+             : conv_lstm_->Run(enc.cheb_basis, enc.snapshot_ops,
+                               enc.snapshot_columns))
       states.push_back(ag::Variable::Leaf(std::move(h)));
   }
   ag::Variable sum;  // n x d_h accumulated over time (Eq. 17)

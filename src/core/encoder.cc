@@ -18,6 +18,11 @@ int DecayInterval(double time, double window, int num_intervals) {
   return static_cast<int>(m);
 }
 
+CsrMatrix EncodedCascade::SnapshotOperator(int t, int k) const {
+  const int n = snapshot_ops.cols();
+  return snapshot_ops.RowBlock(k * n, n, snapshot_columns[t]);
+}
+
 Result<EncodedCascade> EncodeCascade(const CascadeSample& sample,
                                      const CascnConfig& config) {
   EncodedCascade enc;
@@ -41,21 +46,23 @@ Result<EncodedCascade> EncodeCascade(const CascadeSample& sample,
       ScaleLaplacian(laplacian, enc.lambda_max, enc.active_n);
   enc.cheb_basis = ChebyshevBasis(scaled, config.cheb_order, enc.active_n);
 
-  // Snapshot sequence (Fig. 3), and every snapshot's operators T_k X_t in
-  // one pass.
+  // Snapshot sequence (Fig. 3), and one block of every snapshot's
+  // operators per order, T_k X for the whole prefix's adjacency X.
   std::vector<CascadeSnapshot> snapshots =
       BuildSnapshotSequence(cascade, config.MakeSnapshotOptions());
-  std::vector<CsrMatrix> adjacency;
-  adjacency.reserve(snapshots.size());
   enc.snapshot_signals.reserve(snapshots.size());
+  enc.snapshot_columns.reserve(snapshots.size());
   enc.decay_intervals.reserve(snapshots.size());
-  for (CascadeSnapshot& snap : snapshots) {
+  for (const CascadeSnapshot& snap : snapshots) {
     enc.snapshot_signals.push_back(snap.adjacency.ToDense());
+    enc.snapshot_columns.push_back(
+        {enc.snapshot_columns.empty() ? 0 : 1, snap.num_nodes});
     enc.decay_intervals.push_back(DecayInterval(
         snap.time, sample.observation_window, config.num_time_intervals));
-    adjacency.push_back(std::move(snap.adjacency));
   }
-  enc.snapshot_ops = StackedProducts(enc.cheb_basis, adjacency);
+  enc.snapshot_ops = StackedProducts(
+      enc.cheb_basis, cascade.AdjacencyMatrix(enc.active_n, config.padded_size,
+                                              /*root_self_loop=*/true));
   return enc;
 }
 

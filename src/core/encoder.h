@@ -7,9 +7,11 @@
 //
 // A graph convolution filters X_t as sum_k (T_k X_t) W_k (Eq. 12-14), and
 // T_k X_t is a constant of the sample too. The encoder builds it once, as
-// the sparse snapshot operators P_{t,k} = T_k X_t: X_t has a few nonzeros
-// per snapshot, so P is far smaller than a dense X_t, and every forward and
-// every epoch reads it instead of propagating X_t again.
+// sparse snapshot operators that every forward and every epoch reads
+// instead of propagating X_t again. The snapshots are prefixes of one
+// cascade and a node's column of X_t lists its parents, so the columns of
+// X_t agree across snapshots: one block per order, T_k X of the whole
+// prefix, holds every snapshot's P_{t,k} = T_k X_t as a column range.
 
 #ifndef CASCN_CORE_ENCODER_H_
 #define CASCN_CORE_ENCODER_H_
@@ -30,10 +32,18 @@ struct EncodedCascade {
   /// forward reads it: it is kept for callers that step a cell on a dense
   /// X_t, and CascnModel drops it before caching an encoding.
   std::vector<Tensor> snapshot_signals;
-  /// Snapshot operators P_{t,k} = T_k X_t (each n x n, exact zeros
-  /// dropped) for k = 0..K-1 of cheb_basis, stacked as row blocks of one
-  /// (T K n) x n matrix: P_{t,k} is rows [(t K + k) n, (t K + k + 1) n).
+  /// Snapshot operator blocks Q_k = T_k X for k = 0..K-1 of cheb_basis
+  /// (each n x n, exact zeros dropped), stacked as row blocks of one
+  /// (K n) x n matrix: Q_k is rows [k n, (k + 1) n). X is the adjacency of
+  /// the whole encoded prefix with the root's self-loop. Snapshot t's X_t
+  /// equals X on the columns snapshot_columns[t] and has no entries
+  /// elsewhere, so each row of P_{t,k} = T_k X_t is the run of that row of
+  /// Q_k in those columns: the same entries, values and order.
   CsrMatrix snapshot_ops;
+  /// The columns of snapshot_ops that snapshot t reads: [0, n_0) for the
+  /// first snapshot, the only one with the root's self-loop (column 0),
+  /// and [1, n_t) after it, for n_t the nodes snapshot t holds.
+  std::vector<ColumnRange> snapshot_columns;
   /// Time-decay interval index m(t_j) per snapshot, in [0, l).
   std::vector<int> decay_intervals;
   /// Chebyshev basis {T_0..T_{K-1}} of the scaled cascade Laplacian.
@@ -47,10 +57,8 @@ struct EncodedCascade {
   int num_snapshots() const {
     return static_cast<int>(decay_intervals.size());
   }
-  /// The first row of snapshot t's operators in snapshot_ops.
-  int snapshot_ops_row(int t) const {
-    return t * static_cast<int>(cheb_basis.size()) * snapshot_ops.cols();
-  }
+  /// Snapshot t's operator P_{t,k} = T_k X_t as its own n x n matrix.
+  CsrMatrix SnapshotOperator(int t, int k) const;
 };
 
 /// Encodes one sample under `config` (the variant selects directed vs.

@@ -23,7 +23,9 @@
 // as the oracle). Every gate filters the same T_k(L~) X_t and
 // T_k(L~) h_{t-1}. T_k X_t is a constant of the sample, so a step takes X_t
 // as its snapshot operators P_k = T_k X_t, built once by the encoder
-// (core/encoder.h) as sparse matrices, and propagates only h_{t-1}, once.
+// (core/encoder.h) as sparse matrices, one block per order that every
+// snapshot reads in its own column range, and propagates only h_{t-1},
+// once.
 // The gate filters are packed side by side so a step makes one product per
 // signal, summing every Chebyshev order's term in one row kernel with the
 // per-gate graph's arithmetic; and the gates are evaluated in one pointwise
@@ -71,12 +73,15 @@ namespace cascn::nn {
 /// the encoding is evicted first.
 using SharedBasis = std::shared_ptr<const std::vector<CsrMatrix>>;
 
-/// One snapshot's operators P_k = T_k X_t for k = 0..K-1: the K blocks of n
-/// rows from row `first_row` of `stack` (EncodedCascade::snapshot_ops stacks
-/// every snapshot's). Shared with its owner as SharedBasis is.
+/// One snapshot's operators P_k = T_k X_t for k = 0..K-1: row block k of
+/// `blocks` ((K n) x n, block k = T_k X), read in `columns`, where X equals
+/// X_t on those columns and X_t has no entries elsewhere.
+/// EncodedCascade::snapshot_ops is such a `blocks` for every snapshot of a
+/// sample, each in its own columns. Shared with its owner as SharedBasis
+/// is.
 struct SnapshotOperators {
-  std::shared_ptr<const CsrMatrix> stack;
-  int first_row = 0;
+  std::shared_ptr<const CsrMatrix> blocks;
+  ColumnRange columns;
 };
 
 namespace internal {
@@ -137,17 +142,19 @@ class GraphConvLstmCell : public Module {
                 const RnnState& prev) const;
 
   /// The same step over a dense snapshot signal `x` (n x n, needing no
-  /// gradient): builds P_k = T_k x and calls the step above. For callers
-  /// that hold a dense X_t.
+  /// gradient): builds P_k = T_k x, read in columns [0, n), and calls the
+  /// step above. For callers that hold a dense X_t.
   RnnState Step(const std::vector<CsrMatrix>& cheb_basis,
                 const ag::Variable& x, const RnnState& prev) const;
 
   /// Values-only run over a whole snapshot sequence from InitialState(),
-  /// given as every snapshot's operators stacked as EncodedCascade stacks
-  /// them (step t from row t K n): h_t for every step, bit-identical to a
-  /// Step loop. Rows no T_k reaches come from the padding table.
+  /// given as EncodedCascade holds its operators: step t reads the blocks
+  /// of `snapshot_ops` in columns[t], as SnapshotOperators{blocks,
+  /// columns[t]}. h_t for every step, bit-identical to a Step loop. Rows no
+  /// T_k reaches come from the padding table.
   std::vector<Tensor> Run(const std::vector<CsrMatrix>& cheb_basis,
-                          const CsrMatrix& snapshot_ops) const;
+                          const CsrMatrix& snapshot_ops,
+                          const std::vector<ColumnRange>& columns) const;
 
   /// Run's recorded counterpart, from `initial` (InitialState(), or a
   /// state whose leaves take a gradient): the state after every step, each
@@ -158,7 +165,7 @@ class GraphConvLstmCell : public Module {
   /// operators until the backward has run.
   std::vector<RnnState> RunRecorded(
       SharedBasis cheb_basis, std::shared_ptr<const CsrMatrix> snapshot_ops,
-      const RnnState& initial) const;
+      std::vector<ColumnRange> columns, const RnnState& initial) const;
 
   int num_nodes() const { return num_nodes_; }
   int hidden_dim() const { return hidden_dim_; }
@@ -192,11 +199,12 @@ class GraphConvGruCell : public Module {
                 const ag::Variable& x, const RnnState& prev) const;
   /// As GraphConvLstmCell::Run.
   std::vector<Tensor> Run(const std::vector<CsrMatrix>& cheb_basis,
-                          const CsrMatrix& snapshot_ops) const;
+                          const CsrMatrix& snapshot_ops,
+                          const std::vector<ColumnRange>& columns) const;
   /// As GraphConvLstmCell::RunRecorded.
   std::vector<RnnState> RunRecorded(
       SharedBasis cheb_basis, std::shared_ptr<const CsrMatrix> snapshot_ops,
-      const RnnState& initial) const;
+      std::vector<ColumnRange> columns, const RnnState& initial) const;
 
   int num_nodes() const { return num_nodes_; }
   int hidden_dim() const { return hidden_dim_; }
