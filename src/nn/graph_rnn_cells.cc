@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "nn/filter_kernels.h"
 #include "obs/trace.h"
 
 namespace cascn::nn {
@@ -56,12 +57,6 @@ int ReachedRows(const std::vector<CsrMatrix>& basis) {
   return reached;
 }
 
-/// dst (width) += v src.
-inline void AddScaledRow(double v, const double* __restrict src, int width,
-                         double* __restrict dst) {
-  for (int j = 0; j < width; ++j) dst[j] += v * src[j];
-}
-
 /// The filters of `convs` side by side, one block per Chebyshev order k:
 /// block k is in x (convs.size() * out), with conv g's W_k in columns
 /// [g * out, (g + 1) * out). A product against a block sums each element
@@ -82,129 +77,6 @@ std::vector<double> PackFilters(std::initializer_list<const ChebConv*> convs) {
     }
   }
   return packed;
-}
-
-/// Columns [c, c + kCols) of FilterRow's output row, summed in registers.
-/// (`total` starts zeroed only so the compiler can see it set: order >= 1,
-/// and order 0's sum overwrites it.) Weights and output go through
-/// pointers moved to column c, not w[c + i]: GCC rewrites the tile loop's
-/// test c + kCols <= width as c + kCols - 1 < width and reuses that sum as
-/// the last column's index, which the vectorizer then no longer sees next
-/// to the others, so each tile's last pair of columns went scalar.
-/// FilterTile and FilterRow are always inlined: left to GCC's limits
-/// (max-inline-insns-single, large-stack-frame-growth), FilterOperators
-/// once called both out of line and its product ran ~10% slower.
-template <int kCols, typename Entries>
-[[gnu::always_inline]] inline void FilterTile(int order, int c,
-                                              Entries& entries,
-                                              double* __restrict out) {
-  double total[kCols] = {};
-  for (int k = 0; k < order; ++k) {
-    double sum[kCols];
-    for (int i = 0; i < kCols; ++i) sum[i] = 0.0;
-    entries(k, [&](double a, const double* __restrict w) {
-      w += c;
-      for (int i = 0; i < kCols; ++i) sum[i] += a * w[i];
-    });
-    for (int i = 0; i < kCols; ++i)
-      total[i] = k == 0 ? sum[i] : total[i] + sum[i];
-  }
-  out += c;
-  for (int i = 0; i < kCols; ++i) out[i] = total[i];
-}
-
-/// The row kernel of every filter product: out (width) = sum_k sum_e
-/// a_{k,e} w_{k,e} over the `order` Chebyshev orders, for the entries
-/// `entries(k, add)` hands over in order as add(a, w), w a row of `width`
-/// weights. It is the tape ops' arithmetic, element by element: each
-/// order's sum starts at +0.0, as a product's zero-filled output does (so
-/// a first term of -0.0 adds to +0.0), adds the entries in the order they
-/// come, and the orders add in k order. Which coefficients to skip is the
-/// entries' choice: exactly those the tape op a product stands for skipped.
-/// Columns are summed 16, then 8, 4 and 1 at a time in registers across
-/// every entry of every order, and each output element is written once.
-/// Sixteen columns are eight SSE2 accumulators, enough independent adds to
-/// hide the add latency that four leave exposed, and they walk the entries
-/// once where 8-column tiles walk them twice.
-template <typename Entries>
-[[gnu::always_inline]] inline void FilterRow(int order, int width,
-                                             Entries&& entries,
-                                             double* __restrict out) {
-  int c = 0;
-  for (; c + 16 <= width; c += 16) FilterTile<16>(order, c, entries, out);
-  for (; c + 8 <= width; c += 8) FilterTile<8>(order, c, entries, out);
-  for (; c + 4 <= width; c += 4) FilterTile<4>(order, c, entries, out);
-  for (; c < width; ++c) FilterTile<1>(order, c, entries, out);
-}
-
-/// Rows [0, rows) of sum_k (T_k s) W_k into `out` (rows x width), for a
-/// signal s (n x in) and W_k block k of `packed`; `propagated` receives
-/// T_k s, block k of rows x in. Element by element it is the recorded ops'
-/// arithmetic: each row of T_k s gathers its CSR entries in order from
-/// zero (CsrMatrix::MatMulDense), and the product skips the zero entries
-/// of T_k s (MatMulAccum).
-void FilterRows(const std::vector<CsrMatrix>& basis, int rows,
-                const double* s, int in, const std::vector<double>& packed,
-                int width, double* out, std::vector<double>& propagated) {
-  const size_t block = static_cast<size_t>(rows) * in;
-  propagated.assign(basis.size() * block, 0.0);
-  for (size_t k = 0; k < basis.size(); ++k) {
-    const auto& offsets = basis[k].row_offsets();
-    const auto& cols = basis[k].col_indices();
-    const auto& vals = basis[k].values();
-    double* pk = propagated.data() + k * block;
-    for (int r = 0; r < rows; ++r) {
-      double* prow = pk + static_cast<size_t>(r) * in;
-      for (int e = offsets[r]; e < offsets[r + 1]; ++e)
-        AddScaledRow(vals[e], s + static_cast<size_t>(cols[e]) * in, in, prow);
-    }
-  }
-  const size_t filter = static_cast<size_t>(in) * width;
-  for (int r = 0; r < rows; ++r) {
-    const double* prow = propagated.data() + static_cast<size_t>(r) * in;
-    FilterRow(static_cast<int>(basis.size()), width,
-              [&](int k, auto&& add) {
-                const double* a = prow + k * block;
-                const double* w = packed.data() + k * filter;
-                for (int p = 0; p < in; ++p) {
-                  if (a[p] != 0.0)
-                    add(a[p], w + static_cast<size_t>(p) * width);
-                }
-              },
-              out + static_cast<size_t>(r) * width);
-  }
-}
-
-/// Rows [0, rows) of sum_k P_k W_k into `out` (rows x width), for the
-/// snapshot operators P_k = T_k X (n x n), block k of the `order` blocks of
-/// n rows of `ops` restricted to `columns`, and W_k block k of `packed`.
-/// It is FilterRows' product over X: a row of P_k holds, in ascending
-/// column order, exactly the nonzeros of that row of T_k X, which are the
-/// entries FilterRows' product does not skip, with the same values, so it
-/// skips none of them. `runs` is scratch.
-void FilterOperators(const CsrMatrix& ops, ColumnRange columns, int order,
-                     int rows, const std::vector<double>& packed, int width,
-                     std::vector<std::pair<int, int>>& runs, double* out) {
-  const int n = ops.cols();
-  const auto& cols = ops.col_indices();
-  const auto& vals = ops.values();
-  const size_t filter = static_cast<size_t>(n) * width;
-  // Row r of P_k is entries [runs[i].first, runs[i].second) of ops, for
-  // i = k rows + r.
-  runs.resize(static_cast<size_t>(order) * rows);
-  for (int k = 0; k < order; ++k)
-    for (int r = 0; r < rows; ++r)
-      runs[k * rows + r] = ops.EntriesIn(k * n + r, columns);
-  for (int r = 0; r < rows; ++r) {
-    FilterRow(order, width,
-              [&](int k, auto&& add) {
-                const std::pair<int, int> run = runs[k * rows + r];
-                const double* w = packed.data() + k * filter;
-                for (int e = run.first; e < run.second; ++e)
-                  add(vals[e], w + static_cast<size_t>(cols[e]) * width);
-              },
-              out + static_cast<size_t>(r) * width);
-  }
 }
 
 /// `basis` is T_0..T_{K-1} for K = `order`, each n x n.
@@ -324,8 +196,10 @@ class FusedLstm {
     const int width = 4 * d;
     xs_.resize(static_cast<size_t>(n) * width);
     hs_.resize(static_cast<size_t>(n) * width);
-    FilterOperators(ops, columns, order, rows, wx_, width, runs_, xs_.data());
-    FilterRows(basis, rows, h, d, wh_, width, hs_.data(), ph);
+    const FilterKernels& kernels = HostFilterKernels();
+    kernels.filter_operators(ops, columns, order, rows, wx_, width, runs_,
+                             xs_.data());
+    kernels.filter_rows(basis, rows, h, d, wh_, width, hs_.data(), ph);
   }
 
   /// The gates of rows [0, rows) after Filter. In one pass per element,
@@ -443,8 +317,10 @@ class FusedGru {
     hn_.resize(nd);
     z_.resize(nd);
     rh_.resize(nd);
-    FilterOperators(ops, columns, order, rows, wx_, 3 * d, runs_, xs_.data());
-    FilterRows(basis, rows, h, d, wh_, 2 * d, hs_.data(), ph);
+    const FilterKernels& kernels = HostFilterKernels();
+    kernels.filter_operators(ops, columns, order, rows, wx_, 3 * d, runs_,
+                             xs_.data());
+    kernels.filter_rows(basis, rows, h, d, wh_, 2 * d, hs_.data(), ph);
   }
 
   /// r, z and r (.) h. r (.) h is needed on every row T_k may read, so rows
@@ -472,7 +348,8 @@ class FusedGru {
   /// U_n *G (r (.) h) for rows [0, rows); T_k (r (.) h) of those rows
   /// stays in prh.
   void FilterReset(const std::vector<CsrMatrix>& basis, int rows) {
-    FilterRows(basis, rows, rh_.data(), d, wn_, d, hn_.data(), prh);
+    HostFilterKernels().filter_rows(basis, rows, rh_.data(), d, wn_, d,
+                                    hn_.data(), prh);
   }
 
   /// The candidate n and h_t for rows [0, rows).
@@ -597,71 +474,6 @@ Tensor& Shaped(Tensor& t, int rows, int cols) {
 /// The most gates a packed product serves.
 constexpr int kMaxGates = 4;
 
-/// out (in x width) = P^T A for P (rows x in) and A (rows x width, rows
-/// `stride` apart): MatMulTransposeA for every gate's block of A at once.
-/// Row i of out is FilterRow over the rows of P in ascending order,
-/// skipping P's zero entries. A caller may pass fewer rows than P has when
-/// the rest of P is zero.
-void ProductsTransposeA(const double* p, int rows, int in, const double* a,
-                        int stride, int width, double* out) {
-  for (int i = 0; i < in; ++i) {
-    FilterRow(1, width,
-              [&](int, auto&& add) {
-                for (int r = 0; r < rows; ++r) {
-                  const double x = p[static_cast<size_t>(r) * in + i];
-                  if (x != 0.0) add(x, a + static_cast<size_t>(r) * stride);
-                }
-              },
-              out + static_cast<size_t>(i) * width);
-  }
-}
-
-/// Rows [0, rows) of s = [a_0 W_0^T | ... | a_{count-1} W_{count-1}^T]
-/// (count d wide), for the gradients a_j side by side in `a` (rows `stride`
-/// apart) and W_j^T in wt[j]: MatMulTransposeB per gate. Block j of a row
-/// is FilterRow over the rows of W_j^T, p ascending, skipping nothing, as
-/// MatMulTransposeB's dot product adds them. The entries step a pointer
-/// along W_j^T rather than index it by p: GCC vectorizes a loop with an
-/// index along p, gathering every column's weights, where the pointer loop
-/// keeps the columns in vector registers and runs faster.
-void ProductsTransposeB(const double* a, int rows, int stride, int count,
-                        int d, const double* const* wt, double* s) {
-  const int width = count * d;
-  const size_t dd = static_cast<size_t>(d) * d;
-  for (int r = 0; r < rows; ++r)
-    for (int j = 0; j < count; ++j) {
-      const double* arow = a + static_cast<size_t>(r) * stride + j * d;
-      FilterRow(1, d,
-                [&](int, auto&& add) {
-                  const double* x = arow;
-                  for (const double* w = wt[j]; w != wt[j] + dd; w += d)
-                    add(*x++, w);
-                },
-                s + static_cast<size_t>(r) * width + j * d);
-    }
-}
-
-/// out (cols x width) = B^T s for B rows [first, first + rows) of t
-/// restricted to `columns` and s (rows x width, rows `stride` apart):
-/// CsrMatrix::TransposeMatMulDense, for the columns of every gate at once.
-/// For a snapshot operator P = T_k X it is MatMulTransposeA over the dense
-/// T_k X: each element adds the rows in ascending order, skipping exact
-/// zeros.
-void ScatterTranspose(const CsrMatrix& t, int first, int rows,
-                      ColumnRange columns, const double* s, int stride,
-                      int width, double* out) {
-  std::fill(out, out + static_cast<size_t>(t.cols()) * width, 0.0);
-  const auto& cols = t.col_indices();
-  const auto& vals = t.values();
-  for (int r = 0; r < rows; ++r) {
-    const double* srow = s + static_cast<size_t>(r) * stride;
-    const auto [begin, end] = t.EntriesIn(first + r, columns);
-    for (int e = begin; e < end; ++e)
-      AddScaledRow(vals[e], srow, width,
-                   out + static_cast<size_t>(cols[e]) * width);
-  }
-}
-
 /// Block j (rows x d) of `wide` (rows x width) into `out`.
 Tensor& Column(const double* wide, int rows, int width, int j, int d,
                Tensor& out) {
@@ -784,17 +596,18 @@ struct Sequence {
   /// P_k's entries.
   void InputFilterGrads(int t, const std::vector<ag::Variable>* w,
                         const double* a, int stride, int count) {
+    const FilterKernels& kernels = HostFilterKernels();
     const int width = count * d;
     for (int k = order - 1; k >= 0; --k) {
       if (count == 1) {
-        ScatterTranspose(*ops, k * n, n, columns[t], a, stride, d,
-                         Shaped(x_filter_, n, d).data());
+        kernels.scatter_transpose(*ops, k * n, n, columns[t], a, stride, d,
+                                  Shaped(x_filter_, n, d).data());
         ag::AccumulateGrad(w[0][k], x_filter_);
         continue;
       }
       wide_.resize(static_cast<size_t>(n) * width);
-      ScatterTranspose(*ops, k * n, n, columns[t], a, stride, width,
-                       wide_.data());
+      kernels.scatter_transpose(*ops, k * n, n, columns[t], a, stride, width,
+                                wide_.data());
       for (int j = 0; j < count; ++j)
         ag::AccumulateGrad(w[j][k],
                            Column(wide_.data(), n, width, j, d, x_filter_));
@@ -812,22 +625,25 @@ struct Sequence {
   void HiddenFilterGrads(const double* ps, const std::vector<ag::Variable>* w,
                          const double* wt, const double* a, int stride,
                          int count, double* to_signal) {
+    const FilterKernels& kernels = HostFilterKernels();
     const double* wt_k[kMaxGates];
     const int width = count * d;
     const size_t block = static_cast<size_t>(rows) * d;
     const size_t dd = static_cast<size_t>(d) * d;
     wide_.resize(static_cast<size_t>(std::max(rows, d)) * width);
     for (int k = order - 1; k >= 0; --k) {
-      ProductsTransposeA(ps + k * block, rows, d, a, stride, width,
-                         wide_.data());
+      kernels.products_transpose_a(ps + k * block, rows, d, a, stride, width,
+                                   wide_.data());
       for (int j = 0; j < count; ++j)
         ag::AccumulateGrad(w[j][k],
                            Column(wide_.data(), d, width, j, d, filter_));
       if (to_signal == nullptr) continue;
       for (int j = 0; j < count; ++j) wt_k[j] = wt + (j * order + k) * dd;
-      ProductsTransposeB(a, rows, stride, count, d, wt_k, wide_.data());
-      ScatterTranspose((*basis)[k], 0, rows, {0, n}, wide_.data(), width,
-                       width, to_signal + static_cast<size_t>(k) * n * width);
+      kernels.products_transpose_b(a, rows, stride, count, d, wt_k,
+                                   wide_.data());
+      kernels.scatter_transpose(
+          (*basis)[k], 0, rows, {0, n}, wide_.data(), width, width,
+          to_signal + static_cast<size_t>(k) * n * width);
     }
   }
 
