@@ -33,6 +33,11 @@ Result<int64_t> ParseInt64(std::string_view s);
 /// Parses a double; rejects trailing garbage.
 Result<double> ParseDouble(std::string_view s);
 
+/// Escapes `s` for the inside of a JSON string: quote and backslash get a
+/// backslash, \n \r \t their short forms, any other byte below 0x20 (NUL
+/// included) \u00XX. Bytes >= 0x80 pass through unchanged.
+std::string JsonEscape(std::string_view s);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -16,30 +16,6 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-// Minimal JSON string escape for the short tenant/session names; control
-// characters become \u00XX so a hostile name cannot break the dump format.
-std::string JsonEscape(std::string_view in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", static_cast<unsigned>(
-                                          static_cast<unsigned char>(c)));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string_view FlightOpName(FlightOp op) {
@@ -52,6 +28,18 @@ std::string_view FlightOpName(FlightOp op) {
     case FlightOp::kRoute: return "Route";
   }
   return "Unknown";
+}
+
+FlightRecord FlightRecord::Of(const RequestContext& ctx, int shard_id,
+                              FlightOp op, StatusCode status) {
+  FlightRecord record;
+  record.trace_id = ctx.trace_id;
+  record.shard_id = static_cast<int16_t>(shard_id);
+  record.op = op;
+  record.status = static_cast<uint8_t>(status);
+  record.set_tenant(ctx.tenant);
+  record.set_session(ctx.session_id);
+  return record;
 }
 
 FlightRecorder::FlightRecorder(size_t capacity)

@@ -7,7 +7,9 @@
 // rejected) appends one 72-byte record — trace id, tenant, session, shard,
 // queue wait, execution time, terminal status, and which fault points
 // fired — with no allocation, no lock, and no branching on an enable flag:
-// the recorder is ALWAYS on, which is the point of a black box.
+// the recorder is ALWAYS on, which is the point of a black box. The record
+// is also the request's one outcome record: ServeMetrics, the SLO tracker
+// and the circuit breakers all read the record the serving path built.
 //
 // On an anomaly trigger (load shed, deadline exceeded, shard crash, reload
 // rollback, handoff retry) the owner calls TriggerDump(reason) and the ring
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/request_context.h"
 
 namespace cascn::obs {
 
@@ -81,6 +84,11 @@ struct FlightRecord {
   uint16_t reserved = 0;
   char tenant[kNameCapacity] = {};
   char session[kNameCapacity] = {};
+
+  /// A record of `ctx`'s request (trace id, tenant, session) that ended
+  /// with `status` on `shard_id` (-1 = router level).
+  static FlightRecord Of(const RequestContext& ctx, int shard_id, FlightOp op,
+                         StatusCode status);
 
   void set_tenant(std::string_view value) { CopyName(tenant, value); }
   void set_session(std::string_view value) { CopyName(session, value); }

@@ -13,32 +13,6 @@ namespace cascn::obs {
 
 namespace {
 
-// JSON string escape for metric names in expositions. Names built with
-// EscapeLabelValue contain backslashes and quotes by construction (the
-// label escapes themselves), so the exposition must escape them again or
-// the emitted JSON is unparseable.
-std::string JsonEscapeName(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", static_cast<unsigned>(
-                                          static_cast<unsigned char>(c)));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Text exposition is line-oriented: a newline inside a name would split one
 // metric across lines. Quotes and backslashes stay as-is — label VALUES are
 // already escaped at name construction (EscapeLabelValue), and the text
@@ -298,6 +272,8 @@ std::string MetricsRegistry::TextSnapshot() const {
 }
 
 std::string MetricsRegistry::JsonSnapshot() const {
+  // Names built with EscapeLabelValue hold quotes and backslashes by
+  // construction, so every name is JSON-escaped again.
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream out;
   out << "{\"counters\": {";
@@ -305,14 +281,14 @@ std::string MetricsRegistry::JsonSnapshot() const {
   for (const auto& [name, counter] : counters_) {
     if (!first) out << ", ";
     first = false;
-    out << "\"" << JsonEscapeName(name) << "\": " << counter->value();
+    out << "\"" << JsonEscape(name) << "\": " << counter->value();
   }
   out << "}, \"gauges\": {";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     if (!first) out << ", ";
     first = false;
-    out << "\"" << JsonEscapeName(name)
+    out << "\"" << JsonEscape(name)
         << "\": " << StrFormat("%.6g", gauge->value());
   }
   out << "}, \"histograms\": {";
@@ -320,7 +296,7 @@ std::string MetricsRegistry::JsonSnapshot() const {
   for (const auto& [name, histogram] : histograms_) {
     if (!first) out << ", ";
     first = false;
-    out << "\"" << JsonEscapeName(name)
+    out << "\"" << JsonEscape(name)
         << "\": " << histogram->TakeSnapshot().ToJson();
   }
   out << "}}";

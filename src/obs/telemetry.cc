@@ -6,45 +6,10 @@
 
 namespace cascn::obs {
 
-namespace {
-
-std::string EscapeJson(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void JsonObjectBuilder::AddKey(std::string_view key) {
   if (!body_.empty()) body_ += ", ";
   body_ += "\"";
-  body_ += EscapeJson(key);
+  body_ += JsonEscape(key);
   body_ += "\": ";
 }
 
@@ -80,7 +45,7 @@ JsonObjectBuilder& JsonObjectBuilder::Add(std::string_view key,
                                           std::string_view value) {
   AddKey(key);
   body_ += "\"";
-  body_ += EscapeJson(value);
+  body_ += JsonEscape(value);
   body_ += "\"";
   return *this;
 }

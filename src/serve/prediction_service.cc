@@ -150,16 +150,11 @@ void PredictionService::Shutdown() {
     drained.swap(queue_);
     queue_depth_.Set(0.0);
   }
-  for (Queued& request : drained) {
-    ServeResponse response;
-    response.status = Status::Unavailable(
-        "service shut down before executing this request (drained from "
-        "queue by Shutdown)");
-    response.trace_id = request.ctx.trace_id;
-    metrics_.Increment(Counter::kShutdownDrained);
-    RecordOutcome(request, response.status, 0, 0, 0);
-    request.promise.set_value(std::move(response));
-  }
+  for (Queued& request : drained)
+    Finish(request,
+           {Status::Unavailable("service shut down before executing this "
+                                "request (drained from queue by Shutdown)")},
+           End::kDrained);
   metrics_.SetHealth(Health::kUnhealthy);
   {
     std::lock_guard<std::mutex> lock(shutdown_mutex_);
@@ -168,29 +163,49 @@ void PredictionService::Shutdown() {
   shutdown_cv_.notify_all();
 }
 
-void PredictionService::RecordOutcome(const Queued& request,
-                                      const Status& status,
-                                      uint64_t queue_wait_ns,
-                                      uint64_t exec_ns,
-                                      uint16_t fault_bits) {
-  obs::FlightRecord record;
-  record.trace_id = request.ctx.trace_id;
-  record.queue_wait_ns = queue_wait_ns;
-  record.exec_ns = exec_ns;
-  record.shard_id = static_cast<int16_t>(options_.shard_id);
+void PredictionService::Finish(Queued& request, ServeResponse response,
+                               End end, Clock::time_point dequeue,
+                               Clock::time_point start, uint16_t fault_bits) {
+  obs::FlightOp op = obs::FlightOp::kUnknown;
   switch (request.op) {
-    case Request::Op::kCreate: record.op = obs::FlightOp::kCreate; break;
-    case Request::Op::kAppend: record.op = obs::FlightOp::kAppend; break;
-    case Request::Op::kPredict: record.op = obs::FlightOp::kPredict; break;
-    case Request::Op::kClose: record.op = obs::FlightOp::kClose; break;
+    case Request::Op::kCreate: op = obs::FlightOp::kCreate; break;
+    case Request::Op::kAppend: op = obs::FlightOp::kAppend; break;
+    case Request::Op::kPredict: op = obs::FlightOp::kPredict; break;
+    case Request::Op::kClose: op = obs::FlightOp::kClose; break;
   }
-  record.status = static_cast<uint8_t>(status.code());
+  obs::FlightRecord record = obs::FlightRecord::Of(
+      request.ctx, options_.shard_id, op, response.status.code());
   record.fault_bits = fault_bits;
-  record.set_tenant(request.ctx.tenant);
-  record.set_session(request.ctx.session_id);
+  const auto ns = [](Clock::duration d) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  };
+  const bool deadline_exceeded =
+      end == End::kRan &&
+      response.status.code() == StatusCode::kDeadlineExceeded;
+  switch (end) {
+    case End::kRan:
+      record.queue_wait_ns = ns(dequeue - request.enqueue_time);
+      record.exec_ns = ns(Clock::now() - start);
+      metrics_.RecordLatencyMicros(record.exec_ns / 1000);
+      if (!response.status.ok()) metrics_.Increment(Counter::kErrors);
+      if (deadline_exceeded) metrics_.Increment(Counter::kDeadlineExceeded);
+      break;
+    case End::kRejected:
+      metrics_.Increment(Counter::kRequestsRejected);
+      break;
+    case End::kDrained:
+      metrics_.Increment(Counter::kShutdownDrained);
+      break;
+  }
+  // Everything is recorded before the promise is fulfilled, so a caller
+  // that waits on the future observes the record (and any anomaly dump)
+  // already written.
   flight_.Append(record);
-  if (options_.on_complete)
-    options_.on_complete(request.ctx, status, exec_ns / 1000);
+  if (options_.on_complete) options_.on_complete(request.ctx, record);
+  if (deadline_exceeded) flight_.TriggerDump("deadline_exceeded");
+  response.trace_id = request.ctx.trace_id;
+  request.promise.set_value(std::move(response));
 }
 
 Result<std::future<ServeResponse>> PredictionService::Submit(
@@ -210,23 +225,17 @@ Result<std::future<ServeResponse>> PredictionService::Submit(
                 request.parent_node,
                 request.time,
                 std::move(ctx),
-                std::chrono::steady_clock::now(),
+                Clock::now(),
                 {}};
   std::future<ServeResponse> future = queued.promise.get_future();
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
-    if (shutting_down_) {
-      metrics_.Increment(Counter::kRequestsRejected);
+    if (shutting_down_ || queue_.size() >= options_.queue_capacity) {
+      const Status status =
+          Status::Unavailable(shutting_down_ ? "service is shutting down"
+                                             : "request queue is full");
       lock.unlock();
-      const Status status = Status::Unavailable("service is shutting down");
-      RecordOutcome(queued, status, 0, 0, 0);
-      return status;
-    }
-    if (queue_.size() >= options_.queue_capacity) {
-      metrics_.Increment(Counter::kRequestsRejected);
-      lock.unlock();
-      const Status status = Status::Unavailable("request queue is full");
-      RecordOutcome(queued, status, 0, 0, 0);
+      Finish(queued, {status}, End::kRejected);
       return status;
     }
     queue_.push_back(std::move(queued));
@@ -244,7 +253,7 @@ ServeResponse Wait(Result<std::future<ServeResponse>> submitted) {
 
 ServeResponse PredictionService::Execute(const Queued& request,
                                          CascadeRegressor& model,
-                                         uint16_t* fault_bits) {
+                                         uint16_t& fault_bits) {
   const char* span_name = "serve_request";
   switch (request.op) {
     case Request::Op::kCreate:
@@ -274,12 +283,11 @@ ServeResponse PredictionService::Execute(const Queued& request,
                                           request.parent_node, request.time);
       break;
     case Request::Op::kPredict: {
-      if (fault::MaybeDelay(kFaultServeSlowPredict) && fault_bits != nullptr)
-        *fault_bits |= obs::kFaultBitSlowPredict;
+      if (fault::MaybeDelay(kFaultServeSlowPredict))
+        fault_bits |= obs::kFaultBitSlowPredict;
       if (!options_.extra_predict_fault_point.empty() &&
-          fault::MaybeDelay(options_.extra_predict_fault_point) &&
-          fault_bits != nullptr)
-        *fault_bits |= obs::kFaultBitExtraPredict;
+          fault::MaybeDelay(options_.extra_predict_fault_point))
+        fault_bits |= obs::kFaultBitExtraPredict;
       auto prediction = sessions_->PredictLog(session_id, model);
       if (prediction.ok()) {
         response.log_prediction = prediction.value();
@@ -293,7 +301,6 @@ ServeResponse PredictionService::Execute(const Queued& request,
       response.status = sessions_->Close(session_id);
       break;
   }
-  if (!response.status.ok()) metrics_.Increment(Counter::kErrors);
   return response;
 }
 
@@ -323,7 +330,7 @@ void PredictionService::WorkerLoop(int worker_index) {
       std::lock_guard<std::mutex> lock(models_mutex_);
       model = models_[static_cast<size_t>(worker_index)];
     }
-    const auto dequeue_time = std::chrono::steady_clock::now();
+    const auto dequeue_time = Clock::now();
     obs::Tracer& tracer = obs::Tracer::Get();
     if (tracer.enabled()) {
       // Queue-wait spans land in the worker's buffer and step the request's
@@ -341,13 +348,8 @@ void PredictionService::WorkerLoop(int worker_index) {
                          static_cast<uint64_t>(batch.size()));
     }
     for (Queued& request : batch) {
-      const auto start = std::chrono::steady_clock::now();
-      const uint64_t queue_wait_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              dequeue_time - request.enqueue_time)
-              .count());
+      const auto start = Clock::now();
       uint16_t fault_bits = 0;
-      bool deadline_exceeded = false;
       ServeResponse response;
       if (request.ctx.has_deadline && start > request.ctx.deadline) {
         // Fail fast: the caller has already given up; executing now would
@@ -355,23 +357,11 @@ void PredictionService::WorkerLoop(int worker_index) {
         response.status = Status::DeadlineExceeded(
             "deadline expired before execution for session " +
             request.ctx.session_id);
-        metrics_.Increment(Counter::kDeadlineExceeded);
-        metrics_.Increment(Counter::kErrors);
-        deadline_exceeded = true;
       } else {
-        response = Execute(request, *model, &fault_bits);
+        response = Execute(request, *model, fault_bits);
       }
-      const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start);
-      metrics_.RecordLatencyMicros(static_cast<uint64_t>(elapsed.count()));
-      response.trace_id = request.ctx.trace_id;
-      // Record before fulfilling the promise so a caller that waits on the
-      // future observes the flight record (and any anomaly dump) already
-      // written.
-      RecordOutcome(request, response.status, queue_wait_ns,
-                    static_cast<uint64_t>(elapsed.count()) * 1000, fault_bits);
-      if (deadline_exceeded) flight_.TriggerDump("deadline_exceeded");
-      request.promise.set_value(std::move(response));
+      Finish(request, std::move(response), End::kRan, dequeue_time, start,
+             fault_bits);
       // One beat per terminal request: the watchdog reads this as "the
       // drain loop is alive". Stamped after completion, so a request stuck
       // inside Execute() reads as a stall, not progress.

@@ -88,13 +88,14 @@ struct ServiceOptions {
   /// reload rollback); empty disables anomaly dumps (the ring still runs).
   std::string flight_dump_path;
   /// Invoked once per terminal request outcome — worker completion, enqueue
-  /// rejection, or shutdown drain — with the request's context, terminal
-  /// status, and execution latency (0 for requests never executed). The
-  /// cluster layer feeds per-tenant SLIs from this. May be called from
-  /// worker threads and from Shutdown(); must not call back into the
-  /// service and must outlive it.
-  std::function<void(const obs::RequestContext&, const Status&,
-                     uint64_t latency_us)>
+  /// rejection, or shutdown drain — with the request's context and the
+  /// flight record the service just appended to its ring: status, fault
+  /// bits, queue wait and execution time in ns (both 0 for a request that
+  /// never ran). The context carries the full tenant name, which the record
+  /// truncates. The cluster layer feeds per-tenant SLIs and the shard's
+  /// circuit breaker from this. May be called from worker threads and from
+  /// Shutdown(); must not call back into the service and must outlive it.
+  std::function<void(const obs::RequestContext&, const obs::FlightRecord&)>
       on_complete;
   SessionManagerOptions sessions;
 };
@@ -266,6 +267,8 @@ class PredictionService {
   void RegisterDebugEndpoints(obs::DebugServer& server);
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   /// A request on the queue: the op's payload plus its context, which holds
   /// the session id and the deadline.
   struct Queued {
@@ -274,9 +277,13 @@ class PredictionService {
     int parent_node = 0;
     double time = 0.0;
     obs::RequestContext ctx;
-    std::chrono::steady_clock::time_point enqueue_time;
+    Clock::time_point enqueue_time;
     std::promise<ServeResponse> promise;
   };
+
+  /// How a request left the service: run by a worker, turned away at the
+  /// queue, or failed by Shutdown while still queued.
+  enum class End { kRan, kRejected, kDrained };
 
   explicit PredictionService(const ServiceOptions& options);
 
@@ -289,16 +296,19 @@ class PredictionService {
       const std::string& checkpoint_path, const ServiceOptions& options,
       ServeMetrics* metrics);
 
-  /// `fault_bits` (may be null) accumulates FlightFault bits for the fault
-  /// points that fired while executing this request.
+  /// `fault_bits` accumulates FlightFault bits for the fault points that
+  /// fired while executing this request.
   ServeResponse Execute(const Queued& request, CascadeRegressor& model,
-                        uint16_t* fault_bits);
+                        uint16_t& fault_bits);
   void WorkerLoop(int worker_index);
-  /// Appends the request's flight record and reports the terminal outcome
-  /// through ServiceOptions::on_complete.
-  void RecordOutcome(const Queued& request, const Status& status,
-                     uint64_t queue_wait_ns, uint64_t exec_ns,
-                     uint16_t fault_bits);
+  /// The one end of every request. Builds its flight record (a request that
+  /// ran was dequeued at `dequeue`, started at `start` and ends now), updates
+  /// ServeMetrics from it, appends it to the ring, reports it through
+  /// ServiceOptions::on_complete, then stamps the response's trace id and
+  /// fulfils the promise.
+  void Finish(Queued& request, ServeResponse response, End end,
+              Clock::time_point dequeue = {}, Clock::time_point start = {},
+              uint16_t fault_bits = 0);
 
   ServiceOptions options_;
   ServeMetrics metrics_;

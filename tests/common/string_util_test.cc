@@ -82,6 +82,17 @@ TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("").ok());
 }
 
+TEST(JsonEscapeTest, PinsEveryEscape) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(JsonEscape("\x01\x1f"), "\\u0001\\u001f");
+  EXPECT_EQ(JsonEscape(std::string_view("a\0b", 3)), "a\\u0000b");
+  // UTF-8 and any other high byte pass through as they are.
+  EXPECT_EQ(JsonEscape("\xc3\xa9\x80\xff"), "\xc3\xa9\x80\xff");
+  EXPECT_EQ(JsonEscape(""), "");
+}
+
 TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");
