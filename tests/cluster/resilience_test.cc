@@ -292,7 +292,6 @@ class ResilienceRouterTest : public ::testing::Test {
     options.num_shards = shards;
     options.shard.num_workers = 2;
     options.shard.sessions.observation_window = 60.0;
-    options.handoff_dir = ::testing::TempDir();
     options.resilience.enabled = resilient;
     return options;
   }
