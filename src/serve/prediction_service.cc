@@ -164,8 +164,8 @@ void PredictionService::Shutdown() {
 }
 
 void PredictionService::Finish(Queued& request, ServeResponse response,
-                               End end, Clock::time_point dequeue,
-                               Clock::time_point start, uint16_t fault_bits) {
+                               End end, Clock::time_point start,
+                               uint16_t fault_bits) {
   obs::FlightOp op = obs::FlightOp::kUnknown;
   switch (request.op) {
     case Request::Op::kCreate: op = obs::FlightOp::kCreate; break;
@@ -185,7 +185,7 @@ void PredictionService::Finish(Queued& request, ServeResponse response,
       response.status.code() == StatusCode::kDeadlineExceeded;
   switch (end) {
     case End::kRan:
-      record.queue_wait_ns = ns(dequeue - request.enqueue_time);
+      record.queue_wait_ns = ns(start - request.enqueue_time);
       record.exec_ns = ns(Clock::now() - start);
       metrics_.RecordLatencyMicros(record.exec_ns / 1000);
       if (!response.status.ok()) metrics_.Increment(Counter::kErrors);
@@ -330,11 +330,13 @@ void PredictionService::WorkerLoop(int worker_index) {
       std::lock_guard<std::mutex> lock(models_mutex_);
       model = models_[static_cast<size_t>(worker_index)];
     }
-    const auto dequeue_time = Clock::now();
     obs::Tracer& tracer = obs::Tracer::Get();
     if (tracer.enabled()) {
       // Queue-wait spans land in the worker's buffer and step the request's
       // flow chain: enqueue (client thread) -> queue wait -> execute (here).
+      // A span ends at the batch's dequeue; the flight record's queue wait
+      // runs on to the request's own start.
+      const auto dequeue_time = Clock::now();
       for (const Queued& request : batch)
         tracer.RecordSpan("serve_queue_wait", request.enqueue_time,
                           dequeue_time, request.ctx.trace_id,
@@ -360,8 +362,7 @@ void PredictionService::WorkerLoop(int worker_index) {
       } else {
         response = Execute(request, *model, fault_bits);
       }
-      Finish(request, std::move(response), End::kRan, dequeue_time, start,
-             fault_bits);
+      Finish(request, std::move(response), End::kRan, start, fault_bits);
       // One beat per terminal request: the watchdog reads this as "the
       // drain loop is alive". Stamped after completion, so a request stuck
       // inside Execute() reads as a stall, not progress.

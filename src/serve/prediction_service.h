@@ -302,13 +302,13 @@ class PredictionService {
                         uint16_t& fault_bits);
   void WorkerLoop(int worker_index);
   /// The one end of every request. Builds its flight record (a request that
-  /// ran was dequeued at `dequeue`, started at `start` and ends now), updates
+  /// ran started at `start` and ends now; it waited from its enqueue to
+  /// `start`, behind its micro-batch's earlier members too), updates
   /// ServeMetrics from it, appends it to the ring, reports it through
   /// ServiceOptions::on_complete, then stamps the response's trace id and
   /// fulfils the promise.
   void Finish(Queued& request, ServeResponse response, End end,
-              Clock::time_point dequeue = {}, Clock::time_point start = {},
-              uint16_t fault_bits = 0);
+              Clock::time_point start = {}, uint16_t fault_bits = 0);
 
   ServiceOptions options_;
   ServeMetrics metrics_;

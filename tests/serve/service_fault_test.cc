@@ -164,6 +164,51 @@ TEST_F(ServiceFaultTest, DuplicatePredictsInABatchAreComputedOnce) {
   std::remove(path.c_str());
 }
 
+// A request's queue wait runs to its own start, so a micro-batch member's
+// wait covers the batch-mates executed before it, and queue wait + exec is
+// its whole time in the service.
+TEST_F(ServiceFaultTest, QueueWaitCoversTheBatchMatesAhead) {
+  const std::string path = TempPath("batch_wait");
+  WriteTestCheckpoint(path, 2.0);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.extra_predict_fault_point = "test.hold_worker";
+  auto service = PredictionService::CreateFromCheckpoint(options, path);
+  ASSERT_TRUE(service.ok()) << service.status();
+  for (const char* id : {"held", "a", "b"})
+    ASSERT_TRUE(
+        Wait(service.value()->Submit(Request::Create(id, 1))).status.ok());
+  // The held predict takes 40 ms; then "a" takes 200 ms while "b" waits
+  // behind it in the same batch.
+  ASSERT_TRUE(fault::FaultRegistry::Get()
+                  .Configure("test.hold_worker=nth:1@40," +
+                             std::string(kFaultServeSlowPredict) +
+                             "=nth:2@200")
+                  .ok());
+  auto held = service.value()->Submit(Request::Predict("held"));
+  while (service.value()->queue_depth() > 0) std::this_thread::yield();
+  auto a = service.value()->Submit(Request::Predict("a"));
+  auto b = service.value()->Submit(Request::Predict("b"));
+  EXPECT_TRUE(Wait(std::move(held)).status.ok());
+  EXPECT_TRUE(Wait(std::move(a)).status.ok());
+  EXPECT_TRUE(Wait(std::move(b)).status.ok());
+  ASSERT_EQ(service.value()->metrics().TakeSnapshot().counter(
+                Counter::kBatches),
+            1u);
+
+  const std::vector<obs::FlightRecord> records =
+      service.value()->flight_recorder().Snapshot();
+  ASSERT_EQ(records.size(), 6u);
+  const obs::FlightRecord& earlier = records[4];
+  const obs::FlightRecord& later = records[5];
+  ASSERT_EQ(std::string(earlier.session), "a");
+  ASSERT_EQ(std::string(later.session), "b");
+  EXPECT_GE(earlier.exec_ns, uint64_t{200'000'000});
+  EXPECT_GE(later.queue_wait_ns, earlier.exec_ns);
+  service.value()->Shutdown();
+  std::remove(path.c_str());
+}
+
 TEST_F(ServiceFaultTest, TransientLoadFailureIsRetriedAway) {
   const std::string path = TempPath("retry");
   WriteTestCheckpoint(path, 2.0);
