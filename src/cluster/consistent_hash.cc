@@ -31,11 +31,6 @@ uint64_t HashRing::HashKey(std::string_view key) {
   return Mix64(h);
 }
 
-HashRing::HashRing(const HashRingOptions& options) : options_(options) {
-  CASCN_CHECK(options.vnodes_per_shard >= 1);
-  CASCN_CHECK(options.load_factor > 1.0);
-}
-
 void HashRing::SetShards(const std::vector<int>& shard_ids) {
   shard_ids_ = shard_ids;
   std::sort(shard_ids_.begin(), shard_ids_.end());
@@ -43,9 +38,9 @@ void HashRing::SetShards(const std::vector<int>& shard_ids) {
                    shard_ids_.end());
   points_.clear();
   points_.reserve(shard_ids_.size() *
-                  static_cast<size_t>(options_.vnodes_per_shard));
+                  static_cast<size_t>(kVnodesPerShard));
   for (int shard : shard_ids_) {
-    for (int v = 0; v < options_.vnodes_per_shard; ++v) {
+    for (int v = 0; v < kVnodesPerShard; ++v) {
       // Mixing the pre-mixed shard hash with the vnode index decorrelates
       // the point sets of adjacent shard ids.
       const uint64_t point =
@@ -75,7 +70,7 @@ int HashRing::PickShard(
   uint64_t total = 0;
   for (int shard : shard_ids_) total += load_of(shard);
   const uint64_t bound = static_cast<uint64_t>(std::ceil(
-      options_.load_factor * static_cast<double>(total + 1) /
+      kLoadFactor * static_cast<double>(total + 1) /
       static_cast<double>(shard_ids_.size())));
 
   // Walk the ring from the owner, considering each distinct shard once.

@@ -1,7 +1,7 @@
 // Consistent hashing of session keys onto shards, with the bounded-load
 // variant for placement.
 //
-// The ring holds `vnodes_per_shard` pseudo-random points per shard (a
+// The ring holds kVnodesPerShard pseudo-random points per shard (a
 // splitmix64 hash of (shard id, vnode index)); a key belongs to the shard
 // owning the first ring point at or after the key's hash. Two properties
 // make this the right router for session-keyed serving:
@@ -16,8 +16,8 @@
 // Bounded load (PickShard): pure ring ownership can transiently overload
 // one shard (hot key ranges). Following "Consistent Hashing with Bounded
 // Loads" (Mirrokni et al.), placement walks the ring from the owner and
-// skips shards already at ceil(load_factor * (total + 1) / N) of the
-// current load, so no shard ever exceeds load_factor times the mean. The
+// skips shards already at ceil(kLoadFactor * (total + 1) / N) of the
+// current load, so no shard ever exceeds kLoadFactor times the mean. The
 // walk is deterministic given the load vector; the caller (ShardRouter)
 // pins the session to the picked shard so later requests need no load
 // information.
@@ -32,19 +32,15 @@
 
 namespace cascn::cluster {
 
-struct HashRingOptions {
-  /// Virtual nodes per shard; more vnodes = tighter balance, larger ring.
-  int vnodes_per_shard = 256;
-  /// Bounded-load factor c: no shard's load may exceed
-  /// ceil(c * (total_load + 1) / num_shards). Must be > 1.
-  double load_factor = 1.25;
-};
-
 /// Hash ring over a set of integer shard ids. Not thread-safe; the owner
 /// (ShardRouter) guards it with its routing lock.
 class HashRing {
  public:
-  explicit HashRing(const HashRingOptions& options = {});
+  /// Virtual nodes per shard; more vnodes = tighter balance, larger ring.
+  static constexpr int kVnodesPerShard = 256;
+  /// Bounded-load factor c (> 1): no shard's load may exceed
+  /// ceil(c * (total_load + 1) / num_shards).
+  static constexpr double kLoadFactor = 1.25;
 
   /// Rebuilds the ring over `shard_ids` (duplicates ignored).
   void SetShards(const std::vector<int>& shard_ids);
@@ -76,7 +72,6 @@ class HashRing {
   /// Index into points_ of the first point at or after `hash` (wrapping).
   size_t FirstPointAtOrAfter(uint64_t hash) const;
 
-  HashRingOptions options_;
   std::vector<int> shard_ids_;   // sorted, unique
   std::vector<Point> points_;    // sorted by hash
 };

@@ -440,34 +440,30 @@ int ShardSupervisor::PollOnce() {
   // 1. Wedge detection: a shard whose watchdog-stall latch holds for
   //    `wedged_polls` consecutive passes is force-crashed; the crash path
   //    below then schedules its restart like any other dead shard.
-  if (options_.restart_wedged) {
-    const std::vector<int> wedged = router_.WatchdogWedgedShardIds();
-    std::vector<int> to_kill;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (auto it = wedged_counts_.begin(); it != wedged_counts_.end();) {
-        if (std::find(wedged.begin(), wedged.end(), it->first) ==
-            wedged.end()) {
-          it = wedged_counts_.erase(it);  // recovered on its own
-        } else {
-          ++it;
-        }
-      }
-      for (int shard_id : wedged) {
-        if (++wedged_counts_[shard_id] >= options_.wedged_polls) {
-          to_kill.push_back(shard_id);
-          wedged_counts_.erase(shard_id);
-        }
+  const std::vector<int> wedged = router_.WatchdogWedgedShardIds();
+  std::vector<int> to_kill;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto it = wedged_counts_.begin(); it != wedged_counts_.end();) {
+      if (std::find(wedged.begin(), wedged.end(), it->first) == wedged.end()) {
+        it = wedged_counts_.erase(it);  // recovered on its own
+      } else {
+        ++it;
       }
     }
-    for (int shard_id : to_kill) {
-      CASCN_LOG(WARNING) << "supervisor: shard " << shard_id
-                         << " wedged (watchdog stall held "
-                         << options_.wedged_polls
-                         << " polls); force-restarting";
-      router_.CrashShard(shard_id);
-      wedge_kills_.fetch_add(1, std::memory_order_relaxed);
+    for (int shard_id : wedged) {
+      if (++wedged_counts_[shard_id] >= options_.wedged_polls) {
+        to_kill.push_back(shard_id);
+        wedged_counts_.erase(shard_id);
+      }
     }
+  }
+  for (int shard_id : to_kill) {
+    CASCN_LOG(WARNING) << "supervisor: shard " << shard_id
+                       << " wedged (watchdog stall held "
+                       << options_.wedged_polls << " polls); force-restarting";
+    router_.CrashShard(shard_id);
+    wedge_kills_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // 2. Schedule newly-observed crashes and collect due restart attempts.

@@ -329,8 +329,6 @@ struct SupervisorOptions {
   /// Consecutive polls a shard must hold its watchdog-stall latch before
   /// the supervisor force-crashes (and then restarts) it.
   int wedged_polls = 3;
-  /// Whether wedged-but-alive shards are force-restarted at all.
-  bool restart_wedged = true;
   /// Time source; tests inject a fake clock to assert the exact schedule.
   std::function<std::chrono::steady_clock::time_point()> clock;
 };

@@ -1,6 +1,6 @@
 // Sealed frames: the one binary codec behind everything this project
-// persists or ships between processes — model checkpoints, trainer state,
-// session blobs and shard handoff files.
+// persists or moves between shards — model checkpoints, trainer state and
+// session blobs.
 //
 // A sealed frame is
 //

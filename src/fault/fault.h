@@ -153,7 +153,7 @@ Status InjectStatus(std::string_view point);
 /// OK unless `point` fires, in which case it simulates a crash part-way
 /// through an atomic write (common/file_util.h) of `bytes` to `path`: the
 /// first half lands under the temp name `path`.tmp, `path` is untouched,
-/// and the IoError names `what` ("checkpoint", "handoff").
+/// and the IoError names `what` (e.g. "checkpoint").
 Status InjectTornWrite(std::string_view point, std::string_view what,
                        const std::string& path, const std::string& bytes);
 

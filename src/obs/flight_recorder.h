@@ -12,9 +12,9 @@
 // and the circuit breakers all read the record the serving path built.
 //
 // On an anomaly trigger (load shed, deadline exceeded, shard crash, reload
-// rollback, handoff retry) the owner calls TriggerDump(reason) and the ring
-// contents are appended to a JSON-lines file: one header object naming the
-// reason, then one object per record, oldest first. Demo and bench binaries
+// rollback) the owner calls TriggerDump(reason) and the ring contents are
+// appended to a JSON-lines file: one header object naming the reason, then
+// one object per record, oldest first. Demo and bench binaries
 // can also dump on demand. Dumps are rate-limited only by the caller; the
 // append path never blocks on a dump in progress — a record being written
 // while the dump reads its slot is simply skipped (its seqlock is odd).

@@ -21,10 +21,11 @@
 // of silently losing it. Create() on a spilled id discards the blob (an
 // explicit re-create is a new cascade).
 //
-// Handoff: Serialize()/Deserialize() export one session's full history as
+// Moving: Serialize()/Deserialize() export one session's full history as
 // LiveCascade's self-validating binary blob and rebuild it elsewhere — the
-// unit the cluster layer moves between shards during rebalance. Extract()
-// is the remove-and-serialize variant used by a draining shard.
+// unit the cluster layer moves between its in-process shards, in memory,
+// during a rebalance. Extract() is the remove-and-serialize variant the
+// move uses on the source shard.
 
 #ifndef CASCN_SERVE_SESSION_MANAGER_H_
 #define CASCN_SERVE_SESSION_MANAGER_H_
@@ -117,13 +118,13 @@ class SessionManager {
   /// capacity/eviction rules as Create().
   Status Deserialize(const std::string& session_id, const std::string& blob);
 
-  /// Serialize() + remove in one step — the draining side of a shard
-  /// handoff. Unavailable if an operation is currently inside the session.
+  /// Serialize() + remove in one step — the source side of a session move.
+  /// Unavailable if an operation is currently inside the session.
   Result<std::string> Extract(const std::string& session_id);
 
   /// Ids of every session the manager holds state for — live sessions plus
-  /// spilled ones (unspecified order). The drain loop of a shard handoff
-  /// iterates this and Extract()s each id, so spilled histories move too.
+  /// spilled ones (unspecified order). A shard drain iterates this and
+  /// Extract()s each id, so spilled histories move too.
   std::vector<std::string> SessionIds() const;
 
   /// Live session count.
