@@ -537,42 +537,41 @@ ServeResponse ShardRouter::ResolvePredictResilient(
   return response;
 }
 
-Status ShardRouter::WaitQueuePassed(
+Status ShardRouter::WaitRequestsFinished(
     PredictionService& service,
     std::chrono::steady_clock::time_point deadline) const {
-  const auto total_enqueued = [&service] {
-    return service.metrics().TakeSnapshot().counter(
-        serve::Counter::kRequestsTotal);
-  };
-  const uint64_t mark = total_enqueued();
-  while (true) {
-    // processed = ever-enqueued - still-queued. Sampling the counter before
-    // the depth can only UNDER-estimate progress (requests enqueued between
-    // the two reads inflate the depth), so the wait is conservative.
-    const uint64_t total = total_enqueued();
-    const uint64_t depth = service.queue_depth();
-    const uint64_t processed = total >= depth ? total - depth : 0;
-    if (processed >= mark) return Status::OK();
+  const uint64_t mark = service.accepted();
+  while (service.oldest_unfinished() < mark) {
     if (std::chrono::steady_clock::now() >= deadline)
       return Status::DeadlineExceeded(StrFormat(
-          "shard queue did not pass its %lld ms rebalance window",
+          "shard requests did not finish in its %lld ms rebalance window",
           static_cast<long long>(kDrainTimeout.count())));
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  return Status::OK();
 }
 
 Status ShardRouter::MoveSessionsLocked(
     int source_id, const std::vector<std::string>& ids, bool all_or_nothing,
     const std::function<int(const std::string&)>& target_of) {
   serve::SessionManager& source = shards_.at(source_id).service->sessions();
+  // A session goes back into the source unless the source's table filled
+  // up meanwhile with every session in it busy; then it is lost, and the
+  // move says so rather than abort the process.
+  std::string lost;
   const auto put_back = [&](const std::string& id, const std::string& blob) {
-    const Status st = source.Deserialize(id, blob);
-    CASCN_CHECK(st.ok()) << "re-inserting session '" << id << "' into shard "
-                         << source_id << " failed: " << st.ToString();
+    if (!source.Deserialize(id, blob).ok())
+      lost += (lost.empty() ? "'" : ", '") + id + "'";
   };
-  // Extract first. The source's queue has passed, so only a worker still
-  // inside a session keeps it busy; an all-or-nothing move waits briefly
-  // for it, and otherwise puts everything back before anything has moved.
+  const auto lost_status = [&] {
+    return Status::Internal(StrFormat(
+        "session(s) %s could not go back into shard %d and were lost",
+        lost.c_str(), source_id));
+  };
+  // Extract first. Every request the source held before the drain's mark
+  // has finished, so a session is busy only while a later request is inside
+  // it; an all-or-nothing move waits briefly for that, and otherwise puts
+  // everything back before anything has moved.
   std::vector<std::pair<std::string, std::string>> extracted;
   for (const std::string& id : ids) {
     Result<std::string> blob = source.Extract(id);
@@ -585,6 +584,7 @@ Status ShardRouter::MoveSessionsLocked(
     } else if (all_or_nothing) {
       for (const auto& [moved, moved_blob] : extracted)
         put_back(moved, moved_blob);
+      if (!lost.empty()) return lost_status();
       return Status::Unavailable(
           StrFormat("session '%s' stayed busy on shard %d; nothing moved",
                     id.c_str(), source_id));
@@ -608,7 +608,7 @@ Status ShardRouter::MoveSessionsLocked(
           StrFormat("import of session '%s' into shard %d failed (%s)",
                     id.c_str(), target, st.message().c_str()));
   }
-  return status;
+  return lost.empty() ? status : lost_status();
 }
 
 Status ShardRouter::RemoveShard(int shard_id) {
@@ -634,11 +634,11 @@ Status ShardRouter::RemoveShard(int shard_id) {
     source_service = it->second.service;
   }
 
-  // Phase 2 (UNLOCKED): wait until everything queued has passed. Routing
+  // Phase 2 (UNLOCKED): wait until everything queued has finished. Routing
   // for every other shard and tenant proceeds for the whole drain window —
   // a one-shard rebalance must not be a cluster-wide pause.
   const auto deadline = std::chrono::steady_clock::now() + kDrainTimeout;
-  Status status = WaitQueuePassed(*source_service, deadline);
+  Status status = WaitRequestsFinished(*source_service, deadline);
 
   // Phase 3 (routing lock): move the sessions and destroy the shard.
   std::lock_guard<std::mutex> lock(mutex_);
@@ -651,9 +651,10 @@ Status ShardRouter::RemoveShard(int shard_id) {
   }
   // Stragglers: a request routed just before the draining mark may have
   // enqueued after the first wait took its mark. With the lock held nothing
-  // new can route, so "everything enqueued so far has passed" is "the queue
-  // is empty", and this pass (normally a no-op) settles them.
-  if (status.ok()) status = WaitQueuePassed(*it->second.service, deadline);
+  // new can route, so "everything enqueued so far has finished" is "the
+  // shard is idle", and this pass (normally a no-op) settles them.
+  if (status.ok())
+    status = WaitRequestsFinished(*it->second.service, deadline);
   // Every session (live and spilled) moves, or none does when one stays
   // busy. The ring already excludes the draining shard, so every target is
   // a survivor, placed with bounded load.
@@ -704,16 +705,16 @@ Status ShardRouter::PullSessionsTo(int target_id, int source_id) {
   }
 
   // Wait (UNLOCKED) until every request already queued on the source has
-  // been processed — including any for the now-unroutable moving sessions.
+  // finished — including any for the now-unroutable moving sessions.
   // A drain-to-empty would never finish while the source's other sessions
   // keep it busy; the watermark wait does. (A request routed before the
   // migrating mark but enqueued during this wait is the one remaining
   // race: it can observe NotFound after the move. The session itself is
   // never at risk — the move skips busy sessions — and the client's retry
   // lands on the new shard.)
-  Status status = WaitQueuePassed(*source_service,
-                                  std::chrono::steady_clock::now() +
-                                      kDrainTimeout);
+  Status status = WaitRequestsFinished(*source_service,
+                                       std::chrono::steady_clock::now() +
+                                           kDrainTimeout);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (shards_.count(target_id) == 0) {
@@ -721,12 +722,13 @@ Status ShardRouter::PullSessionsTo(int target_id, int source_id) {
         StrFormat("shard %d went down mid-join", target_id));
   } else if (status.ok() && shards_.count(source_id) > 0) {
     // A session that is busy or fails to import stays on the source, where
-    // its pin still routes it: the join does not fail for it. (A crashed
-    // source's sessions died with it.)
-    (void)MoveSessionsLocked(source_id, moving, /*all_or_nothing=*/false,
-                             [target_id](const std::string&) {
-                               return target_id;
-                             });
+    // its pin still routes it: the join does not fail for it, unless one
+    // could not go back and was lost. (A crashed source's sessions died
+    // with it.)
+    const Status moved = MoveSessionsLocked(
+        source_id, moving, /*all_or_nothing=*/false,
+        [target_id](const std::string&) { return target_id; });
+    if (moved.code() == StatusCode::kInternal) status = moved;
   }
   for (const std::string& sid : moving) migrating_.erase(sid);
   return status;

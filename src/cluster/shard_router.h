@@ -40,7 +40,7 @@
 // Rebalance (RemoveShard) is two-phase so the cluster never pauses:
 // phase 1 (routing lock) marks the shard draining — the ring drops it and
 // requests pinned to it get Unavailable (retryable) — then the lock is
-// RELEASED while everything already queued on the shard passes through;
+// RELEASED while everything already queued on the shard runs to its end;
 // phase 2 re-takes the lock, waits the same way once more for requests
 // routed just before the mark, then moves every session in memory: Extract
 // it as its sealed blob -> Deserialize it into its new owner (which
@@ -418,12 +418,15 @@ class ShardRouter {
   void RebuildRingLocked();
 
   /// Waits (bounded by `deadline`) until every request enqueued to
-  /// `service` before this call has left the queue. It makes progress while
-  /// other sessions keep the queue busy, so it is safe to call without
-  /// blocking routing. Called again with mutex_ held on a draining shard,
-  /// where nothing new can route, it waits for the queue to empty.
-  Status WaitQueuePassed(serve::PredictionService& service,
-                         std::chrono::steady_clock::time_point deadline) const;
+  /// `service` before this call has finished: not only left the queue, but
+  /// run to its response, so none of them is still on its way to a
+  /// session. It makes progress while other sessions keep the shard busy,
+  /// so it is safe to call without blocking routing. Called again with
+  /// mutex_ held on a draining shard, where nothing new can route, it waits
+  /// for the shard to go idle.
+  Status WaitRequestsFinished(
+      serve::PredictionService& service,
+      std::chrono::steady_clock::time_point deadline) const;
 
   /// RestartShard's per-source pull: marks the sessions the ring now
   /// assigns to `target_id` as migrating, waits (unlocked) for their queued
@@ -436,7 +439,9 @@ class ShardRouter {
   /// there; a session that fails to import goes back into the source.
   /// A busy session is skipped, or with `all_or_nothing` retried briefly
   /// and, if it stays busy, every extracted session goes back and nothing
-  /// moves. Returns the first failure (Unavailable). Pre: mutex_ held.
+  /// moves. Returns the first failure (Unavailable), or Internal naming any
+  /// session that could not go back (its source table filled up meanwhile
+  /// with every session busy) and is lost. Pre: mutex_ held.
   Status MoveSessionsLocked(int source_id, const std::vector<std::string>& ids,
                             bool all_or_nothing,
                             const std::function<int(const std::string&)>&

@@ -17,10 +17,13 @@ namespace cascn::serve {
 PredictionService::PredictionService(const ServiceOptions& options)
     : options_(options),
       queue_depth_(registry_.GetGauge("serve_queue_depth")),
-      batch_size_(registry_.GetHistogram("serve_batch_size", /*num_buckets=*/10)) {
+      batch_size_(
+          registry_.GetHistogram("serve_batch_size", /*num_buckets=*/10)),
+      unfinished_from_(static_cast<size_t>(std::max(options.num_workers, 1))) {
   CASCN_CHECK(options.num_workers >= 1);
   CASCN_CHECK(options.queue_capacity >= 1);
   CASCN_CHECK(options.max_batch >= 1);
+  for (std::atomic<uint64_t>& from : unfinished_from_) from = kNoBatch;
   if (!options.flight_dump_path.empty())
     flight_.SetDumpPath(options.flight_dump_path);
   sessions_ = std::make_unique<SessionManager>(options.sessions, &metrics_);
@@ -123,6 +126,19 @@ PredictionService::~PredictionService() { Shutdown(); }
 size_t PredictionService::queue_depth() const {
   std::lock_guard<std::mutex> lock(queue_mutex_);
   return queue_.size();
+}
+
+uint64_t PredictionService::accepted() const {
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  return accepted_;
+}
+
+uint64_t PredictionService::oldest_unfinished() const {
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  uint64_t oldest = queue_.empty() ? accepted_ : queue_.front().number;
+  for (const std::atomic<uint64_t>& from : unfinished_from_)
+    oldest = std::min(oldest, from.load());
+  return oldest;
 }
 
 void PredictionService::Shutdown() {
@@ -238,6 +254,7 @@ Result<std::future<ServeResponse>> PredictionService::Submit(
       Finish(queued, {status}, End::kRejected);
       return status;
     }
+    queued.number = accepted_++;
     queue_.push_back(std::move(queued));
     metrics_.Increment(Counter::kRequestsTotal);
     queue_depth_.Set(static_cast<double>(queue_.size()));
@@ -322,6 +339,8 @@ void PredictionService::WorkerLoop(int worker_index) {
         queue_.pop_front();
       }
       queue_depth_.Set(static_cast<double>(queue_.size()));
+      unfinished_from_[static_cast<size_t>(worker_index)] =
+          batch.front().number;
     }
     // The replica is re-acquired per batch so a hot reload takes effect at
     // the next batch boundary without pausing serving.
@@ -349,7 +368,8 @@ void PredictionService::WorkerLoop(int worker_index) {
       metrics_.Increment(Counter::kBatchedRequests,
                          static_cast<uint64_t>(batch.size()));
     }
-    for (Queued& request : batch) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Queued& request = batch[i];
       const auto start = Clock::now();
       uint16_t fault_bits = 0;
       ServeResponse response;
@@ -363,6 +383,8 @@ void PredictionService::WorkerLoop(int worker_index) {
         response = Execute(request, *model, fault_bits);
       }
       Finish(request, std::move(response), End::kRan, start, fault_bits);
+      unfinished_from_[static_cast<size_t>(worker_index)] =
+          i + 1 < batch.size() ? batch[i + 1].number : kNoBatch;
       // One beat per terminal request: the watchdog reads this as "the
       // drain loop is alive". Stamped after completion, so a request stuck
       // inside Execute() reads as a stall, not progress.

@@ -36,7 +36,9 @@
 #ifndef CASCN_SERVE_PREDICTION_SERVICE_H_
 #define CASCN_SERVE_PREDICTION_SERVICE_H_
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -230,6 +232,18 @@ class PredictionService {
   /// Requests currently queued (admission control reads this to shed load
   /// before a shard's queue collapses).
   size_t queue_depth() const;
+  /// Requests accepted into the queue so far. Each accepted request is
+  /// numbered in order from 0, so this is the next one's number.
+  uint64_t accepted() const;
+  /// The number of the oldest accepted request that has not finished (its
+  /// Finish has not returned), or accepted() when none is left. A request a
+  /// worker has taken off the queue is unfinished until its response is
+  /// set, so "oldest_unfinished() >= mark" means every request numbered
+  /// below `mark` has left its session. (Requests that Shutdown fails from
+  /// the queue count as finished once they leave it: they never run.)
+  /// Workers finish requests out of order, so a count of finished ones
+  /// could not say this.
+  uint64_t oldest_unfinished() const;
   size_t queue_capacity() const { return options_.queue_capacity; }
   /// Path the replicas were loaded from; empty when factory-built.
   const std::string& checkpoint_path() const { return checkpoint_path_; }
@@ -279,6 +293,8 @@ class PredictionService {
     obs::RequestContext ctx;
     Clock::time_point enqueue_time;
     std::promise<ServeResponse> promise;
+    /// Its place in the order of accepted requests (see accepted()).
+    uint64_t number = 0;
   };
 
   /// How a request left the service: run by a worker, turned away at the
@@ -335,6 +351,14 @@ class PredictionService {
   std::condition_variable queue_cv_;
   std::deque<Queued> queue_;
   bool shutting_down_ = false;
+  /// Requests accepted so far. Guarded by queue_mutex_.
+  uint64_t accepted_ = 0;
+  /// Per worker: the number of the oldest unfinished request of the batch
+  /// it runs, or kNoBatch. Set under queue_mutex_ when the worker takes a
+  /// batch, so a request is always on the queue or covered here; advanced
+  /// after each of the batch's requests finishes.
+  static constexpr uint64_t kNoBatch = ~uint64_t{0};
+  std::vector<std::atomic<uint64_t>> unfinished_from_;
 
   // Shutdown idempotency: first caller runs the drain; concurrent callers
   // block until it completes.

@@ -255,6 +255,40 @@ TEST_F(ShardRouterTest, BusySessionAbortsRemovalAndEverySessionStays) {
   EXPECT_EQ(router->ClusterHealth(), Health::kHealthy);
 }
 
+// A request a worker has taken off the queue but not finished still holds
+// its session: here it sleeps in the slow-shard delay, before it reaches
+// the session table. The removal waits for it to finish, so it answers from
+// the shard it was routed to, and only then does the session move.
+TEST_F(ShardRouterTest, RemovalWaitsForARequestInFlightOnTheShard) {
+  auto router = MakeRouter(Options(2));
+  std::string id;
+  for (int i = 0; id.empty(); ++i) {
+    ASSERT_LT(i, 64) << "no session placed on shard 1";
+    const std::string candidate = "sess-" + std::to_string(i);
+    ASSERT_TRUE(
+        Wait(router->Submit("", Request::Create(candidate, i))).status.ok());
+    if (router->ShardOf(candidate) == 1) id = candidate;
+  }
+  ASSERT_TRUE(
+      Wait(router->Submit("", Request::Append(id, 7, 0, 1.0))).status.ok());
+  ASSERT_TRUE(fault::FaultRegistry::Get()
+                  .Configure(SlowShardFaultPoint(1) + "=always@1500")
+                  .ok());
+  auto submitted = router->Submit("", Request::Predict(id));
+  ASSERT_TRUE(submitted.ok()) << submitted.status();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  const Status removed = router->RemoveShard(1);
+  const ServeResponse in_flight = submitted.value().get();
+  EXPECT_TRUE(removed.ok()) << removed;
+  EXPECT_TRUE(in_flight.status.ok()) << in_flight.status;
+  EXPECT_EQ(router->ShardOf(id), 0);
+  fault::FaultRegistry::Get().Clear();
+  const ServeResponse after = Wait(router->Submit("", Request::Predict(id)));
+  ASSERT_TRUE(after.status.ok()) << after.status;
+  EXPECT_EQ(after.log_prediction, in_flight.log_prediction);
+}
+
 TEST_F(ShardRouterTest, SpilledSessionsSurviveTheRebalance) {
   // Tiny per-shard capacity: most sessions get LRU-evicted into the spill
   // table, and the rebalance must move those histories too.
