@@ -62,7 +62,7 @@ void Node2VecModel::PretrainEmbeddings(
             double dot = 0;
             for (int j = 0; j < d; ++j)
               dot += in_table.At(center, j) * out_table.At(target, j);
-            const double g = (StableSigmoid(dot) - label) * lr;
+            const double g = (Sigmoid(dot) - label) * lr;
             for (int j = 0; j < d; ++j) {
               grad_center[j] += g * out_table.At(target, j);
               out_table.At(target, j) -= g * in_table.At(center, j);

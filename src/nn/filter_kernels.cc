@@ -1,6 +1,9 @@
 #include "nn/filter_kernels.h"
 
 #include <algorithm>
+#include <cstring>
+
+#include "common/math_util.h"
 
 // The AVX2 wrappers' target. Elsewhere than on x86 they compile as the
 // baseline wrappers do.
@@ -193,6 +196,158 @@ template <typename Entries>
   }
 }
 
+// ---- The gate passes -------------------------------------------------------
+//
+// Each row's d columns go through a vector V of lanes (two in the baseline
+// build, four in the AVX2 one), the last group filled with zeros; every
+// lane gets the operations, in the order, of the scalar formula in
+// LstmGates / GruGates.
+
+template <typename V>
+constexpr int kLanes = sizeof(V) / sizeof(double);
+
+/// Lanes [0, count) of v from p; the rest zero.
+template <typename V>
+[[gnu::always_inline]] inline void LoadLanes(const double* p, int count,
+                                             V& v) {
+  if (count == kLanes<V>) {
+    std::memcpy(&v, p, sizeof(V));
+    return;
+  }
+  v = V{};
+  for (int l = 0; l < count; ++l) v[l] = p[l];
+}
+
+/// Lanes [0, count) of v to p.
+template <typename V>
+[[gnu::always_inline]] inline void StoreLanes(const V& v, int count,
+                                              double* p) {
+  if (count == kLanes<V>) {
+    std::memcpy(p, &v, sizeof(V));
+    return;
+  }
+  for (int l = 0; l < count; ++l) p[l] = v[l];
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void LstmGatesBody(const LstmGates& g,
+                                                 int rows, double* h_next,
+                                                 double* keep) {
+  const int d = g.d;
+  const size_t nd = static_cast<size_t>(g.n) * d;
+  for (int r = 0; r < rows; ++r) {
+    const double* xr = g.xs + static_cast<size_t>(r) * 4 * d;
+    const double* hr = g.hs + static_cast<size_t>(r) * 4 * d;
+    for (int j = 0; j < d; j += kLanes<V>) {
+      const int count = std::min(kLanes<V>, d - j);
+      const size_t e = static_cast<size_t>(r) * d + j;
+      V x_i, x_f, x_c, x_o, h_i, h_f, h_c, h_o, b_i, b_f, b_c, b_o, v_i,
+          v_f, v_o, c_prev;
+      LoadLanes(xr + j, count, x_i);
+      LoadLanes(xr + d + j, count, x_f);
+      LoadLanes(xr + 2 * d + j, count, x_c);
+      LoadLanes(xr + 3 * d + j, count, x_o);
+      LoadLanes(hr + j, count, h_i);
+      LoadLanes(hr + d + j, count, h_f);
+      LoadLanes(hr + 2 * d + j, count, h_c);
+      LoadLanes(hr + 3 * d + j, count, h_o);
+      LoadLanes(g.b_i + j, count, b_i);
+      LoadLanes(g.b_f + j, count, b_f);
+      LoadLanes(g.b_c + j, count, b_c);
+      LoadLanes(g.b_o + j, count, b_o);
+      LoadLanes(g.v_i + e, count, v_i);
+      LoadLanes(g.v_f + e, count, v_f);
+      LoadLanes(g.v_o + e, count, v_o);
+      LoadLanes(g.c + e, count, c_prev);
+      V i = ((x_i + h_i) + b_i) + v_i * c_prev;
+      SigmoidLanes(i);
+      V f = ((x_f + h_f) + b_f) + v_f * c_prev;
+      SigmoidLanes(f);
+      V cand = (x_c + h_c) + b_c;
+      TanhLanes(cand);
+      const V c_next = f * c_prev + i * cand;
+      V o = ((x_o + h_o) + b_o) + v_o * c_next;
+      SigmoidLanes(o);
+      V tanh_c = c_next;
+      TanhLanes(tanh_c);
+      StoreLanes(c_next, count, g.c + e);
+      StoreLanes(o * tanh_c, count, h_next + e);
+      if (keep != nullptr) {
+        StoreLanes(i, count, keep + LstmGates::kI * nd + e);
+        StoreLanes(f, count, keep + LstmGates::kF * nd + e);
+        StoreLanes(cand, count, keep + LstmGates::kG * nd + e);
+        StoreLanes(o, count, keep + LstmGates::kO * nd + e);
+        StoreLanes(tanh_c, count, keep + LstmGates::kTanhC * nd + e);
+        StoreLanes(x_o, count, keep + LstmGates::kXo * nd + e);
+      }
+    }
+  }
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void GruResetGateBody(const GruGates& g,
+                                                    int rows, const double* h,
+                                                    double* keep) {
+  const int d = g.d;
+  const size_t nd = static_cast<size_t>(g.n) * d;
+  for (int r = 0; r < rows; ++r) {
+    const double* xr = g.xs + static_cast<size_t>(r) * 3 * d;
+    const double* hr = g.hs + static_cast<size_t>(r) * 2 * d;
+    for (int j = 0; j < d; j += kLanes<V>) {
+      const int count = std::min(kLanes<V>, d - j);
+      const size_t e = static_cast<size_t>(r) * d + j;
+      V x_r, x_z, h_r, h_z, b_r, b_z, h_prev;
+      LoadLanes(xr + j, count, x_r);
+      LoadLanes(xr + d + j, count, x_z);
+      LoadLanes(hr + j, count, h_r);
+      LoadLanes(hr + d + j, count, h_z);
+      LoadLanes(g.b_r + j, count, b_r);
+      LoadLanes(g.b_z + j, count, b_z);
+      LoadLanes(h + e, count, h_prev);
+      V reset = (x_r + h_r) + b_r;
+      SigmoidLanes(reset);
+      V z = (x_z + h_z) + b_z;
+      SigmoidLanes(z);
+      StoreLanes(z, count, g.z + e);
+      StoreLanes(reset * h_prev, count, g.rh + e);
+      if (keep != nullptr) {
+        StoreLanes(reset, count, keep + GruGates::kR * nd + e);
+        StoreLanes(x_r, count, keep + GruGates::kXr * nd + e);
+      }
+    }
+  }
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void GruOutputBody(const GruGates& g, int rows,
+                                                 const double* h,
+                                                 double* h_next,
+                                                 double* keep) {
+  const int d = g.d;
+  const size_t nd = static_cast<size_t>(g.n) * d;
+  for (int r = 0; r < rows; ++r) {
+    const double* xr = g.xs + static_cast<size_t>(r) * 3 * d;
+    for (int j = 0; j < d; j += kLanes<V>) {
+      const int count = std::min(kLanes<V>, d - j);
+      const size_t e = static_cast<size_t>(r) * d + j;
+      V x_n, hn, b_n, z, h_prev;
+      LoadLanes(xr + 2 * d + j, count, x_n);
+      LoadLanes(g.hn + e, count, hn);
+      LoadLanes(g.b_n + j, count, b_n);
+      LoadLanes(g.z + e, count, z);
+      LoadLanes(h + e, count, h_prev);
+      V cand = (x_n + hn) + b_n;
+      TanhLanes(cand);
+      StoreLanes(cand + z * (h_prev - cand), count, h_next + e);
+      if (keep != nullptr) {
+        StoreLanes(z, count, keep + GruGates::kZ * nd + e);
+        StoreLanes(cand, count, keep + GruGates::kN * nd + e);
+        StoreLanes(x_n, count, keep + GruGates::kXn * nd + e);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // ---- The wrappers: each body once per target. -----------------------------
@@ -269,13 +424,47 @@ CASCN_TARGET_AVX2 void ScatterTransposeAvx2(const CsrMatrix& t, int first,
   ScatterTransposeBody(t, first, rows, columns, s, stride, width, out);
 }
 
+void LstmGatesBaseline(const LstmGates& g, int rows, double* h_next,
+                       double* keep) {
+  LstmGatesBody<Lanes2>(g, rows, h_next, keep);
+}
+
+CASCN_TARGET_AVX2 void LstmGatesAvx2(const LstmGates& g, int rows,
+                                     double* h_next, double* keep) {
+  LstmGatesBody<Lanes4>(g, rows, h_next, keep);
+}
+
+void GruResetGateBaseline(const GruGates& g, int rows, const double* h,
+                          double* keep) {
+  GruResetGateBody<Lanes2>(g, rows, h, keep);
+}
+
+CASCN_TARGET_AVX2 void GruResetGateAvx2(const GruGates& g, int rows,
+                                        const double* h, double* keep) {
+  GruResetGateBody<Lanes4>(g, rows, h, keep);
+}
+
+void GruOutputBaseline(const GruGates& g, int rows, const double* h,
+                       double* h_next, double* keep) {
+  GruOutputBody<Lanes2>(g, rows, h, h_next, keep);
+}
+
+CASCN_TARGET_AVX2 void GruOutputAvx2(const GruGates& g, int rows,
+                                     const double* h, double* h_next,
+                                     double* keep) {
+  GruOutputBody<Lanes4>(g, rows, h, h_next, keep);
+}
+
 const FilterKernels kBaselineFilterKernels = {
-    FilterRowsBaseline, FilterOperatorsBaseline, ProductsTransposeABaseline,
-    ProductsTransposeBBaseline, ScatterTransposeBaseline};
+    FilterRowsBaseline,       FilterOperatorsBaseline,
+    ProductsTransposeABaseline, ProductsTransposeBBaseline,
+    ScatterTransposeBaseline, LstmGatesBaseline,
+    GruResetGateBaseline,     GruOutputBaseline};
 
 const FilterKernels kAvx2FilterKernels = {
-    FilterRowsAvx2, FilterOperatorsAvx2, ProductsTransposeAAvx2,
-    ProductsTransposeBAvx2, ScatterTransposeAvx2};
+    FilterRowsAvx2,       FilterOperatorsAvx2, ProductsTransposeAAvx2,
+    ProductsTransposeBAvx2, ScatterTransposeAvx2, LstmGatesAvx2,
+    GruResetGateAvx2,     GruOutputAvx2};
 
 bool HostHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)

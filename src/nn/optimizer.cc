@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/math_util.h"
+
 namespace cascn::nn {
 
 void Optimizer::ZeroGrad() {
@@ -41,8 +43,8 @@ Status Adam::RestoreState(const State& state) {
 void Adam::Step() {
   if (options_.clip_norm > 0) ClipGradNorm(params_, options_.clip_norm);
   ++t_;
-  const double bias1 = 1.0 - std::pow(options_.beta1, t_);
-  const double bias2 = 1.0 - std::pow(options_.beta2, t_);
+  const double bias1 = 1.0 - IntegerPower(options_.beta1, t_);
+  const double bias2 = 1.0 - IntegerPower(options_.beta2, t_);
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
     const Tensor& g = p.grad();

@@ -525,7 +525,7 @@ Variable Sigmoid(const Variable& a) {
   const auto& an = CheckedNode(a);
   OpProfile prof(obs::OpKind::kSigmoid);
   const uint64_t n = Elems(an);
-  Tensor out = an->value.Map([](double x) { return StableSigmoid(x); });
+  Tensor out = an->value.Map([](double x) { return cascn::Sigmoid(x); });
   return prof.Done(
       MakeOpNode(std::move(out), {an},
                  [](Node& self) {
@@ -544,7 +544,7 @@ Variable Tanh(const Variable& a) {
   const auto& an = CheckedNode(a);
   OpProfile prof(obs::OpKind::kTanh);
   const uint64_t n = Elems(an);
-  Tensor out = an->value.Map([](double x) { return std::tanh(x); });
+  Tensor out = an->value.Map([](double x) { return cascn::Tanh(x); });
   return prof.Done(
       MakeOpNode(std::move(out), {an},
                  [](Node& self) {
@@ -601,7 +601,7 @@ Variable Softplus(const Variable& a) {
   const uint64_t n = Elems(an);
   Tensor out = an->value.Map([](double x) {
     // log(1 + e^x) without overflow: x + log1p(e^-x) for large x.
-    return x > 20 ? x : std::log1p(std::exp(x));
+    return x > 20 ? x : Log1p(Exp(x));
   });
   return prof.Done(
       MakeOpNode(std::move(out), {an},
@@ -611,7 +611,7 @@ Variable Softplus(const Variable& a) {
                    for (int i = 0; i < g.rows(); ++i)
                      for (int j = 0; j < g.cols(); ++j) {
                        g.At(i, j) =
-                           self.grad.At(i, j) * StableSigmoid(x.At(i, j));
+                           self.grad.At(i, j) * cascn::Sigmoid(x.At(i, j));
                      }
                    self.parents[0]->AccumGrad(g);
                  }),
@@ -629,7 +629,7 @@ Variable SoftmaxRows(const Variable& a) {
       mx = std::max(mx, an->value.At(i, j));
     double denom = 0;
     for (int j = 0; j < out.cols(); ++j) {
-      out.At(i, j) = std::exp(an->value.At(i, j) - mx);
+      out.At(i, j) = Exp(an->value.At(i, j) - mx);
       denom += out.At(i, j);
     }
     for (int j = 0; j < out.cols(); ++j) out.At(i, j) /= denom;

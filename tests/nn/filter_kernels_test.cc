@@ -1,6 +1,9 @@
-// The filter-product kernels' two builds, baseline and AVX2, must give the
-// same bits on every input: the cells' tape-oracle tests only ever run the
-// set the host picks, which is the AVX2 one on any CPU that has it.
+// The filter-product and gate kernels' two builds, baseline and AVX2, must
+// give the same bits on every input: the cells' tape-oracle tests only ever
+// run the set the host picks, which is the AVX2 one on any CPU that has it.
+// The gate passes must also give, element by element, the bits of the
+// scalar formula over the scalar Sigmoid and Tanh, which the padding table
+// and the tape oracles use.
 
 #include "nn/filter_kernels.h"
 
@@ -13,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/math_util.h"
 #include "common/rng.h"
 
 namespace cascn::nn::internal {
@@ -232,6 +236,174 @@ TEST_F(FilterKernelsTest, ScatterTransposeMatches) {
                            return out;
                          });
         }
+  }
+}
+
+// ---- The gate passes -------------------------------------------------------
+
+/// Gate widths 1..kMaxGateWidth reach one to three four-lane groups, each
+/// with every tail length.
+constexpr int kMaxGateWidth = 12;
+
+/// A pre-activation term: mostly within the range where the gates are not
+/// yet saturated, some far beyond it, a few +-0.0, inf or NaN (rare enough
+/// that most elements read none).
+double Term(Rng& rng) {
+  switch (rng.UniformInt(256)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return kInf;
+    case 3:
+      return kNaN;
+    default:
+      return rng.UniformInt(8) == 0 ? rng.Uniform(-800.0, 800.0)
+                                    : rng.Uniform(-6.0, 6.0);
+  }
+}
+
+std::vector<double> Terms(Rng& rng, size_t count) {
+  std::vector<double> v(count);
+  for (double& x : v) x = Term(rng);
+  return v;
+}
+
+/// Expects `got` to hold `want`'s bytes, naming the first element that
+/// differs; a NaN matches any NaN. Which NaN an operation on a NaN returns
+/// depends on which operand the compiler puts first, which IEEE leaves
+/// open, so two builds of one loop may differ there and nowhere else.
+void ExpectBytes(const std::vector<double>& want,
+                 const std::vector<double>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t e = 0; e < want.size(); ++e) {
+    if (std::isnan(want[e]) && std::isnan(got[e])) continue;
+    ASSERT_EQ(std::memcmp(&want[e], &got[e], sizeof(double)), 0)
+        << what << ": element " << e << " is " << got[e] << ", want "
+        << want[e];
+  }
+}
+
+/// Runs `run` with each set of kernels the CPU can run, with keep blocks
+/// and without, and expects the bytes of `oracle`, the scalar formula; its
+/// last `kept` elements are the keep blocks.
+template <typename Run>
+void ExpectScalarBits(const std::string& what,
+                      const std::vector<double>& oracle, size_t kept,
+                      Run run) {
+  const std::vector<double> without_keep(oracle.begin(),
+                                         oracle.end() - kept);
+  std::vector<const FilterKernels*> sets = {&kBaselineFilterKernels};
+  if (HostHasAvx2()) sets.push_back(&kAvx2FilterKernels);
+  for (const FilterKernels* kernels : sets) {
+    const std::string name =
+        what + (kernels == &kBaselineFilterKernels ? " baseline" : " avx2");
+    ExpectBytes(oracle, run(*kernels, true), name);
+    ExpectBytes(without_keep, run(*kernels, false), name + " without keep");
+  }
+}
+
+// Rows from `rows` on are not the pass's: their h_t, c and keep entries
+// must keep the 7.0 they start with.
+TEST(GateKernelsTest, LstmGatesAreTheScalarFormulaInEveryBuild) {
+  Rng rng(12);
+  const int n = 5, rows = 4;
+  for (int d = 1; d <= kMaxGateWidth; ++d) {
+    const size_t nd = static_cast<size_t>(n) * d;
+    const std::vector<double> xs = Terms(rng, 4 * nd), hs = Terms(rng, 4 * nd),
+                              v = Terms(rng, 3 * nd), b = Terms(rng, 4 * d),
+                              c0 = Terms(rng, nd);
+    const size_t kept = LstmGates::kNumKept * nd;
+    // h_t, then c_t, then the keep blocks.
+    std::vector<double> oracle(2 * nd + kept, 7.0);
+    std::copy(c0.begin(), c0.end(), oracle.begin() + nd);
+    double* keep = oracle.data() + 2 * nd;
+    for (int r = 0; r < rows; ++r)
+      for (int j = 0; j < d; ++j) {
+        const size_t e = static_cast<size_t>(r) * d + j, row = r * 4 * d;
+        auto pre = [&](int gate) {
+          return (xs[row + gate * d + j] + hs[row + gate * d + j]) +
+                 b[gate * d + j];
+        };
+        const double c_prev = c0[e];
+        const double i = Sigmoid(pre(0) + v[e] * c_prev);
+        const double f = Sigmoid(pre(1) + v[nd + e] * c_prev);
+        const double g = Tanh(pre(2));
+        const double c_next = f * c_prev + i * g;
+        const double o = Sigmoid(pre(3) + v[2 * nd + e] * c_next);
+        const double tanh_c = Tanh(c_next);
+        oracle[e] = o * tanh_c;
+        oracle[nd + e] = c_next;
+        const double kept_values[] = {i, f, g, o, tanh_c, xs[row + 3 * d + j]};
+        for (int block = 0; block < LstmGates::kNumKept; ++block)
+          keep[block * nd + e] = kept_values[block];
+      }
+    ExpectScalarBits(
+        "d=" + std::to_string(d), oracle, kept,
+        [&](const FilterKernels& kernels, bool with_keep) {
+          std::vector<double> out(2 * nd + (with_keep ? kept : 0), 7.0);
+          std::copy(c0.begin(), c0.end(), out.begin() + nd);
+          const LstmGates gates = {n,
+                                   d,
+                                   xs.data(),
+                                   hs.data(),
+                                   v.data(),
+                                   v.data() + nd,
+                                   v.data() + 2 * nd,
+                                   b.data(),
+                                   b.data() + d,
+                                   b.data() + 2 * d,
+                                   b.data() + 3 * d,
+                                   out.data() + nd};
+          kernels.lstm_gates(gates, rows, out.data(),
+                             with_keep ? out.data() + 2 * nd : nullptr);
+          return out;
+        });
+  }
+}
+
+TEST(GateKernelsTest, GruGatesAreTheScalarFormulaInEveryBuild) {
+  Rng rng(13);
+  const int n = 5, rows = 4;
+  for (int d = 1; d <= kMaxGateWidth; ++d) {
+    const size_t nd = static_cast<size_t>(n) * d;
+    const std::vector<double> xs = Terms(rng, 3 * nd), hs = Terms(rng, 2 * nd),
+                              hn = Terms(rng, nd), b = Terms(rng, 3 * d),
+                              h = Terms(rng, nd);
+    const size_t kept = GruGates::kNumKept * nd;
+    // h_t, z, r (.) h, then the keep blocks.
+    std::vector<double> oracle(3 * nd + kept, 7.0);
+    double* keep = oracle.data() + 3 * nd;
+    for (int r = 0; r < rows; ++r)
+      for (int j = 0; j < d; ++j) {
+        const size_t e = static_cast<size_t>(r) * d + j;
+        const double* xr = xs.data() + r * 3 * d;
+        const double* hr = hs.data() + r * 2 * d;
+        const double reset = Sigmoid((xr[j] + hr[j]) + b[j]);
+        const double z = Sigmoid((xr[d + j] + hr[d + j]) + b[d + j]);
+        const double cand = Tanh((xr[2 * d + j] + hn[e]) + b[2 * d + j]);
+        oracle[e] = cand + z * (h[e] - cand);
+        oracle[nd + e] = z;
+        oracle[2 * nd + e] = reset * h[e];
+        const double kept_values[] = {reset, z, cand, xr[j], xr[2 * d + j]};
+        for (int block = 0; block < GruGates::kNumKept; ++block)
+          keep[block * nd + e] = kept_values[block];
+      }
+    ExpectScalarBits(
+        "d=" + std::to_string(d), oracle, kept,
+        [&](const FilterKernels& kernels, bool with_keep) {
+          std::vector<double> out(3 * nd + (with_keep ? kept : 0), 7.0);
+          double* keep_out = with_keep ? out.data() + 3 * nd : nullptr;
+          const GruGates gates = {n,         d,
+                                  xs.data(), hs.data(),
+                                  hn.data(), b.data(),
+                                  b.data() + d, b.data() + 2 * d,
+                                  out.data() + nd, out.data() + 2 * nd};
+          kernels.gru_reset_gate(gates, rows, h.data(), keep_out);
+          kernels.gru_output(gates, rows, h.data(), out.data(), keep_out);
+          return out;
+        });
   }
 }
 

@@ -341,10 +341,10 @@ TEST(NoGradGuardTest, EveryOpComputesTheSameBitsWithoutAGraph) {
   }
 }
 
-/// The sigmoid ag::Sigmoid used before StableSigmoid: three exp calls.
+/// The sigmoid as two branches with three exp calls, the form ag::Sigmoid
+/// once had.
 double ThreeExpSigmoid(double x) {
-  return x >= 0 ? 1.0 / (1.0 + std::exp(-x))
-                : std::exp(x) / (1.0 + std::exp(x));
+  return x >= 0 ? 1.0 / (1.0 + Exp(-x)) : Exp(x) / (1.0 + Exp(x));
 }
 
 TEST(StableSigmoidTest, SameBitsAsTheThreeExpFormula) {
@@ -358,7 +358,7 @@ TEST(StableSigmoidTest, SameBitsAsTheThreeExpFormula) {
   Tensor t(1, static_cast<int>(inputs.size()));
   for (size_t i = 0; i < inputs.size(); ++i) {
     const double want = ThreeExpSigmoid(inputs[i]);
-    const double got = StableSigmoid(inputs[i]);
+    const double got = cascn::Sigmoid(inputs[i]);
     EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
         << "x=" << inputs[i] << ": " << want << " vs " << got;
     t.At(0, static_cast<int>(i)) = inputs[i];
