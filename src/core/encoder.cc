@@ -53,8 +53,8 @@ Result<EncodedCascade> EncodeCascade(const CascadeSample& sample,
   enc.snapshot_signals.reserve(snapshots.size());
   enc.snapshot_columns.reserve(snapshots.size());
   enc.decay_intervals.reserve(snapshots.size());
-  for (const CascadeSnapshot& snap : snapshots) {
-    enc.snapshot_signals.push_back(snap.adjacency.ToDense());
+  for (CascadeSnapshot& snap : snapshots) {
+    enc.snapshot_signals.push_back(std::move(snap.adjacency));
     enc.snapshot_columns.push_back(
         {enc.snapshot_columns.empty() ? 0 : 1, snap.num_nodes});
     enc.decay_intervals.push_back(DecayInterval(

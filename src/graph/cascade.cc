@@ -74,14 +74,27 @@ CsrMatrix Cascade::AdjacencyMatrix(int n, int padded_size,
                                    bool root_self_loop) const {
   const int limit = std::min(n, size());
   CASCN_CHECK(padded_size >= limit);
-  std::vector<Triplet> trips;
-  if (root_self_loop) trips.push_back({0, 0, 1.0});
+  // The multiplicity of each edge in the leading m x m block, row-major:
+  // a parent listed twice is one entry of 2.0. Parents precede their node
+  // (Create), so every edge of the first `limit` nodes lies in the block.
+  const int m = std::max(limit, root_self_loop ? 1 : 0);
+  std::vector<double> counts(static_cast<size_t>(m) * m, 0.0);
+  if (root_self_loop) counts[0] = 1.0;
+  int edges = root_self_loop ? 1 : 0;
   for (int i = 1; i < limit; ++i) {
-    for (int p : events_[i].parents) {
-      if (p < limit) trips.push_back({p, i, 1.0});
+    for (const int p : events_[i].parents) {
+      counts[static_cast<size_t>(p) * m + i] += 1.0;
+      ++edges;
     }
   }
-  return CsrMatrix::FromTriplets(padded_size, padded_size, std::move(trips));
+  CsrRowBuilder out(padded_size, padded_size, edges);
+  for (int r = 0; r < m; ++r) {
+    const double* const row = counts.data() + static_cast<size_t>(r) * m;
+    for (int c = 0; c < m; ++c)
+      if (row[c] != 0.0) out.Append(c, row[c]);
+    out.EndRow();
+  }
+  return std::move(out).Build();
 }
 
 }  // namespace cascn

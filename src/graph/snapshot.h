@@ -2,6 +2,8 @@
 // for time T becomes a sequence of adjacency matrices, one per retained
 // adoption event, each capturing the cascade topology at that diffusion
 // time. The first snapshot contains only the root with a self-connection.
+// Each adjacency is the dense padded signal X_t itself, written edge by
+// edge: the encoder hands it on as it is, with no sparse form between.
 
 #ifndef CASCN_GRAPH_SNAPSHOT_H_
 #define CASCN_GRAPH_SNAPSHOT_H_
@@ -9,7 +11,7 @@
 #include <vector>
 
 #include "graph/cascade.h"
-#include "tensor/csr_matrix.h"
+#include "tensor/tensor.h"
 
 namespace cascn {
 
@@ -19,10 +21,11 @@ struct CascadeSnapshot {
   int num_nodes = 0;
   /// Adoption time of the newest node in the snapshot.
   double time = 0.0;
-  /// Padded adjacency matrix a_i^{t_j} (padded_size x padded_size); the
-  /// root's self-connection is included in the first snapshot only, as in
-  /// Fig. 3 of the paper.
-  CsrMatrix adjacency;
+  /// Dense padded adjacency matrix a_i^{t_j} (padded_size x padded_size):
+  /// entry (p, i) counts how often node i lists parent p, so a parent
+  /// listed twice reads 2.0. The root's self-connection is included in the
+  /// first snapshot only, as in Fig. 3 of the paper.
+  Tensor adjacency;
 };
 
 /// Options controlling snapshot extraction.

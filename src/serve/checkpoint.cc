@@ -1,5 +1,8 @@
 #include "serve/checkpoint.h"
 
+#include <limits>
+#include <utility>
+
 #include "common/file_util.h"
 #include "common/sealed_frame.h"
 #include "common/string_util.h"
@@ -139,6 +142,10 @@ Result<CascnConfig> ParseCascnConfig(const std::string& text) {
       continue;
     }
     CASCN_ASSIGN_OR_RETURN(const int64_t v, ParseInt64(value));
+    if (key != "seed" && (v < std::numeric_limits<int>::min() ||
+                          v > std::numeric_limits<int>::max()))
+      return Status::InvalidArgument("CasCN config value out of range: " +
+                                     std::string(line));
     if (key == "variant") {
       if (v < 0 || v > static_cast<int>(CascnVariant::kNoTimeDecay))
         return Status::InvalidArgument(
@@ -173,6 +180,25 @@ Result<CascnConfig> ParseCascnConfig(const std::string& text) {
       return Status::InvalidArgument("unknown CasCN config key: " + key);
     }
   }
+  // The one boundary for a checkpoint's config: a model built from what
+  // passes here encodes any cascade without reaching a CASCN_CHECK.
+  if (!(config.caslaplacian_alpha > 0.0 && config.caslaplacian_alpha < 1.0))
+    return Status::InvalidArgument(
+        StrFormat("caslaplacian_alpha %.17g must be in (0, 1)",
+                  config.caslaplacian_alpha));
+  const std::pair<const char*, int> sizes[] = {
+      {"padded_size", config.padded_size},
+      {"hidden_dim", config.hidden_dim},
+      {"cheb_order", config.cheb_order},
+      {"max_sequence_length", config.max_sequence_length},
+      {"num_time_intervals", config.num_time_intervals},
+      {"mlp_hidden1", config.mlp_hidden1},
+      {"mlp_hidden2", config.mlp_hidden2},
+  };
+  for (const auto& [name, size] : sizes)
+    if (size < 1)
+      return Status::InvalidArgument(
+          StrFormat("%s must be at least 1, not %d", name, size));
   return config;
 }
 

@@ -81,7 +81,9 @@ Status LoadCheckpointIntoFile(const std::string& path,
                               CheckpointHeader* header = nullptr);
 
 /// CascnConfig <-> config-block text (key=value lines). Parsing rejects
-/// unknown keys and malformed values so version skew is loud.
+/// unknown keys and malformed values so version skew is loud, and values no
+/// model can run with (InvalidArgument): caslaplacian_alpha outside (0, 1)
+/// or NaN, and a size, order, sequence bound or interval count below 1.
 std::string EncodeCascnConfig(const CascnConfig& config);
 Result<CascnConfig> ParseCascnConfig(const std::string& text);
 

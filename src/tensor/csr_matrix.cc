@@ -55,19 +55,51 @@ CsrMatrix CsrMatrix::FromTriplets(int rows, int cols,
   return m;
 }
 
+CsrRowBuilder::CsrRowBuilder(int rows, int cols, int capacity) {
+  CASCN_CHECK(rows >= 0 && cols >= 0 && capacity >= 0);
+  m_.rows_ = rows;
+  m_.cols_ = cols;
+  m_.row_offsets_.reserve(rows + 1);
+  m_.row_offsets_.push_back(0);
+  m_.col_indices_.reserve(capacity);
+  m_.values_.reserve(capacity);
+}
+
+CsrMatrix CsrRowBuilder::Build() && {
+  const int closed = static_cast<int>(m_.row_offsets_.size()) - 1;
+  CASCN_CHECK(closed <= m_.rows_) << "more rows than the matrix has";
+  for (int r = 0; r < closed; ++r) {
+    int previous = -1;
+    for (int k = m_.row_offsets_[r]; k < m_.row_offsets_[r + 1]; ++k) {
+      CASCN_CHECK(m_.col_indices_[k] > previous &&
+                  m_.col_indices_[k] < m_.cols_)
+          << "row " << r << "'s columns must ascend within the matrix";
+      previous = m_.col_indices_[k];
+    }
+  }
+  CASCN_CHECK(m_.row_offsets_.back() == static_cast<int>(m_.values_.size()))
+      << "entries appended after the last closed row";
+  m_.row_offsets_.resize(m_.rows_ + 1, m_.row_offsets_.back());
+  return std::move(m_);
+}
+
 CsrMatrix CsrMatrix::FromDense(const Tensor& dense) {
-  std::vector<Triplet> trips;
-  for (int i = 0; i < dense.rows(); ++i)
+  CsrRowBuilder out(dense.rows(), dense.cols(), 0);
+  for (int i = 0; i < dense.rows(); ++i) {
     for (int j = 0; j < dense.cols(); ++j)
-      if (dense.At(i, j) != 0.0) trips.push_back({i, j, dense.At(i, j)});
-  return FromTriplets(dense.rows(), dense.cols(), std::move(trips));
+      if (dense.At(i, j) != 0.0) out.Append(j, dense.At(i, j));
+    out.EndRow();
+  }
+  return std::move(out).Build();
 }
 
 CsrMatrix CsrMatrix::Identity(int n) {
-  std::vector<Triplet> trips;
-  trips.reserve(n);
-  for (int i = 0; i < n; ++i) trips.push_back({i, i, 1.0});
-  return FromTriplets(n, n, std::move(trips));
+  CsrRowBuilder out(n, n, n);
+  for (int i = 0; i < n; ++i) {
+    out.Append(i, 1.0);
+    out.EndRow();
+  }
+  return std::move(out).Build();
 }
 
 Tensor CsrMatrix::ToDense() const {

@@ -99,6 +99,7 @@ class CsrMatrix {
   CsrMatrix Scaled(double alpha) const;
 
  private:
+  friend class CsrRowBuilder;
   friend CsrMatrix StackedProducts(const std::vector<CsrMatrix>& lefts,
                                    const CsrMatrix& right);
 
@@ -108,6 +109,30 @@ class CsrMatrix {
   obs::TrackedVector<int> row_offsets_;  // size rows_ + 1
   obs::TrackedVector<int> col_indices_;  // size nnz
   obs::TrackedVector<double> values_;    // size nnz
+};
+
+/// Builds a CsrMatrix in row order, with no triplets and no sort: Append
+/// adds an entry to the open row and EndRow closes it. A row's columns must
+/// ascend; rows not closed when Build runs are empty.
+class CsrRowBuilder {
+ public:
+  /// `capacity` reserves room for that many entries.
+  CsrRowBuilder(int rows, int cols, int capacity);
+
+  void Append(int col, double value) {
+    m_.col_indices_.push_back(col);
+    m_.values_.push_back(value);
+  }
+  void EndRow() {
+    m_.row_offsets_.push_back(static_cast<int>(m_.values_.size()));
+  }
+
+  /// The matrix. Checks that at most rows() rows were closed and that each
+  /// row's columns ascend strictly within [0, cols()).
+  CsrMatrix Build() &&;
+
+ private:
+  CsrMatrix m_;
 };
 
 /// Every product lefts[k] * right, stacked as row blocks of one matrix:

@@ -56,37 +56,64 @@ Result<Tensor> SolveSpd(const Tensor& a, const Tensor& b) {
   return x;
 }
 
+namespace {
+
+/// out[i] += in[i] * s for i in [0, n): one term added to each of n
+/// independent sums, so the loop vectorizes without reordering any sum.
+void AddScaled(double* __restrict out, const double* __restrict in,
+               double s, int n) {
+  for (int i = 0; i < n; ++i) out[i] += in[i] * s;
+}
+
+}  // namespace
+
 double PowerIterationLargestEigenvalue(const CsrMatrix& a, int iterations) {
   CASCN_CHECK(a.rows() == a.cols());
   const int n = a.rows();
   if (n == 0) return 0.0;
-  // Symmetrise: S = (A + A^T)/2, applied without materialising S or A^T.
-  // A x gathers along A's rows; A^T x scatters them, reaching each
-  // element in ascending source-row order, exactly as a product with the
-  // transposed CSR would. Three buffers serve every iteration.
+  // The leading m x m block holds every entry; a row lists its columns in
+  // ascending order, so its last entry has its largest column.
   const auto& offsets = a.row_offsets();
   const auto& cols = a.col_indices();
   const auto& vals = a.values();
-  std::vector<double> x(n, 1.0 / std::sqrt(static_cast<double>(n)));
-  std::vector<double> ax(n), atx(n);
+  int m = 0;
+  for (int r = 0; r < n; ++r)
+    if (offsets[r] < offsets[r + 1])
+      m = std::max({m, r + 1, cols[offsets[r + 1] - 1] + 1});
+  // The block and its transpose, both row-major, so that A x sums each row
+  // and A^T x each column in ascending order from +0.0, as the sparse
+  // gather and scatter did: a missing entry adds an exact zero, which
+  // changes no sum.
+  std::vector<double> block(2 * static_cast<size_t>(m) * m, 0.0);
+  double* const at = block.data() + static_cast<size_t>(m) * m;
+  for (int r = 0; r < m; ++r)
+    for (int k = offsets[r]; k < offsets[r + 1]; ++k) {
+      block[static_cast<size_t>(r) * m + cols[k]] = vals[k];
+      at[static_cast<size_t>(cols[k]) * m + r] = vals[k];
+    }
+  // S = (A + A^T)/2 is applied as two sums per entry. The x_0 entries past
+  // the block count in the first step's x.x; their S x entries are zeros,
+  // so x is zero there from then on and they add only exact zeros.
+  const double x0 = 1.0 / std::sqrt(static_cast<double>(n));
+  std::vector<double> x(m, x0), ax(m), atx(m);
   double lambda = 0.0;
   for (int it = 0; it < iterations; ++it) {
+    std::fill(ax.begin(), ax.end(), 0.0);
     std::fill(atx.begin(), atx.end(), 0.0);
-    for (int r = 0; r < n; ++r) {
-      double sum = 0.0;
-      for (int k = offsets[r]; k < offsets[r + 1]; ++k) {
-        sum += vals[k] * x[cols[k]];
-        atx[cols[k]] += vals[k] * x[r];
-      }
-      ax[r] = sum;
-    }
+    for (int c = 0; c < m; ++c)
+      AddScaled(ax.data(), at + static_cast<size_t>(c) * m, x[c], m);
+    for (int r = 0; r < m; ++r)
+      AddScaled(atx.data(), block.data() + static_cast<size_t>(r) * m, x[r],
+                m);
     double num = 0, den = 0, sq = 0;
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < m; ++i) {
       ax[i] = (ax[i] + atx[i]) * 0.5;
       num += x[i] * ax[i];
       den += x[i] * x[i];
       sq += ax[i] * ax[i];
     }
+    if (it == 0)
+      for (int i = m; i < n; ++i) den += x0 * x0;
     lambda = den > 0 ? num / den : 0.0;
     const double norm = std::sqrt(sq);
     if (norm < 1e-30) return 0.0;
@@ -97,33 +124,41 @@ double PowerIterationLargestEigenvalue(const CsrMatrix& a, int iterations) {
   return std::fabs(lambda);
 }
 
-Result<std::vector<double>> StationaryDistribution(const CsrMatrix& p,
+Result<std::vector<double>> StationaryDistribution(const Tensor& p,
                                                    int max_iterations,
                                                    double tolerance) {
   if (p.rows() != p.cols())
     return Status::InvalidArgument("transition matrix must be square");
   const int n = p.rows();
   if (n == 0) return Status::InvalidArgument("empty transition matrix");
-  Tensor phi(n, 1, 1.0 / n);
+  std::vector<double> phi(n, 1.0 / n), next(n);
   for (int it = 0; it < max_iterations; ++it) {
-    // phi' = P^T phi  (left eigenvector via transpose application).
-    Tensor next = p.TransposeMatMulDense(phi);
-    const double sum = next.Sum();
+    // next = P^T phi (the left eigenvector through the transpose).
+    std::fill(next.begin(), next.end(), 0.0);
+    for (int r = 0; r < n; ++r)
+      AddScaled(next.data(), p.data() + static_cast<size_t>(r) * n, phi[r],
+                n);
+    double sum = 0;
+    for (const double v : next) sum += v;
     if (sum <= 0)
       return Status::FailedPrecondition("stationary iteration degenerated");
-    next.Scale(1.0 / sum);
+    const double inv_sum = 1.0 / sum;
     double delta = 0;
-    for (int i = 0; i < n; ++i)
-      delta = std::max(delta, std::fabs(next.At(i, 0) - phi.At(i, 0)));
-    phi = std::move(next);
-    if (delta < tolerance) {
-      std::vector<double> out(n);
-      for (int i = 0; i < n; ++i) out[i] = phi.At(i, 0);
-      return out;
+    for (int i = 0; i < n; ++i) {
+      next[i] *= inv_sum;
+      delta = std::max(delta, std::fabs(next[i] - phi[i]));
     }
+    phi.swap(next);
+    if (delta < tolerance) return phi;
   }
   return Status::FailedPrecondition(
       "stationary distribution did not converge");
+}
+
+Result<std::vector<double>> StationaryDistribution(const CsrMatrix& p,
+                                                   int max_iterations,
+                                                   double tolerance) {
+  return StationaryDistribution(p.ToDense(), max_iterations, tolerance);
 }
 
 Tensor PrincipalComponents(const Tensor& x, int k, int iterations) {

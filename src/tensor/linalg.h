@@ -26,13 +26,26 @@ Result<Tensor> SolveSpd(const Tensor& a, const Tensor& b);
 /// cascade Laplacians) the dominant eigenvalue may be complex; we iterate on
 /// the symmetric part (A + A^T)/2, whose largest eigenvalue upper-bounds the
 /// real spectral abscissa and is the standard surrogate for Chebyshev filter
-/// scaling. Deterministic: starts from the all-ones vector.
+/// scaling. Deterministic: starts from the all-ones vector, normalised over
+/// all rows. The iteration runs densely on the leading block that holds
+/// every entry (a padded cascade operator's active block): the rows and
+/// columns past it add only exact zeros, so the result has the bits of an
+/// iteration over every row. Pre: finite values.
 double PowerIterationLargestEigenvalue(const CsrMatrix& a, int iterations = 64);
 
 /// Left stationary distribution of a row-stochastic matrix P: the phi with
-/// phi^T P = phi^T, sum(phi) = 1, found by power iteration. Returns
-/// FailedPrecondition when iteration fails to converge to tolerance (e.g.,
-/// P not irreducible). `p` must be square.
+/// phi^T P = phi^T, sum(phi) = 1, found by power iteration from the uniform
+/// distribution. Each step sums P^T phi over rows in ascending order,
+/// normalises by the sum and stops once no entry moved by `tolerance` or
+/// more. Returns FailedPrecondition when iteration fails to converge to
+/// tolerance (e.g., P not irreducible). `p` must be square, with finite
+/// values.
+Result<std::vector<double>> StationaryDistribution(const Tensor& p,
+                                                   int max_iterations = 1000,
+                                                   double tolerance = 1e-10);
+
+/// The same on a sparse P: its dense copy, whose missing entries add exact
+/// zeros.
 Result<std::vector<double>> StationaryDistribution(const CsrMatrix& p,
                                                    int max_iterations = 1000,
                                                    double tolerance = 1e-10);

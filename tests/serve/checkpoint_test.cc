@@ -195,6 +195,31 @@ TEST(CheckpointCascnTest, ConfigParserRejectsUnknownKeysAndGarbage) {
   EXPECT_FALSE(ParseCascnConfig("variant=99\n").ok());
 }
 
+/// Values no model can run with fail at parse time, each with
+/// InvalidArgument, instead of reaching a check on the first predict.
+TEST(CheckpointCascnTest, ConfigParserRejectsValuesNoModelRunsWith) {
+  const std::string valid = EncodeCascnConfig(CascnConfig());
+  ASSERT_TRUE(ParseCascnConfig(valid).ok());
+  for (const char* line :
+       {"caslaplacian_alpha=1", "caslaplacian_alpha=0",
+        "caslaplacian_alpha=-0.5", "caslaplacian_alpha=1.5",
+        "caslaplacian_alpha=nan", "padded_size=0", "padded_size=-3",
+        "padded_size=4294967297", "hidden_dim=0", "cheb_order=0",
+        "max_sequence_length=0", "num_time_intervals=0", "mlp_hidden1=0",
+        "mlp_hidden2=-1"}) {
+    // A later line overrides the valid one.
+    const auto parsed = ParseCascnConfig(valid + line + "\n");
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  for (const char* line :
+       {"caslaplacian_alpha=0.999", "caslaplacian_alpha=1e-9",
+        "padded_size=1", "cheb_order=1", "max_sequence_length=1",
+        "num_time_intervals=1", "hidden_dim=1"}) {
+    EXPECT_TRUE(ParseCascnConfig(valid + line + "\n").ok()) << line;
+  }
+}
+
 TEST(CheckpointFormatTest, TinyCascnBytesArePinned) {
   // Checkpoint format version 2: the header byte for byte, the length, and
   // the trailing CRC-32, which covers every parameter byte in between. A
@@ -317,6 +342,22 @@ TEST_F(CheckpointCorruptionTest, WrongModelTypeIsRejected) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("some-other-model"),
+            std::string::npos);
+}
+
+/// A checkpoint whose config no model can run with (here alpha = 1, which
+/// the CasLaplacian rejects on every encode) fails to load.
+TEST_F(CheckpointCorruptionTest, ConfigNoModelRunsWithIsRejected) {
+  CascnConfig config = testing::TinyCascnConfig();
+  CascnModel model(config);
+  config.caslaplacian_alpha = 1.0;
+  ASSERT_TRUE(WriteCheckpointFile(path_, kCascnModelType,
+                                  EncodeCascnConfig(config), model, 0.0)
+                  .ok());
+  auto result = LoadCascnCheckpoint(path_);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("caslaplacian_alpha"),
             std::string::npos);
 }
 
