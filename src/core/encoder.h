@@ -28,7 +28,8 @@ namespace cascn {
 
 /// Precomputed per-sample inputs of the CasCN forward pass.
 struct EncodedCascade {
-  /// Dense padded adjacency signal X_t per snapshot (each n x n). No
+  /// Dense padded adjacency signal X_t per snapshot (each padded_size x
+  /// padded_size): BuildSnapshotSequence's adjacencies, moved in. No
   /// forward reads it: it is kept for callers that step a cell on a dense
   /// X_t, and CascnModel drops it before caching an encoding.
   std::vector<Tensor> snapshot_signals;

@@ -20,6 +20,12 @@
 //   L~ = 2 L / lambda_max - I          (Eq. 2/4)
 // lambda_max is either estimated per cascade by power iteration or
 // approximated by 2 (Table V compares the two).
+//
+// Every stage works at the cascade's size: on the n x n active block, not
+// the padded one, with its CSR rows written directly in row order (no
+// triplets, no sort). The padded rows and columns stay empty, so they
+// would only add exact zeros; tests/core/encoder_oracle_test.cc holds the
+// padded implementation these keep bit for bit.
 
 #ifndef CASCN_GRAPH_LAPLACIAN_H_
 #define CASCN_GRAPH_LAPLACIAN_H_
@@ -42,10 +48,12 @@ struct CasLaplacianOptions {
 
 /// Algorithm 1: the directed CasLaplacian Delta_c of an observed cascade.
 /// Computed over the cascade's `n` active nodes (with the root
-/// self-connection contributing to W as in Fig. 3), then embedded in a
-/// padded_size x padded_size matrix with zeros outside the active block.
-/// Returns FailedPrecondition if the stationary iteration fails (should not
-/// happen for alpha in (0,1)).
+/// self-connection contributing to W as in Fig. 3): P_c is one dense n x n
+/// block, and Delta_c's rows, exact zeros dropped, fill the active rows of
+/// a padded_size x padded_size matrix that is empty outside that block.
+/// Returns InvalidArgument unless alpha is in (0, 1), and
+/// FailedPrecondition if the stationary iteration does not converge within
+/// its budget.
 Result<CsrMatrix> CascadeLaplacian(const Cascade& cascade, int padded_size,
                                    const CasLaplacianOptions& options = {});
 
@@ -62,7 +70,8 @@ CsrMatrix ScaleLaplacian(const CsrMatrix& laplacian, double lambda_max,
                          int active_n);
 
 /// Largest eigenvalue of the active block of `laplacian` via power
-/// iteration; falls back to 2.0 when the estimate degenerates (e.g.,
+/// iteration (PowerIterationLargestEigenvalue, which iterates on that block
+/// only); falls back to 2.0 when the estimate degenerates (e.g.,
 /// single-node cascades).
 double EstimateLambdaMax(const CsrMatrix& laplacian, int active_n);
 
