@@ -203,6 +203,65 @@ double OracleEstimateLambdaMax(const CsrMatrix& laplacian, int active_n) {
   return lambda;
 }
 
+CsrMatrix OracleMatMulSparse(const CsrMatrix& a, const CsrMatrix& other) {
+  CASCN_CHECK(a.cols() == other.rows());
+  const auto& offsets = a.row_offsets();
+  const auto& cols = a.col_indices();
+  const auto& vals = a.values();
+  const auto& other_offsets = other.row_offsets();
+  const auto& other_cols = other.col_indices();
+  const auto& other_vals = other.values();
+  std::vector<Triplet> trips;
+  std::vector<double> accum(other.cols(), 0.0);
+  std::vector<char> seen(other.cols(), 0);
+  std::vector<int> touched;
+  for (int r = 0; r < a.rows(); ++r) {
+    touched.clear();
+    for (int k = offsets[r]; k < offsets[r + 1]; ++k) {
+      const int mid = cols[k];
+      const double v = vals[k];
+      for (int k2 = other_offsets[mid]; k2 < other_offsets[mid + 1]; ++k2) {
+        const int c = other_cols[k2];
+        if (!seen[c]) {
+          seen[c] = 1;
+          touched.push_back(c);
+        }
+        accum[c] += v * other_vals[k2];
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    for (const int c : touched) {
+      if (accum[c] != 0.0) trips.push_back({r, c, accum[c]});
+      accum[c] = 0.0;
+      seen[c] = 0;
+    }
+  }
+  return CsrMatrix::FromTriplets(a.rows(), other.cols(), std::move(trips));
+}
+
+CsrMatrix OracleScaled(const CsrMatrix& a, double alpha) {
+  std::vector<Triplet> trips;
+  trips.reserve(a.nnz());
+  for (int r = 0; r < a.rows(); ++r)
+    for (int k = a.row_offsets()[r]; k < a.row_offsets()[r + 1]; ++k)
+      trips.push_back({r, a.col_indices()[k], a.values()[k] * alpha});
+  return CsrMatrix::FromTriplets(a.rows(), a.cols(), std::move(trips));
+}
+
+CsrMatrix OracleAdd(const CsrMatrix& a, const CsrMatrix& other, double alpha,
+                    double beta) {
+  CASCN_CHECK(a.rows() == other.rows() && a.cols() == other.cols());
+  std::vector<Triplet> trips;
+  trips.reserve(a.nnz() + other.nnz());
+  for (int r = 0; r < a.rows(); ++r)
+    for (int k = a.row_offsets()[r]; k < a.row_offsets()[r + 1]; ++k)
+      trips.push_back({r, a.col_indices()[k], alpha * a.values()[k]});
+  for (int r = 0; r < other.rows(); ++r)
+    for (int k = other.row_offsets()[r]; k < other.row_offsets()[r + 1]; ++k)
+      trips.push_back({r, other.col_indices()[k], beta * other.values()[k]});
+  return CsrMatrix::FromTriplets(a.rows(), a.cols(), std::move(trips));
+}
+
 std::vector<CsrMatrix> OracleChebyshevBasis(const CsrMatrix& scaled_laplacian,
                                             int order, int active_n) {
   CASCN_CHECK(order >= 1);
@@ -218,9 +277,11 @@ std::vector<CsrMatrix> OracleChebyshevBasis(const CsrMatrix& scaled_laplacian,
                                           std::move(eye)));
   if (order >= 2) basis.push_back(scaled_laplacian);
   for (int k = 2; k < order; ++k) {
-    basis.push_back(scaled_laplacian.MatMulSparse(basis[k - 1])
-                        .Scaled(2.0)
-                        .Add(basis[k - 2], 1.0, -1.0));
+    basis.push_back(
+        OracleAdd(OracleScaled(OracleMatMulSparse(scaled_laplacian,
+                                                  basis[k - 1]),
+                               2.0),
+                  basis[k - 2], 1.0, -1.0));
   }
   return basis;
 }
@@ -420,8 +481,8 @@ constexpr double kAlphas[] = {0.85, 0.5, 0.99};
 /// Every field of EncodeCascade against the oracle: sizes 1-40 at padded
 /// sizes 8, 32 and 50 (so cascades both fit and get truncated), both
 /// Laplacians, exact and approximate lambda_max, Chebyshev orders 1-3
-/// (order 3 goes through MatMulSparse), and sequence bounds that keep every
-/// snapshot or subsample them.
+/// (order 3 goes through the T_k recurrence), and sequence bounds that keep
+/// every snapshot or subsample them.
 TEST(EncoderOracleTest, EncodeCascadeKeepsThePaddedImplementationsBits) {
   Rng rng(20260);
   int encodings = 0;
@@ -535,6 +596,52 @@ TEST(EncoderOracleTest, EachStageKeepsThePaddedImplementationsBits) {
   }
 }
 
+/// The Chebyshev basis against the oracle to order 6, past the orders the
+/// encoder test covers: sizes 1-40 at padded sizes 8, 32 and 50, both
+/// Laplacians, exact and approximate lambda_max. T_k does not depend on the
+/// order asked for, so every order 1-6 is checked against the oracle's T_0
+/// to T_5. Some bases store exact zeros, which the comparison must keep.
+TEST(EncoderOracleTest, ChebyshevBasisKeepsTheOraclesBitsToOrderSix) {
+  Rng rng(20263);
+  int stored_zeros = 0;
+  for (int size = 1; size <= 40; ++size) {
+    const Cascade cascade = RandomSample(size, rng).observed;
+    for (const int padded : kPaddedSizes) {
+      const int active_n = std::min(size, padded);
+      CasLaplacianOptions options;
+      options.alpha = kAlphas[size % 3];
+      const Result<CsrMatrix> cas =
+          OracleCascadeLaplacian(cascade, padded, options);
+      ASSERT_TRUE(cas.ok()) << "size=" << size;
+      const CsrMatrix undirected =
+          OracleUndirectedNormalizedLaplacian(cascade, padded);
+      for (const CsrMatrix* lap : {&*cas, &undirected}) {
+        for (const double lambda :
+             {OracleEstimateLambdaMax(*lap, active_n), 2.0}) {
+          const CsrMatrix scaled =
+              OracleScaleLaplacian(*lap, lambda, active_n);
+          const std::vector<CsrMatrix> want =
+              OracleChebyshevBasis(scaled, 6, active_n);
+          for (const CsrMatrix& t : want)
+            for (const double v : t.values()) stored_zeros += v == 0.0;
+          for (int order = 1; order <= 6; ++order) {
+            const std::vector<CsrMatrix> got =
+                ChebyshevBasis(scaled, order, active_n);
+            ASSERT_EQ(got.size(), static_cast<size_t>(order));
+            for (int k = 0; k < order; ++k)
+              EXPECT_TRUE(SameCsr(got[k], want[k]))
+                  << "size=" << size << " padded=" << padded
+                  << (lap == &undirected ? " undirected" : " CasLaplacian")
+                  << " lambda=" << lambda << ": T_" << k << " of order "
+                  << order;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(stored_zeros, 0);
+}
+
 /// A stationary iteration that cannot converge in its budget, or a
 /// non-square or empty transition matrix, fails as the oracle does; a
 /// converging one on a sparse P keeps its bits.
@@ -568,7 +675,7 @@ TEST(EncoderOracleTest, StationaryDistributionKeepsItsStatusesAndBits) {
     const CsrMatrix p = CsrMatrix::FromTriplets(n, n, trips);
     for (const int budget : {1, 5, 1000}) {
       const auto want = OracleStationaryDistribution(p, budget, 1e-10);
-      const auto got = StationaryDistribution(p, budget, 1e-10);
+      const auto got = StationaryDistribution(p.ToDense(), budget, 1e-10);
       ASSERT_EQ(got.ok(), want.ok()) << "n=" << n << " budget=" << budget;
       if (!want.ok()) {
         EXPECT_EQ(got.status().code(), want.status().code());
@@ -577,11 +684,12 @@ TEST(EncoderOracleTest, StationaryDistributionKeepsItsStatusesAndBits) {
       EXPECT_TRUE(SameArray(*got, *want)) << "n=" << n << " budget=" << budget;
     }
   }
-  EXPECT_EQ(StationaryDistribution(CsrMatrix::FromTriplets(2, 3, {}))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(StationaryDistribution(CsrMatrix()).status().code(),
+  EXPECT_EQ(
+      StationaryDistribution(CsrMatrix::FromTriplets(2, 3, {}).ToDense())
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(StationaryDistribution(CsrMatrix().ToDense()).status().code(),
             StatusCode::kInvalidArgument);
 }
 
