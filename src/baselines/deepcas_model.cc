@@ -32,8 +32,12 @@ DeepCasModel::DeepCasModel(const Config& config) : config_(config) {
 
 const std::vector<std::vector<int>>& DeepCasModel::WalkUsers(
     const CascadeSample& sample) {
-  auto it = walk_cache_.find(&sample);
+  const uint64_t key = SampleFingerprint(sample);
+  auto it = walk_cache_.find(key);
   if (it != walk_cache_.end()) return it->second;
+  // A live cascade gets a new fingerprint per append; a wholesale reset on
+  // overflow keeps the cache bounded.
+  if (walk_cache_.size() >= 8192) walk_cache_.clear();
   Rng rng(std::hash<std::string>{}(sample.observed.id()) ^ config_.seed);
   const auto walks =
       SampleCascadeWalks(sample.observed, config_.walk_options, rng);
@@ -44,7 +48,7 @@ const std::vector<std::vector<int>>& DeepCasModel::WalkUsers(
     for (int t = 0; t < config_.walk_options.walk_length; ++t)
       per_step[t][w] =
           sample.observed.event(walks[w][t]).user % config_.user_universe;
-  return walk_cache_.emplace(&sample, std::move(per_step)).first->second;
+  return walk_cache_.emplace(key, std::move(per_step)).first->second;
 }
 
 ag::Variable DeepCasModel::PredictLog(const CascadeSample& sample) {

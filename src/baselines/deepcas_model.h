@@ -9,6 +9,7 @@
 #ifndef CASCN_BASELINES_DEEPCAS_MODEL_H_
 #define CASCN_BASELINES_DEEPCAS_MODEL_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -56,9 +57,10 @@ class DeepCasModel : public nn::Module, public CascadeRegressor {
   ag::Variable attention_w_;  // 2*hidden x attention_dim
   ag::Variable attention_v_;  // attention_dim x 1
   std::unique_ptr<nn::Mlp> mlp_;
-  // walk_cache_[sample][t] = user ids at walk position t (one per walk).
-  std::unordered_map<const CascadeSample*, std::vector<std::vector<int>>>
-      walk_cache_;
+  // walk_cache_[fingerprint][t] = user ids at walk position t (one per
+  // walk). Keyed by SampleFingerprint, since a recycled address can hold
+  // another sample.
+  std::unordered_map<uint64_t, std::vector<std::vector<int>>> walk_cache_;
 };
 
 }  // namespace cascn

@@ -26,15 +26,19 @@ void FeatureDeepModel::PrepareScaler(
 
 ag::Variable FeatureDeepModel::PredictLog(const CascadeSample& sample) {
   CASCN_CHECK(scaler_ready_) << "PrepareScaler must run before prediction";
-  auto it = feature_cache_.find(&sample);
+  const uint64_t key = SampleFingerprint(sample);
+  auto it = feature_cache_.find(key);
   if (it == feature_cache_.end()) {
+    // A live cascade gets a new fingerprint per append; a wholesale reset
+    // on overflow keeps the cache bounded.
+    if (feature_cache_.size() >= 8192) feature_cache_.clear();
     const std::vector<double> row =
         ExtractFeatures(sample, config_.feature_options);
     Tensor features(1, static_cast<int>(row.size()));
     for (size_t j = 0; j < row.size(); ++j)
       features.At(0, static_cast<int>(j)) =
           (row[j] - scaler_.mean[j]) / scaler_.stddev[j];
-    it = feature_cache_.emplace(&sample, std::move(features)).first;
+    it = feature_cache_.emplace(key, std::move(features)).first;
   }
   return mlp_->Forward(ag::Variable::Leaf(it->second));
 }

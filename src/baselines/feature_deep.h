@@ -6,6 +6,7 @@
 #ifndef CASCN_BASELINES_FEATURE_DEEP_H_
 #define CASCN_BASELINES_FEATURE_DEEP_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -46,7 +47,9 @@ class FeatureDeepModel : public nn::Module, public CascadeRegressor {
   std::unique_ptr<nn::Mlp> mlp_;
   FeatureScaler scaler_;
   bool scaler_ready_ = false;
-  std::unordered_map<const CascadeSample*, Tensor> feature_cache_;
+  // Scaled features by SampleFingerprint, since a recycled address can hold
+  // another sample.
+  std::unordered_map<uint64_t, Tensor> feature_cache_;
 };
 
 }  // namespace cascn

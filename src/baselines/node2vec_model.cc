@@ -82,8 +82,12 @@ void Node2VecModel::PretrainEmbeddings(
 ag::Variable Node2VecModel::PredictLog(const CascadeSample& sample) {
   CASCN_CHECK(pretrained_)
       << "PretrainEmbeddings must run before prediction";
-  auto it = representation_cache_.find(&sample);
+  const uint64_t key = SampleFingerprint(sample);
+  auto it = representation_cache_.find(key);
   if (it == representation_cache_.end()) {
+    // A live cascade gets a new fingerprint per append; a wholesale reset
+    // on overflow keeps the cache bounded.
+    if (representation_cache_.size() >= 8192) representation_cache_.clear();
     Tensor rep(1, config_.embedding_dim);
     const Cascade& cascade = sample.observed;
     for (int i = 0; i < cascade.size(); ++i) {
@@ -92,7 +96,7 @@ ag::Variable Node2VecModel::PredictLog(const CascadeSample& sample) {
         rep.At(0, j) += embeddings_.At(user, j);
     }
     rep.Scale(1.0 / cascade.size());
-    it = representation_cache_.emplace(&sample, std::move(rep)).first;
+    it = representation_cache_.emplace(key, std::move(rep)).first;
   }
   return mlp_->Forward(ag::Variable::Leaf(it->second));
 }

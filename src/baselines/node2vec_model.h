@@ -8,6 +8,7 @@
 #ifndef CASCN_BASELINES_NODE2VEC_MODEL_H_
 #define CASCN_BASELINES_NODE2VEC_MODEL_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -61,7 +62,9 @@ class Node2VecModel : public nn::Module, public CascadeRegressor {
   Tensor embeddings_;  // user_universe x dim (frozen after pretraining)
   bool pretrained_ = false;
   std::unique_ptr<nn::Mlp> mlp_;
-  std::unordered_map<const CascadeSample*, Tensor> representation_cache_;
+  // Mean embeddings by SampleFingerprint, since a recycled address can hold
+  // another sample.
+  std::unordered_map<uint64_t, Tensor> representation_cache_;
 };
 
 }  // namespace cascn

@@ -24,6 +24,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The non-finite guard multiplies the learning rate by this after a
+/// skipped step.
+constexpr double kNonfiniteLrBackoff = 0.5;
+
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -86,16 +90,11 @@ TrainResult TrainRegressor(CascadeRegressor& model,
                            const TrainerOptions& options) {
   CASCN_CHECK(!dataset.train.empty() && !dataset.validation.empty());
   CASCN_CHECK(options.max_epochs >= 1 && options.batch_size >= 1);
-  CASCN_CHECK(options.checkpoint_interval >= 1);
-  CASCN_CHECK(options.nonfinite_lr_backoff > 0 &&
-              options.nonfinite_lr_backoff <= 1.0);
 
-  if (options.calibrate_output_offset) {
-    double mean_label = 0;
-    for (const auto& s : dataset.train) mean_label += s.log_label;
-    model.set_output_offset(mean_label /
-                            static_cast<double>(dataset.train.size()));
-  }
+  double mean_label = 0;
+  for (const auto& s : dataset.train) mean_label += s.log_label;
+  model.set_output_offset(mean_label /
+                          static_cast<double>(dataset.train.size()));
 
   std::vector<ag::Variable> params = model.TrainableParameters();
   nn::Adam::Options adam_opts;
@@ -238,10 +237,8 @@ TrainResult TrainRegressor(CascadeRegressor& model,
     const auto epoch_start = Clock::now();
     // Re-derive the permutation from the identity so the epoch's order is a
     // pure function of the Rng state — the state file can then resume it.
-    if (options.shuffle) {
-      std::iota(order.begin(), order.end(), 0);
-      rng.Shuffle(order);
-    }
+    std::iota(order.begin(), order.end(), 0);
+    rng.Shuffle(order);
     EpochStats stats;
     double epoch_loss = 0;
     double grad_norm_sum = 0;
@@ -342,7 +339,7 @@ TrainResult TrainRegressor(CascadeRegressor& model,
           params[i].mutable_value() = good_params[i];
         CASCN_CHECK(optimizer.RestoreState(good_adam).ok());
         optimizer.set_learning_rate(optimizer.learning_rate() *
-                                    options.nonfinite_lr_backoff);
+                                    kNonfiniteLrBackoff);
         nonfinite_total.Increment();
         lr_backoffs_total.Increment();
         ++stats.skipped_steps;
@@ -417,14 +414,10 @@ TrainResult TrainRegressor(CascadeRegressor& model,
     } else if (++stagnant > options.patience) {
       stop = true;
     }
-    // Epoch boundary reached: persist the resumable state. Also written on
-    // the final/stopping epoch regardless of the interval, so a resumed
-    // process sees a finished run instead of redoing the last epoch.
-    if (!options.checkpoint_path.empty() &&
-        (epoch % options.checkpoint_interval == 0 || stop ||
-         epoch == options.max_epochs)) {
-      write_state(epoch);
-    }
+    // Epoch boundary reached: persist the resumable state. The final or
+    // stopping epoch's state lets a resumed process see a finished run
+    // instead of redoing the last epoch.
+    if (!options.checkpoint_path.empty()) write_state(epoch);
     if (stop) break;
   }
   // Restore the best-epoch weights.

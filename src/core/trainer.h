@@ -17,7 +17,10 @@
 
 namespace cascn {
 
-/// Knobs of the training loop.
+/// Knobs of the training loop. The loop always shuffles the training order
+/// per epoch, sets the model's output offset to the train-mean label before
+/// training (see CascadeRegressor::set_output_offset), and, with a
+/// checkpoint path, writes the state file at every epoch boundary.
 struct TrainerOptions {
   int max_epochs = 12;
   int batch_size = 16;
@@ -26,11 +29,6 @@ struct TrainerOptions {
   /// Early stopping: epochs without validation improvement before halting
   /// (the paper stops after 10 stagnant iterations).
   int patience = 4;
-  /// Shuffle training order per epoch.
-  bool shuffle = true;
-  /// Set the model's output offset to the train-mean label before training
-  /// (see CascadeRegressor::set_output_offset).
-  bool calibrate_output_offset = true;
   uint64_t seed = 7;
   /// Log per-epoch progress at INFO level.
   bool verbose = false;
@@ -42,19 +40,13 @@ struct TrainerOptions {
   /// owned; may be null (no stamping).
   obs::WorkerHeartbeat* heartbeat = nullptr;
   /// Crash safety: when non-empty, the trainer writes a resumable state
-  /// file (core/train_state.h) here every `checkpoint_interval` epochs.
+  /// file (core/train_state.h) here at every epoch boundary.
   /// With `resume`, a valid existing file continues the run from its epoch;
   /// the resumed run's weights are bit-identical to an uninterrupted run at
   /// any thread count. A corrupt or mismatched file is logged and ignored
   /// (fresh start); a failed write is logged and counted, never fatal.
   std::string checkpoint_path;
-  int checkpoint_interval = 1;
   bool resume = true;
-  /// Non-finite guard: when a batch produces a non-finite loss or gradient
-  /// norm, the step is skipped, parameters and Adam state are restored from
-  /// the last good step, and the learning rate is multiplied by this
-  /// backoff factor.
-  double nonfinite_lr_backoff = 0.5;
 };
 
 /// Fault-injection point (src/fault): poisons a batch loss with NaN, keyed

@@ -14,7 +14,9 @@ namespace cascn {
 
 /// Returns {T_0, ..., T_{order-1}} of `scaled_laplacian`. The identity term
 /// T_0 is restricted to the top-left `active_n` block so padded nodes stay
-/// silent. Pre: order >= 1, square input.
+/// silent, and T_k for k >= 2 is built densely on that block. Pre: order >=
+/// 1, square input; from order 3 on, every entry of `scaled_laplacian` lies
+/// in the active block, as ScaleLaplacian's do.
 std::vector<CsrMatrix> ChebyshevBasis(const CsrMatrix& scaled_laplacian,
                                       int order, int active_n);
 

@@ -336,9 +336,9 @@ namespace {
 template <typename Fused>
 std::vector<PaddingTable::Step> ZeroInputTrajectory(Fused& fused, int depth) {
   const std::vector<CsrMatrix> no_graph(
-      fused.order, CsrMatrix::FromTriplets(fused.n, fused.n, {}));
+      fused.order, CsrRowBuilder(fused.n, fused.n, 0).Build());
   const CsrMatrix no_ops =
-      CsrMatrix::FromTriplets(fused.order * fused.n, fused.n, {});
+      CsrRowBuilder(fused.order * fused.n, fused.n, 0).Build();
   std::vector<PaddingTable::Step> steps(depth);
   fused.Reset();
   const Tensor h0(fused.n, fused.d);

@@ -1,30 +1,11 @@
 #include "tensor/csr_matrix.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <memory>
 
 #include "common/logging.h"
-#include "parallel/parallel_for.h"
 
 namespace cascn {
-
-namespace {
-
-// Multiply-add count (nnz * dense cols) below which sparse products stay
-// serial; per-snapshot operators in the CasCN configs are far under this.
-constexpr uint64_t kParallelSparseCutoff = uint64_t{1} << 18;
-
-bool UseParallelKernel(uint64_t work) {
-  return work >= kParallelSparseCutoff && parallel::ConfiguredThreads() > 1;
-}
-
-size_t RowGrain(int rows) {
-  const size_t chunks = parallel::ConfiguredThreads() * 4;
-  return std::max<size_t>(1, static_cast<size_t>(rows) / chunks);
-}
-
-}  // namespace
 
 CsrMatrix CsrMatrix::FromTriplets(int rows, int cols,
                                   std::vector<Triplet> triplets) {
@@ -93,15 +74,6 @@ CsrMatrix CsrMatrix::FromDense(const Tensor& dense) {
   return std::move(out).Build();
 }
 
-CsrMatrix CsrMatrix::Identity(int n) {
-  CsrRowBuilder out(n, n, n);
-  for (int i = 0; i < n; ++i) {
-    out.Append(i, 1.0);
-    out.EndRow();
-  }
-  return std::move(out).Build();
-}
-
 Tensor CsrMatrix::ToDense() const {
   Tensor out(rows_, cols_);
   for (int r = 0; r < rows_; ++r)
@@ -114,25 +86,14 @@ Tensor CsrMatrix::MatMulDense(const Tensor& dense) const {
   CASCN_CHECK(cols_ == dense.rows());
   Tensor out(rows_, dense.cols());
   const int n = dense.cols();
-  // Each output row gathers from disjoint state: safe to row-partition, and
-  // the per-row accumulation order (k ascending) is identical either way.
-  auto rows = [&](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      double* orow = out.data() + r * n;
-      for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-        const double v = values_[k];
-        const double* drow =
-            dense.data() + static_cast<size_t>(col_indices_[k]) * n;
-        for (int j = 0; j < n; ++j) orow[j] += v * drow[j];
-      }
+  for (int r = 0; r < rows_; ++r) {
+    double* orow = out.data() + static_cast<size_t>(r) * n;
+    for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
+      const double v = values_[k];
+      const double* drow =
+          dense.data() + static_cast<size_t>(col_indices_[k]) * n;
+      for (int j = 0; j < n; ++j) orow[j] += v * drow[j];
     }
-  };
-  const uint64_t work = uint64_t(values_.size()) * uint64_t(n);
-  if (UseParallelKernel(work)) {
-    parallel::ParallelForRange(static_cast<size_t>(rows_), RowGrain(rows_),
-                               rows);
-  } else {
-    rows(0, static_cast<size_t>(rows_));
   }
   return out;
 }
@@ -141,29 +102,6 @@ Tensor CsrMatrix::TransposeMatMulDense(const Tensor& dense) const {
   CASCN_CHECK(rows_ == dense.rows());
   Tensor out(cols_, dense.cols());
   const int n = dense.cols();
-  const uint64_t work = uint64_t(values_.size()) * uint64_t(n);
-  if (UseParallelKernel(work)) {
-    // The CSR scatter (out row = col index) races across input rows, so the
-    // parallel branch partitions *output* rows instead: every worker scans
-    // the full nonzero list and applies only entries landing in its slice.
-    // Per-output-row accumulation order (r, then k, ascending) matches the
-    // serial branch below — bit-identical results.
-    parallel::ParallelForRange(
-        static_cast<size_t>(cols_), RowGrain(cols_),
-        [&](size_t c0, size_t c1) {
-          for (int r = 0; r < rows_; ++r) {
-            const double* drow = dense.data() + static_cast<size_t>(r) * n;
-            for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-              const size_t c = static_cast<size_t>(col_indices_[k]);
-              if (c < c0 || c >= c1) continue;
-              const double v = values_[k];
-              double* orow = out.data() + c * n;
-              for (int j = 0; j < n; ++j) orow[j] += v * drow[j];
-            }
-          }
-        });
-    return out;
-  }
   for (int r = 0; r < rows_; ++r) {
     const double* drow = dense.data() + static_cast<size_t>(r) * n;
     for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
@@ -173,19 +111,6 @@ Tensor CsrMatrix::TransposeMatMulDense(const Tensor& dense) const {
     }
   }
   return out;
-}
-
-CsrMatrix CsrMatrix::Transposed() const {
-  std::vector<Triplet> trips;
-  trips.reserve(values_.size());
-  for (int r = 0; r < rows_; ++r)
-    for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
-      trips.push_back({col_indices_[k], r, values_[k]});
-  return FromTriplets(cols_, rows_, std::move(trips));
-}
-
-CsrMatrix CsrMatrix::RowBlock(int first, int count) const {
-  return RowBlock(first, count, {0, cols_});
 }
 
 CsrMatrix CsrMatrix::RowBlock(int first, int count,
@@ -210,68 +135,6 @@ CsrMatrix CsrMatrix::RowBlock(int first, int count,
     block.row_offsets_[r + 1] = static_cast<int>(block.values_.size());
   }
   return block;
-}
-
-CsrMatrix CsrMatrix::Add(const CsrMatrix& other, double alpha,
-                         double beta) const {
-  CASCN_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  std::vector<Triplet> trips;
-  trips.reserve(values_.size() + other.values_.size());
-  for (int r = 0; r < rows_; ++r)
-    for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k)
-      trips.push_back({r, col_indices_[k], alpha * values_[k]});
-  for (int r = 0; r < other.rows_; ++r)
-    for (int k = other.row_offsets_[r]; k < other.row_offsets_[r + 1]; ++k)
-      trips.push_back({r, other.col_indices_[k], beta * other.values_[k]});
-  return FromTriplets(rows_, cols_, std::move(trips));
-}
-
-CsrMatrix CsrMatrix::MatMulSparse(const CsrMatrix& other) const {
-  CASCN_CHECK(cols_ == other.rows_);
-  CsrMatrix out;
-  out.rows_ = rows_;
-  out.cols_ = other.cols_;
-  out.row_offsets_.assign(rows_ + 1, 0);
-  // Dense-row accumulator: each output entry sums its products in (k, k2)
-  // order starting from 0.0, so values are bit-identical to a sorted-map
-  // accumulator. `touched` records which columns the row reached, since an
-  // entry can sum back to exactly zero.
-  std::vector<double> accum(other.cols_, 0.0);
-  std::vector<char> seen(other.cols_, 0);
-  std::vector<int> touched;
-  for (int r = 0; r < rows_; ++r) {
-    touched.clear();
-    for (int k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      const int mid = col_indices_[k];
-      const double v = values_[k];
-      for (int k2 = other.row_offsets_[mid]; k2 < other.row_offsets_[mid + 1];
-           ++k2) {
-        const int c = other.col_indices_[k2];
-        if (!seen[c]) {
-          seen[c] = 1;
-          touched.push_back(c);
-        }
-        accum[c] += v * other.values_[k2];
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    for (const int c : touched) {
-      if (accum[c] != 0.0) {
-        out.col_indices_.push_back(c);
-        out.values_.push_back(accum[c]);
-      }
-      accum[c] = 0.0;
-      seen[c] = 0;
-    }
-    out.row_offsets_[r + 1] = static_cast<int>(out.values_.size());
-  }
-  return out;
-}
-
-CsrMatrix CsrMatrix::Scaled(double alpha) const {
-  CsrMatrix out = *this;
-  for (double& v : out.values_) v *= alpha;
-  return out;
 }
 
 CsrMatrix StackedProducts(const std::vector<CsrMatrix>& lefts,
@@ -333,7 +196,7 @@ CsrMatrix StackedProducts(const std::vector<CsrMatrix>& lefts,
   int* offsets = out.row_offsets_.data();
   for (size_t k = 0; k < order; ++k) {
     // Row r at column c sums a(r, i) x over column c's entries (i, x) from
-    // 0.0 with i ascending: MatMulSparse's order. Where a has no entry the
+    // 0.0 with i ascending. Where a has no entry the
     // term is an exact zero, which changes no sum; an entry that sums to
     // exactly zero is dropped.
     for (int r = 0; r < m; ++r, ++offsets) {

@@ -45,9 +45,6 @@ class CsrMatrix {
   /// Converts a dense matrix, dropping exact zeros.
   static CsrMatrix FromDense(const Tensor& dense);
 
-  /// n x n identity.
-  static CsrMatrix Identity(int n);
-
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   int nnz() const { return static_cast<int>(values_.size()); }
@@ -77,26 +74,10 @@ class CsrMatrix {
   /// Pre: rows() == dense.rows().
   Tensor TransposeMatMulDense(const Tensor& dense) const;
 
-  /// Sparse transpose.
-  CsrMatrix Transposed() const;
-
-  /// Rows [first, first + count) as a count x cols() matrix.
-  CsrMatrix RowBlock(int first, int count) const;
-
-  /// The same rows, keeping only the entries in `columns`.
+  /// Rows [first, first + count) as a count x cols() matrix, keeping only
+  /// the entries in `columns`.
   /// Pre: 0 <= columns.begin <= columns.end <= cols().
   CsrMatrix RowBlock(int first, int count, ColumnRange columns) const;
-
-  /// alpha * this + beta * other (sparse result). Pre: same shape.
-  CsrMatrix Add(const CsrMatrix& other, double alpha = 1.0,
-                double beta = 1.0) const;
-
-  /// this * other (sparse result), dropping entries that sum to exactly
-  /// zero. Pre: cols() == other.rows().
-  CsrMatrix MatMulSparse(const CsrMatrix& other) const;
-
-  /// Scales all stored values by alpha.
-  CsrMatrix Scaled(double alpha) const;
 
  private:
   friend class CsrRowBuilder;
@@ -136,14 +117,15 @@ class CsrRowBuilder {
 };
 
 /// Every product lefts[k] * right, stacked as row blocks of one matrix:
-/// block k is rows [k m, (k + 1) m) for lefts of m rows, and is
-/// bit-identical to lefts[k].MatMulSparse(right). Made for a few small left
-/// operands and a right operand with few entries, such as the encoder's
-/// T_k X: each left operand is read from a dense copy, so a block reads
-/// just the entries the right operand's columns need, and the stack takes
-/// one set of arrays. Pre: the lefts share one shape m x n, right is n x c,
-/// and right's values are finite (a dense copy reads a missing entry of a
-/// left as 0.0, which must add an exact zero).
+/// block k is rows [k m, (k + 1) m) for lefts of m rows. Entry (r, c) of a
+/// block sums lefts[k](r, i) x over right's entries (i, x) in column c, i
+/// ascending, from 0.0; an entry that sums to exactly zero is dropped. Made
+/// for a few small left operands and a right operand with few entries, such
+/// as the encoder's T_k X: each left operand is read from a dense copy, so
+/// a block reads just the entries the right operand's columns need, and the
+/// stack takes one set of arrays. Pre: the lefts share one shape m x n,
+/// right is n x c, and right's values are finite (a dense copy reads a
+/// missing entry of a left as 0.0, which must add an exact zero).
 CsrMatrix StackedProducts(const std::vector<CsrMatrix>& lefts,
                           const CsrMatrix& right);
 

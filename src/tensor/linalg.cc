@@ -155,12 +155,6 @@ Result<std::vector<double>> StationaryDistribution(const Tensor& p,
       "stationary distribution did not converge");
 }
 
-Result<std::vector<double>> StationaryDistribution(const CsrMatrix& p,
-                                                   int max_iterations,
-                                                   double tolerance) {
-  return StationaryDistribution(p.ToDense(), max_iterations, tolerance);
-}
-
 Tensor PrincipalComponents(const Tensor& x, int k, int iterations) {
   CASCN_CHECK(k > 0 && k <= x.cols());
   const int d = x.cols();

@@ -44,12 +44,6 @@ Result<std::vector<double>> StationaryDistribution(const Tensor& p,
                                                    int max_iterations = 1000,
                                                    double tolerance = 1e-10);
 
-/// The same on a sparse P: its dense copy, whose missing entries add exact
-/// zeros.
-Result<std::vector<double>> StationaryDistribution(const CsrMatrix& p,
-                                                   int max_iterations = 1000,
-                                                   double tolerance = 1e-10);
-
 /// First `k` principal components of the rows of `x` (observations x
 /// features). Returns a features x k matrix of components; projections are
 /// (x - mean) * components. Uses orthogonalised power iteration on the

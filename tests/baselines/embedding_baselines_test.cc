@@ -1,4 +1,5 @@
 #include <cmath>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,28 @@ TEST(Node2VecModelTest, PretrainingMovesEmbeddings) {
   model.PretrainEmbeddings(dataset.train);
   // After SGNS, the table departs from the tiny uniform init range.
   EXPECT_GT(model.embeddings().AbsMax(), 0.5 / 6 + 1e-6);
+}
+
+/// The representation cache is keyed by what a sample holds, not where it
+/// lives: a second cascade emplaced into the first one's storage, as a live
+/// cascade rebuilds its sample in place, gets its own representation.
+TEST(Node2VecModelTest, RecycledAddressGetsTheNewSamplesRepresentation) {
+  const CascadeDataset dataset = TinyDataset();
+  Node2VecModel::Config config;
+  config.user_universe = 200;
+  config.embedding_dim = 6;
+  config.sgns_epochs = 1;
+  Node2VecModel model(config);
+  model.PretrainEmbeddings(dataset.train);
+  std::optional<CascadeSample> slot(dataset.test[0]);
+  const CascadeSample* const address = &*slot;
+  model.PredictLog(*slot);
+  slot.emplace(dataset.test[1]);
+  ASSERT_EQ(&*slot, address);
+  Node2VecModel fresh(config);
+  fresh.PretrainEmbeddings(dataset.train);
+  EXPECT_EQ(model.PredictLog(*slot).value().At(0, 0),
+            fresh.PredictLog(dataset.test[1]).value().At(0, 0));
 }
 
 TEST(Node2VecModelTest, OnlyHeadIsTrainable) {

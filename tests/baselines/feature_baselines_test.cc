@@ -1,4 +1,5 @@
 #include <cmath>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -82,6 +83,24 @@ TEST(FeatureDeepTest, CacheClearedOnRescale) {
   const double a = model.PredictLog(dataset.test[0]).value().At(0, 0);
   model.ClearCache();
   EXPECT_DOUBLE_EQ(model.PredictLog(dataset.test[0]).value().At(0, 0), a);
+}
+
+/// The feature cache is keyed by what a sample holds, not where it lives: a
+/// second cascade emplaced into the first one's storage, as a live cascade
+/// rebuilds its sample in place, gets its own features.
+TEST(FeatureDeepTest, RecycledAddressGetsTheNewSamplesFeatures) {
+  const CascadeDataset dataset = TinyDataset();
+  FeatureDeepModel model({});
+  model.PrepareScaler(dataset.train);
+  std::optional<CascadeSample> slot(dataset.test[0]);
+  const CascadeSample* const address = &*slot;
+  model.PredictLog(*slot);
+  slot.emplace(dataset.test[1]);
+  ASSERT_EQ(&*slot, address);
+  FeatureDeepModel fresh({});
+  fresh.PrepareScaler(dataset.train);
+  EXPECT_EQ(model.PredictLog(*slot).value().At(0, 0),
+            fresh.PredictLog(dataset.test[1]).value().At(0, 0));
 }
 
 TEST(FeatureBaselines, DeepAndLinearAreComparable) {

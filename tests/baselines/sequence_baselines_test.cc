@@ -1,4 +1,5 @@
 #include <cmath>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -43,6 +44,22 @@ TEST(DeepCasTest, WalkCacheMakesPredictionsStable) {
   EXPECT_DOUBLE_EQ(model.PredictLog(dataset.train[1]).value().At(0, 0), a);
   model.ClearCache();
   EXPECT_DOUBLE_EQ(model.PredictLog(dataset.train[1]).value().At(0, 0), a);
+}
+
+/// The walk cache is keyed by what a sample holds, not where it lives: a
+/// second cascade emplaced into the first one's storage, as a live cascade
+/// rebuilds its sample in place, gets its own walks.
+TEST(DeepCasTest, RecycledAddressGetsTheNewSamplesWalks) {
+  const CascadeDataset dataset = TinyDataset();
+  DeepCasModel model(SmallDeepCas());
+  std::optional<CascadeSample> slot(dataset.train[0]);
+  const CascadeSample* const address = &*slot;
+  model.PredictLog(*slot);
+  slot.emplace(dataset.train[1]);
+  ASSERT_EQ(&*slot, address);
+  DeepCasModel fresh(SmallDeepCas());
+  EXPECT_EQ(model.PredictLog(*slot).value().At(0, 0),
+            fresh.PredictLog(dataset.train[1]).value().At(0, 0));
 }
 
 TEST(DeepCasTest, ShortTrainingReducesLoss) {

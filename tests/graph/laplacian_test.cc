@@ -154,7 +154,8 @@ TEST(ScaleLaplacianTest, PaddingStaysZero) {
 }
 
 TEST(EstimateLambdaMaxTest, FallsBackForDegenerateCases) {
-  EXPECT_DOUBLE_EQ(EstimateLambdaMax(CsrMatrix::Identity(3), 1), 2.0);
+  EXPECT_DOUBLE_EQ(
+      EstimateLambdaMax(CsrMatrix::FromDense(Tensor::Identity(3)), 1), 2.0);
   const CsrMatrix zero = CsrMatrix::FromTriplets(4, 4, {});
   EXPECT_DOUBLE_EQ(EstimateLambdaMax(zero, 4), 2.0);
 }

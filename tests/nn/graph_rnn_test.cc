@@ -13,6 +13,7 @@
 #include "../testing/test_data.h"
 #include "common/rng.h"
 #include "core/encoder.h"
+#include "graph/chebyshev.h"
 #include "nn/cheb_conv.h"
 #include "nn/optimizer.h"
 #include "tensor/grad_check.h"
@@ -20,27 +21,16 @@
 namespace cascn::nn {
 namespace {
 
-/// A tiny 3-node Chebyshev basis {I, L} for testing.
+/// A tiny n-node Chebyshev basis {I, L, ...} for testing.
 std::vector<CsrMatrix> TinyBasis(int n, int order) {
-  std::vector<CsrMatrix> basis;
-  basis.push_back(CsrMatrix::Identity(n));
-  if (order >= 2) {
-    // A symmetric "scaled Laplacian"-like operator.
-    std::vector<Triplet> trips;
-    for (int i = 0; i < n; ++i) trips.push_back({i, i, -0.5});
-    for (int i = 0; i + 1 < n; ++i) {
-      trips.push_back({i, i + 1, 0.25});
-      trips.push_back({i + 1, i, 0.25});
-    }
-    basis.push_back(CsrMatrix::FromTriplets(n, n, trips));
+  // A symmetric "scaled Laplacian"-like operator.
+  std::vector<Triplet> trips;
+  for (int i = 0; i < n; ++i) trips.push_back({i, i, -0.5});
+  for (int i = 0; i + 1 < n; ++i) {
+    trips.push_back({i, i + 1, 0.25});
+    trips.push_back({i + 1, i, 0.25});
   }
-  for (int k = 2; k < order; ++k) {
-    basis.push_back(basis[k - 1]
-                        .MatMulSparse(basis[1])
-                        .Scaled(2.0)
-                        .Add(basis[k - 2], 1.0, -1.0));
-  }
-  return basis;
+  return ChebyshevBasis(CsrMatrix::FromTriplets(n, n, trips), order, n);
 }
 
 TEST(ChebConvTest, ForwardMatchesManualSum) {
@@ -305,9 +295,8 @@ void ExpectGradsBitIdentical(const Module& cell, const PerGateReference& ref,
 /// some explicit zeros), and T_k the Chebyshev recursion, so every row from
 /// `active` on is empty in every T_k.
 std::vector<CsrMatrix> ActiveBasis(int n, int active, int order, Rng& rng) {
-  std::vector<Triplet> eye, op;
+  std::vector<Triplet> op;
   for (int i = 0; i < active; ++i) {
-    eye.push_back({i, i, 1.0});
     for (int j = 0; j < active; ++j) {
       const double u = rng.Uniform(0.0, 1.0);
       if (u < 0.1) {
@@ -317,16 +306,7 @@ std::vector<CsrMatrix> ActiveBasis(int n, int active, int order, Rng& rng) {
       }
     }
   }
-  std::vector<CsrMatrix> basis;
-  basis.push_back(CsrMatrix::FromTriplets(n, n, eye));
-  if (order >= 2) basis.push_back(CsrMatrix::FromTriplets(n, n, op));
-  for (int k = 2; k < order; ++k) {
-    basis.push_back(basis[1]
-                        .MatMulSparse(basis[k - 1])
-                        .Scaled(2.0)
-                        .Add(basis[k - 2], 1.0, -1.0));
-  }
-  return basis;
+  return ChebyshevBasis(CsrMatrix::FromTriplets(n, n, op), order, active);
 }
 
 /// A snapshot sequence laid out as the encoder lays one out: one n x n

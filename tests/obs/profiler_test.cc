@@ -94,7 +94,7 @@ TEST_F(ProfilerTest, AllocationAccountingReturnsToZero) {
 }
 
 TEST_F(ProfilerTest, SparseMatMulFlopsScaleWithNnz) {
-  const CsrMatrix op = CsrMatrix::Identity(8);
+  const CsrMatrix op = CsrMatrix::FromDense(Tensor::Identity(8));
   Rng rng(3);
   const ag::Variable x =
       ag::Variable::Leaf(Tensor::RandomNormal(8, 4, 1.0, rng), true);

@@ -78,7 +78,7 @@ TEST(PowerIterationTest, ZeroMatrixGivesZero) {
 double PowerIterationReference(const CsrMatrix& a, int iterations = 64) {
   const int n = a.rows();
   if (n == 0) return 0.0;
-  const CsrMatrix at = a.Transposed();
+  const CsrMatrix at = CsrMatrix::FromDense(a.ToDense().Transposed());
   Tensor x(n, 1, 1.0 / std::sqrt(static_cast<double>(n)));
   double lambda = 0.0;
   for (int it = 0; it < iterations; ++it) {
@@ -142,7 +142,7 @@ TEST(StationaryDistributionTest, TwoStateChain) {
   // P = [[0.9, 0.1], [0.5, 0.5]] -> phi = (5/6, 1/6).
   CsrMatrix p = CsrMatrix::FromTriplets(
       2, 2, {{0, 0, 0.9}, {0, 1, 0.1}, {1, 0, 0.5}, {1, 1, 0.5}});
-  auto phi = StationaryDistribution(p);
+  auto phi = StationaryDistribution(p.ToDense());
   ASSERT_TRUE(phi.ok());
   EXPECT_NEAR((*phi)[0], 5.0 / 6.0, 1e-8);
   EXPECT_NEAR((*phi)[1], 1.0 / 6.0, 1e-8);
@@ -153,7 +153,8 @@ TEST(StationaryDistributionTest, UniformChain) {
   std::vector<Triplet> trips;
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < n; ++j) trips.push_back({i, j, 1.0 / n});
-  auto phi = StationaryDistribution(CsrMatrix::FromTriplets(n, n, trips));
+  auto phi =
+      StationaryDistribution(CsrMatrix::FromTriplets(n, n, trips).ToDense());
   ASSERT_TRUE(phi.ok());
   for (double v : *phi) EXPECT_NEAR(v, 1.0 / n, 1e-9);
 }
@@ -172,7 +173,8 @@ TEST(StationaryDistributionTest, SumsToOne) {
     }
     for (int j = 0; j < n; ++j) trips.push_back({i, j, row[j] / sum});
   }
-  auto phi = StationaryDistribution(CsrMatrix::FromTriplets(n, n, trips));
+  auto phi =
+      StationaryDistribution(CsrMatrix::FromTriplets(n, n, trips).ToDense());
   ASSERT_TRUE(phi.ok());
   double total = 0;
   for (double v : *phi) {
@@ -183,7 +185,9 @@ TEST(StationaryDistributionTest, SumsToOne) {
 }
 
 TEST(StationaryDistributionTest, RejectsNonSquare) {
-  EXPECT_FALSE(StationaryDistribution(CsrMatrix::FromTriplets(2, 3, {})).ok());
+  EXPECT_FALSE(StationaryDistribution(
+                   CsrMatrix::FromTriplets(2, 3, {}).ToDense())
+                   .ok());
 }
 
 TEST(PrincipalComponentsTest, RecoversDominantDirection) {
