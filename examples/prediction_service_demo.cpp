@@ -2,8 +2,9 @@
 //
 //   1. Train a small CasCN on simulated Weibo-like cascades.
 //   2. Write it to a checkpoint file.
-//   3. Bring up a PredictionService that reloads the checkpoint from disk
-//      (one model replica per worker — nothing is shared with training).
+//   3. Bring up a PredictionService that loads the checkpoint from disk
+//      (one model, shared by its workers — nothing is shared with
+//      training).
 //   4. Replay a fresh stream of simulated cascades as thousands of
 //      concurrent sessions: create / append / predict / close, driven from
 //      several client threads.
@@ -495,7 +496,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // 4. Serve from the checkpoint (fresh replicas, nothing reused).
+  // 4. Serve from the checkpoint (a fresh model, nothing reused).
   serve::ServiceOptions service_opts;
   service_opts.num_workers = workers;
   service_opts.queue_capacity = 8192;

@@ -1,13 +1,13 @@
 #include "baselines/deepcas_model.h"
 
-#include <functional>
-
 #include "common/logging.h"
 #include "nn/init.h"
 
 namespace cascn {
 
-DeepCasModel::DeepCasModel(const Config& config) : config_(config) {
+DeepCasModel::DeepCasModel(const Config& config)
+    : config_(config),
+      walk_users_(config.walk_options, config.user_universe, config.seed) {
   Rng rng(config.seed);
   user_embedding_ = std::make_unique<nn::Embedding>(config.user_universe,
                                                     config.embedding_dim, rng);
@@ -30,29 +30,8 @@ DeepCasModel::DeepCasModel(const Config& config) : config_(config) {
   RegisterSubmodule("mlp", mlp_.get());
 }
 
-const std::vector<std::vector<int>>& DeepCasModel::WalkUsers(
-    const CascadeSample& sample) {
-  const uint64_t key = SampleFingerprint(sample);
-  auto it = walk_cache_.find(key);
-  if (it != walk_cache_.end()) return it->second;
-  // A live cascade gets a new fingerprint per append; a wholesale reset on
-  // overflow keeps the cache bounded.
-  if (walk_cache_.size() >= 8192) walk_cache_.clear();
-  Rng rng(std::hash<std::string>{}(sample.observed.id()) ^ config_.seed);
-  const auto walks =
-      SampleCascadeWalks(sample.observed, config_.walk_options, rng);
-  std::vector<std::vector<int>> per_step(
-      config_.walk_options.walk_length,
-      std::vector<int>(walks.size(), 0));
-  for (size_t w = 0; w < walks.size(); ++w)
-    for (int t = 0; t < config_.walk_options.walk_length; ++t)
-      per_step[t][w] =
-          sample.observed.event(walks[w][t]).user % config_.user_universe;
-  return walk_cache_.emplace(key, std::move(per_step)).first->second;
-}
-
 ag::Variable DeepCasModel::PredictLog(const CascadeSample& sample) {
-  const auto& per_step = WalkUsers(sample);
+  const auto& per_step = walk_users_.Get(sample);
   const int num_walks = static_cast<int>(per_step[0].size());
 
   // Bidirectional GRU over the walk batch.

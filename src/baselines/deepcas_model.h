@@ -12,11 +12,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/regressor.h"
-#include "graph/random_walk.h"
+#include "core/walk_users.h"
 #include "nn/embedding.h"
 #include "nn/mlp.h"
 #include "nn/module.h"
@@ -45,11 +44,9 @@ class DeepCasModel : public nn::Module, public CascadeRegressor {
     return Parameters();
   }
   std::string name() const override { return "DeepCas"; }
-  void ClearCache() override { walk_cache_.clear(); }
+  void ClearCache() override { walk_users_.Clear(); }
 
  private:
-  const std::vector<std::vector<int>>& WalkUsers(const CascadeSample& sample);
-
   Config config_;
   std::unique_ptr<nn::Embedding> user_embedding_;
   std::unique_ptr<nn::GruCell> gru_fwd_;
@@ -57,10 +54,7 @@ class DeepCasModel : public nn::Module, public CascadeRegressor {
   ag::Variable attention_w_;  // 2*hidden x attention_dim
   ag::Variable attention_v_;  // attention_dim x 1
   std::unique_ptr<nn::Mlp> mlp_;
-  // walk_cache_[fingerprint][t] = user ids at walk position t (one per
-  // walk). Keyed by SampleFingerprint, since a recycled address can hold
-  // another sample.
-  std::unordered_map<uint64_t, std::vector<std::vector<int>>> walk_cache_;
+  WalkUserCache walk_users_;
 };
 
 }  // namespace cascn

@@ -1,7 +1,7 @@
-// ShardRouter: the sharded, replicated serving tier.
+// ShardRouter: the sharded serving tier.
 //
 // N in-process PredictionService shards, each with its own worker pool,
-// model replicas, session table, and metrics, sit behind one router.
+// model, session table, and metrics, sit behind one router.
 // Session ids are placed by consistent hashing with bounded load
 // (cluster/consistent_hash.h): Create() picks the ring owner unless it is
 // already carrying more than HashRing::kLoadFactor times the mean session
@@ -158,7 +158,7 @@ struct ShardRouterOptions {
 /// thread-safe.
 class ShardRouter {
  public:
-  /// Builds `num_shards` shards, each loading its replicas from
+  /// Builds `num_shards` shards, each loading its model from
   /// `checkpoint_path`.
   static Result<std::unique_ptr<ShardRouter>> CreateFromCheckpoint(
       const ShardRouterOptions& options, const std::string& checkpoint_path);
@@ -276,7 +276,6 @@ class ShardRouter {
   serve::PredictionService* shard(int shard_id);
 
   const AdmissionController& admission() const { return admission_; }
-  const std::string& checkpoint_path() const { return checkpoint_path_; }
   /// The resilience control plane; null when ShardRouterOptions::resilience
   /// is disabled.
   ResilienceControl* resilience() const { return resilience_.get(); }
@@ -458,6 +457,7 @@ class ShardRouter {
   std::shared_ptr<serve::PredictionService> FindShard(int shard_id) const;
 
   ShardRouterOptions options_;
+  /// Every shard start, first build and restart alike, loads from it.
   std::string checkpoint_path_;
   AdmissionController admission_;
   /// Injected time source (see ShardRouterOptions::clock); read by routing

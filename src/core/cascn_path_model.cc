@@ -1,13 +1,13 @@
 #include "core/cascn_path_model.h"
 
-#include <functional>
-
 #include "common/logging.h"
 
 namespace cascn {
 
 CascnPathModel::CascnPathModel(const CascnPathConfig& config)
-    : config_(config) {
+    : config_(config),
+      walk_users_({config.num_walks, config.walk_length}, config.user_universe,
+                  config.seed) {
   Rng rng(config.seed);
   user_embedding_ = std::make_unique<nn::Embedding>(config.user_universe,
                                                     config.embedding_dim, rng);
@@ -22,40 +22,8 @@ CascnPathModel::CascnPathModel(const CascnPathConfig& config)
   RegisterSubmodule("mlp", mlp_.get());
 }
 
-const std::vector<std::vector<int>>& CascnPathModel::WalkUsers(
-    const CascadeSample& sample) {
-  const uint64_t key = SampleFingerprint(sample);
-  auto it = walk_cache_.find(key);
-  if (it != walk_cache_.end()) return it->second;
-  // Crude bound: the cache is per-training-run; wholesale reset on overflow
-  // keeps long streaming workloads from growing it without bound.
-  if (walk_cache_.size() >= 8192) walk_cache_.clear();
-
-  // Deterministic walks: seed from the cascade id so repeated epochs see the
-  // same sequences (matching precomputed-walk pipelines).
-  Rng rng(std::hash<std::string>{}(sample.observed.id()) ^ config_.seed);
-  WalkOptions opts;
-  opts.num_walks = config_.num_walks;
-  opts.walk_length = config_.walk_length;
-  const std::vector<std::vector<int>> walks =
-      SampleCascadeWalks(sample.observed, opts, rng);
-
-  // Transpose to per-step user-id columns and clamp users to the embedding
-  // vocabulary.
-  std::vector<std::vector<int>> per_step(
-      config_.walk_length, std::vector<int>(walks.size(), 0));
-  for (size_t w = 0; w < walks.size(); ++w) {
-    for (int t = 0; t < config_.walk_length; ++t) {
-      const int node = walks[w][t];
-      per_step[t][w] =
-          sample.observed.event(node).user % config_.user_universe;
-    }
-  }
-  return walk_cache_.emplace(key, std::move(per_step)).first->second;
-}
-
 ag::Variable CascnPathModel::PredictLog(const CascadeSample& sample) {
-  const auto& per_step = WalkUsers(sample);
+  const auto& per_step = walk_users_.Get(sample);
   CASCN_CHECK(!per_step.empty());
   nn::RnnState state =
       lstm_->InitialState(static_cast<int>(per_step[0].size()));

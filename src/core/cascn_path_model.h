@@ -12,11 +12,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/regressor.h"
-#include "graph/random_walk.h"
+#include "core/walk_users.h"
 #include "nn/embedding.h"
 #include "nn/mlp.h"
 #include "nn/module.h"
@@ -46,20 +45,14 @@ class CascnPathModel : public nn::Module, public CascadeRegressor {
     return Parameters();
   }
   std::string name() const override { return "CasCN-Path"; }
-  void ClearCache() override { walk_cache_.clear(); }
+  void ClearCache() override { walk_users_.Clear(); }
 
  private:
-  /// Walks are sampled once per sample (seeded deterministically by the
-  /// cascade id) and cached as per-step user-id columns, keyed by content
-  /// fingerprint so recycled sample addresses never alias stale walks.
-  const std::vector<std::vector<int>>& WalkUsers(const CascadeSample& sample);
-
   CascnPathConfig config_;
   std::unique_ptr<nn::Embedding> user_embedding_;
   std::unique_ptr<nn::LstmCell> lstm_;
   std::unique_ptr<nn::Mlp> mlp_;
-  // walk_cache_[fingerprint][t] = user ids at walk position t (one per walk).
-  std::unordered_map<uint64_t, std::vector<std::vector<int>>> walk_cache_;
+  WalkUserCache walk_users_;
 };
 
 }  // namespace cascn

@@ -2,7 +2,7 @@
 //
 // Subsystems declare named injection points (e.g. "checkpoint.torn_write",
 // "trainer.nan_loss", "serve.slow_predict") at the places where production
-// failures strike: mid-write crashes, poisoned losses, slow replica loads.
+// failures strike: mid-write crashes, poisoned losses, slow predicts.
 // Tests, chaos jobs, and benchmarks arm points with a trigger — via the
 // CASCN_FAULTS environment variable or the Arm()/Configure() API — and the
 // hardened layer above gets to prove it survives.
@@ -158,7 +158,7 @@ Status InjectTornWrite(std::string_view point, std::string_view what,
                        const std::string& path, const std::string& bytes);
 
 /// Sleeps for the point's "@V" payload in milliseconds (default 10 ms) when
-/// it fires; returns whether it fired. Models slow disks and replicas.
+/// it fires; returns whether it fired. Models slow disks and slow forwards.
 bool MaybeDelay(std::string_view point);
 
 /// Returns NaN when `point` fires for `key`, otherwise `v` unchanged.

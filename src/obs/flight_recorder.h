@@ -11,8 +11,8 @@
 // is also the request's one outcome record: ServeMetrics, the SLO tracker
 // and the circuit breakers all read the record the serving path built.
 //
-// On an anomaly trigger (load shed, deadline exceeded, shard crash, reload
-// rollback) the owner calls TriggerDump(reason) and the ring contents are
+// On an anomaly trigger (load shed, deadline exceeded, shard crash, watchdog
+// stall) the owner calls TriggerDump(reason) and the ring contents are
 // appended to a JSON-lines file: one header object naming the reason, then
 // one object per record, oldest first. Demo and bench binaries
 // can also dump on demand. Dumps are rate-limited only by the caller; the

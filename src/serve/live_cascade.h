@@ -53,11 +53,10 @@ class LiveCascade {
                                    double observation_window);
 
   /// `model`'s forecast of log2(1 + future increment) for the cascade as
-  /// observed so far, cached until the next append or InvalidatePrediction().
+  /// observed so far, cached until the next append.
   Result<double> Predict(CascadeRegressor& model);
 
   bool has_cached_prediction() const { return cached_prediction_.has_value(); }
-  void InvalidatePrediction() { cached_prediction_.reset(); }
 
  private:
   std::vector<AdoptionEvent> events_;

@@ -38,12 +38,6 @@ std::string_view CounterName(Counter c) {
       return "errors";
     case Counter::kDeadlineExceeded:
       return "deadline_exceeded";
-    case Counter::kLoadRetries:
-      return "load_retries";
-    case Counter::kReloads:
-      return "reloads";
-    case Counter::kReloadFailures:
-      return "reload_failures";
     case Counter::kShutdownDrained:
       return "shutdown_drained";
     case Counter::kNumCounters:

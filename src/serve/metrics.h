@@ -40,9 +40,6 @@ enum class Counter : int {
   kBatchedRequests,      // requests processed as part of such a batch
   kErrors,               // requests that completed with a non-OK status
   kDeadlineExceeded,     // requests failed fast for missing their deadline
-  kLoadRetries,          // checkpoint load attempts retried after a failure
-  kReloads,              // successful hot checkpoint reloads
-  kReloadFailures,       // reloads rejected with the old version kept serving
   kShutdownDrained,      // queued requests failed by Shutdown() before running
   kNumCounters,
 };
@@ -50,8 +47,8 @@ enum class Counter : int {
 std::string_view CounterName(Counter c);
 
 /// Coarse service condition, maintained by the prediction service:
-/// kHealthy while serving normally, kDegraded after a failed hot reload
-/// (old version still serving), kUnhealthy once shut down.
+/// kHealthy while serving normally, kDegraded while a watchdog stall holds,
+/// kUnhealthy once shut down.
 enum class Health : int { kHealthy = 0, kDegraded = 1, kUnhealthy = 2 };
 
 std::string_view HealthName(Health h);
@@ -76,6 +73,12 @@ class ServeMetrics {
   }
   Health health() const {
     return static_cast<Health>(health_.load(std::memory_order_relaxed));
+  }
+  /// Sets health to `to` only if it is `from`, in one atomic step.
+  void TransitionHealth(Health from, Health to) {
+    int expected = static_cast<int>(from);
+    health_.compare_exchange_strong(expected, static_cast<int>(to),
+                                    std::memory_order_relaxed);
   }
 
   /// Point-in-time copy of every counter plus histogram percentiles

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -14,11 +13,13 @@
 
 namespace cascn::serve {
 
-PredictionService::PredictionService(const ServiceOptions& options)
+PredictionService::PredictionService(const ServiceOptions& options,
+                                     std::unique_ptr<CascnModel> model)
     : options_(options),
       queue_depth_(registry_.GetGauge("serve_queue_depth")),
       batch_size_(
           registry_.GetHistogram("serve_batch_size", /*num_buckets=*/10)),
+      model_(std::move(model)),
       unfinished_from_(static_cast<size_t>(std::max(options.num_workers, 1))) {
   CASCN_CHECK(options.num_workers >= 1);
   CASCN_CHECK(options.queue_capacity >= 1);
@@ -27,98 +28,20 @@ PredictionService::PredictionService(const ServiceOptions& options)
   if (!options.flight_dump_path.empty())
     flight_.SetDumpPath(options.flight_dump_path);
   sessions_ = std::make_unique<SessionManager>(options.sessions, &metrics_);
-}
-
-Result<std::unique_ptr<PredictionService>> PredictionService::Start(
-    std::unique_ptr<PredictionService> service, const ModelFactory& factory) {
-  for (int i = 0; i < service->options_.num_workers; ++i) {
-    CASCN_ASSIGN_OR_RETURN(auto model, factory());
-    if (model == nullptr)
-      return Status::InvalidArgument("model factory produced a null model");
-    service->models_.push_back(std::move(model));
-  }
-  service->pool_ = std::make_unique<parallel::ThreadPool>(
-      static_cast<size_t>(service->options_.num_workers));
-  for (int i = 0; i < service->options_.num_workers; ++i)
-    service->pool_->Submit([svc = service.get(), i] { svc->WorkerLoop(i); });
-  return service;
-}
-
-Result<std::unique_ptr<PredictionService>> PredictionService::Create(
-    const ServiceOptions& options, const ModelFactory& factory) {
-  // No make_unique: the constructor is private.
-  std::unique_ptr<PredictionService> service(new PredictionService(options));
-  return Start(std::move(service), factory);
-}
-
-Result<std::unique_ptr<CascadeRegressor>>
-PredictionService::LoadReplicaWithRetry(const std::string& checkpoint_path,
-                                        const ServiceOptions& options,
-                                        ServeMetrics* metrics) {
-  Status last = Status::OK();
-  for (int attempt = 0; attempt <= options.load_retries; ++attempt) {
-    if (attempt > 0) {
-      if (metrics != nullptr) metrics->Increment(Counter::kLoadRetries);
-      const double backoff_ms =
-          options.load_retry_backoff_ms * static_cast<double>(1 << (attempt - 1));
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          static_cast<int64_t>(backoff_ms * 1000.0)));
-    }
-    Result<std::unique_ptr<CascnModel>> model =
-        LoadCascnCheckpoint(checkpoint_path);
-    if (model.ok())
-      return std::unique_ptr<CascadeRegressor>(std::move(model).value());
-    last = model.status();
-    // Only transient failures are worth retrying; a structurally invalid
-    // checkpoint (bad magic, wrong model type) will not heal with time.
-    if (last.code() != StatusCode::kIoError) break;
-  }
-  return last;
+  pool_ = std::make_unique<parallel::ThreadPool>(
+      static_cast<size_t>(options.num_workers));
+  for (int i = 0; i < options.num_workers; ++i)
+    pool_->Submit([this, i] { WorkerLoop(i); });
 }
 
 Result<std::unique_ptr<PredictionService>>
 PredictionService::CreateFromCheckpoint(const ServiceOptions& options,
                                         const std::string& checkpoint_path) {
-  std::unique_ptr<PredictionService> service(new PredictionService(options));
-  ServeMetrics* metrics = &service->metrics_;
-  service->checkpoint_path_ = checkpoint_path;
-  return Start(std::move(service),
-               [checkpoint_path, &options,
-                metrics]() -> Result<std::unique_ptr<CascadeRegressor>> {
-                 return LoadReplicaWithRetry(checkpoint_path, options, metrics);
-               });
-}
-
-Status PredictionService::ReloadCheckpoint(const std::string& checkpoint_path) {
-  std::lock_guard<std::mutex> reload_lock(reload_mutex_);
-  // Validate on one replica before touching the serving set: a corrupt or
-  // torn checkpoint must leave the current version serving.
-  std::vector<std::shared_ptr<CascadeRegressor>> fresh;
-  for (int i = 0; i < options_.num_workers; ++i) {
-    Result<std::unique_ptr<CascadeRegressor>> model =
-        LoadReplicaWithRetry(checkpoint_path, options_, &metrics_);
-    if (!model.ok()) {
-      metrics_.Increment(Counter::kReloadFailures);
-      metrics_.SetHealth(Health::kDegraded);
-      CASCN_LOG(WARNING) << "checkpoint reload from " << checkpoint_path
-                         << " failed (replica " << i
-                         << "); keeping the current version serving: "
-                         << model.status();
-      flight_.TriggerDump("reload_rollback");
-      return model.status();
-    }
-    fresh.push_back(std::move(model).value());
-  }
-  {
-    std::lock_guard<std::mutex> lock(models_mutex_);
-    models_ = std::move(fresh);
-  }
-  // Cached predictions were computed by the replaced version.
-  sessions_->InvalidateCachedPredictions();
-  checkpoint_path_ = checkpoint_path;
-  metrics_.Increment(Counter::kReloads);
-  metrics_.SetHealth(Health::kHealthy);
-  return Status::OK();
+  CASCN_ASSIGN_OR_RETURN(std::unique_ptr<CascnModel> model,
+                         LoadCascnCheckpoint(checkpoint_path));
+  // No make_unique: the constructor is private.
+  return std::unique_ptr<PredictionService>(
+      new PredictionService(options, std::move(model)));
 }
 
 PredictionService::~PredictionService() { Shutdown(); }
@@ -269,7 +192,6 @@ ServeResponse Wait(Result<std::future<ServeResponse>> submitted) {
 }
 
 ServeResponse PredictionService::Execute(const Queued& request,
-                                         CascadeRegressor& model,
                                          uint16_t& fault_bits) {
   const char* span_name = "serve_request";
   switch (request.op) {
@@ -305,7 +227,7 @@ ServeResponse PredictionService::Execute(const Queued& request,
       if (!options_.extra_predict_fault_point.empty() &&
           fault::MaybeDelay(options_.extra_predict_fault_point))
         fault_bits |= obs::kFaultBitExtraPredict;
-      auto prediction = sessions_->PredictLog(session_id, model);
+      auto prediction = sessions_->PredictLog(session_id, *model_);
       if (prediction.ok()) {
         response.log_prediction = prediction.value();
         response.count_prediction = Exp2m1(prediction.value());
@@ -342,13 +264,6 @@ void PredictionService::WorkerLoop(int worker_index) {
       unfinished_from_[static_cast<size_t>(worker_index)] =
           batch.front().number;
     }
-    // The replica is re-acquired per batch so a hot reload takes effect at
-    // the next batch boundary without pausing serving.
-    std::shared_ptr<CascadeRegressor> model;
-    {
-      std::lock_guard<std::mutex> lock(models_mutex_);
-      model = models_[static_cast<size_t>(worker_index)];
-    }
     obs::Tracer& tracer = obs::Tracer::Get();
     if (tracer.enabled()) {
       // Queue-wait spans land in the worker's buffer and step the request's
@@ -380,7 +295,7 @@ void PredictionService::WorkerLoop(int worker_index) {
             "deadline expired before execution for session " +
             request.ctx.session_id);
       } else {
-        response = Execute(request, *model, fault_bits);
+        response = Execute(request, fault_bits);
       }
       Finish(request, std::move(response), End::kRan, start, fault_bits);
       unfinished_from_[static_cast<size_t>(worker_index)] =
@@ -404,19 +319,12 @@ obs::WatchTarget PredictionService::MakeWatchdogTarget(std::string name) {
 }
 
 void PredictionService::NoteWatchdogStall() {
-  // Only a healthy service transitions: a reload-degraded or shut-down
-  // service keeps its existing (more specific) state.
-  if (metrics_.health() == Health::kHealthy) {
-    metrics_.SetHealth(Health::kDegraded);
-    watchdog_degraded_.store(true, std::memory_order_relaxed);
-  }
+  metrics_.TransitionHealth(Health::kHealthy, Health::kDegraded);
   flight_.TriggerDump("watchdog_stall");
 }
 
 void PredictionService::NoteWatchdogRecovery() {
-  if (watchdog_degraded_.exchange(false, std::memory_order_relaxed) &&
-      metrics_.health() == Health::kDegraded)
-    metrics_.SetHealth(Health::kHealthy);
+  metrics_.TransitionHealth(Health::kDegraded, Health::kHealthy);
 }
 
 void PredictionService::RegisterDebugEndpoints(obs::DebugServer& server) {

@@ -5,10 +5,11 @@
 // enter a bounded FIFO queue and are drained by worker threads drawn from a
 // ThreadPool. Submit is where a request enters the system: from there on its
 // session id and deadline live only in its obs::RequestContext. Wait()
-// turns a submission into its response, for callers that block. Each worker
-// owns a private model replica (loaded from the same checkpoint), so
-// forward passes never share mutable model state; session state is shared
-// through the SessionManager's per-session locks.
+// turns a submission into its response, for callers that block. The
+// service loads one CascnModel from its checkpoint and every worker runs
+// its forwards on it: a forward only reads the trained parameters
+// (CascnModel::SupportsConcurrentForward). Session state is shared through
+// the SessionManager's per-session locks.
 //
 // Micro-batching: a worker drains up to `max_batch` queued requests in one
 // critical section and processes them together; a repeated predict for an
@@ -20,13 +21,8 @@
 //  - Deadlines: a request carrying a deadline that expires before a worker
 //    reaches it fails fast with DeadlineExceeded instead of occupying the
 //    worker (the "serve.slow_predict" fault point exercises this).
-//  - Retrying loads: CreateFromCheckpoint retries failed checkpoint loads
-//    with exponential backoff (`load_retries`/`load_retry_backoff_ms`).
-//  - Hot reload: ReloadCheckpoint() validates a new checkpoint by loading
-//    one replica first; on any failure the old replicas keep serving and
-//    health drops to kDegraded. On success every replica is swapped and
-//    per-session prediction caches are invalidated.
-//  - Health: metrics().health() reports kHealthy / kDegraded / kUnhealthy.
+//  - Health: metrics().health() reports kHealthy / kDegraded (a watchdog
+//    stall) / kUnhealthy (shut down).
 //
 // Shutdown() stops intake, lets workers finish the batches they hold, fails
 // every still-queued request with a status naming the shutdown, and joins
@@ -49,7 +45,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/regressor.h"
+#include "core/cascn_model.h"
 #include "parallel/thread_pool.h"
 #include "obs/debug_server.h"
 #include "obs/flight_recorder.h"
@@ -62,7 +58,7 @@
 namespace cascn::serve {
 
 struct ServiceOptions {
-  /// Worker threads (and model replicas); >= 1.
+  /// Worker threads; >= 1.
   int num_workers = 4;
   /// Bounded request queue; submissions beyond this fail with Unavailable.
   size_t queue_capacity = 4096;
@@ -74,11 +70,6 @@ struct ServiceOptions {
   /// disables. A request whose deadline passes before a worker reaches it
   /// fails with DeadlineExceeded.
   double default_deadline_ms = 0.0;
-  /// Checkpoint-load retries (CreateFromCheckpoint and ReloadCheckpoint):
-  /// each failed load is retried up to this many times, sleeping
-  /// `load_retry_backoff_ms * 2^attempt` between attempts.
-  int load_retries = 0;
-  double load_retry_backoff_ms = 10.0;
   /// Additional fault-injection point checked (as a MaybeDelay) on every
   /// predict, besides the global "serve.slow_predict". The cluster layer
   /// sets this to a shard-scoped name ("cluster.slow_shard.<id>") so chaos
@@ -87,7 +78,7 @@ struct ServiceOptions {
   /// Stamped into every flight-recorder record; -1 = unsharded service.
   int shard_id = -1;
   /// File the flight recorder appends anomaly dumps to (deadline exceeded,
-  /// reload rollback); empty disables anomaly dumps (the ring still runs).
+  /// watchdog stall); empty disables anomaly dumps (the ring still runs).
   std::string flight_dump_path;
   /// Invoked once per terminal request outcome — worker completion, enqueue
   /// rejection, or shutdown drain — with the request's context and the
@@ -168,17 +159,8 @@ struct ServeResponse {
 /// Multi-threaded, in-process cascade prediction service.
 class PredictionService {
  public:
-  /// Produces one model replica per worker. Replicas must be functionally
-  /// identical (e.g. loaded from the same checkpoint): predictions are
-  /// cached per session regardless of which replica computed them.
-  using ModelFactory =
-      std::function<Result<std::unique_ptr<CascadeRegressor>>()>;
-
-  /// Builds the service and starts its workers.
-  static Result<std::unique_ptr<PredictionService>> Create(
-      const ServiceOptions& options, const ModelFactory& factory);
-
-  /// Convenience: every replica is loaded from a CasCN checkpoint file.
+  /// Loads the CasCN model from `checkpoint_path` once and starts the
+  /// workers, which share it. A failed load is returned as is.
   static Result<std::unique_ptr<PredictionService>> CreateFromCheckpoint(
       const ServiceOptions& options, const std::string& checkpoint_path);
 
@@ -199,14 +181,6 @@ class PredictionService {
   /// the request's.
   Result<std::future<ServeResponse>> Submit(Request request,
                                             obs::RequestContext ctx = {});
-
-  /// Hot-swaps every replica to `checkpoint_path`. The checkpoint is
-  /// validated by loading one replica first (with the configured retries);
-  /// any failure leaves the current replicas serving, sets health to
-  /// kDegraded, and returns the error. On success all replicas are
-  /// replaced, per-session prediction caches are invalidated, and health
-  /// returns to kHealthy. Reloads are serialized; safe while serving.
-  Status ReloadCheckpoint(const std::string& checkpoint_path);
 
   /// Current service condition (also in metrics().TakeSnapshot()).
   Health health() const { return metrics_.health(); }
@@ -245,8 +219,6 @@ class PredictionService {
   /// could not say this.
   uint64_t oldest_unfinished() const;
   size_t queue_capacity() const { return options_.queue_capacity; }
-  /// Path the replicas were loaded from; empty when factory-built.
-  const std::string& checkpoint_path() const { return checkpoint_path_; }
 
   /// Liveness stamp: workers bump it once per completed request, so the
   /// count moving is proof the drain loop is making progress. Watchdogs
@@ -256,21 +228,22 @@ class PredictionService {
   /// Builds a watchdog target for this service: progress is the worker
   /// heartbeat, busy means requests are queued. On stall the service's
   /// health drops to kDegraded and its flight recorder dumps (reason
-  /// "watchdog_stall"); on recovery, health returns to kHealthy if (and
-  /// only if) the watchdog was what degraded it. The target captures
-  /// `this`: stop the watchdog before destroying the service.
+  /// "watchdog_stall"); on recovery, health returns to kHealthy. The target
+  /// captures `this`: stop the watchdog before destroying the service.
   obs::WatchTarget MakeWatchdogTarget(std::string name);
 
   /// Watchdog health latch, exposed for callers (the shard router) that
-  /// build their own WatchTarget around this service: a stall degrades
-  /// health (once) and dumps the flight ring; a recovery restores kHealthy
-  /// if (and only if) the watchdog was what degraded it.
+  /// build their own WatchTarget around this service: a stall moves a
+  /// healthy service to kDegraded and dumps the flight ring; a recovery
+  /// moves a degraded one back to kHealthy. A shut-down service stays
+  /// kUnhealthy.
   void NoteWatchdogStall();
   void NoteWatchdogRecovery();
-  /// True while a watchdog stall (and nothing else) holds health degraded.
-  /// The shard supervisor polls this to spot wedged-but-alive shards.
+  /// True while a watchdog stall holds health degraded, the only thing
+  /// that can. The shard supervisor polls this to spot wedged-but-alive
+  /// shards.
   bool watchdog_degraded() const {
-    return watchdog_degraded_.load(std::memory_order_relaxed);
+    return metrics_.health() == Health::kDegraded;
   }
 
   /// Registers this service's introspection surface on `server`: a "serve"
@@ -301,21 +274,12 @@ class PredictionService {
   /// queue, or failed by Shutdown while still queued.
   enum class End { kRan, kRejected, kDrained };
 
-  explicit PredictionService(const ServiceOptions& options);
-
-  /// Loads replicas via `factory` and starts the workers.
-  static Result<std::unique_ptr<PredictionService>> Start(
-      std::unique_ptr<PredictionService> service, const ModelFactory& factory);
-  /// One checkpoint load with the configured retry/backoff schedule,
-  /// counting retries into `metrics` (may be null).
-  static Result<std::unique_ptr<CascadeRegressor>> LoadReplicaWithRetry(
-      const std::string& checkpoint_path, const ServiceOptions& options,
-      ServeMetrics* metrics);
+  PredictionService(const ServiceOptions& options,
+                    std::unique_ptr<CascnModel> model);
 
   /// `fault_bits` accumulates FlightFault bits for the fault points that
   /// fired while executing this request.
-  ServeResponse Execute(const Queued& request, CascadeRegressor& model,
-                        uint16_t& fault_bits);
+  ServeResponse Execute(const Queued& request, uint16_t& fault_bits);
   void WorkerLoop(int worker_index);
   /// The one end of every request. Builds its flight record (a request that
   /// ran started at `start` and ends now; it waited from its enqueue to
@@ -329,23 +293,13 @@ class PredictionService {
   ServiceOptions options_;
   ServeMetrics metrics_;
   obs::WorkerHeartbeat heartbeat_;
-  /// True while a watchdog stall (not a reload failure) holds health at
-  /// kDegraded; lets recovery restore exactly what the watchdog took away.
-  std::atomic<bool> watchdog_degraded_{false};
   obs::FlightRecorder flight_;
   obs::MetricsRegistry registry_;
   obs::Gauge& queue_depth_;        // owned by registry_
   obs::Histogram& batch_size_;     // owned by registry_
   std::unique_ptr<SessionManager> sessions_;
-  /// Replicas, one per worker. Guarded by models_mutex_; workers copy their
-  /// shared_ptr once per batch, so a hot reload swaps versions between
-  /// batches without pausing serving.
-  mutable std::mutex models_mutex_;
-  std::vector<std::shared_ptr<CascadeRegressor>> models_;
-  /// Serializes ReloadCheckpoint calls.
-  std::mutex reload_mutex_;
-  /// Path the replicas were loaded from (empty when factory-built).
-  std::string checkpoint_path_;
+  /// The one model every worker forwards on; fixed from construction on.
+  const std::unique_ptr<CascnModel> model_;
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

@@ -181,22 +181,6 @@ Status SessionManager::Close(const std::string& session_id) {
   return Status::OK();
 }
 
-void SessionManager::InvalidateCachedPredictions() {
-  // Collect under the map lock, reset under each session's own lock: no
-  // path may hold a session mutex while taking map_mutex_, and this keeps
-  // the inverse order out of the lock graph too.
-  std::vector<std::shared_ptr<Session>> sessions;
-  {
-    std::lock_guard<std::mutex> lock(map_mutex_);
-    sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) sessions.push_back(session);
-  }
-  for (const auto& session : sessions) {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    session->cascade.InvalidatePrediction();
-  }
-}
-
 Result<int> SessionManager::SessionSize(const std::string& session_id) const {
   return WithSession(session_id, [](LiveCascade& cascade) {
     return Result<int>(cascade.size());

@@ -87,20 +87,15 @@ class SessionManager {
                 double time);
 
   /// The model's forecast of log2(1 + future increment) for the session's
-  /// cascade as observed so far. The caller supplies the model so each
-  /// service worker can use its own replica; results are cached per session
-  /// until the next append (replicas of one checkpoint are
-  /// interchangeable).
+  /// cascade as observed so far. The caller supplies the model: the
+  /// service's workers all pass the one CascnModel it loaded. Results are
+  /// cached per session until the next append, so every call for a session
+  /// must pass the same model.
   Result<double> PredictLog(const std::string& session_id,
                             CascadeRegressor& model);
 
   /// Ends a session. NotFound if it does not exist.
   Status Close(const std::string& session_id);
-
-  /// Drops every session's cached prediction. Called after a hot model
-  /// reload: cached values were computed by the replaced replicas and must
-  /// not be served against the new version.
-  void InvalidateCachedPredictions();
 
   /// Number of adoptions observed by a session.
   Result<int> SessionSize(const std::string& session_id) const;

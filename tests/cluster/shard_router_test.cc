@@ -176,7 +176,7 @@ TEST_F(ShardRouterTest, RebalanceLosesNoSessionAndPredictsBitIdentically) {
   EXPECT_EQ(router->ClusterHealth(), Health::kHealthy);
 }
 
-/// A CasCN replica whose forward waits until `release` is set. A session
+/// A CasCN model whose forward waits until `release` is set. A session
 /// predicting through it stays busy in its SessionManager until then, so a
 /// rebalance cannot extract it. (The slow-shard fault sleeps before the
 /// worker enters the session, so it cannot hold one busy.)
@@ -214,35 +214,56 @@ TEST_F(ShardRouterTest, BusySessionAbortsRemovalAndEverySessionStays) {
       [&](const std::string& id, int u, int p, double t) {
         return Wait(router->Submit("", Request::Append(id, u, p, t)));
       });
-  std::map<std::string, double> before;
-  std::map<std::string, int> home;
-  for (int i = 0; i < 12; ++i) {
-    const std::string id = "sess-" + std::to_string(i);
-    const ServeResponse r = Wait(router->Submit("", Request::Predict(id)));
-    ASSERT_TRUE(r.status.ok()) << id << ": " << r.status;
-    before[id] = r.log_prediction;
-    home[id] = router->ShardOf(id);
-  }
   // Hold the session the removal reaches last (it walks SessionIds() in
   // order), so every other one on shard 1 is extracted and must go back.
   const std::vector<std::string> on_shard_1 =
       router->shard(1)->sessions().SessionIds();
   ASSERT_GE(on_shard_1.size(), 2u);
   const std::string held = on_shard_1.back();
+  // Every session but `held` predicts through its shard now; `held` has no
+  // cached prediction yet, so its first predict below runs a forward.
+  std::map<std::string, double> before;
+  std::map<std::string, int> home;
+  for (int i = 0; i < 12; ++i) {
+    const std::string id = "sess-" + std::to_string(i);
+    home[id] = router->ShardOf(id);
+    if (id == held) continue;
+    const ServeResponse r = Wait(router->Submit("", Request::Predict(id)));
+    ASSERT_TRUE(r.status.ok()) << id << ": " << r.status;
+    before[id] = r.log_prediction;
+  }
 
-  // Hold `held` inside a forward on shard 1 well past the extract retries.
+  // `held`'s bits: its cascade, copied out, forwarded by a model of its own
+  // loaded from the shard's checkpoint.
+  serve::SessionManager& sessions = router->shard(1)->sessions();
+  {
+    const Result<std::string> blob = sessions.Serialize(held);
+    ASSERT_TRUE(blob.ok()) << blob.status();
+    auto own_model = serve::LoadCascnCheckpoint(checkpoint_);
+    ASSERT_TRUE(own_model.ok()) << own_model.status();
+    serve::SessionManager copy(sessions.options());
+    ASSERT_TRUE(copy.Deserialize(held, blob.value()).ok());
+    const Result<double> own = copy.PredictLog(held, *own_model.value());
+    ASSERT_TRUE(own.ok()) << own.status();
+    before[held] = own.value();
+  }
+
+  // Hold `held` inside that forward on shard 1 well past the extract
+  // retries.
   auto model = serve::LoadCascnCheckpoint(checkpoint_);
   ASSERT_TRUE(model.ok()) << model.status();
   std::atomic<bool> release{false}, entered{false};
   GatedModel gated(std::move(model).value(), release, entered);
-  serve::SessionManager& sessions = router->shard(1)->sessions();
-  sessions.InvalidateCachedPredictions();
-  std::thread holder([&] { (void)sessions.PredictLog(held, gated); });
+  Result<double> held_prediction = Status::Internal("never predicted");
+  std::thread holder(
+      [&] { held_prediction = sessions.PredictLog(held, gated); });
   while (!entered) std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   const Status removed = router->RemoveShard(1);
   release = true;
   holder.join();
+  ASSERT_TRUE(held_prediction.ok()) << held_prediction.status();
+  EXPECT_EQ(held_prediction.value(), before[held]);
   EXPECT_EQ(removed.code(), StatusCode::kUnavailable) << removed;
   EXPECT_NE(router->shard(1), nullptr);
   EXPECT_EQ(router->num_shards(), 2);

@@ -63,9 +63,6 @@ TEST_F(LiveCascadeTest, CachedBetweenUpdates) {
   EXPECT_EQ(a, b);
   ASSERT_TRUE(cascade.Append(3, 1, 4.0).ok());
   EXPECT_FALSE(cascade.has_cached_prediction());
-  cascade.Predict(*model_).value();
-  cascade.InvalidatePrediction();
-  EXPECT_FALSE(cascade.has_cached_prediction());
 }
 
 /// `model` built afresh from its current weights: no cached state.

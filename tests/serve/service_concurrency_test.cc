@@ -1,5 +1,6 @@
 // Serial-equivalence and backpressure tests for the prediction service.
-// Run with -DCASCN_SANITIZE=thread to have TSan check the locking story.
+// Run with -DCASCN_SANITIZE=thread to have TSan check the locking story:
+// the service's workers all run their forwards on one shared CascnModel.
 
 #include "serve/prediction_service.h"
 
@@ -25,8 +26,8 @@ std::string CheckpointPath() {
 }
 
 /// Writes a deterministic (untrained but seeded) tiny CasCN checkpoint.
-void WriteTestCheckpoint() {
-  CascnConfig config = testing::TinyCascnConfig();
+void WriteTestCheckpoint(
+    const CascnConfig& config = testing::TinyCascnConfig()) {
   CascnModel model(config);
   model.set_output_offset(2.0);
   ASSERT_TRUE(SaveCascnCheckpoint(CheckpointPath(), model).ok());
@@ -72,8 +73,22 @@ std::vector<double> SerialPredictions(
   return predictions;
 }
 
-TEST(ServiceConcurrencyTest, ParallelRepliesMatchSerialReplay) {
-  WriteTestCheckpoint();
+/// One CasCN variant of Table IV (or the attention-pooling extension).
+struct Variant {
+  const char* name;
+  CascnVariant variant;
+  bool attention_pooling;
+};
+
+class ServiceConcurrencyTest : public ::testing::TestWithParam<Variant> {};
+
+// Four workers forward on the service's one model at once; every reply must
+// match a serial replay through a model of its own.
+TEST_P(ServiceConcurrencyTest, ParallelRepliesMatchSerialReplay) {
+  CascnConfig config = testing::TinyCascnConfig();
+  config.variant = GetParam().variant;
+  config.attention_pooling = GetParam().attention_pooling;
+  WriteTestCheckpoint(config);
   const auto replays = ReplayCascades(24);
   ASSERT_GE(replays.size(), 8u);
   const std::vector<double> expected = SerialPredictions(replays);
@@ -143,6 +158,19 @@ TEST(ServiceConcurrencyTest, ParallelRepliesMatchSerialReplay) {
   EXPECT_GT(snap.counter(Counter::kPredictions), 0u);
   EXPECT_EQ(snap.counter(Counter::kErrors), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, ServiceConcurrencyTest,
+    ::testing::Values(
+        Variant{"Default", CascnVariant::kDefault, false},
+        Variant{"Gru", CascnVariant::kGru, false},
+        Variant{"GcnLstm", CascnVariant::kGcnLstm, false},
+        Variant{"Undirected", CascnVariant::kUndirected, false},
+        Variant{"NoTimeDecay", CascnVariant::kNoTimeDecay, false},
+        Variant{"AttentionPooling", CascnVariant::kDefault, true}),
+    [](const ::testing::TestParamInfo<Variant>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(ServiceConcurrencyTest, BackpressureRejectsWithUnavailable) {
   WriteTestCheckpoint();
@@ -243,15 +271,6 @@ TEST(ServiceConcurrencyTest, ShutdownIsIdempotentAndConcurrent) {
   for (auto& t : callers) t.join();
   service.value()->Shutdown();  // and once more, after completion
   EXPECT_EQ(service.value()->health(), Health::kUnhealthy);
-}
-
-TEST(ServiceConcurrencyTest, FactoryErrorsPropagate) {
-  ServiceOptions options;
-  options.num_workers = 2;
-  auto service = PredictionService::CreateFromCheckpoint(
-      options, "/nonexistent/path/model.ckpt");
-  ASSERT_FALSE(service.ok());
-  EXPECT_EQ(service.status().code(), StatusCode::kIoError);
 }
 
 }  // namespace
