@@ -14,24 +14,44 @@ namespace cascn::nn {
 
 namespace internal {
 
+namespace {
+
+/// True when `table` was built from the current bytes of `params` and is at
+/// least `depth` steps deep.
+bool Serves(const PaddingTable& table, const std::vector<const Tensor*>& params,
+            int depth) {
+  if (static_cast<int>(table.steps.size()) < depth) return false;
+  size_t offset = 0;
+  for (const Tensor* p : params) {
+    const size_t n = static_cast<size_t>(p->size());
+    if (offset + n > table.key.size() ||
+        std::memcmp(table.key.data() + offset, p->data(),
+                    n * sizeof(double)) != 0)
+      return false;
+    offset += n;
+  }
+  return offset == table.key.size();
+}
+
+}  // namespace
+
 template <typename Build>
 std::shared_ptr<const PaddingTable> PaddingTableCache::Get(
     const std::vector<const Tensor*>& params, int depth, Build&& build) {
+  // The table is immutable, so the key comparison runs outside the lock:
+  // concurrent forwards on one model only copy the pointer under it.
+  std::shared_ptr<const PaddingTable> current;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    current = table_;
+  }
+  if (current != nullptr && Serves(*current, params, depth)) return current;
   std::lock_guard<std::mutex> lock(mutex_);
   int deepest = 0;
   if (table_ != nullptr) {
+    // Another forward may have rebuilt the table since the copy above.
+    if (table_ != current && Serves(*table_, params, depth)) return table_;
     deepest = static_cast<int>(table_->steps.size());
-    size_t offset = 0;
-    bool same = true;
-    for (const Tensor* p : params) {
-      const size_t n = static_cast<size_t>(p->size());
-      same = same && offset + n <= table_->key.size() &&
-             std::memcmp(table_->key.data() + offset, p->data(),
-                         n * sizeof(double)) == 0;
-      offset += n;
-    }
-    if (same && offset == table_->key.size() && deepest >= depth)
-      return table_;
   }
   auto table = std::make_shared<PaddingTable>();
   for (const Tensor* p : params)

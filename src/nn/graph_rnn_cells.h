@@ -106,7 +106,8 @@ struct PaddingTable {
 /// A cell's PaddingTable, rebuilt whenever the row-local parameters it was
 /// built from change (an optimizer step, a checkpoint load, a direct edit)
 /// or a forward runs deeper than it. Thread-safe: the table is immutable
-/// and shared, and the mutex guards only the pointer and the comparison.
+/// and shared, and the mutex guards only the pointer and a rebuild; a
+/// forward compares its parameters against a copy of the pointer.
 class PaddingTableCache {
  public:
   /// A table at least `depth` steps deep for the current values of
