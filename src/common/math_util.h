@@ -27,9 +27,11 @@ inline double Exp2m1(double y) { return std::exp2(y) - 1.0; }
 // (no build enables FMA, and CI rejects any FMA instruction in a library).
 // So every host gives the same bits, whichever libm it has. Each function
 // works on a GCC vector of doubles, lane by lane, and every lane gets the
-// same operations whatever the vector's width; the scalar forms are lane 0
-// of the two-lane forms. So a kernel that runs the lanes forms over a row
-// gives every element exactly the scalar function's bits.
+// same bits whatever the vector's width and whatever the other lanes hold:
+// a function skips only work whose result no lane of the vector reads, or
+// work that leaves every lane's value unchanged. The scalar forms are lane
+// 0 of the two-lane forms. So a kernel that runs the lanes forms over a
+// row gives every element exactly the scalar function's bits.
 //
 // Two lanes (16 bytes) are one SSE2 register and the baseline x86-64
 // target's width. Four lanes (32 bytes) are one AVX2 register: use them
@@ -73,6 +75,35 @@ template <typename V>
       (reinterpret_cast<LaneBits<V>>(shifted) + 1023) << 52);
 }
 
+/// Whether lo <= x <= hi in every lane of x; false where a lane is NaN. It
+/// picks which operations a function runs, never what one lane gets.
+[[gnu::always_inline]] inline bool AllWithin(const Lanes2& x, double lo,
+                                             double hi) {
+#if defined(__SSE2__)
+  // GCC 12 moves a two-lane comparison mask through general registers
+  // lane by lane; the builtins keep it in one register.
+  const Lanes2 in = __builtin_ia32_andpd(
+      __builtin_ia32_cmplepd(Lanes2{} + lo, x),
+      __builtin_ia32_cmplepd(x, Lanes2{} + hi));
+  return __builtin_ia32_movmskpd(in) == 3;
+#else
+  return x[0] >= lo && x[0] <= hi && x[1] >= lo && x[1] <= hi;
+#endif
+}
+
+/// AllWithin of four lanes, as the two halves' lanes ANDed together.
+[[gnu::always_inline]] inline bool AllWithin(const Lanes4& x, double lo,
+                                             double hi) {
+  const auto in = (x >= lo) & (x <= hi);
+  const auto both = __builtin_shufflevector(in, in, 0, 1) &
+                    __builtin_shufflevector(in, in, 2, 3);
+#if defined(__SSE2__)
+  return __builtin_ia32_movmskpd(reinterpret_cast<Lanes2>(both)) == 3;
+#else
+  return both[0] != 0 && both[1] != 0;
+#endif
+}
+
 }  // namespace math_internal
 
 /// Each lane of x replaced by e^x, within 1 ulp. The reduction and the
@@ -83,6 +114,11 @@ template <typename V>
 /// inf anyway. 2^k is applied as two factors, so results in the subnormal
 /// range round once and do not flush to zero, and results past DBL_MAX
 /// overflow to inf. NaN gives NaN.
+///
+/// When every lane lies in [-708, 709] (the gates' usual case), neither
+/// clamp can change a lane, and 2^k is applied as one factor: k is then in
+/// [-1021, 1023], e^r in [0.70, 1.42], and e^r 2^k a normal double, so the
+/// one product and the two-factor product are both exact and the same.
 template <typename V>
 [[gnu::always_inline]] inline void ExpLanes(V& x) {
   using math_internal::kRoundShift;
@@ -96,9 +132,12 @@ template <typename V>
   constexpr double kP3 = 0x1.1566aaf25de2cp-14;
   constexpr double kP4 = -0x1.bbd41c5d26bf1p-20;
   constexpr double kP5 = 0x1.6376972bea4d0p-25;
-  // Comparisons are false for NaN, which therefore passes through.
-  x = x < -746.0 ? V{} - 746.0 : x;
-  x = x > 710.0 ? V{} + 710.0 : x;
+  const bool normal = math_internal::AllWithin(x, -708.0, 709.0);
+  if (!normal) {
+    // Comparisons are false for NaN, which therefore passes through.
+    x = x < -746.0 ? V{} - 746.0 : x;
+    x = x > 710.0 ? V{} + 710.0 : x;
+  }
   const V k = (x * kInvLn2 + kRoundShift) - kRoundShift;
   const V hi = x - k * kLn2Hi;
   const V lo = k * kLn2Lo;
@@ -106,6 +145,12 @@ template <typename V>
   const V t = r * r;
   const V c = r - t * (kP1 + t * (kP2 + t * (kP3 + t * (kP4 + t * kP5))));
   const V y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+  if (normal) {
+    V scale = k + kRoundShift;
+    math_internal::Pow2(scale);
+    x = y * scale;
+    return;
+  }
   // k = k1 + k2 with both halves in the normal exponent range.
   V scale1 = k * 0.5 + kRoundShift;
   V scale2 = (k - (scale1 - kRoundShift)) + kRoundShift;
@@ -130,7 +175,8 @@ template <typename V>
 /// degree 10, fitted to 8e-18. From there 1 - 2e / (1 + e) with
 /// e = e^{-2|x|}: the result is at least 1/2 and the term subtracted at most
 /// 1/2, so the subtraction adds no more than its own rounding. The sign is
-/// copied back from x.
+/// copied back from x. A form is computed only when some lane takes it (a
+/// NaN lane takes the second), and each lane gets the same form either way.
 template <typename V>
 [[gnu::always_inline]] inline void TanhLanes(V& x) {
   using Bits = math_internal::LaneBits<V>;
@@ -139,16 +185,25 @@ template <typename V>
       0x1.664f487713373p-6,  -0x1.226e32f00cf0cp-7, 0x1.d6d339333f329p-9,
       -0x1.7d97cfd138c28p-10, 0x1.34c5a8a996cd4p-11, -0x1.ec1091436eb2ap-13,
       0x1.64fd88e9900a5p-14, -0x1.59a834187ce22p-16};
+  // The largest double below 0.55: a lane takes the polynomial iff
+  // a <= kPolyEnd, that is iff a < 0.55.
+  constexpr double kPolyEnd = 0x1.1999999999999p-1;
   const Bits sign = reinterpret_cast<Bits>(x) & math_internal::kSignBit;
   const V a = reinterpret_cast<V>(reinterpret_cast<Bits>(x) ^ sign);
-  const V z = a * a;
-  V poly = V{} + kR[10];
-  for (int i = 9; i >= 0; --i) poly = kR[i] + z * poly;
-  const V small = a + (a * z) * poly;
-  V e = -(a + a);
-  ExpLanes(e);
-  const V large = 1.0 - (e + e) / (1.0 + e);
-  const V magnitude = a < 0.55 ? small : large;
+  V magnitude = a;  // every lane is overwritten below
+  if (!math_internal::AllWithin(a, 0.55,
+                                 std::numeric_limits<double>::infinity())) {
+    const V z = a * a;
+    V poly = V{} + kR[10];
+    for (int i = 9; i >= 0; --i) poly = kR[i] + z * poly;
+    magnitude = a + (a * z) * poly;
+  }
+  if (!math_internal::AllWithin(a, 0.0, kPolyEnd)) {
+    V e = -(a + a);
+    ExpLanes(e);
+    const V large = 1.0 - (e + e) / (1.0 + e);
+    magnitude = a < 0.55 ? magnitude : large;
+  }
   x = reinterpret_cast<V>(reinterpret_cast<Bits>(magnitude) | sign);
 }
 
@@ -222,6 +277,11 @@ inline double Log1p(double x) {
   if (k == 0) return f - (half_f2 - s * (half_f2 + r));
   return k * kLn2Hi - ((half_f2 - (s * (half_f2 + r) + (k * kLn2Lo + c))) - f);
 }
+
+/// log(1 + e^x), taken as x itself for x > 20 (within 2.1e-9 of it there),
+/// so e^x never overflows. The single definition behind ag::Softplus and
+/// the values-only forward's decay factors.
+inline double Softplus(double x) { return x > 20 ? x : Log1p(Exp(x)); }
 
 /// base^n for n >= 0 by binary powering: multiplications only, so every
 /// host gives the same bits (libm's pow does not). Each squaring doubles

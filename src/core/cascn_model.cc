@@ -3,23 +3,21 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/math_util.h"
 #include "nn/init.h"
 
 namespace cascn {
 namespace {
 
-/// The sample's encoding, owned by the caller.
+/// The sample's encoding, owned by the caller. Every forward reads the
+/// snapshot operators, so it has no dense snapshot signals.
 std::shared_ptr<const EncodedCascade> Encode(const CascadeSample& sample,
                                              const CascnConfig& config) {
-  auto encoded = EncodeCascade(sample, config);
+  auto encoded = EncodeForForward(sample, config);
   CASCN_CHECK(encoded.ok()) << "encoding failed for cascade "
                             << sample.observed.id() << ": "
                             << encoded.status().ToString();
-  EncodedCascade value = std::move(encoded).value();
-  // Every forward reads the snapshot operators; the dense signals would
-  // only take memory.
-  value.snapshot_signals = {};
-  return std::make_shared<const EncodedCascade>(std::move(value));
+  return std::make_shared<const EncodedCascade>(std::move(encoded).value());
 }
 
 }  // namespace
@@ -161,6 +159,26 @@ ag::Variable CascnModel::ForwardPooled(const CascadeSample& sample) {
   // snapshot. The cell runs the whole sequence, values only with grad mode
   // off and recorded with it on.
   const bool gru = config_.variant == CascnVariant::kGru;
+  if (!ag::GradEnabled() && !config_.attention_pooling) {
+    // Values only: the pooling below on the cell's tensors, with the
+    // tensor functions its ops call in the order they call them, and no
+    // graph node until the result. A cascade has a root, so T >= 1.
+    std::vector<Tensor> states =
+        gru ? conv_gru_->Run(enc.cheb_basis, enc.snapshot_ops,
+                             enc.snapshot_columns)
+            : conv_lstm_->Run(enc.cheb_basis, enc.snapshot_ops,
+                              enc.snapshot_columns);
+    Tensor& sum = states[0];
+    for (size_t t = 0; t < states.size(); ++t) {
+      if (use_decay)
+        states[t].Scale(Softplus(
+            decay_raw_.value().At(enc.decay_intervals[t], 0)));
+      if (t > 0) sum.AddInPlace(states[t]);
+    }
+    Tensor pooled = sum.ColSums();
+    pooled.Scale(1.0 / config_.max_sequence_length);
+    return ag::Variable::Leaf(std::move(pooled));
+  }
   std::vector<ag::Variable> states;
   if (ag::GradEnabled()) {
     // The recorded steps hold the operators through aliasing pointers into

@@ -23,8 +23,8 @@ CsrMatrix EncodedCascade::SnapshotOperator(int t, int k) const {
   return snapshot_ops.RowBlock(k * n, n, snapshot_columns[t]);
 }
 
-Result<EncodedCascade> EncodeCascade(const CascadeSample& sample,
-                                     const CascnConfig& config) {
+Result<EncodedCascade> EncodeForForward(const CascadeSample& sample,
+                                        const CascnConfig& config) {
   EncodedCascade enc;
   const Cascade& cascade = sample.observed;
   enc.active_n = std::min(cascade.size(), config.padded_size);
@@ -46,23 +46,35 @@ Result<EncodedCascade> EncodeCascade(const CascadeSample& sample,
       ScaleLaplacian(laplacian, enc.lambda_max, enc.active_n);
   enc.cheb_basis = ChebyshevBasis(scaled, config.cheb_order, enc.active_n);
 
-  // Snapshot sequence (Fig. 3), and one block of every snapshot's
-  // operators per order, T_k X for the whole prefix's adjacency X.
-  std::vector<CascadeSnapshot> snapshots =
-      BuildSnapshotSequence(cascade, config.MakeSnapshotOptions());
-  enc.snapshot_signals.reserve(snapshots.size());
-  enc.snapshot_columns.reserve(snapshots.size());
-  enc.decay_intervals.reserve(snapshots.size());
-  for (CascadeSnapshot& snap : snapshots) {
-    enc.snapshot_signals.push_back(std::move(snap.adjacency));
-    enc.snapshot_columns.push_back(
-        {enc.snapshot_columns.empty() ? 0 : 1, snap.num_nodes});
-    enc.decay_intervals.push_back(DecayInterval(
-        snap.time, sample.observation_window, config.num_time_intervals));
+  // Snapshot sequence (Fig. 3): a snapshot of the first n nodes reads
+  // columns [0, n) (the first snapshot) or [1, n) of one block of
+  // operators per order, T_k X for the whole prefix's adjacency X, and
+  // decays by the time of its newest node.
+  const std::vector<int> prefix_lengths =
+      SnapshotPrefixLengths(cascade, config.MakeSnapshotOptions());
+  enc.snapshot_columns.reserve(prefix_lengths.size());
+  enc.decay_intervals.reserve(prefix_lengths.size());
+  for (const int n : prefix_lengths) {
+    enc.snapshot_columns.push_back({enc.snapshot_columns.empty() ? 0 : 1, n});
+    enc.decay_intervals.push_back(
+        DecayInterval(cascade.event(n - 1).time, sample.observation_window,
+                      config.num_time_intervals));
   }
   enc.snapshot_ops = StackedProducts(
       enc.cheb_basis, cascade.AdjacencyMatrix(enc.active_n, config.padded_size,
                                               /*root_self_loop=*/true));
+  return enc;
+}
+
+Result<EncodedCascade> EncodeCascade(const CascadeSample& sample,
+                                     const CascnConfig& config) {
+  EncodedCascade enc;
+  CASCN_ASSIGN_OR_RETURN(enc, EncodeForForward(sample, config));
+  std::vector<CascadeSnapshot> snapshots =
+      BuildSnapshotSequence(sample.observed, config.MakeSnapshotOptions());
+  enc.snapshot_signals.reserve(snapshots.size());
+  for (CascadeSnapshot& snap : snapshots)
+    enc.snapshot_signals.push_back(std::move(snap.adjacency));
   return enc;
 }
 

@@ -30,8 +30,8 @@ namespace cascn {
 struct EncodedCascade {
   /// Dense padded adjacency signal X_t per snapshot (each padded_size x
   /// padded_size): BuildSnapshotSequence's adjacencies, moved in. No
-  /// forward reads it: it is kept for callers that step a cell on a dense
-  /// X_t, and CascnModel drops it before caching an encoding.
+  /// forward reads it: EncodeCascade fills it for callers that step a cell
+  /// on a dense X_t, and EncodeForForward, CascnModel's encoder, does not.
   std::vector<Tensor> snapshot_signals;
   /// Snapshot operator blocks Q_k = T_k X for k = 0..K-1 of cheb_basis
   /// (each n x n, exact zeros dropped), stacked as row blocks of one
@@ -67,6 +67,12 @@ struct EncodedCascade {
 /// lambda_max). Fails only if the CasLaplacian stationary iteration fails.
 Result<EncodedCascade> EncodeCascade(const CascadeSample& sample,
                                      const CascnConfig& config);
+
+/// Every field of EncodeCascade but snapshot_signals, with the same bits:
+/// what a forward reads, without the dense padded snapshot adjacencies.
+/// EncodeCascade is this plus the signals.
+Result<EncodedCascade> EncodeForForward(const CascadeSample& sample,
+                                        const CascnConfig& config);
 
 /// Eq. 15: the decay interval of an adoption at `time` within an
 /// observation window of length `window` split into `num_intervals`.

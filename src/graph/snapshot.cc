@@ -7,15 +7,12 @@
 
 namespace cascn {
 
-std::vector<CascadeSnapshot> BuildSnapshotSequence(
-    const Cascade& cascade, const SnapshotOptions& opts) {
+std::vector<int> SnapshotPrefixLengths(const Cascade& cascade,
+                                       const SnapshotOptions& opts) {
   // Config parsing rejects a padded_size or max_sequence_length below 1.
   CASCN_CHECK(opts.padded_size >= 1 && opts.max_sequence_length >= 1);
   const int usable = std::min(cascade.size(), opts.padded_size);
 
-  // Choose which prefix lengths become snapshots: every event when the
-  // cascade is short, an even subsample (always ending at the full observed
-  // prefix) otherwise.
   std::vector<int> prefix_lengths;
   if (usable <= opts.max_sequence_length) {
     for (int n = 1; n <= usable; ++n) prefix_lengths.push_back(n);
@@ -36,7 +33,13 @@ std::vector<CascadeSnapshot> BuildSnapshotSequence(
         std::unique(prefix_lengths.begin(), prefix_lengths.end()),
         prefix_lengths.end());
   }
+  return prefix_lengths;
+}
 
+std::vector<CascadeSnapshot> BuildSnapshotSequence(
+    const Cascade& cascade, const SnapshotOptions& opts) {
+  const std::vector<int> prefix_lengths =
+      SnapshotPrefixLengths(cascade, opts);
   std::vector<CascadeSnapshot> out;
   out.reserve(prefix_lengths.size());
   for (size_t s = 0; s < prefix_lengths.size(); ++s) {

@@ -39,6 +39,14 @@ struct SnapshotOptions {
   int max_sequence_length = 20;
 };
 
+/// The node counts of BuildSnapshotSequence's snapshots, ascending: 1..u
+/// for the u = min(size, padded_size) usable nodes when u is at most
+/// max_sequence_length, and otherwise max_sequence_length counts spread
+/// evenly over [1, u], duplicates dropped (u alone for a bound of 1). For
+/// callers that need no adjacency.
+std::vector<int> SnapshotPrefixLengths(const Cascade& cascade,
+                                       const SnapshotOptions& opts);
+
 /// Builds the snapshot sequence G_i^T for an observed cascade. The cascade
 /// should already be truncated to the observation window (Cascade::Prefix).
 std::vector<CascadeSnapshot> BuildSnapshotSequence(const Cascade& cascade,

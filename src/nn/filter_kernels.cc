@@ -229,57 +229,104 @@ template <typename V>
   for (int l = 0; l < count; ++l) p[l] = v[l];
 }
 
+/// How many vectors of columns the LSTM gate pass runs side by side (the
+/// statement loops below unroll up to four).
+constexpr int kGateGroup = 3;
+static_assert(kGateGroup >= 1 && kGateGroup <= 4);
+
+/// The LSTM gate pass over the rows x column vectors, taken in groups of
+/// kGateGroup vectors in row-major order (a group may span two rows; the
+/// last may be short, its missing vectors all-zero lanes that are never
+/// stored). Each statement runs on every vector of a group before the
+/// next, so the vectors' exp and divide chains are independent work side
+/// by side, as the tape runs each gate op over the whole block. Every lane
+/// gets the operations of the one-vector pass, so the same bits.
 template <typename V>
 [[gnu::always_inline]] inline void LstmGatesBody(const LstmGates& g,
                                                  int rows, double* h_next,
                                                  double* keep) {
+  constexpr int kG = kGateGroup;
   const int d = g.d;
   const size_t nd = static_cast<size_t>(g.n) * d;
-  for (int r = 0; r < rows; ++r) {
-    const double* xr = g.xs + static_cast<size_t>(r) * 4 * d;
-    const double* hr = g.hs + static_cast<size_t>(r) * 4 * d;
-    for (int j = 0; j < d; j += kLanes<V>) {
-      const int count = std::min(kLanes<V>, d - j);
-      const size_t e = static_cast<size_t>(r) * d + j;
-      V x_i, x_f, x_c, x_o, h_i, h_f, h_c, h_o, b_i, b_f, b_c, b_o, v_i,
-          v_f, v_o, c_prev;
-      LoadLanes(xr + j, count, x_i);
-      LoadLanes(xr + d + j, count, x_f);
-      LoadLanes(xr + 2 * d + j, count, x_c);
-      LoadLanes(xr + 3 * d + j, count, x_o);
-      LoadLanes(hr + j, count, h_i);
-      LoadLanes(hr + d + j, count, h_f);
-      LoadLanes(hr + 2 * d + j, count, h_c);
-      LoadLanes(hr + 3 * d + j, count, h_o);
-      LoadLanes(g.b_i + j, count, b_i);
-      LoadLanes(g.b_f + j, count, b_f);
-      LoadLanes(g.b_c + j, count, b_c);
-      LoadLanes(g.b_o + j, count, b_o);
-      LoadLanes(g.v_i + e, count, v_i);
-      LoadLanes(g.v_f + e, count, v_f);
-      LoadLanes(g.v_o + e, count, v_o);
-      LoadLanes(g.c + e, count, c_prev);
-      V i = ((x_i + h_i) + b_i) + v_i * c_prev;
-      SigmoidLanes(i);
-      V f = ((x_f + h_f) + b_f) + v_f * c_prev;
-      SigmoidLanes(f);
-      V cand = (x_c + h_c) + b_c;
-      TanhLanes(cand);
-      const V c_next = f * c_prev + i * cand;
-      V o = ((x_o + h_o) + b_o) + v_o * c_next;
-      SigmoidLanes(o);
-      V tanh_c = c_next;
-      TanhLanes(tanh_c);
-      StoreLanes(c_next, count, g.c + e);
-      StoreLanes(o * tanh_c, count, h_next + e);
-      if (keep != nullptr) {
-        StoreLanes(i, count, keep + LstmGates::kI * nd + e);
-        StoreLanes(f, count, keep + LstmGates::kF * nd + e);
-        StoreLanes(cand, count, keep + LstmGates::kG * nd + e);
-        StoreLanes(o, count, keep + LstmGates::kO * nd + e);
-        StoreLanes(tanh_c, count, keep + LstmGates::kTanhC * nd + e);
-        StoreLanes(x_o, count, keep + LstmGates::kXo * nd + e);
+  int r = 0, j = 0;
+  while (r < rows) {
+    // Vector m: row r's columns [col, col + count), at g.xs / g.hs + term
+    // (gate 0) and at e in the n x d blocks; count 0 past the last row.
+    size_t term[kG] = {}, e[kG] = {};
+    int col[kG] = {}, count[kG] = {};
+    for (int m = 0; m < kG && r < rows; ++m) {
+      term[m] = static_cast<size_t>(r) * 4 * d + j;
+      e[m] = static_cast<size_t>(r) * d + j;
+      col[m] = j;
+      count[m] = std::min(kLanes<V>, d - j);
+      j += kLanes<V>;
+      if (j >= d) {
+        j = 0;
+        ++r;
       }
+    }
+    // (x + h) + b of gate q (0-3 for i, f, c, o), plus v (.) c unless v is
+    // null (the candidate has no peephole), for every vector.
+    auto gate = [&] [[gnu::always_inline]] (int q, const double* b,
+                                            const double* v, const V* c,
+                                            V* out) {
+#pragma GCC unroll 4
+      for (int m = 0; m < kG; ++m) {
+        V x, h, bias;
+        LoadLanes(g.xs + term[m] + q * d, count[m], x);
+        LoadLanes(g.hs + term[m] + q * d, count[m], h);
+        LoadLanes(b + col[m], count[m], bias);
+        out[m] = (x + h) + bias;
+      }
+      if (v == nullptr) return;
+#pragma GCC unroll 4
+      for (int m = 0; m < kG; ++m) {
+        V peephole;
+        LoadLanes(v + e[m], count[m], peephole);
+        out[m] = out[m] + peephole * c[m];
+      }
+    };
+    auto store = [&] [[gnu::always_inline]] (const V* v, double* p) {
+#pragma GCC unroll 4
+      for (int m = 0; m < kG; ++m) StoreLanes(v[m], count[m], p + e[m]);
+    };
+    V c_prev[kG], i[kG], f[kG], cand[kG], c_next[kG], o[kG], tanh_c[kG];
+#pragma GCC unroll 4
+    for (int m = 0; m < kG; ++m) LoadLanes(g.c + e[m], count[m], c_prev[m]);
+    gate(0, g.b_i, g.v_i, c_prev, i);
+#pragma GCC unroll 4
+    for (int m = 0; m < kG; ++m) SigmoidLanes(i[m]);
+    gate(1, g.b_f, g.v_f, c_prev, f);
+#pragma GCC unroll 4
+    for (int m = 0; m < kG; ++m) SigmoidLanes(f[m]);
+    gate(2, g.b_c, nullptr, nullptr, cand);
+#pragma GCC unroll 4
+    for (int m = 0; m < kG; ++m) TanhLanes(cand[m]);
+#pragma GCC unroll 4
+    for (int m = 0; m < kG; ++m) c_next[m] = f[m] * c_prev[m] + i[m] * cand[m];
+    gate(3, g.b_o, g.v_o, c_next, o);
+#pragma GCC unroll 4
+    for (int m = 0; m < kG; ++m) {
+      SigmoidLanes(o[m]);
+      tanh_c[m] = c_next[m];
+    }
+#pragma GCC unroll 4
+    for (int m = 0; m < kG; ++m) TanhLanes(tanh_c[m]);
+    store(c_next, g.c);
+#pragma GCC unroll 4
+    for (int m = 0; m < kG; ++m)
+      StoreLanes(o[m] * tanh_c[m], count[m], h_next + e[m]);
+    if (keep != nullptr) {
+      V x_o[kG];
+#pragma GCC unroll 4
+      for (int m = 0; m < kG; ++m)
+        LoadLanes(g.xs + term[m] + 3 * d, count[m], x_o[m]);
+      store(i, keep + LstmGates::kI * nd);
+      store(f, keep + LstmGates::kF * nd);
+      store(cand, keep + LstmGates::kG * nd);
+      store(o, keep + LstmGates::kO * nd);
+      store(tanh_c, keep + LstmGates::kTanhC * nd);
+      store(x_o, keep + LstmGates::kXo * nd);
     }
   }
 }

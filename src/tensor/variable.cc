@@ -599,10 +599,7 @@ Variable Softplus(const Variable& a) {
   const auto& an = CheckedNode(a);
   OpProfile prof(obs::OpKind::kSoftplus);
   const uint64_t n = Elems(an);
-  Tensor out = an->value.Map([](double x) {
-    // log(1 + e^x) without overflow: x + log1p(e^-x) for large x.
-    return x > 20 ? x : Log1p(Exp(x));
-  });
+  Tensor out = an->value.Map([](double x) { return cascn::Softplus(x); });
   return prof.Done(
       MakeOpNode(std::move(out), {an},
                  [](Node& self) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -181,6 +182,60 @@ TEST(EncoderTest, SnapshotOperatorsAreTheDenseProductsWithZerosDropped) {
                   << where << " t=" << t << " k=" << k;
             }
           }
+        }
+      }
+    }
+  }
+}
+
+/// The model's encoder: every field EncodeCascade fills but the dense
+/// signals, with the same bits, under the shapes of the test above.
+TEST(EncoderTest, EncodeForForwardIsEncodeCascadeWithoutTheSignals) {
+  const CascadeSample tree = RandomTreeSample();
+  for (const CascnVariant variant :
+       {CascnVariant::kDefault, CascnVariant::kUndirected}) {
+    for (const int order : {1, 2, 3}) {
+      for (const int bound : {1, 3, 10, 32}) {
+        CascnConfig config;  // padded size 32
+        config.variant = variant;
+        config.cheb_order = order;
+        config.max_sequence_length = bound;
+        for (const int size : {1, 2, 10, 32, 40}) {
+          CascadeSample sample = tree;
+          sample.observed = tree.observed.PrefixBySize(size);
+          const auto want = EncodeCascade(sample, config);
+          const auto got = EncodeForForward(sample, config);
+          ASSERT_TRUE(want.ok()) << want.status();
+          ASSERT_TRUE(got.ok()) << got.status();
+          const std::string where =
+              VariantName(variant) + " K=" + std::to_string(order) +
+              " bound=" + std::to_string(bound) +
+              " size=" + std::to_string(size);
+          EXPECT_TRUE(got->snapshot_signals.empty()) << where;
+          EXPECT_EQ(got->active_n, want->active_n) << where;
+          EXPECT_EQ(std::memcmp(&got->lambda_max, &want->lambda_max,
+                                sizeof(double)),
+                    0)
+              << where;
+          EXPECT_EQ(got->decay_intervals, want->decay_intervals) << where;
+          ASSERT_EQ(got->snapshot_columns.size(),
+                    want->snapshot_columns.size())
+              << where;
+          for (size_t t = 0; t < want->snapshot_columns.size(); ++t) {
+            EXPECT_EQ(got->snapshot_columns[t].begin,
+                      want->snapshot_columns[t].begin)
+                << where;
+            EXPECT_EQ(got->snapshot_columns[t].end,
+                      want->snapshot_columns[t].end)
+                << where;
+          }
+          EXPECT_TRUE(SameCsr(got->snapshot_ops, want->snapshot_ops))
+              << where;
+          ASSERT_EQ(got->cheb_basis.size(), want->cheb_basis.size())
+              << where;
+          for (size_t k = 0; k < want->cheb_basis.size(); ++k)
+            EXPECT_TRUE(SameCsr(got->cheb_basis[k], want->cheb_basis[k]))
+                << where << " k=" << k;
         }
       }
     }
