@@ -14,13 +14,15 @@ namespace {
 using std::chrono::duration;
 using std::chrono::duration_cast;
 
-int64_t SecondOf(std::chrono::steady_clock::time_point t) {
-  return duration_cast<std::chrono::seconds>(t.time_since_epoch()).count();
-}
-
 double MsBetween(std::chrono::steady_clock::time_point from,
                  std::chrono::steady_clock::time_point to) {
   return duration<double, std::milli>(to - from).count();
+}
+
+double FailureRateOf(const obs::OutcomeWindow::Counts& counts) {
+  return counts.total == 0 ? 0.0
+                           : static_cast<double>(counts.total - counts.good) /
+                                 static_cast<double>(counts.total);
 }
 
 std::chrono::steady_clock::duration MsDuration(double ms) {
@@ -45,137 +47,85 @@ std::string_view BreakerStateName(BreakerState state) {
 // ---------------------------------------------------------------------------
 // CircuitBreaker
 
-CircuitBreaker::CircuitBreaker(const BreakerOptions& options,
-                               TransitionHook on_transition)
-    : options_(options), on_transition_(std::move(on_transition)) {
-  CASCN_CHECK(options_.window_seconds > 0.0);
-  CASCN_CHECK(options_.failure_rate_threshold > 0.0);
-  CASCN_CHECK(options_.probe_requests >= 1);
-}
+CircuitBreaker::CircuitBreaker(TransitionHook on_transition)
+    : on_transition_(std::move(on_transition)) {}
 
-void CircuitBreaker::AdvanceLocked(TimePoint now) {
-  const int64_t horizon =
-      SecondOf(now) - static_cast<int64_t>(options_.window_seconds);
-  while (!window_.empty() && window_.front().second <= horizon)
-    window_.pop_front();
-}
-
-std::pair<BreakerState, BreakerState> CircuitBreaker::TransitionLocked(
+CircuitBreaker::Transition CircuitBreaker::TransitionLocked(
     BreakerState next) {
   const BreakerState from = state_;
   state_ = next;
-  if (from != next) window_.clear();  // each state starts a fresh window
+  if (from != next) {
+    window_.Clear();
+    probe_successes_ = 0;
+  }
   return {from, next};
 }
 
-double CircuitBreaker::FailureRateLocked() const {
-  uint64_t ok = 0;
-  uint64_t failed = 0;
-  for (const Bucket& bucket : window_) {
-    ok += bucket.ok;
-    failed += bucket.failed;
-  }
-  const uint64_t total = ok + failed;
-  if (total < static_cast<uint64_t>(std::max(1, options_.min_requests)))
-    return 0.0;
-  return static_cast<double>(failed) / static_cast<double>(total);
+void CircuitBreaker::Notify(Transition transition) const {
+  if (transition.first != transition.second && on_transition_)
+    on_transition_(transition.first, transition.second);
 }
 
 bool CircuitBreaker::AllowRequest(TimePoint now) {
-  std::pair<BreakerState, BreakerState> transition{state_, state_};
+  Transition transition;
   bool allow = true;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    AdvanceLocked(now);
-    switch (state_) {
-      case BreakerState::kClosed:
-      case BreakerState::kHalfOpen:
-        allow = true;
-        break;
-      case BreakerState::kOpen:
-        if (now >= open_until_) {
-          transition = TransitionLocked(BreakerState::kHalfOpen);
-          probe_needed_ = options_.probe_requests;
-          probe_successes_ = 0;
-          allow = true;
-        } else {
-          allow = false;
-        }
-        break;
+    // Closed and half-open admit; open admits once its cooldown is over,
+    // and that first admitted request is the half-open probe.
+    if (state_ == BreakerState::kOpen) {
+      allow = now >= open_until_;
+      if (allow) transition = TransitionLocked(BreakerState::kHalfOpen);
     }
   }
-  if (transition.first != transition.second && on_transition_)
-    on_transition_(transition.first, transition.second);
+  Notify(transition);
   return allow;
 }
 
-void CircuitBreaker::RecordSuccess(TimePoint now) {
-  std::pair<BreakerState, BreakerState> transition{state_, state_};
+void CircuitBreaker::RecordSuccess(TimePoint now) { Record(now, false); }
+
+void CircuitBreaker::RecordFailure(TimePoint now) { Record(now, true); }
+
+void CircuitBreaker::Record(TimePoint now, bool failed) {
+  Transition transition;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    AdvanceLocked(now);
+    bool open = false;
     switch (state_) {
       case BreakerState::kClosed: {
-        const int64_t second = SecondOf(now);
-        if (window_.empty() || window_.back().second < second)
-          window_.push_back(Bucket{second, 0, 0});
-        ++window_.back().ok;
+        window_.Record(now, !failed);
+        const obs::OutcomeWindow::Counts counts =
+            window_.Sum(now, kBreakerWindowSeconds);
+        open = failed &&
+               counts.total >= static_cast<uint64_t>(kBreakerMinRequests) &&
+               FailureRateOf(counts) >= kBreakerFailureRate;
         break;
       }
       case BreakerState::kHalfOpen:
-        if (++probe_successes_ >= probe_needed_)
+        // Any failure during probation reopens immediately.
+        open = failed;
+        if (!failed && ++probe_successes_ >= kBreakerProbeRequests)
           transition = TransitionLocked(BreakerState::kClosed);
         break;
       case BreakerState::kOpen:
         break;  // a straggler from before the trip; ignore
     }
-  }
-  if (transition.first != transition.second && on_transition_)
-    on_transition_(transition.first, transition.second);
-}
-
-void CircuitBreaker::RecordFailure(TimePoint now) {
-  std::pair<BreakerState, BreakerState> transition{state_, state_};
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    AdvanceLocked(now);
-    switch (state_) {
-      case BreakerState::kClosed: {
-        const int64_t second = SecondOf(now);
-        if (window_.empty() || window_.back().second < second)
-          window_.push_back(Bucket{second, 0, 0});
-        ++window_.back().failed;
-        if (FailureRateLocked() >= options_.failure_rate_threshold) {
-          open_until_ = now + MsDuration(options_.open_seconds * 1000.0);
-          transition = TransitionLocked(BreakerState::kOpen);
-        }
-        break;
-      }
-      case BreakerState::kHalfOpen:
-        // Any failure during probation reopens immediately.
-        open_until_ = now + MsDuration(options_.open_seconds * 1000.0);
-        transition = TransitionLocked(BreakerState::kOpen);
-        break;
-      case BreakerState::kOpen:
-        break;
+    if (open) {
+      open_until_ = now + std::chrono::seconds(kBreakerOpenSeconds);
+      transition = TransitionLocked(BreakerState::kOpen);
     }
   }
-  if (transition.first != transition.second && on_transition_)
-    on_transition_(transition.first, transition.second);
+  Notify(transition);
 }
 
-void CircuitBreaker::BeginProbation(TimePoint now, int probe_requests) {
-  std::pair<BreakerState, BreakerState> transition{state_, state_};
+void CircuitBreaker::BeginProbation() {
+  Transition transition;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    AdvanceLocked(now);
-    probe_needed_ =
-        probe_requests > 0 ? probe_requests : options_.probe_requests;
-    probe_successes_ = 0;
     transition = TransitionLocked(BreakerState::kHalfOpen);
+    probe_successes_ = 0;  // also when it was half-open already
   }
-  if (transition.first != transition.second && on_transition_)
-    on_transition_(transition.first, transition.second);
+  Notify(transition);
 }
 
 BreakerState CircuitBreaker::state() const {
@@ -184,33 +134,16 @@ BreakerState CircuitBreaker::state() const {
 }
 
 double CircuitBreaker::FailureRate(TimePoint now) const {
-  const int64_t horizon =
-      SecondOf(now) - static_cast<int64_t>(options_.window_seconds);
   std::lock_guard<std::mutex> lock(mutex_);
-  uint64_t ok = 0;
-  uint64_t failed = 0;
-  for (const Bucket& bucket : window_) {
-    if (bucket.second <= horizon) continue;
-    ok += bucket.ok;
-    failed += bucket.failed;
-  }
-  const uint64_t total = ok + failed;
-  return total == 0 ? 0.0
-                    : static_cast<double>(failed) / static_cast<double>(total);
+  return FailureRateOf(window_.Sum(now, kBreakerWindowSeconds));
 }
 
 // ---------------------------------------------------------------------------
 // RetryBudget
 
-RetryBudget::RetryBudget(const RetryBudgetOptions& options)
-    : options_(options), tokens_(options.cap) {
-  CASCN_CHECK(options_.ratio >= 0.0);
-  CASCN_CHECK(options_.cap >= 1.0);
-}
-
 void RetryBudget::OnRequest() {
   std::lock_guard<std::mutex> lock(mutex_);
-  tokens_ = std::min(options_.cap, tokens_ + options_.ratio);
+  tokens_ = std::min(kRetryBudgetCap, tokens_ + kRetryBudgetRatio);
 }
 
 bool RetryBudget::TryAcquire() {
@@ -228,9 +161,7 @@ double RetryBudget::tokens() const {
 // ---------------------------------------------------------------------------
 // StaleCache
 
-StaleCache::StaleCache(const StaleCacheOptions& options) : options_(options) {
-  CASCN_CHECK(options_.capacity >= 1);
-}
+StaleCache::StaleCache(const StaleCacheOptions& options) : options_(options) {}
 
 void StaleCache::StorePrediction(const std::string& session_id,
                                  double log_prediction,
@@ -240,7 +171,7 @@ void StaleCache::StorePrediction(const std::string& session_id,
   if (it != entries_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   } else {
-    while (entries_.size() >= options_.capacity && !lru_.empty()) {
+    while (entries_.size() >= kStaleCacheCapacity && !lru_.empty()) {
       entries_.erase(lru_.back());
       lru_.pop_back();
     }
@@ -284,9 +215,7 @@ size_t StaleCache::size() const {
 
 ResilienceControl::ResilienceControl(const ResilienceOptions& options,
                                      uint64_t seed, AnomalyHook on_anomaly)
-    : options_(options),
-      on_anomaly_(std::move(on_anomaly)),
-      budget_(options.retry_budget),
+    : on_anomaly_(std::move(on_anomaly)),
       stale_(options.stale),
       // Offset so the jitter stream differs from other consumers of the
       // fault seed while remaining reproducible from it.
@@ -297,7 +226,7 @@ CircuitBreaker& ResilienceControl::BreakerFor(int shard_id) {
   std::unique_ptr<CircuitBreaker>& slot = breakers_[shard_id];
   if (!slot) {
     slot = std::make_unique<CircuitBreaker>(
-        options_.breaker, [this, shard_id](BreakerState, BreakerState to) {
+        [this, shard_id](BreakerState, BreakerState to) {
           if (to == BreakerState::kOpen)
             breaker_opens_.fetch_add(1, std::memory_order_relaxed);
           if (on_anomaly_)
@@ -329,8 +258,8 @@ BreakerState ResilienceControl::ShardState(int shard_id) const {
   return it == breakers_.end() ? BreakerState::kClosed : it->second->state();
 }
 
-void ResilienceControl::BeginProbation(int shard_id, TimePoint now) {
-  BreakerFor(shard_id).BeginProbation(now);
+void ResilienceControl::BeginProbation(int shard_id) {
+  BreakerFor(shard_id).BeginProbation();
 }
 
 bool ResilienceControl::TryAcquireRetry() {
@@ -347,10 +276,9 @@ void ResilienceControl::NoteRetryDenied() {
 }
 
 double ResilienceControl::RetryBackoffMs(int attempt) {
-  double base = options_.retry_base_backoff_ms;
-  for (int i = 0; i < attempt && base < options_.retry_max_backoff_ms; ++i)
-    base *= 2.0;
-  base = std::min(base, options_.retry_max_backoff_ms);
+  double base = kRetryBaseBackoffMs;
+  for (int i = 0; i < attempt && base < kRetryMaxBackoffMs; ++i) base *= 2.0;
+  base = std::min(base, kRetryMaxBackoffMs);
   double jitter;
   {
     std::lock_guard<std::mutex> lock(rng_mutex_);
@@ -359,9 +287,9 @@ double ResilienceControl::RetryBackoffMs(int attempt) {
   return base * jitter;
 }
 
-void ResilienceControl::NoteSupervisorRestart(int shard_id, TimePoint now) {
+void ResilienceControl::NoteSupervisorRestart(int shard_id) {
   supervisor_restarts_.fetch_add(1, std::memory_order_relaxed);
-  BeginProbation(shard_id, now);
+  BeginProbation(shard_id);
   if (on_anomaly_) on_anomaly_(shard_id, "supervisor_restart");
 }
 
@@ -421,25 +349,26 @@ ShardSupervisor::ShardSupervisor(ShardRouter& router,
                            : [] { return std::chrono::steady_clock::now(); }) {
   CASCN_CHECK(options_.poll_interval_ms > 0.0);
   CASCN_CHECK(options_.restart_backoff_ms >= 0.0);
-  CASCN_CHECK(options_.max_backoff_ms >= options_.restart_backoff_ms);
+  CASCN_CHECK(kSupervisorMaxBackoffMs >= options_.restart_backoff_ms);
 }
 
 ShardSupervisor::~ShardSupervisor() { Stop(); }
 
 double ShardSupervisor::BackoffMs(int failed_attempts) const {
   double backoff = options_.restart_backoff_ms;
-  for (int i = 0; i < failed_attempts && backoff < options_.max_backoff_ms;
+  for (int i = 0; i < failed_attempts && backoff < kSupervisorMaxBackoffMs;
        ++i)
     backoff *= 2.0;
-  return std::min(backoff, options_.max_backoff_ms);
+  return std::min(backoff, kSupervisorMaxBackoffMs);
 }
 
 int ShardSupervisor::PollOnce() {
   const TimePoint now = clock_();
 
   // 1. Wedge detection: a shard whose watchdog-stall latch holds for
-  //    `wedged_polls` consecutive passes is force-crashed; the crash path
-  //    below then schedules its restart like any other dead shard.
+  //    kSupervisorWedgedPolls consecutive passes is force-crashed; the
+  //    crash path below then schedules its restart like any other dead
+  //    shard.
   const std::vector<int> wedged = router_.WatchdogWedgedShardIds();
   std::vector<int> to_kill;
   {
@@ -452,7 +381,7 @@ int ShardSupervisor::PollOnce() {
       }
     }
     for (int shard_id : wedged) {
-      if (++wedged_counts_[shard_id] >= options_.wedged_polls) {
+      if (++wedged_counts_[shard_id] >= kSupervisorWedgedPolls) {
         to_kill.push_back(shard_id);
         wedged_counts_.erase(shard_id);
       }
@@ -461,7 +390,8 @@ int ShardSupervisor::PollOnce() {
   for (int shard_id : to_kill) {
     CASCN_LOG(WARNING) << "supervisor: shard " << shard_id
                        << " wedged (watchdog stall held "
-                       << options_.wedged_polls << " polls); force-restarting";
+                       << kSupervisorWedgedPolls
+                       << " polls); force-restarting";
     router_.CrashShard(shard_id);
     wedge_kills_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -5,19 +5,20 @@
 // Three policies, all deterministic under an injected clock and the fault
 // registry's seed so chaos tests can assert exact schedules:
 //
-//  - CircuitBreaker (per shard): closed -> open when the rolling error/
-//    timeout rate over a clock-injected window trips the threshold ->
-//    half-open probe after a cooldown -> closed after N clean requests.
-//    Consulted at routing time, so an open shard is skipped by the
-//    bounded-load ring walk instead of timing out every request.
+//  - CircuitBreaker (per shard): closed -> open when the failure rate over
+//    a clock-injected 10 s window reaches 50% with at least 8 requests in
+//    it -> half-open probe after a 2 s cooldown -> closed after 4 clean
+//    requests. Consulted at routing time, so an open shard is skipped by
+//    the bounded-load ring walk instead of timing out every request.
 //
-//  - RetryBudget (global): a token bucket fed by observed traffic (~10% by
-//    default) that governs the single re-dispatch of idempotent Predict
-//    calls on Unavailable/DeadlineExceeded. Re-dispatch always carries the
-//    REMAINING deadline (never the original) and backs off exponentially
-//    with jitter drawn from the fault-seed RNG.
+//  - RetryBudget (global): a token bucket that every observed request
+//    refills by 0.1 token, capped at 32 tokens, and that governs the single
+//    re-dispatch of idempotent Predict calls on Unavailable/DeadlineExceeded.
+//    Re-dispatch always carries the REMAINING deadline (never the original)
+//    and backs off exponentially (1 ms doubling to at most 50 ms) with
+//    jitter drawn from the fault-seed RNG.
 //
-//  - StaleCache: a small LRU of each session's last-good prediction. When a
+//  - StaleCache: an LRU of 1024 sessions' last-good predictions. When a
 //    pinned shard is open/dead and the retry budget is spent, the router can
 //    answer with a clearly-marked stale response (ServeResponse::stale, age
 //    recorded) instead of an error — gated by
@@ -25,9 +26,9 @@
 //
 // ShardSupervisor closes the loop for hard failures: a thread that watches
 // the router's crashed-shard set and watchdog latches and auto-restarts
-// dead or wedged shards on a capped exponential backoff schedule, placing
-// each revived shard's breaker into a half-open probation window (N clean
-// requests before full ring weight returns).
+// dead or wedged shards on an exponential backoff schedule capped at 2 s,
+// placing each revived shard's breaker into a half-open probation window
+// (4 clean requests before full ring weight returns).
 
 #ifndef CASCN_CLUSTER_RESILIENCE_H_
 #define CASCN_CLUSTER_RESILIENCE_H_
@@ -36,7 +37,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <map>
@@ -52,6 +52,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "obs/metrics_registry.h"
+#include "obs/outcome_window.h"
 
 namespace cascn::cluster {
 
@@ -61,6 +62,40 @@ class ShardRouter;
 /// remaining budget is below this floor is rejected immediately (counted as
 /// denied) instead of racing a deadline it cannot meet.
 inline constexpr double kMinRetryHeadroomMs = 2.0;
+
+/// The circuit breaker's policy. The failure rate is computed over a
+/// rolling kBreakerWindowSeconds of the injected clock; a closed breaker
+/// opens when at least kBreakerMinRequests outcomes are in the window (a
+/// single failure on an idle shard is not an outage) and the failure
+/// fraction reaches kBreakerFailureRate. An open breaker holds for
+/// kBreakerOpenSeconds before it allows a half-open probe, and re-closes
+/// after kBreakerProbeRequests clean requests; any failure during
+/// probation reopens it immediately.
+inline constexpr int kBreakerWindowSeconds = 10;
+inline constexpr int kBreakerMinRequests = 8;
+inline constexpr double kBreakerFailureRate = 0.5;
+inline constexpr int kBreakerOpenSeconds = 2;
+inline constexpr int kBreakerProbeRequests = 4;
+
+/// The retry budget: each observed request adds kRetryBudgetRatio tokens,
+/// the bucket holds at most kRetryBudgetCap (also its initial balance: the
+/// largest retry burst), and a retry spends one whole token.
+inline constexpr double kRetryBudgetRatio = 0.1;
+inline constexpr double kRetryBudgetCap = 32.0;
+
+/// Retry backoff: kRetryBaseBackoffMs doubling per attempt, capped at
+/// kRetryMaxBackoffMs, jittered in [0.5, 1.0]x from the fault-seed RNG.
+inline constexpr double kRetryBaseBackoffMs = 1.0;
+inline constexpr double kRetryMaxBackoffMs = 50.0;
+
+/// Sessions whose last-good prediction the stale cache keeps, LRU-evicted.
+inline constexpr size_t kStaleCacheCapacity = 1024;
+
+/// The supervisor's restart backoff doubles per failed attempt up to this.
+inline constexpr double kSupervisorMaxBackoffMs = 2000.0;
+/// Consecutive polls a shard must hold its watchdog-stall latch before the
+/// supervisor force-crashes (and then restarts) it.
+inline constexpr int kSupervisorWedgedPolls = 3;
 
 /// The breaker's status rule: only an infrastructure failure (the shard
 /// could not serve) counts against a shard. NotFound, InvalidArgument and
@@ -76,23 +111,6 @@ enum class BreakerState : int { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
 std::string_view BreakerStateName(BreakerState state);
 
-struct BreakerOptions {
-  /// Rolling window (seconds of the injected clock) the error rate is
-  /// computed over.
-  double window_seconds = 10.0;
-  /// Minimum requests in the window before the breaker may trip: a single
-  /// failure on an idle shard is not an outage.
-  int min_requests = 8;
-  /// Failure fraction (errors+timeouts / total) at or above which a closed
-  /// breaker opens.
-  double failure_rate_threshold = 0.5;
-  /// Cooldown an open breaker holds before allowing a half-open probe.
-  double open_seconds = 2.0;
-  /// Clean requests required in half-open before the breaker re-closes; any
-  /// failure during probation reopens immediately.
-  int probe_requests = 4;
-};
-
 /// Per-shard circuit breaker. Thread-safe; time is always passed in, so the
 /// state machine replays identically under a test clock.
 class CircuitBreaker {
@@ -102,8 +120,7 @@ class CircuitBreaker {
   /// breaker's lock (so it may take leaf locks, e.g. a flight-dump mutex).
   using TransitionHook = std::function<void(BreakerState, BreakerState)>;
 
-  explicit CircuitBreaker(const BreakerOptions& options,
-                          TransitionHook on_transition = nullptr);
+  explicit CircuitBreaker(TransitionHook on_transition = nullptr);
 
   /// Routing-time gate. Closed and half-open admit (half-open IS the probe
   /// traffic); open admits nothing until the cooldown elapses, at which
@@ -115,51 +132,41 @@ class CircuitBreaker {
   void RecordFailure(TimePoint now);
 
   /// Supervisor entry point: a just-restarted shard starts in half-open
-  /// probation regardless of prior state. `probe_requests` <= 0 uses the
-  /// configured default.
-  void BeginProbation(TimePoint now, int probe_requests = 0);
+  /// probation regardless of prior state.
+  void BeginProbation();
 
   BreakerState state() const;
-  /// Failure fraction over the current window (0 when below min_requests).
+  /// Failure fraction over the window ending at `now` (0 when empty; the
+  /// kBreakerMinRequests floor applies only to tripping).
   double FailureRate(TimePoint now) const;
 
  private:
-  struct Bucket {
-    int64_t second = 0;
-    uint64_t ok = 0;
-    uint64_t failed = 0;
-  };
+  /// (from, to) of a state change; from == to when nothing changed.
+  using Transition = std::pair<BreakerState, BreakerState>;
 
-  /// Drops window buckets older than window_seconds. Pre: mutex_ held.
-  void AdvanceLocked(TimePoint now);
-  /// Pre: mutex_ held. Returns the transition to report (or {same,same}).
-  std::pair<BreakerState, BreakerState> TransitionLocked(BreakerState next);
-  double FailureRateLocked() const;
+  /// Shared body of RecordSuccess and RecordFailure.
+  void Record(TimePoint now, bool failed);
+  /// Pre: mutex_ held. Every state change starts a fresh window.
+  Transition TransitionLocked(BreakerState next);
+  /// Fires the hook for a real change. Call without mutex_.
+  void Notify(Transition transition) const;
 
-  const BreakerOptions options_;
   const TransitionHook on_transition_;
   mutable std::mutex mutex_;
   BreakerState state_ = BreakerState::kClosed;
-  std::deque<Bucket> window_;
+  obs::OutcomeWindow window_{kBreakerWindowSeconds};  // good = success
   TimePoint open_until_{};
-  int probe_needed_ = 0;
   int probe_successes_ = 0;
 };
 
-struct RetryBudgetOptions {
-  /// Tokens earned per observed request: the steady-state retry fraction.
-  double ratio = 0.1;
-  /// Bucket capacity (also the initial balance): the largest retry burst.
-  double cap = 32.0;
-};
-
-/// Global retry budget: a traffic-fed token bucket. No clock — the budget
-/// refills from request volume, so it needs no time source to stay
-/// deterministic.
+/// Global retry budget: a traffic-fed token bucket (kRetryBudgetRatio per
+/// request, capped at kRetryBudgetCap). No clock — the budget refills from
+/// request volume, so it needs no time source to stay deterministic. The
+/// refill is a floating-point sum: ten refills of 0.1 make
+/// 0.9999999999999999, so a drained budget allows its next retry after 11
+/// requests.
 class RetryBudget {
  public:
-  explicit RetryBudget(const RetryBudgetOptions& options);
-
   /// Feeds the bucket from one observed request; never exceeds the cap.
   void OnRequest();
   /// Spends one token; false (nothing spent) when the bucket is dry.
@@ -167,16 +174,13 @@ class RetryBudget {
   double tokens() const;
 
  private:
-  const RetryBudgetOptions options_;
   mutable std::mutex mutex_;
-  double tokens_;
+  double tokens_ = kRetryBudgetCap;
 };
 
 struct StaleCacheOptions {
-  /// Sessions whose last-good prediction is kept, LRU-evicted.
-  size_t capacity = 1024;
   /// Oldest answer the stale path may serve; <= 0 serves any age.
-  double max_age_ms = 0.0;
+  double max_age_ms = 0.0;  // knob: switch
 };
 
 /// A cached last-good answer, age-stamped at lookup.
@@ -186,7 +190,8 @@ struct StaleAnswer {
   double age_ms = 0.0;
 };
 
-/// Bounded LRU of each session's last successful prediction. Thread-safe.
+/// LRU of each session's last successful prediction, bounded at
+/// kStaleCacheCapacity sessions. Thread-safe.
 class StaleCache {
  public:
   using TimePoint = std::chrono::steady_clock::time_point;
@@ -227,12 +232,6 @@ struct ResilienceOptions {
   /// ResilienceControl and every request path costs exactly one pointer
   /// load over the PR 6 behavior.
   bool enabled = false;
-  BreakerOptions breaker;
-  RetryBudgetOptions retry_budget;
-  /// First-retry backoff; doubles per attempt, capped, jittered in
-  /// [0.5, 1.0]x from the fault-seed RNG.
-  double retry_base_backoff_ms = 1.0;
-  double retry_max_backoff_ms = 50.0;
   StaleCacheOptions stale;
 };
 
@@ -259,7 +258,7 @@ class ResilienceControl {
   /// State without side effects; kClosed for shards never seen.
   BreakerState ShardState(int shard_id) const;
   /// Supervisor entry: places the shard's breaker in half-open probation.
-  void BeginProbation(int shard_id, TimePoint now);
+  void BeginProbation(int shard_id);
 
   /// --- retry surface --------------------------------------------------
   /// Feeds the retry budget from one observed request.
@@ -269,8 +268,9 @@ class ResilienceControl {
   /// Counts a retry denied for a reason other than the budget (deadline
   /// headroom below kMinRetryHeadroomMs).
   void NoteRetryDenied();
-  /// Backoff for re-dispatch `attempt` (0-based): base * 2^attempt, capped,
-  /// scaled by a deterministic jitter in [0.5, 1.0].
+  /// Backoff for re-dispatch `attempt` (0-based): kRetryBaseBackoffMs *
+  /// 2^attempt, capped at kRetryMaxBackoffMs, scaled by a deterministic
+  /// jitter in [0.5, 1.0].
   double RetryBackoffMs(int attempt);
 
   /// --- stale / supervisor surface -------------------------------------
@@ -278,7 +278,7 @@ class ResilienceControl {
   void NoteStaleServe() {
     stale_serves_.fetch_add(1, std::memory_order_relaxed);
   }
-  void NoteSupervisorRestart(int shard_id, TimePoint now);
+  void NoteSupervisorRestart(int shard_id);
 
   /// --- accounting ------------------------------------------------------
   uint64_t retries_attempted() const { return retries_attempted_.load(); }
@@ -299,7 +299,6 @@ class ResilienceControl {
  private:
   CircuitBreaker& BreakerFor(int shard_id);  // takes breaker_mutex_
 
-  const ResilienceOptions options_;
   const AnomalyHook on_anomaly_;
 
   mutable std::mutex breaker_mutex_;  // guards the breakers_ map (not the
@@ -323,13 +322,10 @@ struct SupervisorOptions {
   /// Thread poll cadence (Start/Stop mode; PollOnce ignores it).
   double poll_interval_ms = 20.0;
   /// First-restart delay after a crash is observed; doubles per failed
-  /// attempt, capped at max_backoff_ms.
+  /// attempt, capped at kSupervisorMaxBackoffMs.
   double restart_backoff_ms = 50.0;
-  double max_backoff_ms = 2000.0;
-  /// Consecutive polls a shard must hold its watchdog-stall latch before
-  /// the supervisor force-crashes (and then restarts) it.
-  int wedged_polls = 3;
   /// Time source; tests inject a fake clock to assert the exact schedule.
+  // knob: test-seam
   std::function<std::chrono::steady_clock::time_point()> clock;
 };
 

@@ -102,11 +102,8 @@ ServiceOptions ShardRouter::ShardServiceOptions(int shard_id) const {
                                  shard_id](const std::string& session_id) {
     std::lock_guard<std::mutex> lock(pins->mutex);
     const auto it = pins->session_shard.find(session_id);
-    if (it == pins->session_shard.end() || it->second.shard_id != shard_id)
-      return;
-    const auto load = pins->shard_load.find(shard_id);
-    if (load != pins->shard_load.end() && load->second > 0) --load->second;
-    pins->session_shard.erase(it);
+    if (it != pins->session_shard.end() && it->second.shard_id == shard_id)
+      UnpinLocked(*pins, it);
   };
   return opts;
 }
@@ -115,22 +112,13 @@ void ShardRouter::SetPin(PinState& pins, const std::string& session_id,
                          int shard_id) {
   std::lock_guard<std::mutex> lock(pins.mutex);
   const auto it = pins.session_shard.find(session_id);
-  if (it != pins.session_shard.end()) {
-    const auto load = pins.shard_load.find(it->second.shard_id);
-    if (load != pins.shard_load.end() && load->second > 0) --load->second;
-  }
+  if (it != pins.session_shard.end()) UnpinLocked(pins, it);
   pins.session_shard[session_id] =
       PinState::Pin{shard_id, ++pins.next_generation};
   ++pins.shard_load[shard_id];
 }
 
-void ShardRouter::ReleasePinIfCurrent(PinState& pins,
-                                      const std::string& session_id,
-                                      uint64_t generation) {
-  std::lock_guard<std::mutex> lock(pins.mutex);
-  const auto it = pins.session_shard.find(session_id);
-  if (it == pins.session_shard.end() || it->second.generation != generation)
-    return;
+void ShardRouter::UnpinLocked(PinState& pins, PinState::PinMap::iterator it) {
   const auto load = pins.shard_load.find(it->second.shard_id);
   if (load != pins.shard_load.end() && load->second > 0) --load->second;
   pins.session_shard.erase(it);
@@ -178,6 +166,19 @@ void ShardRouter::Observe(const obs::RequestContext& ctx,
   if (resilience_ && record.shard_id >= 0)
     resilience_->OnShardResult(record.shard_id, IsShardFailure(code),
                                clock_());
+  if (record.op == obs::FlightOp::kClose) {
+    // A close's terminal record settles its pending pin release: a
+    // successful close releases the pin it was submitted against, any
+    // other outcome (queue full, shutdown drain, NotFound) keeps it.
+    std::lock_guard<std::mutex> lock(pins_->mutex);
+    const auto pending = pins_->closing.find(ctx.trace_id);
+    if (pending == pins_->closing.end()) return;
+    const auto pin = pins_->session_shard.find(ctx.session_id);
+    if (code == StatusCode::kOk && pin != pins_->session_shard.end() &&
+        pin->second.generation == pending->second)
+      UnpinLocked(*pins_, pin);
+    pins_->closing.erase(pending);
+  }
 }
 
 void ShardRouter::RecordRejection(const obs::RequestContext& ctx,
@@ -373,39 +374,22 @@ Result<std::future<ServeResponse>> ShardRouter::Submit(
   if (request.op != Op::kClose)
     return service.value()->Submit(std::move(request), std::move(ctx));
 
-  // A close's future releases the pin. A closing session has no further
-  // use for its last-good answer; drop it now (optimistically — a failed
-  // close just loses the degraded-mode fallback for a session the client
-  // is done with anyway).
+  // A closing session has no further use for its last-good answer; drop it
+  // now (optimistically — a failed close just loses the degraded-mode
+  // fallback for a session the client is done with anyway).
   if (resilience_) resilience_->stale().OnClose(ctx.session_id);
-  // Capture the pin's current generation before handing the close to the
-  // shard: the deferred release below only fires if the pin is still that
-  // incarnation when the caller resolves the future.
-  std::optional<uint64_t> generation;
+  // The close's terminal record releases the pin (see Observe), whether or
+  // not the caller ever resolves the future. Record the pin's generation
+  // before the shard can see the close: the release only fires if the pin
+  // is still that incarnation, so a close that completes after the id was
+  // re-created cannot unpin the new session.
   {
     std::lock_guard<std::mutex> pin_lock(pins_->mutex);
     const auto it = pins_->session_shard.find(ctx.session_id);
-    if (it != pins_->session_shard.end()) generation = it->second.generation;
+    if (it != pins_->session_shard.end())
+      pins_->closing[ctx.trace_id] = it->second.generation;
   }
-  if (!generation)
-    return service.value()->Submit(std::move(request), std::move(ctx));
-  std::string id = ctx.session_id;
-  CASCN_ASSIGN_OR_RETURN(
-      std::future<ServeResponse> inner,
-      service.value()->Submit(std::move(request), std::move(ctx)));
-  // Wrap the future so that resolving a successful close releases the
-  // session's pin — the primary async interface does its own bookkeeping
-  // instead of leaking pins_. The wrapper captures only the shared pin
-  // state, never the router, so it stays safe if it outlives the router.
-  return std::async(std::launch::deferred,
-                    [pins = pins_, id = std::move(id),
-                     generation = *generation,
-                     inner = std::move(inner)]() mutable {
-                      ServeResponse response = inner.get();
-                      if (response.status.ok())
-                        ReleasePinIfCurrent(*pins, id, generation);
-                      return response;
-                    });
+  return service.value()->Submit(std::move(request), std::move(ctx));
 }
 
 Result<std::future<ServeResponse>> ShardRouter::SubmitCreate(
@@ -969,9 +953,7 @@ Status ShardRouter::DumpFlightRecorders(std::string_view reason) {
   {
     std::lock_guard<std::mutex> lock(dump_files_mutex_);
     dump_sets_.push_back(std::move(paths));
-    const size_t keep =
-        static_cast<size_t>(std::max(1, options_.flight_dump_retention));
-    while (dump_sets_.size() > keep) {
+    while (dump_sets_.size() > kFlightDumpRetention) {
       evicted.push_back(std::move(dump_sets_.front()));
       dump_sets_.pop_front();
     }
@@ -1100,9 +1082,10 @@ std::vector<int> ShardRouter::WatchdogWedgedShardIds() const {
 void ShardRouter::NoteSupervisorRestart(int shard_id) {
   if (resilience_) {
     // Counts the restart, places the revived shard's breaker in half-open
-    // probation (N clean requests before full ring weight), and writes a
-    // "supervisor_restart" anomaly record via the control plane's hook.
-    resilience_->NoteSupervisorRestart(shard_id, clock_());
+    // probation (kBreakerProbeRequests clean requests before full ring
+    // weight), and writes a "supervisor_restart" anomaly record via the
+    // control plane's hook.
+    resilience_->NoteSupervisorRestart(shard_id);
   } else {
     router_flight_.TriggerDump("supervisor_restart");
   }

@@ -26,16 +26,16 @@
 // the shard's PredictionService::Submit. From the router on, the context is
 // the only holder of the session id and the deadline. Three rules depend on
 // the op: a create pins its session; with resilience on, a predict gets a
-// deferred retry/stale wrapper; a close's future releases the pin.
+// deferred retry/stale wrapper; a successful close releases the pin.
 //
 // Pin lifecycle: a pin is created by a create's placement and released when
-// the session ends — the future Submit returns for a close releases it when
-// the caller resolves a successful close (the bookkeeping is deferred into
-// the future, so it works even if the router is gone by then). A session
-// whose spilled history is discarded by the shard's bounded spill LRU also
-// releases its pin (the shard reports the drop), and RemoveShard sweeps any
-// stale pins still pointing at the removed shard — so pins_ cannot grow
-// without bound or permanently wedge a session id on a dead shard.
+// the session ends — a close's terminal outcome record releases it when the
+// close succeeded, on the shard's worker, so a caller that drops the close's
+// future leaks nothing. A session whose spilled history is discarded by the
+// shard's bounded spill LRU also releases its pin (the shard reports the
+// drop), and RemoveShard sweeps any stale pins still pointing at the
+// removed shard — so pins_ cannot grow without bound or permanently wedge a
+// session id on a dead shard.
 //
 // Rebalance (RemoveShard) is two-phase so the cluster never pauses:
 // phase 1 (routing lock) marks the shard draining — the ring drops it and
@@ -111,6 +111,10 @@ inline constexpr char kFaultSlowShardPrefix[] = "cluster.slow_shard.";
 inline constexpr char kFaultPredictUnavailable[] =
     "cluster.predict_unavailable";
 
+/// On-demand dump sets (DumpFlightRecorders) retained on disk; a new set
+/// beyond this deletes the oldest set's files.
+inline constexpr size_t kFlightDumpRetention = 16;
+
 /// Fault point name for slowing one specific shard.
 std::string SlowShardFaultPoint(int shard_id);
 
@@ -133,14 +137,12 @@ struct ShardRouterOptions {
   /// flight_shard_<id>.<seq>.jsonl. Empty disables dumps (the rings still
   /// record).
   std::string flight_dir;
-  /// On-demand dump sets retained on disk; when a new DumpFlightRecorders
-  /// set would exceed this, the oldest set's files are deleted. >= 1.
-  int flight_dump_retention = 16;
   /// Time source for admission token buckets, SLO windows, breaker windows,
   /// and stale-answer ages. Defaults to steady_clock::now; tests inject a
   /// fake clock to replay hours of traffic deterministically. Request
   /// DEADLINES always use the real steady clock (workers sleep real time),
   /// so a fake clock here never expires in-flight requests.
+  // knob: test-seam
   std::function<std::chrono::steady_clock::time_point()> clock;
   /// Resilience control plane (circuit breakers, retry budget, stale
   /// cache, supervisor probation). Disabled by default: with
@@ -172,12 +174,15 @@ class ShardRouter {
   /// (load shed + tenant quota, both ResourceExhausted — the token is only
   /// charged for requests that could actually run), then routed to the
   /// session's shard. Unavailable when the session is pinned to a crashed
-  /// or draining shard or the shard's queue is full. The returned future
-  /// always becomes ready. A close's future additionally releases the
-  /// session's routing pin when resolved after a successful close, so
-  /// callers should resolve (get/wait, or serve::Wait) every close future.
-  /// The request's deadline is resolved with the shards'
-  /// `default_deadline_ms`.
+  /// or draining shard or the shard's queue is full. Otherwise the future
+  /// is the shard's own, and it becomes ready when the shard finishes the
+  /// request — except a predict's with resilience on: that future is
+  /// deferred (`wait_for` reports `std::future_status::deferred`), and
+  /// resolving it with get() or wait() awaits the shard and runs the retry
+  /// and stale policies on the resolving thread. A successful close
+  /// releases the session's routing pin when the shard finishes it, whether
+  /// or not its future is resolved. The request's deadline is resolved with
+  /// the shards' `default_deadline_ms`.
   Result<std::future<serve::ServeResponse>> Submit(const std::string& tenant,
                                                    serve::Request request);
 
@@ -296,8 +301,8 @@ class ShardRouter {
   /// (and the router's) to a fresh sequence-suffixed file set
   /// (flight_shard_<id>.<NNNNN>.jsonl / flight_router.<NNNNN>.jsonl) in
   /// flight_dir, tagged `reason` — successive dumps never collide. At most
-  /// ShardRouterOptions::flight_dump_retention sets are kept; older sets
-  /// are deleted. FailedPrecondition when flight_dir is unset.
+  /// kFlightDumpRetention sets are kept; older sets are deleted.
+  /// FailedPrecondition when flight_dir is unset.
   Status DumpFlightRecorders(std::string_view reason);
 
   /// DumpFlightRecorders calls so far (the sequence number of the newest
@@ -328,23 +333,26 @@ class ShardRouter {
     std::shared_ptr<serve::PredictionService> service;
   };
 
-  /// Session-pin bookkeeping. Held in a shared_ptr because deferred close
-  /// futures and per-shard spill-drop callbacks release pins through it and
-  /// may outlive the router. `mutex` is a LEAF lock: nothing else may be
-  /// acquired while holding it (the spill-drop callback runs under a
-  /// SessionManager's table lock, so the inverse order must stay out of the
-  /// lock graph).
+  /// Session-pin bookkeeping. Held in a shared_ptr because per-shard
+  /// spill-drop callbacks release pins through it. `mutex` is a LEAF lock:
+  /// nothing else may be acquired while holding it (the spill-drop callback
+  /// runs under a SessionManager's table lock, so the inverse order must
+  /// stay out of the lock graph).
   struct PinState {
     struct Pin {
       int shard_id = -1;
-      /// Bumped whenever the pin is (re)placed; a deferred close release
-      /// only fires if the generation it captured is still current, so a
-      /// close resolved after the id was re-created cannot unpin the new
-      /// session.
+      /// Bumped whenever the pin is (re)placed; a close's release only
+      /// fires if the generation it was submitted against is still current,
+      /// so a close that completes after the id was re-created cannot unpin
+      /// the new session.
       uint64_t generation = 0;
     };
+    using PinMap = std::unordered_map<std::string, Pin>;
     std::mutex mutex;
-    std::unordered_map<std::string, Pin> session_shard;
+    PinMap session_shard;
+    /// Closes submitted to a shard and not yet finished: trace id -> the
+    /// pin generation the close releases if it succeeds (see Observe).
+    std::unordered_map<uint64_t, uint64_t> closing;
     std::unordered_map<int, uint64_t> shard_load;  // pinned sessions/shard
     uint64_t next_generation = 0;
   };
@@ -356,11 +364,8 @@ class ShardRouter {
   /// shards' load counts. Takes pins.mutex.
   static void SetPin(PinState& pins, const std::string& session_id,
                      int shard_id);
-  /// Drops `session_id`'s pin if its generation is still `generation`,
-  /// fixing the shard load. Takes pins.mutex.
-  static void ReleasePinIfCurrent(PinState& pins,
-                                  const std::string& session_id,
-                                  uint64_t generation);
+  /// Drops the pin at `it`, fixing its shard's load. Pre: pins.mutex held.
+  static void UnpinLocked(PinState& pins, PinState::PinMap::iterator it);
   /// Drops every pin into `shard_id` and its load count. Takes
   /// pins.mutex.
   static void DropPinsInto(PinState& pins, int shard_id);
@@ -395,8 +400,8 @@ class ShardRouter {
       Result<std::future<serve::ServeResponse>> attempt);
 
   /// Feeds one outcome record to the router's sinks: the SLI of `ctx`'s
-  /// tenant (full name; the record truncates it) and, for a shard's record,
-  /// that shard's circuit breaker.
+  /// tenant (full name; the record truncates it), for a shard's record
+  /// that shard's circuit breaker, and for a close its pending pin release.
   void Observe(const obs::RequestContext& ctx,
                const obs::FlightRecord& record) const;
 

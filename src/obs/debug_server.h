@@ -79,7 +79,7 @@ struct DebugServerOptions {
   int port = 0;
   /// Listen address. Localhost by default; see the security posture above
   /// before binding anything wider.
-  std::string bind_address = "127.0.0.1";
+  std::string bind_address = "127.0.0.1";  // knob: deployment
   /// Opt-in gate for /quitquitquit; while false the endpoint answers 403.
   bool allow_quit = false;
 };

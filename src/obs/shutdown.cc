@@ -1,5 +1,7 @@
 #include "obs/shutdown.h"
 
+#include <cstdio>
+
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
@@ -19,9 +21,7 @@ Status ShutdownDump(const ShutdownDumpOptions& options) {
   Profiler& profiler = Profiler::Get();
   if (profiler.enabled()) {
     profiler.ExportToRegistry(registry);
-    if (options.profile_stream != nullptr)
-      std::fprintf(options.profile_stream, "%s",
-                   profiler.TakeSnapshot().ToTable().c_str());
+    std::fprintf(stderr, "%s", profiler.TakeSnapshot().ToTable().c_str());
   }
 
   if (!options.metrics_path.empty()) {

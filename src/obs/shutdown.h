@@ -14,14 +14,13 @@
 //
 // Flush order: telemetry sinks first (cheapest, per-record durability),
 // then the profiler (gauges bridged into the registry so the metrics dump
-// carries them, table printed when CASCN_PROFILE is active), then the
-// metrics JSON, then the Chrome trace — so each later artifact reflects
+// carries them, table printed to stderr when CASCN_PROFILE is active), then
+// the metrics JSON, then the Chrome trace — so each later artifact reflects
 // everything the earlier steps produced.
 
 #ifndef CASCN_OBS_SHUTDOWN_H_
 #define CASCN_OBS_SHUTDOWN_H_
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -37,16 +36,13 @@ struct ShutdownDumpOptions {
   /// Registry JSON snapshot output; empty skips.
   std::string metrics_path;
   /// Registry to snapshot; null uses the process-global registry.
-  MetricsRegistry* registry = nullptr;
+  MetricsRegistry* registry = nullptr;  // knob: test-seam
   /// Written to `metrics_path` instead of snapshotting `registry` when
   /// non-empty — for registries that die before shutdown (e.g. a
   /// PredictionService-local registry captured just before destruction).
   std::string metrics_json_override;
   /// Sinks to Flush(); null entries are ignored.
   std::vector<TelemetrySink*> telemetry;
-  /// Destination for the per-op profile table when profiling is active;
-  /// null suppresses the table (gauges are still exported).
-  std::FILE* profile_stream = stderr;
 };
 
 /// Flushes everything per the options above. Returns the first error;

@@ -20,49 +20,23 @@ void SloTracker::RecordRequest(std::string_view tenant, TimePoint now,
   const bool good =
       ok && (options_.latency_slo_us == 0 ||
              latency_us <= options_.latency_slo_us);
-  const int64_t second = ToSecond(now);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = tenants_.find(tenant);
   if (it == tenants_.end())
-    it = tenants_.emplace(std::string(tenant), TenantState{}).first;
-  TenantState& state = it->second;
-  if (state.ring.empty())
-    state.ring.resize(static_cast<size_t>(options_.slow_window_seconds));
-  const size_t size = state.ring.size();
-  Bucket& bucket =
-      state.ring[static_cast<size_t>(((second % static_cast<int64_t>(size)) +
-                                      static_cast<int64_t>(size)) %
-                                     static_cast<int64_t>(size))];
-  // A slot is reused once its previous second falls out of the slow window;
-  // seeing a different second means stale contents, so reset in place.
-  if (bucket.second != second) bucket = Bucket{second, 0, 0};
-  bucket.total += 1;
-  if (good) bucket.good += 1;
-}
-
-SloTracker::WindowSums SloTracker::SumWindow(const TenantState& state,
-                                             int64_t now_second,
-                                             int window_seconds) const {
-  WindowSums sums;
-  for (const Bucket& bucket : state.ring) {
-    if (bucket.second < 0) continue;
-    if (bucket.second > now_second ||
-        bucket.second <= now_second - window_seconds)
-      continue;
-    sums.total += bucket.total;
-    sums.good += bucket.good;
-  }
-  return sums;
+    it = tenants_.emplace(std::string(tenant),
+                          OutcomeWindow(options_.slow_window_seconds))
+             .first;
+  it->second.Record(now, good);
 }
 
 TenantSli SloTracker::MakeSli(const std::string& tenant,
-                              const TenantState& state,
-                              int64_t now_second) const {
-  const WindowSums fast =
-      SumWindow(state, now_second, options_.fast_window_seconds);
-  const WindowSums slow =
-      SumWindow(state, now_second, options_.slow_window_seconds);
-  const double budget = std::max(1e-9, 1.0 - options_.availability_target);
+                              const OutcomeWindow& window,
+                              TimePoint now) const {
+  const OutcomeWindow::Counts fast =
+      window.Sum(now, options_.fast_window_seconds);
+  const OutcomeWindow::Counts slow =
+      window.Sum(now, options_.slow_window_seconds);
+  const double budget = 1.0 - kSloAvailabilityTarget;
 
   TenantSli sli;
   sli.tenant = tenant;
@@ -78,26 +52,24 @@ TenantSli SloTracker::MakeSli(const std::string& tenant,
         static_cast<double>(slow.good) / static_cast<double>(slow.total);
   sli.fast_burn = (1.0 - sli.fast_availability) / budget;
   sli.slow_burn = (1.0 - sli.slow_availability) / budget;
-  sli.burning = sli.fast_burn > options_.fast_burn_threshold &&
-                sli.slow_burn > options_.slow_burn_threshold;
+  sli.burning = sli.fast_burn > kSloFastBurnThreshold &&
+                sli.slow_burn > kSloSlowBurnThreshold;
   return sli;
 }
 
 std::vector<TenantSli> SloTracker::Snapshot(TimePoint now) const {
-  const int64_t now_second = ToSecond(now);
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<TenantSli> slis;
   slis.reserve(tenants_.size());
-  for (const auto& [tenant, state] : tenants_)
-    slis.push_back(MakeSli(tenant, state, now_second));
+  for (const auto& [tenant, window] : tenants_)
+    slis.push_back(MakeSli(tenant, window, now));
   return slis;
 }
 
 bool SloTracker::AnyTenantBurning(TimePoint now) const {
-  const int64_t now_second = ToSecond(now);
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [tenant, state] : tenants_)
-    if (MakeSli(tenant, state, now_second).burning) return true;
+  for (const auto& [tenant, window] : tenants_)
+    if (MakeSli(tenant, window, now).burning) return true;
   return false;
 }
 

@@ -1,24 +1,26 @@
 // Per-tenant SLI tracking with multi-window error-budget burn rates.
 //
-// The serving tier promises each tenant an availability/latency SLO (e.g.
-// 99.9% of requests succeed within 50 ms). The SloTracker turns the stream
-// of per-request outcomes into the two numbers an operator pages on:
+// The serving tier promises each tenant an availability/latency SLO: 99.9%
+// of requests succeed (kSloAvailabilityTarget), optionally within a latency
+// bound. The SloTracker turns the stream of per-request outcomes into the
+// two numbers an operator pages on:
 //
 //   burn rate = observed error rate / error budget (1 - availability target)
 //
 // computed over a FAST window (default 60 s — catches a sudden outage) and
 // a SLOW window (default 30 min — filters one-off blips). A tenant is
-// "burning" only when BOTH windows exceed their thresholds: the fast window
-// must confirm the problem is happening *now*, the slow window that it has
-// been going on long enough to matter. This is the standard multi-window
-// multi-burn-rate alerting shape (SRE workbook ch. 5), applied here to
-// degrade ClusterHealth before tenants experience hard failure.
+// "burning" only when BOTH windows exceed their thresholds (fast 14,
+// slow 1): the fast window must confirm the problem is happening *now*, the
+// slow window that it has been going on long enough to matter. This is the
+// standard multi-window multi-burn-rate alerting shape (SRE workbook ch. 5),
+// applied here to degrade ClusterHealth before tenants experience hard
+// failure.
 //
 // Time is always injected: every entry point takes an explicit
 // steady_clock::time_point, so tests can replay hours of traffic in
 // microseconds and assert exact burn transitions. Internally each tenant
-// keeps a ring of per-second buckets sized to the slow window; memory is
-// O(tenants * slow_window_seconds) and recording is O(1).
+// counts in one OutcomeWindow (obs/outcome_window.h) sized to the slow
+// window; memory is O(tenants * slow_window_seconds) and recording is O(1).
 
 #ifndef CASCN_OBS_SLO_H_
 #define CASCN_OBS_SLO_H_
@@ -31,24 +33,27 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/outcome_window.h"
+
 namespace cascn::obs {
 
 class MetricsRegistry;
 
+/// Fraction of requests that must be "good" (ok status AND within the
+/// latency threshold). The error budget is 1 - kSloAvailabilityTarget.
+inline constexpr double kSloAvailabilityTarget = 0.999;
+/// Burn-rate thresholds; both windows must exceed theirs to flag a tenant.
+/// They correspond to "exhausting a 30-day budget in ~2 days" style paging:
+/// fast confirms immediacy, slow persistence.
+inline constexpr double kSloFastBurnThreshold = 14.0;
+inline constexpr double kSloSlowBurnThreshold = 1.0;
+
 struct SloOptions {
-  /// Fraction of requests that must be "good" (ok status AND within the
-  /// latency threshold). The error budget is 1 - availability_target.
-  double availability_target = 0.999;
   /// A successful request slower than this still violates the SLI. 0
   /// disables the latency component (availability only).
-  uint64_t latency_slo_us = 0;
+  uint64_t latency_slo_us = 0;  // knob: switch
   int fast_window_seconds = 60;
   int slow_window_seconds = 1800;
-  /// Burn-rate thresholds; both windows must exceed theirs to flag a
-  /// tenant. The defaults correspond to "exhausting a 30-day budget in
-  /// ~2 days" style paging: fast confirms immediacy, slow persistence.
-  double fast_burn_threshold = 14.0;
-  double slow_burn_threshold = 1.0;
 };
 
 /// One tenant's SLI snapshot at a point in time.
@@ -62,7 +67,8 @@ struct TenantSli {
   double slow_availability = 1.0;
   double fast_burn = 0.0;
   double slow_burn = 0.0;
-  /// True when both windows' burn rates exceed their thresholds.
+  /// True when both windows' burn rates exceed their thresholds
+  /// (kSloFastBurnThreshold, kSloSlowBurnThreshold).
   bool burning = false;
 };
 
@@ -94,33 +100,12 @@ class SloTracker {
   void ExportToRegistry(MetricsRegistry& registry, TimePoint now) const;
 
  private:
-  struct Bucket {
-    int64_t second = -1;  // absolute second this bucket currently holds
-    uint64_t total = 0;
-    uint64_t good = 0;
-  };
-  struct TenantState {
-    std::vector<Bucket> ring;  // slot = second % slow_window_seconds
-  };
-  struct WindowSums {
-    uint64_t total = 0;
-    uint64_t good = 0;
-  };
-
-  static int64_t ToSecond(TimePoint t) {
-    return std::chrono::duration_cast<std::chrono::seconds>(
-               t.time_since_epoch())
-        .count();
-  }
-
-  WindowSums SumWindow(const TenantState& state, int64_t now_second,
-                       int window_seconds) const;
-  TenantSli MakeSli(const std::string& tenant, const TenantState& state,
-                    int64_t now_second) const;
+  TenantSli MakeSli(const std::string& tenant, const OutcomeWindow& window,
+                    TimePoint now) const;
 
   const SloOptions options_;
   mutable std::mutex mutex_;
-  std::map<std::string, TenantState, std::less<>> tenants_;
+  std::map<std::string, OutcomeWindow, std::less<>> tenants_;
 };
 
 }  // namespace cascn::obs

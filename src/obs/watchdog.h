@@ -83,6 +83,7 @@ struct WatchdogOptions {
   /// counter and hooks still fire).
   std::string anomaly_dir;
   /// Injectable clock for deterministic tests.
+  // knob: test-seam
   std::function<std::chrono::steady_clock::time_point()> clock;
 };
 

@@ -69,7 +69,7 @@ struct ServiceOptions {
   /// minted: by Submit without a context, or by the cluster router; 0
   /// disables. A request whose deadline passes before a worker reaches it
   /// fails with DeadlineExceeded.
-  double default_deadline_ms = 0.0;
+  double default_deadline_ms = 0.0;  // knob: switch
   /// Additional fault-injection point checked (as a MaybeDelay) on every
   /// predict, besides the global "serve.slow_predict". The cluster layer
   /// sets this to a shard-scoped name ("cluster.slow_shard.<id>") so chaos

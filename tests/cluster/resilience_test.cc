@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,27 +45,20 @@ TimePoint At(double seconds) {
                            std::chrono::duration<double>(5000.0 + seconds));
 }
 
-BreakerOptions TightBreaker() {
-  BreakerOptions options;
-  options.window_seconds = 10.0;
-  options.min_requests = 4;
-  options.failure_rate_threshold = 0.5;
-  options.open_seconds = 2.0;
-  options.probe_requests = 3;
-  return options;
-}
-
 // ---------------------------------------------------------------------------
-// CircuitBreaker unit tests (pure fake clock).
+// CircuitBreaker unit tests (pure fake clock). The policy is fixed: a 10 s
+// window, trips at >= 8 requests and a 50% failure rate, 2 s open, 4 probes.
 
 TEST(CircuitBreakerTest, TripsAtThresholdThenCoolsToHalfOpen) {
-  CircuitBreaker breaker(TightBreaker());
+  CircuitBreaker breaker;
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  // Three failures against one success: total 4 (= min_requests), rate 0.75.
+  // Seven failures against one success: total 8 (= kBreakerMinRequests),
+  // rate 0.875.
   breaker.RecordSuccess(At(0.0));
-  breaker.RecordFailure(At(0.0));
-  breaker.RecordFailure(At(0.0));
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed) << "below min_requests";
+  for (int i = 0; i < kBreakerMinRequests - 2; ++i)
+    breaker.RecordFailure(At(0.0));
+  EXPECT_EQ(breaker.state(), BreakerState::kClosed)
+      << "below kBreakerMinRequests";
   breaker.RecordFailure(At(0.0));
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   // Open rejects until the cooldown elapses...
@@ -76,17 +70,17 @@ TEST(CircuitBreakerTest, TripsAtThresholdThenCoolsToHalfOpen) {
 }
 
 TEST(CircuitBreakerTest, ProbeSuccessesCloseAndProbeFailureReopens) {
-  CircuitBreaker breaker(TightBreaker());
-  for (int i = 0; i < 4; ++i) breaker.RecordFailure(At(0.0));
+  CircuitBreaker breaker;
+  for (int i = 0; i < kBreakerMinRequests; ++i) breaker.RecordFailure(At(0.0));
   ASSERT_TRUE(breaker.AllowRequest(At(3.0)));  // -> half-open
-  breaker.RecordSuccess(At(3.0));
-  breaker.RecordSuccess(At(3.0));
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen) << "2 of 3 probes";
+  for (int i = 0; i < kBreakerProbeRequests - 1; ++i)
+    breaker.RecordSuccess(At(3.0));
+  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen) << "3 of 4 probes";
   breaker.RecordSuccess(At(3.0));
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
 
   // Re-trip, probe again, and fail one probe: reopen immediately.
-  for (int i = 0; i < 4; ++i) breaker.RecordFailure(At(4.0));
+  for (int i = 0; i < kBreakerMinRequests; ++i) breaker.RecordFailure(At(4.0));
   ASSERT_TRUE(breaker.AllowRequest(At(7.0)));
   breaker.RecordSuccess(At(7.0));
   breaker.RecordFailure(At(7.0));
@@ -95,7 +89,7 @@ TEST(CircuitBreakerTest, ProbeSuccessesCloseAndProbeFailureReopens) {
 }
 
 TEST(CircuitBreakerTest, SparseFailuresOnBusyShardNeverTrip) {
-  CircuitBreaker breaker(TightBreaker());
+  CircuitBreaker breaker;
   // 49% failures at high volume stays closed (threshold is 50%): the
   // successes land first, so the rolling rate peaks at 49/100.
   for (int i = 0; i < 51; ++i) breaker.RecordSuccess(At(0.0));
@@ -105,12 +99,11 @@ TEST(CircuitBreakerTest, SparseFailuresOnBusyShardNeverTrip) {
 }
 
 TEST(CircuitBreakerTest, RollingWindowForgetsOldFailures) {
-  CircuitBreaker breaker(TightBreaker());
-  breaker.RecordFailure(At(0.0));
-  breaker.RecordFailure(At(0.0));
-  breaker.RecordFailure(At(0.0));
+  CircuitBreaker breaker;
+  for (int i = 0; i < kBreakerMinRequests - 1; ++i)
+    breaker.RecordFailure(At(0.0));
   // 11 s later the window (10 s) has dropped the burst: one more failure is
-  // 1 of 1 — below min_requests, so the breaker holds closed.
+  // 1 of 1 — below kBreakerMinRequests, so the breaker holds closed.
   breaker.RecordFailure(At(11.0));
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   EXPECT_NEAR(breaker.FailureRate(At(11.0)), 1.0, 1e-12);
@@ -118,13 +111,13 @@ TEST(CircuitBreakerTest, RollingWindowForgetsOldFailures) {
 
 TEST(CircuitBreakerTest, TransitionHookSeesEveryFlipInOrder) {
   std::vector<std::pair<BreakerState, BreakerState>> flips;
-  CircuitBreaker breaker(TightBreaker(),
-                         [&flips](BreakerState from, BreakerState to) {
-                           flips.emplace_back(from, to);
-                         });
-  for (int i = 0; i < 4; ++i) breaker.RecordFailure(At(0.0));
+  CircuitBreaker breaker([&flips](BreakerState from, BreakerState to) {
+    flips.emplace_back(from, to);
+  });
+  for (int i = 0; i < kBreakerMinRequests; ++i) breaker.RecordFailure(At(0.0));
   ASSERT_TRUE(breaker.AllowRequest(At(3.0)));
-  for (int i = 0; i < 3; ++i) breaker.RecordSuccess(At(3.0));
+  for (int i = 0; i < kBreakerProbeRequests; ++i)
+    breaker.RecordSuccess(At(3.0));
   ASSERT_EQ(flips.size(), 3u);
   EXPECT_EQ(flips[0], std::make_pair(BreakerState::kClosed,
                                      BreakerState::kOpen));
@@ -135,35 +128,88 @@ TEST(CircuitBreakerTest, TransitionHookSeesEveryFlipInOrder) {
 }
 
 TEST(CircuitBreakerTest, BeginProbationForcesHalfOpenFromAnyState) {
-  CircuitBreaker breaker(TightBreaker());
-  breaker.BeginProbation(At(0.0), /*probe_requests=*/2);
+  CircuitBreaker breaker;
+  breaker.BeginProbation();
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
   EXPECT_TRUE(breaker.AllowRequest(At(0.0)));  // probation traffic admits
-  breaker.RecordSuccess(At(0.0));
+  for (int i = 0; i < kBreakerProbeRequests - 1; ++i)
+    breaker.RecordSuccess(At(0.0));
+  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
   breaker.RecordSuccess(At(0.0));
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
 }
 
+// Routing threads (AllowRequest) and shard workers (RecordSuccess,
+// RecordFailure) drive one breaker at once, and the supervisor may begin a
+// probation meanwhile. Each thread's clock steps 0.5 s per call, past a
+// cooldown every 4 calls, so the breaker flips all the time. Every read of
+// the state is under the breaker's lock; the thread-sanitizer CI legs run
+// this test.
+TEST(CircuitBreakerTest, ConcurrentCallersReportOnlyLegalFlips) {
+  std::mutex flips_mutex;
+  std::vector<std::pair<BreakerState, BreakerState>> flips;
+  CircuitBreaker breaker(
+      [&flips, &flips_mutex](BreakerState from, BreakerState to) {
+        std::lock_guard<std::mutex> lock(flips_mutex);
+        flips.emplace_back(from, to);
+      });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&breaker, t] {
+      for (int i = 0; i < 4000; ++i) {
+        const TimePoint now = At(0.5 * i);
+        switch ((i + t) % 4) {
+          case 0:
+            breaker.AllowRequest(now);
+            break;
+          case 1:
+            breaker.RecordSuccess(now);
+            break;
+          default:
+            if (t == 3 && i % 500 == 0) {
+              breaker.BeginProbation();
+            } else {
+              breaker.RecordFailure(now);
+            }
+            break;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_FALSE(flips.empty());
+  for (const auto& [from, to] : flips) {
+    EXPECT_NE(from, to);
+    const bool legal = to == BreakerState::kHalfOpen ||  // probation
+                       (from == BreakerState::kClosed &&
+                        to == BreakerState::kOpen) ||
+                       (from == BreakerState::kHalfOpen &&
+                        to != BreakerState::kHalfOpen);
+    EXPECT_TRUE(legal) << BreakerStateName(from) << " -> "
+                       << BreakerStateName(to);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// RetryBudget unit tests (no clock at all: traffic-fed).
+// RetryBudget unit tests (no clock at all: traffic-fed). The budget starts
+// at, and is capped at, 32 tokens; each request refills 0.1.
 
 TEST(RetryBudgetTest, SpendsDownThenRefillsFromTrafficCappedAtCap) {
-  RetryBudgetOptions options;
-  options.ratio = 0.25;  // power of two: the refill sum is float-exact
-  options.cap = 2.0;
-  RetryBudget budget(options);
-  EXPECT_DOUBLE_EQ(budget.tokens(), 2.0);  // starts full
-  EXPECT_TRUE(budget.TryAcquire());
-  EXPECT_TRUE(budget.TryAcquire());
+  RetryBudget budget;
+  EXPECT_DOUBLE_EQ(budget.tokens(), 32.0);  // starts full
+  for (int i = 0; i < 32; ++i) EXPECT_TRUE(budget.TryAcquire()) << i;
   EXPECT_FALSE(budget.TryAcquire()) << "dry bucket must refuse";
-  // 3 requests refill 0.75 tokens — still below the 1.0 spend quantum.
-  for (int i = 0; i < 3; ++i) budget.OnRequest();
+  // 10 requests refill 0.1 ten times: 0.9999999999999999 in binary
+  // floating point — still below the 1.0 spend quantum.
+  for (int i = 0; i < 10; ++i) budget.OnRequest();
+  EXPECT_EQ(budget.tokens(), 0.9999999999999999);
   EXPECT_FALSE(budget.TryAcquire());
+  // The 11th request makes the next retry affordable.
   budget.OnRequest();
   EXPECT_TRUE(budget.TryAcquire());
   // A flood of traffic never over-fills past the cap.
   for (int i = 0; i < 1000; ++i) budget.OnRequest();
-  EXPECT_DOUBLE_EQ(budget.tokens(), 2.0);
+  EXPECT_DOUBLE_EQ(budget.tokens(), 32.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -173,8 +219,7 @@ TEST(RetryBudgetTest, SpendsDownThenRefillsFromTrafficCappedAtCap) {
 TEST(ResilienceControlTest, RetryBackoffIsSeedDeterministicAndBounded) {
   ResilienceOptions options;
   options.enabled = true;
-  options.retry_base_backoff_ms = 1.0;
-  options.retry_max_backoff_ms = 50.0;
+  // Base 1 ms, cap 50 ms.
   ResilienceControl a(options, /*seed=*/42);
   ResilienceControl b(options, /*seed=*/42);
   ResilienceControl c(options, /*seed=*/43);
@@ -224,14 +269,16 @@ TEST(StaleCacheTest, StoreReplacesTheAnswerAndCloseDropsIt) {
 }
 
 TEST(StaleCacheTest, LruEvictsColdSessionsAtCapacity) {
-  StaleCacheOptions options;
-  options.capacity = 2;
-  StaleCache cache(options);
+  StaleCache cache{StaleCacheOptions{}};
   cache.StorePrediction("a", 1.0, 1.0, At(0.0));
   cache.StorePrediction("b", 2.0, 2.0, At(0.0));
+  // Fill to kStaleCacheCapacity (1024) with sessions stored after "b".
+  for (size_t i = 2; i < kStaleCacheCapacity; ++i)
+    cache.StorePrediction("fill-" + std::to_string(i), 0.0, 0.0, At(0.0));
+  ASSERT_EQ(cache.size(), kStaleCacheCapacity);
   ASSERT_TRUE(cache.Lookup("a", At(0.0)).has_value());  // "b" is now LRU
   cache.StorePrediction("c", 3.0, 3.0, At(0.0));
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.size(), kStaleCacheCapacity);
   EXPECT_TRUE(cache.Lookup("a", At(0.0)).has_value());
   EXPECT_FALSE(cache.Lookup("b", At(0.0)).has_value())
       << "cold session must be evicted";
@@ -244,9 +291,8 @@ TEST(StaleCacheTest, LruEvictsColdSessionsAtCapacity) {
 TEST(ResilienceControlTest, ExportsBreakerStatesAndCountersToRegistry) {
   ResilienceOptions options;
   options.enabled = true;
-  options.breaker = TightBreaker();
   ResilienceControl control(options, /*seed=*/7);
-  for (int i = 0; i < 4; ++i)
+  for (int i = 0; i < kBreakerMinRequests; ++i)
     control.OnShardResult(1, /*failed=*/true, At(0.0));
   control.OnRequestObserved();
   ASSERT_TRUE(control.TryAcquireRetry());
@@ -345,24 +391,27 @@ TEST_F(ResilienceRouterTest, RetryAbsorbsOneInjectedUnavailable) {
 }
 
 TEST_F(ResilienceRouterTest, RetryIsSingleAndRefusedWhenTheBudgetIsDry) {
-  ShardRouterOptions options = Options(2);
-  options.resilience.retry_budget.cap = 1.0;  // one retry, then dry
-  options.resilience.retry_budget.ratio = 0.01;
-  auto router = MakeRouter(options);
+  auto router = MakeRouter(Options(2));
+  ResilienceControl* rc = router->resilience();
   ASSERT_TRUE(Wait(router->Submit("", Request::Create("r", 1))).status.ok());
+  // Spend the full budget (32 tokens) down to one token.
+  for (int i = 0; i < 31; ++i) ASSERT_TRUE(rc->TryAcquireRetry());
+  const uint64_t attempted = rc->retries_attempted();
   ASSERT_TRUE(fault::FaultRegistry::Get()
                   .Configure(std::string(kFaultPredictUnavailable) + "=always")
                   .ok());
-  // Every response is turned Unavailable: the first predict burns the one
-  // token (a SINGLE re-dispatch, then gives up)...
+  // Every response is turned Unavailable: the first predict (its request
+  // refills 0.1) burns the one token (a SINGLE re-dispatch, then gives
+  // up)...
   EXPECT_EQ(Wait(router->Submit("", Request::Predict("r"))).status.code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(router->resilience()->retries_attempted(), 1u);
-  // ...and the second finds the bucket dry: denied, not retried.
+  EXPECT_EQ(rc->retries_attempted(), attempted + 1);
+  // ...and the second finds the bucket dry (0.2 tokens): denied, not
+  // retried.
   EXPECT_EQ(Wait(router->Submit("", Request::Predict("r"))).status.code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(router->resilience()->retries_attempted(), 1u);
-  EXPECT_GE(router->resilience()->retries_denied(), 1u);
+  EXPECT_EQ(rc->retries_attempted(), attempted + 1);
+  EXPECT_GE(rc->retries_denied(), 1u);
 }
 
 // Satellite regression: a Submit that loses the race with CrashShard must
@@ -538,7 +587,6 @@ TEST_F(ResilienceRouterTest, SupervisorRestartsOnTheExactBackoffSchedule) {
   auto router = MakeRouter(options);
   SupervisorOptions sup;
   sup.restart_backoff_ms = 50.0;
-  sup.max_backoff_ms = 2000.0;
   sup.clock = clock;
   ShardSupervisor supervisor(*router, sup);
 
@@ -580,10 +628,9 @@ TEST_F(ResilienceRouterTest, SupervisorDoublesBackoffOnFailedRestarts) {
   auto router = MakeRouter(options);
   SupervisorOptions sup;
   sup.restart_backoff_ms = 50.0;
-  sup.max_backoff_ms = 2000.0;
   sup.clock = clock;
   ShardSupervisor supervisor(*router, sup);
-  // Pure backoff table: 50 * 2^n capped at 2000.
+  // Pure backoff table: 50 * 2^n capped at kSupervisorMaxBackoffMs (2000).
   EXPECT_DOUBLE_EQ(supervisor.BackoffMs(0), 50.0);
   EXPECT_DOUBLE_EQ(supervisor.BackoffMs(1), 100.0);
   EXPECT_DOUBLE_EQ(supervisor.BackoffMs(3), 400.0);
@@ -624,12 +671,13 @@ TEST_F(ResilienceRouterTest, SupervisorForceRestartsWedgedShards) {
   auto router = MakeRouter(options);
   SupervisorOptions sup;
   sup.restart_backoff_ms = 50.0;
-  sup.wedged_polls = 2;
   sup.clock = clock;
   ShardSupervisor supervisor(*router, sup);
 
-  // A stall that recovers before `wedged_polls` passes is left alone.
+  // A stall that recovers before kSupervisorWedgedPolls (3) passes is left
+  // alone.
   router->shard(0)->NoteWatchdogStall();
+  EXPECT_EQ(supervisor.PollOnce(), 0);
   EXPECT_EQ(supervisor.PollOnce(), 0);
   router->shard(0)->NoteWatchdogRecovery();
   EXPECT_EQ(supervisor.PollOnce(), 0);
@@ -639,7 +687,8 @@ TEST_F(ResilienceRouterTest, SupervisorForceRestartsWedgedShards) {
   // normal restart schedule revives it.
   router->shard(0)->NoteWatchdogStall();
   EXPECT_EQ(supervisor.PollOnce(), 0);
-  EXPECT_EQ(supervisor.PollOnce(), 0);  // second consecutive pass: kill
+  EXPECT_EQ(supervisor.PollOnce(), 0);
+  EXPECT_EQ(supervisor.PollOnce(), 0);  // third consecutive pass: kill
   EXPECT_EQ(supervisor.wedge_kills_total(), 1u);
   EXPECT_EQ(router->shard(0), nullptr);
   fake_ms.fetch_add(50);
@@ -696,7 +745,6 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
   options.shard.num_workers = 1;
   options.clock = clock;
   options.allow_stale = true;
-  options.resilience.breaker = TightBreaker();  // min 4, 50%, open 2 s, probe 3
   options.flight_dir = ::testing::TempDir() + "drill_flight";
   ASSERT_EQ(std::system(("rm -rf " + options.flight_dir + " && mkdir -p " +
                          options.flight_dir)
@@ -741,12 +789,17 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
   ASSERT_TRUE(fault::FaultRegistry::Get()
                   .Configure(SlowShardFaultPoint(victim) + "=always@40")
                   .ok());
+  // The storm is kBreakerMinRequests (8) doomed predicts, cycling through
+  // the victim's other sessions: with the blocker's success that is 9
+  // outcomes, 8 of them failures.
   auto blocker = router->Submit("", Request::Predict(on_victim[0]));
   ASSERT_TRUE(blocker.ok()) << blocker.status();
+  std::vector<std::string> doomed_ids;
   std::vector<std::future<ServeResponse>> doomed;
-  for (size_t i = 1; i < on_victim.size(); ++i) {
+  for (int i = 0; i < kBreakerMinRequests; ++i) {
+    doomed_ids.push_back(on_victim[1 + i % (on_victim.size() - 1)]);
     auto submitted = router->Submit(
-        "", Request::Predict(on_victim[i], /*deadline_ms=*/10.0));
+        "", Request::Predict(doomed_ids.back(), /*deadline_ms=*/10.0));
     ASSERT_TRUE(submitted.ok()) << submitted.status();
     doomed.push_back(std::move(submitted).value());
   }
@@ -755,9 +808,9 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
   const uint64_t denied_before = rc->retries_denied();
   for (size_t i = 0; i < doomed.size(); ++i) {
     const ServeResponse r = doomed[i].get();
-    EXPECT_TRUE(r.status.ok()) << on_victim[i + 1] << ": " << r.status;
-    EXPECT_TRUE(r.stale) << on_victim[i + 1];
-    EXPECT_EQ(r.log_prediction, expected[on_victim[i + 1]]);
+    EXPECT_TRUE(r.status.ok()) << doomed_ids[i] << ": " << r.status;
+    EXPECT_TRUE(r.stale) << doomed_ids[i];
+    EXPECT_EQ(r.log_prediction, expected[doomed_ids[i]]);
   }
   // An expired deadline leaves no headroom: every doomed retry was denied
   // on the remaining-time floor, not re-raced.
@@ -792,8 +845,8 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
   }
 
   // --- Phase 3: cooldown elapses; pinned traffic is the probe. -----------
-  fake_ms.fetch_add(3000);  // > open_seconds
-  for (int probe = 0; probe < 3; ++probe) {
+  fake_ms.fetch_add(3000);  // > kBreakerOpenSeconds (2 s)
+  for (int probe = 0; probe < kBreakerProbeRequests; ++probe) {
     const ServeResponse r =
         Wait(router->Submit("", Request::Predict(on_victim[probe])));
     ASSERT_TRUE(r.status.ok()) << r.status;
@@ -801,7 +854,7 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
     EXPECT_EQ(r.log_prediction, expected[on_victim[probe]]);
   }
   EXPECT_EQ(rc->ShardState(victim), BreakerState::kClosed)
-      << "3 clean probes must re-close the breaker";
+      << "4 clean probes must re-close the breaker";
 
   // --- Phase 4: hard crash; the supervisor heals it on schedule. ---------
   router->CrashShard(victim);
@@ -843,14 +896,14 @@ TEST_F(ResilienceRouterTest, ClosedLoopDrillRecoversBitIdentical) {
   // honest "re-create me", not Unavailable, not a stale fabrication) — and
   // those application-level outcomes COUNT as clean probes.
   int probes = 0;
-  for (int i = 0; i < 256 && probes < 3; ++i) {
+  for (int i = 0; i < 256 && probes < kBreakerProbeRequests; ++i) {
     const std::string id = "probe-" + std::to_string(i);
     if (router->ShardOf(id) != victim) continue;
     EXPECT_EQ(Wait(router->Submit("", Request::Predict(id))).status.code(),
               StatusCode::kNotFound);
     ++probes;
   }
-  ASSERT_EQ(probes, 3);
+  ASSERT_EQ(probes, kBreakerProbeRequests);
   EXPECT_EQ(rc->ShardState(victim), BreakerState::kClosed);
 
   // --- Phase 6: re-create the lost sessions; everything is bit-identical. -

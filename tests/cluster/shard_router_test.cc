@@ -524,6 +524,23 @@ TEST_F(ShardRouterTest, ResolvingAnAsyncCloseReleasesThePin) {
   EXPECT_TRUE(Wait(router->Submit("", Request::Create("s", 2))).status.ok());
 }
 
+// A close whose future is dropped unresolved still releases the pin: the
+// close's outcome record does the bookkeeping on the shard's worker.
+TEST_F(ShardRouterTest, DroppedCloseFutureStillReleasesThePin) {
+  auto router = MakeRouter(Options(2));
+  ASSERT_TRUE(Wait(router->Submit("", Request::Create("s", 1))).status.ok());
+  EXPECT_EQ(TotalPinned(router->TakeSnapshot()), 1u);
+  ASSERT_TRUE(router->Submit("", Request::Close("s")).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (TotalPinned(router->TakeSnapshot()) != 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(TotalPinned(router->TakeSnapshot()), 0u);
+  EXPECT_EQ(Wait(router->Submit("", Request::Predict("s"))).status.code(),
+            StatusCode::kNotFound);
+}
+
 // A re-create rejected by admission must leave the pin alone: the earlier
 // close still owns the pin's generation and releases it when resolved.
 TEST_F(ShardRouterTest, RejectedRecreateDoesNotLeakThePin) {
@@ -744,7 +761,6 @@ TEST_F(ShardRouterTest, DeadlineExceededTriggersFlightDumpWithTraceId) {
 TEST_F(ShardRouterTest, OnDemandDumpsAreSequencedAndRetained) {
   ShardRouterOptions options = Options(2);
   options.flight_dir = ::testing::TempDir() + "dump_seq";
-  options.flight_dump_retention = 2;
   ASSERT_EQ(std::system(("rm -rf " + options.flight_dir + " && mkdir -p " +
                          options.flight_dir)
                             .c_str()),
@@ -753,24 +769,25 @@ TEST_F(ShardRouterTest, OnDemandDumpsAreSequencedAndRetained) {
   ASSERT_TRUE(
       Wait(router->Submit("acme", Request::Create("sess", 1))).status.ok());
 
-  for (int i = 0; i < 3; ++i)
+  // One set more than kFlightDumpRetention (16).
+  for (size_t i = 0; i < kFlightDumpRetention + 1; ++i)
     ASSERT_TRUE(router->DumpFlightRecorders("collide_check").ok());
-  EXPECT_EQ(router->on_demand_dump_count(), 3u);
+  EXPECT_EQ(router->on_demand_dump_count(), 17u);
 
   auto exists = [&](const std::string& name) {
     return std::ifstream(options.flight_dir + "/" + name).good();
   };
-  // Newest two sets retained, oldest evicted (retention = 2).
+  // Newest sixteen sets retained, oldest evicted.
   EXPECT_FALSE(exists("flight_router.00001.jsonl"));
   EXPECT_FALSE(exists("flight_shard_0.00001.jsonl"));
   EXPECT_TRUE(exists("flight_router.00002.jsonl"));
-  EXPECT_TRUE(exists("flight_router.00003.jsonl"));
-  EXPECT_TRUE(exists("flight_shard_0.00003.jsonl"));
-  EXPECT_TRUE(exists("flight_shard_1.00003.jsonl"));
+  EXPECT_TRUE(exists("flight_router.00017.jsonl"));
+  EXPECT_TRUE(exists("flight_shard_0.00017.jsonl"));
+  EXPECT_TRUE(exists("flight_shard_1.00017.jsonl"));
 
   // Distinct files per call: the newest set holds exactly one dump header,
-  // not three appended ones.
-  std::ifstream in(options.flight_dir + "/flight_router.00003.jsonl");
+  // not seventeen appended ones.
+  std::ifstream in(options.flight_dir + "/flight_router.00017.jsonl");
   std::stringstream content;
   content << in.rdbuf();
   const std::string dump = content.str();
@@ -831,8 +848,8 @@ TEST_F(ShardRouterTest, SustainedOverQuotaBurnDegradesHealthPerTenant) {
   ASSERT_NE(calm, nullptr);
   ASSERT_NE(noisy, nullptr);
   EXPECT_TRUE(noisy->burning);
-  EXPECT_GT(noisy->fast_burn, options.slo.fast_burn_threshold);
-  EXPECT_GT(noisy->slow_burn, options.slo.slow_burn_threshold);
+  EXPECT_GT(noisy->fast_burn, obs::kSloFastBurnThreshold);
+  EXPECT_GT(noisy->slow_burn, obs::kSloSlowBurnThreshold);
   EXPECT_FALSE(calm->burning);
   EXPECT_DOUBLE_EQ(calm->fast_burn, 0.0);
   EXPECT_DOUBLE_EQ(calm->slow_availability, 1.0);

@@ -19,14 +19,13 @@ SloTracker::TimePoint T0() {
   return SloTracker::TimePoint(std::chrono::seconds(1'000'000));
 }
 
+// Error budget 0.1% (kSloAvailabilityTarget 0.999); burn thresholds fast 14,
+// slow 1.
 SloOptions TestOptions() {
   SloOptions opts;
-  opts.availability_target = 0.999;  // error budget = 0.1%
   opts.latency_slo_us = 0;
   opts.fast_window_seconds = 60;
   opts.slow_window_seconds = 600;
-  opts.fast_burn_threshold = 14.0;
-  opts.slow_burn_threshold = 1.0;
   return opts;
 }
 
